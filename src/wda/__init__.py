@@ -3,20 +3,13 @@
 Supervised linear dimensionality reduction that maximizes the ratio of
 entropic-transport dispersion between classes over dispersion within
 classes, optimized by projected gradient ascent over matrices with
-orthonormal rows. Gradients flow through the transport plans by exact
-differentiation of a fixed number of Sinkhorn scaling iterations.
+orthonormal rows. Gradients flow through the transport plans by one
+reverse-mode pass through a fixed number of recorded Sinkhorn scaling
+iterations.
 """
 
 __version__ = "0.1.0"
 
-from .autodiff import (
-    KernelJacobian,
-    ScalingJacobians,
-    kernel_jacobian,
-    plan_jacobian_apply,
-    plan_jacobian_full,
-    scaling_jacobians,
-)
 from .baselines import FdaModel, fda_fit, uniform_coupling_covariances
 from .datasets import (
     LabeledDataset,
@@ -62,6 +55,7 @@ from .otcore import (
     plan_to_json,
     regularized_distance,
     sinkhorn_plan,
+    sinkhorn_vjp,
     symmetric_scaling,
     trace_to_json,
 )
@@ -81,12 +75,10 @@ __all__ = [
     "FdaModel",
     "FitReport",
     "InvalidInputError",
-    "KernelJacobian",
     "LabeledDataset",
     "NumericalRangeError",
     "ObjectiveState",
     "ParseError",
-    "ScalingJacobians",
     "SinkhornTrace",
     "ToyDataSpec",
     "TransportPlan",
@@ -103,14 +95,11 @@ __all__ = [
     "gen_toy",
     "gradient",
     "ift_jacobian",
-    "kernel_jacobian",
     "knn_predict",
     "load_csv",
     "pair_keys",
     "pair_lambda",
     "pca_init",
-    "plan_jacobian_apply",
-    "plan_jacobian_full",
     "plan_to_csv",
     "plan_to_json",
     "project_stiefel",
@@ -118,8 +107,8 @@ __all__ = [
     "riemannian_gradient",
     "run_protocol",
     "save_csv",
-    "scaling_jacobians",
     "sinkhorn_plan",
+    "sinkhorn_vjp",
     "split_dataset",
     "symmetric_scaling",
     "trace_to_json",

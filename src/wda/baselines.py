@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .datasets import LabeledDataset
 from .errors import DegenerateInputError, InvalidInputError
@@ -55,7 +54,9 @@ def fda_fit(data: LabeledDataset, p: int, ridge: float = 1e-10) -> FdaModel:
 
     A ridge of ``ridge * tr(C_w)/d`` is added to C_w before the
     symmetric-definite eigendecomposition; data whose within matrix stays
-    singular beyond that is rejected.
+    singular beyond that is rejected. With the Cholesky factor C_w = L L^T
+    the problem becomes the ordinary symmetric eigenproblem of
+    L^{-1} C_b L^{-T}, whose eigenvectors y map back as x = L^{-T} y.
     """
     blocks = data.class_blocks()
     if len(blocks) < 2:
@@ -69,11 +70,14 @@ def fda_fit(data: LabeledDataset, p: int, ridge: float = 1e-10) -> FdaModel:
         raise DegenerateInputError("within-class covariance is zero")
     cw_ridged = cw + (ridge * trace_w / d) * np.eye(d)
     try:
-        eigvals, eigvecs = scipy.linalg.eigh(cb, cw_ridged)
-    except scipy.linalg.LinAlgError as exc:
+        chol = np.linalg.cholesky(cw_ridged)
+    except np.linalg.LinAlgError as exc:
         raise DegenerateInputError(
             f"within-class covariance is singular beyond the ridge: {exc}"
         ) from exc
+    whitened = np.linalg.solve(chol, np.linalg.solve(chol, cb).T)
+    eigvals, eigvecs = np.linalg.eigh(0.5 * (whitened + whitened.T))
+    eigvecs = np.linalg.solve(chol.T, eigvecs)
     order = np.argsort(eigvals)[::-1][:p]
     values = np.maximum(eigvals[order], 0.0)
     vectors = eigvecs[:, order].T

@@ -9,10 +9,14 @@ c = c'), and the objective is the ratio
 
     J(P) = <P^T P, C_b> / <P^T P, C_w> = sigma_b^2 / sigma_w^2.
 
-The gradient has a frozen-plan part (quotient rule on the two traces) plus,
-for every pair, the contraction of the plan Jacobian with the cotangent
-dJ/dT: the projected cost matrix scaled by +1/sigma_w^2 for between pairs and
--sigma_b^2/sigma_w^4 for within pairs.
+J depends on P only through the projected cost matrices M = M^{c,c'}:
+sigma_b^2 sums <T(M), M> over the between pairs and sigma_w^2 over the
+within pairs. The gradient is therefore one formula for every pair. The cost
+cotangent is dJ/dM = coef * T + d<W, T(M)>/dM at the fixed weight
+W = coef * M, with coef = +1/sigma_w^2 for between pairs and
+-sigma_b^2/sigma_w^4 for within pairs. The second term is one reverse pass
+through the recorded Sinkhorn iterations (:func:`~wda.otcore.sinkhorn_vjp`).
+Both are pulled back to P through M_ij = ||P (x_i - x'_j)||^2.
 """
 
 from __future__ import annotations
@@ -21,9 +25,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import kernel_jacobian, plan_jacobian_apply
-from .errors import DegenerateInputError, InvalidInputError
-from .otcore import SinkhornTrace, TransportPlan, cost_matrix, sinkhorn_plan
+from .errors import DegenerateInputError, InvalidInputError, NumericalRangeError
+from .otcore import (
+    SinkhornTrace,
+    TransportPlan,
+    cost_matrix,
+    sinkhorn_plan,
+    sinkhorn_vjp,
+)
 
 PairKey = tuple[int, int]
 
@@ -47,7 +56,6 @@ class WdaConfig:
     step_c1: float = 1e-4
     max_backtracks: int = 30
     feasibility_tol: float = 1e-9
-    class_weighting: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -173,8 +181,8 @@ def cross_covariance(
 class ObjectiveState:
     """One full evaluation of the ratio objective at a projection.
 
-    Keeps the per-pair plans, traces, and projected cost matrices so a
-    gradient can be assembled without re-solving the inner problems.
+    Keeps the per-pair traces and projected cost matrices so a gradient can
+    be assembled without re-solving the inner problems.
     """
 
     value: float
@@ -182,12 +190,10 @@ class ObjectiveState:
     sigma_w2: float
     cb: np.ndarray
     cw: np.ndarray
-    plans: dict[PairKey, TransportPlan] = field(repr=False)
     traces: dict[PairKey, SinkhornTrace] = field(repr=False)
     costs: dict[PairKey, np.ndarray] = field(repr=False)
     pair_lambdas: dict[PairKey, float]
     pair_distances: dict[PairKey, float]
-    pair_weights: dict[PairKey, float]
 
     def to_json(self) -> dict:
         def keyed(d):
@@ -199,21 +205,10 @@ class ObjectiveState:
             "sigma_w2": self.sigma_w2,
             "pair_distances": keyed(self.pair_distances),
             "pair_lambdas": keyed(self.pair_lambdas),
-            "pair_weights": keyed(self.pair_weights),
             "pair_residuals": {
                 f"{c},{cp}": t.residual for (c, cp), t in self.traces.items()
             },
         }
-
-
-def _pair_weights(blocks, class_weighting: bool) -> dict[PairKey, float]:
-    if not class_weighting:
-        return {key: 1.0 for key in pair_keys(len(blocks))}
-    n_total = sum(X.shape[1] for X in blocks)
-    return {
-        (c, cp): (blocks[c].shape[1] * blocks[cp].shape[1]) / n_total**2
-        for (c, cp) in pair_keys(len(blocks))
-    }
 
 
 def _resolve_lambdas(blocks, cfg: WdaConfig, lambdas) -> dict[PairKey, float]:
@@ -247,13 +242,11 @@ def evaluate(
             f"{blocks[0].shape[0]}"
         )
     lam_map = _resolve_lambdas(blocks, cfg, lambdas)
-    weights = _pair_weights(blocks, cfg.class_weighting)
 
     projected = [P @ X for X in blocks]
     d = blocks[0].shape[0]
     cb = np.zeros((d, d))
     cw = np.zeros((d, d))
-    plans: dict[PairKey, TransportPlan] = {}
     traces: dict[PairKey, SinkhornTrace] = {}
     costs: dict[PairKey, np.ndarray] = {}
     pair_distances: dict[PairKey, float] = {}
@@ -264,12 +257,11 @@ def evaluate(
         plan, trace = sinkhorn_plan(
             M, lam_map[(c, cp)], cfg.sinkhorn_iters, cfg.feasibility_tol
         )
-        C = weights[(c, cp)] * cross_covariance(blocks[c], blocks[cp], plan)
+        C = cross_covariance(blocks[c], blocks[cp], plan)
         if cp == c:
             cw += C
         else:
             cb += C
-        plans[(c, cp)] = plan
         traces[(c, cp)] = trace
         costs[(c, cp)] = M
         pair_distances[(c, cp)] = float(np.sum(plan.weights * M))
@@ -286,12 +278,10 @@ def evaluate(
         sigma_w2=sigma_w2,
         cb=cb,
         cw=cw,
-        plans=plans,
         traces=traces,
         costs=costs,
         pair_lambdas=lam_map,
         pair_distances=pair_distances,
-        pair_weights=weights,
     )
 
 
@@ -304,12 +294,17 @@ def gradient(
 ) -> np.ndarray:
     """Full ambient gradient dJ/dP, a (p, d) array.
 
-    Combines the frozen-plan term
-        P (2/sigma_w^2 C_b - 2 sigma_b^2/sigma_w^4 C_w)
-    with, for every class pair, the plan Jacobian contracted against the
-    cotangent +M/sigma_w^2 (between pairs) or -(sigma_b^2/sigma_w^4) M
-    (within pairs), where M is the projected cost matrix of the pair.
-    Pass ``state`` to reuse an evaluation at the same (P, lambdas).
+    For every class pair with plan T, projected cost matrix M and trace of
+    its Sinkhorn run, the cost cotangent is
+
+        G = coef * T + sinkhorn_vjp(trace, coef * M),
+
+    with coef = +1/sigma_w^2 for between pairs and -sigma_b^2/sigma_w^4 for
+    within pairs; the first term is the frozen-plan part, the second the
+    derivative of the plan itself. Then dJ/dP = 2 P sum_pairs
+    cross_covariance(X^c, X^c', G). Pass ``state`` to reuse an evaluation at
+    the same (P, lambdas). Raises NumericalRangeError, naming the pair and
+    its lambda, when a pair's term is not finite.
     """
     P = np.asarray(P, dtype=float)
     blocks = _check_classes(classes)
@@ -318,21 +313,17 @@ def gradient(
     sb2 = state.sigma_b2
     sw2 = state.sigma_w2
 
-    G = P @ ((2.0 / sw2) * state.cb - (2.0 * sb2 / sw2**2) * state.cw)
+    C = np.zeros((P.shape[1], P.shape[1]))
     for c, cp in pair_keys(len(blocks)):
-        w = state.pair_weights[(c, cp)]
-        M = state.costs[(c, cp)]
-        if cp == c:
-            cot = (-w * sb2 / sw2**2) * M
-        else:
-            cot = (w / sw2) * M
+        coef = -sb2 / sw2**2 if cp == c else 1.0 / sw2
         trace = state.traces[(c, cp)]
-        kjac = kernel_jacobian(
-            P,
-            blocks[c],
-            blocks[cp],
-            state.pair_lambdas[(c, cp)],
-            kernel=trace.kernel,
-        )
-        G += plan_jacobian_apply(trace, kjac, cot)
-    return G
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = coef * trace.plan_weights() + sinkhorn_vjp(trace, coef * state.costs[(c, cp)])
+        if not np.all(np.isfinite(G)):
+            raise NumericalRangeError(
+                f"gradient term of class pair ({c}, {cp}) is not finite at "
+                f"lambda {state.pair_lambdas[(c, cp)]:.6g}; the fixed-L Sinkhorn "
+                "iterations left the floating-point range, lower the regularization"
+            )
+        C += cross_covariance(blocks[c], blocks[cp], G)
+    return 2.0 * P @ C

@@ -1,16 +1,18 @@
+"""Reverse-mode derivative of the fixed-L Sinkhorn plan: ``sinkhorn_vjp``
+applies the transposed plan Jacobian to a cotangent, and the full Jacobian
+built from it in ``helpers`` is checked against finite differences."""
+
 import numpy as np
 import pytest
 
-from helpers import fd_gradient, random_stiefel
+from helpers import plan_jacobian_full, random_stiefel
 from wda import (
     CapacityError,
     InvalidInputError,
     cost_matrix,
-    kernel_jacobian,
-    plan_jacobian_apply,
-    plan_jacobian_full,
-    scaling_jacobians,
+    cross_covariance,
     sinkhorn_plan,
+    sinkhorn_vjp,
 )
 
 
@@ -20,100 +22,92 @@ def _instance(rng, n, m, d, p, lam, L):
     P = random_stiefel(rng, p, d)
     M = cost_matrix(P @ X, P @ Z)
     plan, trace = sinkhorn_plan(M, lam, L)
-    kjac = kernel_jacobian(P, X, Z, lam, kernel=trace.kernel)
-    return X, Z, P, plan, trace, kjac
+    return X, Z, P, plan, trace
 
 
-def test_kernel_jacobian_zero_displacement():
-    X = np.array([[1.0], [2.0]])
-    P = np.array([[1.0, 0.0]])
-    kjac = kernel_jacobian(P, X, X.copy(), 1.5)
-    assert np.array_equal(kjac.entry_grads, np.zeros((1, 1, 1, 2)))
+def _fd_in_cost(M, lam, L, W, h=1e-6, symmetric=False):
+    # central differences of <W, T(M)>; a self pair perturbs M_ij and M_ji
+    # together so the cost matrix stays symmetric
+    def contraction(Mmat):
+        plan, _ = sinkhorn_plan(Mmat, lam, L)
+        return float(np.sum(W * plan.weights))
+
+    fd = np.zeros_like(M)
+    for i, j in np.ndindex(M.shape):
+        if symmetric and j < i:
+            continue
+        E = np.zeros_like(M)
+        E[i, j] = h
+        if symmetric:
+            E[j, i] = h
+        fd[i, j] = (contraction(M + E) - contraction(M - E)) / (2.0 * h)
+    return fd
 
 
-def test_kernel_jacobian_hand_example():
-    # p=1, d=2, x - z = (1, 0), lam=1: K = e^-1 and dK/dP = -2 e^-1 [1, 0]
-    P = np.array([[1.0, 0.0]])
-    X = np.array([[1.0], [0.0]])
-    Z = np.array([[0.0], [0.0]])
-    kjac = kernel_jacobian(P, X, Z, 1.0)
-    expected = -2.0 * np.exp(-1.0) * np.array([[1.0, 0.0]])
-    assert np.abs(kjac.entry_grads[0, 0] - expected).max() <= 1e-12
+def test_plan_jacobian_apply_matches_finite_differences():
+    rng = np.random.default_rng(4)
+    for L in (1, 10):
+        # rectangular pair: every entry of M is an independent input
+        X, Z, P, _, trace = _instance(rng, 4, 3, 3, 2, 0.7, L)
+        M = cost_matrix(P @ X, P @ Z)
+        W = rng.standard_normal((4, 3))
+        G = sinkhorn_vjp(trace, W)
+        fd = _fd_in_cost(M, 0.7, L, W)
+        assert np.abs(G - fd).max() / np.abs(fd).max() <= 1e-6
 
-
-def test_kernel_jacobian_lambda_zero():
-    rng = np.random.default_rng(0)
-    X = rng.standard_normal((3, 4))
-    Z = rng.standard_normal((3, 2))
-    P = random_stiefel(rng, 2, 3)
-    kjac = kernel_jacobian(P, X, Z, 0.0, kernel=np.ones((4, 2)))
-    assert np.array_equal(kjac.entry_grads, np.zeros((4, 2, 2, 3)))
-
-
-def test_kernel_jacobian_matches_finite_differences():
-    rng = np.random.default_rng(1)
-    n, m, d, p, lam = 3, 2, 4, 2, 0.8
-    X = rng.standard_normal((d, n))
-    Z = rng.standard_normal((d, m))
-    P = random_stiefel(rng, p, d)
-    kjac = kernel_jacobian(P, X, Z, lam)
-    h = 1e-6
-    for i in range(n):
-        for j in range(m):
-            def kij(Pmat, i=i, j=j):
-                return np.exp(-lam * np.sum((Pmat @ (X[:, i] - Z[:, j])) ** 2))
-
-            fd = fd_gradient(kij, P, h=h)
-            scale = max(np.abs(fd).max(), 1e-12)
-            assert np.abs(kjac.entry_grads[i, j] - fd).max() / scale <= 1e-6
+        # self pair: the symmetric perturbation measures G_ij + G_ji
+        X = rng.standard_normal((3, 4))
+        Y = P @ X
+        M = cost_matrix(Y, Y)
+        _, trace = sinkhorn_plan(M, 0.9, L)
+        W = rng.standard_normal((4, 4))
+        G = sinkhorn_vjp(trace, W)
+        fd = _fd_in_cost(M, 0.9, L, W, symmetric=True)
+        sym = np.triu(G + G.T, 1) + np.diag(np.diag(G))
+        assert np.abs(sym - fd).max() / np.abs(fd).max() <= 1e-6
 
 
 def test_plan_jacobian_single_cell_is_zero():
-    # T = [[1]] is constant in P; the three product-rule terms cancel exactly
+    # T = [[1]] is constant in M; the reverse pass must cancel exactly
     rng = np.random.default_rng(2)
-    X, Z, P, plan, trace, kjac = _instance(rng, 1, 1, 3, 2, 1.1, 8)
-    G = plan_jacobian_apply(trace, kjac, np.array([[2.5]]))
-    assert np.abs(G).max() <= 1e-12
-    full = plan_jacobian_full(trace, kjac)
+    X, Z, P, plan, trace = _instance(rng, 1, 1, 3, 2, 1.1, 8)
+    assert np.abs(sinkhorn_vjp(trace, np.array([[2.5]]))).max() <= 1e-12
+    full = plan_jacobian_full(trace, P, X, Z)
     assert np.abs(full).max() <= 1e-12
 
 
 def test_plan_jacobian_tiny_lambda_is_zero():
     rng = np.random.default_rng(3)
-    X, Z, P, plan, trace, kjac = _instance(rng, 4, 3, 3, 2, 1e-12, 10)
-    G = plan_jacobian_apply(trace, kjac, np.ones((4, 3)))
-    assert np.abs(G).max() <= 1e-9
+    X, Z, P, plan, trace = _instance(rng, 4, 3, 3, 2, 1e-12, 10)
+    assert np.abs(sinkhorn_vjp(trace, np.ones((4, 3)))).max() <= 1e-9
 
 
-def test_plan_jacobian_apply_matches_finite_differences():
-    rng = np.random.default_rng(4)
-    n, m, d, p, lam, L = 4, 4, 3, 2, 0.7, 10
-    X = rng.standard_normal((d, n))
-    Z = rng.standard_normal((d, m))
-    P = random_stiefel(rng, p, d)
-    W = rng.standard_normal((n, m))
+def test_apply_is_linear_in_cotangent():
+    rng = np.random.default_rng(7)
+    X, Z, P, plan, trace = _instance(rng, 5, 4, 3, 2, 0.6, 9)
+    W1 = rng.standard_normal((5, 4))
+    W2 = rng.standard_normal((5, 4))
+    lhs = sinkhorn_vjp(trace, W1 + 2.0 * W2)
+    rhs = sinkhorn_vjp(trace, W1) + 2.0 * sinkhorn_vjp(trace, W2)
+    scale = max(np.abs(rhs).max(), 1e-12)
+    assert np.abs(lhs - rhs).max() / scale <= 1e-12
 
-    def contraction(Pmat):
-        M = cost_matrix(Pmat @ X, Pmat @ Z)
-        plan, _ = sinkhorn_plan(M, lam, L)
-        return float(np.sum(W * plan.weights))
 
-    M = cost_matrix(P @ X, P @ Z)
-    _, trace = sinkhorn_plan(M, lam, L)
-    kjac = kernel_jacobian(P, X, Z, lam, kernel=trace.kernel)
-    G = plan_jacobian_apply(trace, kjac, W)
-    fd = fd_gradient(contraction, P, h=1e-6)
-    assert np.abs(G - fd).max() / np.abs(fd).max() <= 1e-6
+def test_apply_cotangent_shape_check():
+    rng = np.random.default_rng(12)
+    _, _, _, _, trace = _instance(rng, 3, 4, 3, 2, 0.5, 5)
+    with pytest.raises(InvalidInputError):
+        sinkhorn_vjp(trace, np.ones((4, 3)))
 
 
 def test_full_jacobian_agrees_with_apply_under_contraction():
     rng = np.random.default_rng(5)
-    X, Z, P, plan, trace, kjac = _instance(rng, 4, 3, 3, 2, 0.9, 12)
-    full = plan_jacobian_full(trace, kjac)
+    X, Z, P, plan, trace = _instance(rng, 4, 3, 3, 2, 0.9, 12)
+    full = plan_jacobian_full(trace, P, X, Z)
     for _ in range(3):
         W = rng.standard_normal((4, 3))
         contracted = np.tensordot(W, full, axes=([0, 1], [0, 1]))
-        applied = plan_jacobian_apply(trace, kjac, W)
+        applied = 2.0 * P @ cross_covariance(X, Z, sinkhorn_vjp(trace, W))
         scale = max(np.abs(applied).max(), 1e-12)
         assert np.abs(contracted - applied).max() / scale <= 1e-12
 
@@ -126,8 +120,7 @@ def test_full_jacobian_matches_finite_differences_entrywise():
     P = random_stiefel(rng, p, d)
     M = cost_matrix(P @ X, P @ Z)
     _, trace = sinkhorn_plan(M, lam, L)
-    kjac = kernel_jacobian(P, X, Z, lam, kernel=trace.kernel)
-    full = plan_jacobian_full(trace, kjac)
+    full = plan_jacobian_full(trace, P, X, Z)
 
     def plan_entries(Pmat):
         Mp = cost_matrix(Pmat @ X, Pmat @ Z)
@@ -145,17 +138,6 @@ def test_full_jacobian_matches_finite_differences_entrywise():
     assert np.abs(full - fd).max() / np.abs(fd).max() <= 1e-6
 
 
-def test_apply_is_linear_in_cotangent():
-    rng = np.random.default_rng(7)
-    X, Z, P, plan, trace, kjac = _instance(rng, 5, 4, 3, 2, 0.6, 9)
-    W1 = rng.standard_normal((5, 4))
-    W2 = rng.standard_normal((5, 4))
-    lhs = plan_jacobian_apply(trace, kjac, W1 + 2.0 * W2)
-    rhs = plan_jacobian_apply(trace, kjac, W1) + 2.0 * plan_jacobian_apply(trace, kjac, W2)
-    scale = max(np.abs(rhs).max(), 1e-12)
-    assert np.abs(lhs - rhs).max() / scale <= 1e-12
-
-
 def test_marginal_derivative_consistency():
     # row marginals of T_L are exactly 1/n for every P (the final update
     # enforces them), so their derivative vanishes identically; column
@@ -168,8 +150,7 @@ def test_marginal_derivative_consistency():
     M = cost_matrix(P @ X, P @ Z)
     _, trace = sinkhorn_plan(M, lam, 400, tol=1e-13)
     assert trace.converged_at is not None
-    kjac = kernel_jacobian(P, X, Z, lam, kernel=trace.kernel)
-    full = plan_jacobian_full(trace, kjac)
+    full = plan_jacobian_full(trace, P, X, Z)
     scale = np.abs(full).max()
     row_sum_grad = full.sum(axis=1)
     assert np.abs(row_sum_grad).max() <= 1e-12 * max(scale, 1.0)
@@ -177,35 +158,8 @@ def test_marginal_derivative_consistency():
     assert np.abs(col_sum_grad).max() <= 1e-8 * max(scale, 1.0)
 
 
-def test_scaling_jacobians_shapes_and_initialization():
-    rng = np.random.default_rng(9)
-    X, Z, P, plan, trace, kjac = _instance(rng, 3, 5, 4, 2, 0.5, 7)
-    sj = scaling_jacobians(trace, kjac)
-    assert sj.du_history.shape == (8, 3, 2, 4)
-    assert sj.dv_history.shape == (7, 5, 2, 4)
-    assert np.array_equal(sj.du_history[0], np.zeros((3, 2, 4)))
-
-
 def test_full_jacobian_capacity_guard():
     rng = np.random.default_rng(10)
-    X, Z, P, plan, trace, kjac = _instance(rng, 40, 40, 2, 1, 0.1, 1)
+    X, Z, P, plan, trace = _instance(rng, 40, 40, 2, 1, 0.1, 1)
     with pytest.raises(CapacityError):
-        plan_jacobian_full(trace, kjac)
-
-
-def test_trace_kernel_jacobian_mismatch():
-    rng = np.random.default_rng(11)
-    _, _, _, _, trace, _ = _instance(rng, 3, 3, 3, 2, 0.5, 5)
-    _, _, _, _, _, other = _instance(rng, 4, 3, 3, 2, 0.5, 5)
-    with pytest.raises(InvalidInputError):
-        plan_jacobian_apply(trace, other, np.ones((3, 3)))
-    _, _, _, _, _, wrong_lam = _instance(rng, 3, 3, 3, 2, 0.9, 5)
-    with pytest.raises(InvalidInputError):
-        scaling_jacobians(trace, wrong_lam)
-
-
-def test_apply_cotangent_shape_check():
-    rng = np.random.default_rng(12)
-    _, _, _, _, trace, kjac = _instance(rng, 3, 4, 3, 2, 0.5, 5)
-    with pytest.raises(InvalidInputError):
-        plan_jacobian_apply(trace, kjac, np.ones((4, 3)))
+        plan_jacobian_full(trace, P, X, Z)

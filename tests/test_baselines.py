@@ -1,13 +1,21 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+import wda
 from helpers import principal_angle, random_stiefel
 from wda import (
     DegenerateInputError,
     InvalidInputError,
     LabeledDataset,
     WdaConfig,
+    append_noise,
     fda_fit,
+    gen_toy,
     uniform_coupling_covariances,
     wda_fit,
 )
@@ -104,3 +112,26 @@ def test_fda_input_validation():
     one_class = LabeledDataset(rng.standard_normal((5, 3)), np.zeros(5, dtype=int))
     with pytest.raises(DegenerateInputError):
         fda_fit(one_class, 1)
+
+
+def test_fda_matches_scipy_generalized_eigh():
+    # scipy's symmetric-definite solver is the oracle for the Cholesky path
+    for seed in range(6):
+        data = append_noise(gen_toy(15 + seed, seed), 3 * seed, seed)
+        model = fda_fit(data, 2)
+        cb, cw = uniform_coupling_covariances(data.class_blocks())
+        d = data.n_features
+        values, vectors = scipy.linalg.eigh(cb, cw + (1e-10 * np.trace(cw) / d) * np.eye(d))
+        order = np.argsort(values)[::-1][:2]
+        expected = vectors[:, order].T
+        expected /= np.linalg.norm(expected, axis=1, keepdims=True)
+        assert np.abs(model.eigenvalues - values[order]).max() <= 1e-12 * values.max()
+        cosines = np.abs(np.sum(expected * model.projection, axis=1))
+        assert (1.0 - cosines).max() <= 1e-12
+
+
+def test_import_does_not_load_scipy():
+    # a fresh interpreter importing the same package this suite tests
+    src = os.path.dirname(os.path.dirname(wda.__file__))
+    code = f"import sys; sys.path.insert(0, {src!r}); import wda; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0

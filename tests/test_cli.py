@@ -256,6 +256,29 @@ def test_sweep_single_cell(tmp_path, toy_csv):
     assert (out / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
 
 
+def test_sweep_records_non_finite_gradient_as_failure(tmp_path):
+    # base seed 18 draws a toy training set whose lam=300 gradient overflows
+    # at the PCA start; the sweep must record the cell, not crash
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({
+        "data": {"type": "toy", "n_train_per_class": 34, "n_test_per_class": 10},
+        "methods": ["wda", "pca"],
+        "ks": [1],
+        "ps": [2],
+        "lambdas": [300.0],
+        "n_seeds": 1,
+        "seed": 18,
+        "max_iter": 5,
+    }))
+    out = tmp_path / "sweep_out"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert [(f["method"], f["lambda"]) for f in summary["failures"]] == [("wda", 300.0)]
+    assert "not finite" in summary["failures"][0]["error"]
+    cells = {cell["method"]: cell["mean_error"] for cell in summary["cells"]}
+    assert np.isnan(cells["wda"]) and np.isfinite(cells["pca"])
+
+
 def test_sweep_unknown_data_type_exits_2(tmp_path, capsys):
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps({"data": {"type": "bogus"}}))

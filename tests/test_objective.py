@@ -205,24 +205,6 @@ def test_gradient_matches_finite_differences_adaptive_map():
     assert np.abs(G - fd).max() / np.abs(fd).max() <= 1e-5
 
 
-def test_gradient_matches_finite_differences_class_weighting():
-    rng = np.random.default_rng(10)
-    classes = [
-        rng.standard_normal((4, 5)) + 1.5,
-        rng.standard_normal((4, 9)) - 0.5,
-    ]
-    cfg = WdaConfig(lam=0.2, sinkhorn_iters=8, class_weighting=True)
-    P = random_stiefel(rng, 2, 4)
-    lam_map = {key: 0.2 for key in pair_keys(2)}
-
-    def J(Pmat):
-        return evaluate(Pmat, classes, cfg, lam_map).value
-
-    G = gradient(P, classes, cfg, lam_map)
-    fd = fd_gradient(J, P, h=1e-5)
-    assert np.abs(G - fd).max() / np.abs(fd).max() <= 1e-5
-
-
 def test_gradient_fda_limit_matches_rayleigh_gradient():
     # at vanishing regularization the plans freeze at uniform, so the full
     # gradient approaches the fixed-covariance quotient gradient

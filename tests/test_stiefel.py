@@ -7,6 +7,7 @@ from wda import (
     DegenerateInputError,
     InvalidInputError,
     LabeledDataset,
+    NumericalRangeError,
     WdaConfig,
     fda_fit,
     gen_toy,
@@ -180,6 +181,13 @@ def test_wda_fit_input_validation():
     data = LabeledDataset(rng.standard_normal((8, 3)), np.repeat([0, 1], 4))
     with pytest.raises(InvalidInputError):
         wda_fit(data, WdaConfig(dim=5))
+
+
+def test_wda_fit_non_finite_gradient_raises():
+    # at lam=300 the fixed-L scalings of pair (0, 2) reach ~1e282 and the
+    # reverse pass overflows already at the PCA start
+    with pytest.raises(NumericalRangeError, match=r"class pair \(0, 2\).*lambda"):
+        wda_fit(gen_toy(34, 19), WdaConfig(lam=300, sinkhorn_iters=10, dim=2))
 
 
 def test_wda_fit_accepts_explicit_init():
