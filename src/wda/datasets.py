@@ -226,7 +226,8 @@ def load_csv(path: str) -> LabeledDataset:
 
     The label column is the one named "label" when a header is present,
     otherwise the last column. Raises :class:`ParseError` with the offending
-    line and column on malformed input.
+    line and column on malformed input, including a non-finite feature value
+    ("nan", "inf", or one that overflows).
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -284,6 +285,15 @@ def load_csv(path: str) -> LabeledDataset:
                 f"label must be an integer, got {cell!r}"
             )
         labels[r] = int(value)
+
+    bad = np.argwhere(~np.isfinite(features))
+    if bad.size:
+        r, out_j = bad[0]
+        lineno, row = rows[r]
+        j = feature_cols[out_j]
+        raise ParseError(
+            f"{path}: line {lineno}, column {j + 1}: not a finite number: {row[j].strip()!r}"
+        )
 
     uniq = np.unique(labels)
     if not np.array_equal(uniq, np.arange(len(uniq))):

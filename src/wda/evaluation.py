@@ -23,6 +23,11 @@ from .objective import WdaConfig
 KNOWN_METHODS = ("wda", "pca", "fda", "identity")
 
 
+# distance entries per block of test rows: knn_predict holds a few
+# (block, n_train) arrays at a time, so this caps its working memory
+_KNN_BLOCK_ENTRIES = 1 << 16
+
+
 def knn_predict(
     train_X: np.ndarray,
     train_y: np.ndarray,
@@ -34,38 +39,91 @@ def knn_predict(
     Deterministic tie handling: neighbor sets are ordered by (distance,
     training index); label ties are broken by the smaller summed neighbor
     distance, then by the smaller label.
+
+    Test rows are processed in blocks of about ``_KNN_BLOCK_ENTRIES //
+    n_train`` rows (at least one). Per block, one (block, n_train) matrix of
+    squared distances ``|a|^2 - 2 a.b + |b|^2`` between training rows a and
+    test rows b (clamped at 0) is formed. The k-th smallest distance t of
+    each row is found by selection (``np.partition``), not by sorting; the
+    neighbor set is every entry below t plus the first entries equal to t in
+    training-index order, which is exactly the first k entries of the
+    (distance, index) order. Counts and summed distances per class are then
+    two matrix products with a one-hot label matrix. Working memory is a few
+    arrays of at most ``max(_KNN_BLOCK_ENTRIES, n_train)`` entries (0.5 MB
+    each for float arrays up to n_train = 65536), whatever the number of test
+    rows.
+
+    Raises InvalidInputError for an empty training set, mismatched shapes, a
+    non-finite feature value or k outside [1, n_train].
     """
+    train_X, train_y, test_X = _knn_inputs(train_X, train_y, test_X)
+    _check_k(k, train_X.shape[0])
+    return _knn_vote(train_X, train_y, test_X, [k])[0]
+
+
+def _knn_inputs(train_X, train_y, test_X):
+    """The KNN inputs as arrays, after the checks knn_predict documents."""
     train_X = np.asarray(train_X, dtype=float)
     test_X = np.asarray(test_X, dtype=float)
     train_y = np.asarray(train_y)
-    n_train = train_X.shape[0]
-    if n_train == 0:
+    if train_X.shape[0] == 0:
         raise InvalidInputError("empty training set")
     if train_X.ndim != 2 or test_X.ndim != 2 or train_X.shape[1] != test_X.shape[1]:
         raise InvalidInputError(
             f"feature dimensions differ: train {train_X.shape} vs test {test_X.shape}"
         )
+    if train_y.shape != train_X.shape[:1]:
+        raise InvalidInputError(
+            f"labels shape {train_y.shape} does not match {train_X.shape[0]} training rows"
+        )
+    for name, X in (("train_X", train_X), ("test_X", test_X)):
+        bad = np.argwhere(~np.isfinite(X))
+        if bad.size:
+            row, col = bad[0]
+            raise InvalidInputError(
+                f"{name} has a non-finite value at row {row}, column {col}"
+            )
+    return train_X, train_y, test_X
+
+
+def _check_k(k: int, n_train: int) -> None:
     if not 1 <= k <= n_train:
         raise InvalidInputError(f"k must lie in [1, {n_train}], got {k}")
 
+
+def _knn_vote(train_X, train_y, test_X, ks) -> list[np.ndarray]:
+    """knn_predict for every k in ``ks`` from one distance matrix per block.
+
+    The inputs must have passed :func:`_knn_inputs` and every k
+    :func:`_check_k`.
+    """
+    classes, codes = np.unique(train_y, return_inverse=True)
+    one_hot = (codes[:, None] == np.arange(classes.size)).astype(float)
     sq_train = np.einsum("ij,ij->i", train_X, train_X)
-    predictions = np.empty(test_X.shape[0], dtype=train_y.dtype)
-    order_idx = np.arange(n_train)
-    for t, x in enumerate(test_X):
-        dist = sq_train - 2.0 * (train_X @ x) + x @ x
+    predictions = [np.empty(test_X.shape[0], dtype=train_y.dtype) for _ in ks]
+    block = max(1, _KNN_BLOCK_ENTRIES // train_X.shape[0])
+    k_max = max(ks)
+    for start in range(0, test_X.shape[0], block):
+        x = test_X[start:start + block]
+        dist = sq_train - 2.0 * (x @ train_X.T) + np.einsum("ij,ij->i", x, x)[:, None]
         np.maximum(dist, 0.0, out=dist)
-        order = np.lexsort((order_idx, dist))[:k]
-        neigh_labels = train_y[order]
-        neigh_dist = dist[order]
-        candidates = np.unique(neigh_labels)
-        counts = np.array([(neigh_labels == c).sum() for c in candidates])
-        best = candidates[counts == counts.max()]
-        if best.size > 1:
-            sums = np.array(
-                [neigh_dist[neigh_labels == c].sum() for c in best]
-            )
-            best = best[sums == sums.min()]
-        predictions[t] = best.min()
+        # column j holds each row's (j+1)-th smallest distance
+        kth = np.sort(np.partition(dist, k_max - 1, axis=1)[:, :k_max], axis=1)
+        for pred, k in zip(predictions, ks):
+            t = kth[:, k - 1:k]
+            near = dist < t
+            tie = dist == t
+            need = k - near.sum(axis=1)
+            # rows with more ties at t than places left keep the lowest indices
+            rows = np.flatnonzero(tie.sum(axis=1) > need)
+            tie[rows] &= np.cumsum(tie[rows], axis=1) <= need[rows, None]
+            near |= tie
+            counts = near @ one_hot
+            sums = np.where(near, dist, 0.0) @ one_hot
+            best = counts == counts.max(axis=1, keepdims=True)
+            sums[~best] = np.inf
+            best &= sums == sums.min(axis=1, keepdims=True)
+            pred[start:start + block] = classes[best.argmax(axis=1)]
     return predictions
 
 
@@ -148,11 +206,23 @@ class ExperimentResult:
     failures: list[dict] = field(default_factory=list)
 
     def mean_errors(self) -> np.ndarray:
-        """Mean over seeds, shape (n_methods, n_ps, n_lams, n_ks); NaN-aware."""
-        return np.nanmean(self.errors, axis=1)
+        """Mean over seeds, shape (n_methods, n_ps, n_lams, n_ks); NaN-aware.
+
+        A cell whose every seed failed is NaN.
+        """
+        return self._over_seeds(np.nanmean)
 
     def std_errors(self) -> np.ndarray:
-        return np.nanstd(self.errors, axis=1)
+        return self._over_seeds(np.nanstd)
+
+    def _over_seeds(self, reduce) -> np.ndarray:
+        # fully failed cells are reduced over zeros and reset to NaN, so the
+        # reduction never sees an empty slice and the other cells keep the
+        # exact values of reducing self.errors directly
+        failed = np.isnan(self.errors).all(axis=1)
+        result = reduce(np.where(failed[:, None], 0.0, self.errors), axis=1)
+        result[failed] = np.nan
+        return result
 
     def long_rows(self):
         """Yield one dict per cell in fixed order: seed, k, p, lambda, method, error."""
@@ -212,9 +282,10 @@ def run_protocol(
     """Sweep (method, seed, p, lambda, k) and collect KNN test errors.
 
     Per seed the data is regenerated (or re-split), each method is fit per
-    (p, lambda) cell, and every k reuses that fit. Cells whose fit or
-    prediction raises a package error are recorded in ``failures`` and left
-    NaN; unexpected exceptions propagate.
+    (p, lambda) cell, and every k reuses that fit and the cell's test-train
+    distances. Cells whose fit or prediction raises a package error are
+    recorded in ``failures`` and left NaN (an invalid k fails only its own
+    column); unexpected exceptions propagate.
     """
     methods = list(methods)
     ks = [int(k) for k in ks]
@@ -257,12 +328,24 @@ def run_protocol(
                     else:
                         train_Z = train.samples @ projection.T
                         test_Z = test.samples @ projection.T
+                    try:
+                        train_Z, labels, test_Z = _knn_inputs(train_Z, train.labels, test_Z)
+                    except WdaError as exc:
+                        for k in ks:
+                            record_failure(method, seed, p, lam, k, exc)
+                        continue
+                    valid = []
                     for ki, k in enumerate(ks):
                         try:
-                            pred = knn_predict(train_Z, train.labels, test_Z, k)
-                            errors[mi, si, pi, li, ki] = error_rate(pred, test.labels)
-                        except WdaError as exc:
+                            _check_k(k, train_Z.shape[0])
+                            valid.append(ki)
+                        except InvalidInputError as exc:
                             record_failure(method, seed, p, lam, k, exc)
+                    if not valid:
+                        continue
+                    preds = _knn_vote(train_Z, labels, test_Z, [ks[ki] for ki in valid])
+                    for ki, pred in zip(valid, preds):
+                        errors[mi, si, pi, li, ki] = error_rate(pred, test.labels)
     return ExperimentResult(methods, seeds, ps, lams, ks, errors, failures)
 
 

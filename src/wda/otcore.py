@@ -147,13 +147,18 @@ def sinkhorn_plan(
     u_history[0] = u
     residual = np.inf
     converged_at = None
+    # two matvecs per iteration: r = K v serves the u update and the row
+    # marginal, s = K^T u the column marginal and the next v update
+    s = K.T @ u
     for k in range(1, iterations + 1):
-        v = col_target / np.maximum(K.T @ u, _TINY)
-        u = row_target / np.maximum(K @ v, _TINY)
+        v = col_target / np.maximum(s, _TINY)
+        r = K @ v
+        u = row_target / np.maximum(r, _TINY)
+        s = K.T @ u
         v_history[k - 1] = v
         u_history[k] = u
-        row = u * (K @ v)
-        col = v * (K.T @ u)
+        row = u * r
+        col = v * s
         residual = float(
             max(np.abs(row - row_target).max(), np.abs(col - col_target).max())
         )

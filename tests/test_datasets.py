@@ -216,6 +216,14 @@ def test_csv_parse_errors(tmp_path):
     with pytest.raises(ParseError, match="no data"):
         load_csv(str(empty))
 
+    for cell in ("nan", "inf", "-Infinity", "1e999"):
+        non_finite = tmp_path / "non_finite.csv"
+        rows = [f"{r}.0,{r % 2}.5,{r % 3}" for r in range(6)]
+        rows[4] = f"4.0,{cell},1"
+        non_finite.write_text("f0,f1,label\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ParseError, match=f"line 6, column 2: not a finite number: '{cell}'"):
+            load_csv(str(non_finite))
+
     gap = tmp_path / "gap.csv"
     gap.write_text("f0,label\n1.0,0\n2.0,2\n")
     with pytest.raises(ParseError, match="contiguous"):

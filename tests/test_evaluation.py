@@ -1,17 +1,22 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wda import (
+    ExperimentResult,
     InvalidInputError,
     LabeledDataset,
     ToyDataSpec,
     WdaConfig,
     error_rate,
+    evaluation,
     experiment_to_csv,
     gen_toy,
     knn_predict,
+    pca_init,
     run_protocol,
 )
 from wda.evaluation import _make_data
@@ -60,6 +65,42 @@ def test_knn_matches_bruteforce_oracle():
         assert np.array_equal(mine, oracle)
 
 
+def _grid_case(d):
+    point = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    return st.tuples(
+        st.lists(st.tuples(point, st.integers(0, 2)), min_size=1, max_size=12),
+        st.lists(point, min_size=1, max_size=6),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 2).flatmap(_grid_case))
+def test_knn_matches_oracle_on_integer_grids(case):
+    # small integer grids make exact distance ties, and ties in the vote,
+    # common; integer coordinates keep every distance and sum exact
+    train, test = case
+    train_X = np.array([x for x, _ in train], dtype=float)
+    train_y = np.array([y for _, y in train])
+    test_X = np.array(test, dtype=float)
+    for k in range(1, len(train) + 1):
+        mine = knn_predict(train_X, train_y, test_X, k)
+        assert np.array_equal(mine, _knn_oracle(train_X, train_y, test_X, k))
+
+
+def test_knn_blocks_do_not_change_predictions(monkeypatch):
+    rng = np.random.default_rng(3)
+    train_X = rng.integers(-3, 4, size=(40, 2)).astype(float)
+    train_y = rng.integers(0, 3, size=40)
+    test_X = rng.integers(-3, 4, size=(23, 2)).astype(float)
+    ks = (1, 4, 9, 40)
+    whole = [knn_predict(train_X, train_y, test_X, k) for k in ks]
+    # 3-row blocks with a ragged last block, then one row per block
+    for entries in (3 * 40, 1):
+        monkeypatch.setattr(evaluation, "_KNN_BLOCK_ENTRIES", entries)
+        for k, expected in zip(ks, whole):
+            assert np.array_equal(knn_predict(train_X, train_y, test_X, k), expected)
+
+
 def test_knn_tie_breaking_by_distance_then_label():
     # integer coordinates keep both distance computations exact, so the
     # constructed ties are genuine
@@ -96,6 +137,19 @@ def test_knn_validation():
         knn_predict(X, y, X, 4)
     with pytest.raises(InvalidInputError):
         knn_predict(X, y, np.zeros((3, 3)), 1)
+    with pytest.raises(InvalidInputError, match="labels shape"):
+        knn_predict(X, y[:2], X, 1)
+
+
+def test_knn_rejects_non_finite_values():
+    X = np.zeros((3, 2))
+    y = np.array([0, 1, 0])
+    bad = X.copy()
+    bad[1, 0] = np.nan
+    with pytest.raises(InvalidInputError, match="train_X has a non-finite value at row 1, column 0"):
+        knn_predict(bad, y, X, 1)
+    with pytest.raises(InvalidInputError, match="test_X has a non-finite value at row 0, column 1"):
+        knn_predict(X, y, np.array([[0.0, np.inf]]), 1)
 
 
 def test_error_rate_trivials():
@@ -122,6 +176,39 @@ def test_run_protocol_identity_matches_raw_knn():
     pred = knn_predict(train.samples, train.labels, test.samples, 3)
     expected = error_rate(pred, test.labels)
     assert result.errors[0, 0, 0, 0, 0] == pytest.approx(expected)
+
+
+def test_run_protocol_votes_every_k_of_a_cell():
+    spec = ToyDataSpec(n_train_per_class=5, n_test_per_class=7)
+    n_train = 15
+    ks = [1, 3, 5, n_train + 1]
+    result = run_protocol(spec, ["pca", "identity"], ks=ks, ps=[2], lams=[0.5],
+                          n_seeds=1, base_seed=2)
+    train, test = _make_data(spec, 2)
+    P = pca_init(train.samples.T, 2)
+    spaces = [(train.samples @ P.T, test.samples @ P.T), (train.samples, test.samples)]
+    for mi, (train_Z, test_Z) in enumerate(spaces):
+        for ki, k in enumerate(ks[:-1]):
+            pred = knn_predict(train_Z, train.labels, test_Z, k)
+            assert result.errors[mi, 0, 0, 0, ki] == error_rate(pred, test.labels)
+    assert np.isnan(result.errors[..., -1]).all()
+    assert [(f["method"], f["k"]) for f in result.failures] == [
+        ("pca", n_train + 1), ("identity", n_train + 1)
+    ]
+    assert all(f"k must lie in [1, {n_train}]" in f["error"] for f in result.failures)
+
+
+def test_experiment_means_of_fully_failed_cells_are_nan():
+    # shape (methods, seeds, ps, lams, ks) = (3, 2, 1, 1, 1)
+    errors = np.array([0.1, 0.3, np.nan, 0.2, np.nan, np.nan]).reshape(3, 2, 1, 1, 1)
+    result = ExperimentResult(["a", "b", "c"], [0, 1], [2], [1.0], [1], errors)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean = result.mean_errors()[:, 0, 0, 0]
+        std = result.std_errors()[:, 0, 0, 0]
+    assert mean[:2] == pytest.approx([0.2, 0.2])
+    assert std[:2] == pytest.approx([0.1, 0.0])
+    assert np.isnan(mean[2]) and np.isnan(std[2])
 
 
 def test_run_protocol_deterministic():

@@ -112,6 +112,24 @@ def test_sinkhorn_fixed_iterations_always_run():
     assert np.array_equal(trace.plan_weights(), plan.weights)
 
 
+def test_sinkhorn_residual_recomputed_from_trace():
+    # residual and converged_at must describe the recorded iterates exactly
+    rng = np.random.default_rng(12)
+    for n, m, lam, iterations in [(4, 6, 1.0, 1), (7, 5, 3.0, 10), (9, 9, 20.0, 40)]:
+        M = rng.uniform(0, 1, size=(n, m))
+        tol = 1e-4
+        _, trace = sinkhorn_plan(M, lam, iterations, tol=tol)
+        K = trace.kernel
+        residuals = []
+        for u, v in zip(trace.u_history[1:], trace.v_history):
+            row = np.abs(u * (K @ v) - 1.0 / n).max()
+            col = np.abs(v * (K.T @ u) - 1.0 / m).max()
+            residuals.append(float(max(row, col)))
+        assert trace.residual == residuals[-1]
+        below = [k + 1 for k, r in enumerate(residuals) if r <= tol]
+        assert trace.converged_at == (below[0] if below else None)
+
+
 def test_sinkhorn_feasibility_after_convergence():
     rng = np.random.default_rng(4)
     for n, m in [(5, 7), (10, 10), (20, 20)]:
