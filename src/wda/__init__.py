@@ -52,12 +52,10 @@ from .otcore import (
     TransportPlan,
     cost_matrix,
     plan_to_csv,
-    plan_to_json,
     regularized_distance,
     sinkhorn_plan,
     sinkhorn_vjp,
     symmetric_scaling,
-    trace_to_json,
 )
 from .stiefel import (
     FitReport,
@@ -101,7 +99,6 @@ __all__ = [
     "pair_lambda",
     "pca_init",
     "plan_to_csv",
-    "plan_to_json",
     "project_stiefel",
     "regularized_distance",
     "riemannian_gradient",
@@ -111,7 +108,6 @@ __all__ = [
     "sinkhorn_vjp",
     "split_dataset",
     "symmetric_scaling",
-    "trace_to_json",
     "uniform_coupling_covariances",
     "wda_fit",
 ]

@@ -34,6 +34,14 @@ TOY_NOISE_DIMS = 8
 TOY_CLASSES = 3
 
 
+def require_finite(name: str, X: np.ndarray) -> None:
+    """Raise InvalidInputError naming the first non-finite entry of a 2-d array."""
+    bad = np.argwhere(~np.isfinite(X))
+    if bad.size:
+        row, col = bad[0]
+        raise InvalidInputError(f"{name} has a non-finite value at row {row}, column {col}")
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     """Row samples (n, d) plus integer class labels in [0, C)."""

@@ -15,7 +15,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import baselines, stiefel
-from .datasets import LabeledDataset, append_noise, gen_toy, load_csv, split_dataset
+from .datasets import (
+    LabeledDataset,
+    append_noise,
+    gen_toy,
+    load_csv,
+    require_finite,
+    split_dataset,
+)
 from .errors import InvalidInputError, WdaError
 from .ioutil import FLOAT_FMT, atomic_write_text
 from .objective import WdaConfig
@@ -54,7 +61,8 @@ def knn_predict(
     rows.
 
     Raises InvalidInputError for an empty training set, mismatched shapes, a
-    non-finite feature value or k outside [1, n_train].
+    non-finite feature value, k outside [1, n_train], or features so large
+    (above about 1e154) that a squared distance overflows.
     """
     train_X, train_y, test_X = _knn_inputs(train_X, train_y, test_X)
     _check_k(k, train_X.shape[0])
@@ -76,13 +84,8 @@ def _knn_inputs(train_X, train_y, test_X):
         raise InvalidInputError(
             f"labels shape {train_y.shape} does not match {train_X.shape[0]} training rows"
         )
-    for name, X in (("train_X", train_X), ("test_X", test_X)):
-        bad = np.argwhere(~np.isfinite(X))
-        if bad.size:
-            row, col = bad[0]
-            raise InvalidInputError(
-                f"{name} has a non-finite value at row {row}, column {col}"
-            )
+    require_finite("train_X", train_X)
+    require_finite("test_X", test_X)
     return train_X, train_y, test_X
 
 
@@ -105,7 +108,13 @@ def _knn_vote(train_X, train_y, test_X, ks) -> list[np.ndarray]:
     k_max = max(ks)
     for start in range(0, test_X.shape[0], block):
         x = test_X[start:start + block]
-        dist = sq_train - 2.0 * (x @ train_X.T) + np.einsum("ij,ij->i", x, x)[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            dist = sq_train - 2.0 * (x @ train_X.T) + np.einsum("ij,ij->i", x, x)[:, None]
+        if not np.isfinite(dist).all():
+            raise InvalidInputError(
+                "squared distances between test and training rows overflow; "
+                "rescale the features"
+            )
         np.maximum(dist, 0.0, out=dist)
         # column j holds each row's (j+1)-th smallest distance
         kth = np.sort(np.partition(dist, k_max - 1, axis=1)[:, :k_max], axis=1)
@@ -343,7 +352,12 @@ def run_protocol(
                             record_failure(method, seed, p, lam, k, exc)
                     if not valid:
                         continue
-                    preds = _knn_vote(train_Z, labels, test_Z, [ks[ki] for ki in valid])
+                    try:
+                        preds = _knn_vote(train_Z, labels, test_Z, [ks[ki] for ki in valid])
+                    except WdaError as exc:
+                        for ki in valid:
+                            record_failure(method, seed, p, lam, ks[ki], exc)
+                        continue
                     for ki, pred in zip(valid, preds):
                         errors[mi, si, pi, li, ki] = error_rate(pred, test.labels)
     return ExperimentResult(methods, seeds, ps, lams, ks, errors, failures)

@@ -1,9 +1,8 @@
-"""Small file helpers: atomic writes and dense matrix CSV/JSON round trips.
+"""Small file helpers: atomic writes, JSON output and dense matrix CSV round trips.
 
 Matrix CSV files are plain dense row-major tables of numbers, one matrix row
-per line. The JSON form is ``{"shape": [n, m], "data": [flat row-major]}``.
-All writes go through a temp file + rename so partial outputs are never left
-behind.
+per line. All writes go through a temp file + rename so partial outputs are
+never left behind.
 """
 
 from __future__ import annotations
@@ -68,17 +67,3 @@ def load_matrix_csv(path: str) -> np.ndarray:
     if not rows:
         raise ParseError(f"{path}: no data rows")
     return np.asarray(rows, dtype=float)
-
-
-def matrix_to_json(matrix: np.ndarray) -> dict:
-    """Encode a 2-d array as shape + flat row-major list."""
-    matrix = np.asarray(matrix, dtype=float)
-    return {"shape": list(matrix.shape), "data": matrix.ravel(order="C").tolist()}
-
-
-def matrix_from_json(payload: dict) -> np.ndarray:
-    shape = payload["shape"]
-    data = np.asarray(payload["data"], dtype=float)
-    if data.size != int(np.prod(shape)):
-        raise ParseError(f"flat data length {data.size} does not match shape {shape}")
-    return data.reshape(shape)

@@ -17,6 +17,14 @@ W = coef * M, with coef = +1/sigma_w^2 for between pairs and
 -sigma_b^2/sigma_w^4 for within pairs. The second term is one reverse pass
 through the recorded Sinkhorn iterations (:func:`~wda.otcore.sinkhorn_vjp`).
 Both are pulled back to P through M_ij = ||P (x_i - x'_j)||^2.
+
+Pairs whose plans share a shape (n_c, n_c') are solved as one stack: all of
+them on balanced data, one group per distinct shape otherwise, with no
+padding. :func:`evaluate` writes each pair's M and kernel into its shape's
+(B, n, m) stacks, and the per-pair ``costs`` and ``traces`` of the state are
+views of them. :func:`gradient` runs one stacked reverse recursion per group,
+then forms each pair's (n, m) cotangent and cross-covariance in turn. Each
+pair's numbers are those of a per-pair loop, bit for bit.
 """
 
 from __future__ import annotations
@@ -27,11 +35,14 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError, NumericalRangeError
 from .otcore import (
+    SinkhornBatch,
     SinkhornTrace,
     TransportPlan,
+    cost_cotangent,
     cost_matrix,
-    sinkhorn_plan,
-    sinkhorn_vjp,
+    sinkhorn_batch,
+    sinkhorn_batch_reverse,
+    sinkhorn_kernel,
 )
 
 PairKey = tuple[int, int]
@@ -113,6 +124,14 @@ def pair_keys(n_classes: int) -> list[PairKey]:
     return [(c, cp) for c in range(n_classes) for cp in range(c, n_classes)]
 
 
+def _shape_groups(blocks) -> dict[tuple[int, int], list[PairKey]]:
+    """Class pairs grouped by plan shape (n_c, n_c'), each group in pair order."""
+    groups: dict[tuple[int, int], list[PairKey]] = {}
+    for c, cp in pair_keys(len(blocks)):
+        groups.setdefault((blocks[c].shape[1], blocks[cp].shape[1]), []).append((c, cp))
+    return groups
+
+
 def pair_lambda(P0: np.ndarray, Xc: np.ndarray, Xcp: np.ndarray, lam: float) -> float:
     """Per-pair regularization: lam divided by the mean projected squared distance.
 
@@ -182,7 +201,9 @@ class ObjectiveState:
     """One full evaluation of the ratio objective at a projection.
 
     Keeps the per-pair traces and projected cost matrices so a gradient can
-    be assembled without re-solving the inner problems.
+    be assembled without re-solving the inner problems. ``batches`` maps the
+    pairs of each plan shape, in pair order, to their stacked Sinkhorn runs;
+    ``traces`` and ``costs`` entries are views of those stacks.
     """
 
     value: float
@@ -192,6 +213,7 @@ class ObjectiveState:
     cw: np.ndarray
     traces: dict[PairKey, SinkhornTrace] = field(repr=False)
     costs: dict[PairKey, np.ndarray] = field(repr=False)
+    batches: dict[tuple[PairKey, ...], SinkhornBatch] = field(repr=False)
     pair_lambdas: dict[PairKey, float]
     pair_distances: dict[PairKey, float]
 
@@ -233,6 +255,11 @@ def evaluate(
     The evaluation is defined for any P of the right shape (no orthonormality
     is imposed), which lets callers probe J in the ambient space, e.g. for
     finite-difference checks.
+
+    The pairs of each plan shape are solved together by one
+    :func:`~wda.otcore.sinkhorn_batch` call. All kernels are built, in pair
+    order, before any iteration runs, so a kernel underflow is reported for
+    the first failing pair, named with its lambda.
     """
     P = np.asarray(P, dtype=float)
     blocks = _check_classes(classes)
@@ -244,27 +271,50 @@ def evaluate(
     lam_map = _resolve_lambdas(blocks, cfg, lambdas)
 
     projected = [P @ X for X in blocks]
+    groups = _shape_groups(blocks)
+    cost_stacks = {shape: np.empty((len(keys),) + shape) for shape, keys in groups.items()}
+    kernel_stacks = {shape: np.empty_like(stack) for shape, stack in cost_stacks.items()}
+    slots = {key: (shape, b) for shape, keys in groups.items() for b, key in enumerate(keys)}
+    costs: dict[PairKey, np.ndarray] = {}
+    for c, cp in pair_keys(len(blocks)):
+        shape, b = slots[(c, cp)]
+        Yc = projected[c]
+        M = cost_stacks[shape][b]
+        M[...] = cost_matrix(Yc, Yc if cp == c else projected[cp])
+        lam = lam_map[(c, cp)]
+        try:
+            kernel_stacks[shape][b] = sinkhorn_kernel(M, lam)
+        except NumericalRangeError as exc:
+            raise NumericalRangeError(f"class pair ({c}, {cp}) at lambda {lam:.6g}: {exc}") from exc
+        costs[(c, cp)] = M
+
+    batches = {
+        tuple(keys): sinkhorn_batch(
+            kernel_stacks[shape],
+            [lam_map[key] for key in keys],
+            cfg.sinkhorn_iters,
+            cfg.feasibility_tol,
+        )
+        for shape, keys in groups.items()
+    }
+    solved = {key: batch.traces[b] for keys, batch in batches.items() for b, key in enumerate(keys)}
+    traces = {key: solved[key] for key in costs}
+
     d = blocks[0].shape[0]
     cb = np.zeros((d, d))
     cw = np.zeros((d, d))
-    traces: dict[PairKey, SinkhornTrace] = {}
-    costs: dict[PairKey, np.ndarray] = {}
     pair_distances: dict[PairKey, float] = {}
-    for c, cp in pair_keys(len(blocks)):
-        Yc = projected[c]
-        Ycp = Yc if cp == c else projected[cp]
-        M = cost_matrix(Yc, Ycp)
-        plan, trace = sinkhorn_plan(
-            M, lam_map[(c, cp)], cfg.sinkhorn_iters, cfg.feasibility_tol
-        )
-        C = cross_covariance(blocks[c], blocks[cp], plan)
+    for (c, cp), M in costs.items():
+        T = traces[(c, cp)].plan_weights()
+        C = cross_covariance(blocks[c], blocks[cp], T)
         if cp == c:
             cw += C
         else:
             cb += C
-        traces[(c, cp)] = trace
-        costs[(c, cp)] = M
-        pair_distances[(c, cp)] = float(np.sum(plan.weights * M))
+        pair_distances[(c, cp)] = float(np.sum(T * M))
+        # drop this plan before the next is formed: the line search keeps the
+        # previous state alive, so this loop sets the peak memory of a fit
+        del T
 
     sigma_b2 = float(np.sum((P @ cb) * P))
     sigma_w2 = float(np.sum((P @ cw) * P))
@@ -280,6 +330,7 @@ def evaluate(
         cw=cw,
         traces=traces,
         costs=costs,
+        batches=batches,
         pair_lambdas=lam_map,
         pair_distances=pair_distances,
     )
@@ -305,6 +356,10 @@ def gradient(
     cross_covariance(X^c, X^c', G). Pass ``state`` to reuse an evaluation at
     the same (P, lambdas). Raises NumericalRangeError, naming the pair and
     its lambda, when a pair's term is not finite.
+
+    The reverse recursion runs once per batch of ``state`` over the stacked
+    histories (:func:`~wda.otcore.sinkhorn_batch_reverse`); the (n, m)-sized
+    rest of each term is formed one pair at a time, in pair order.
     """
     P = np.asarray(P, dtype=float)
     blocks = _check_classes(classes)
@@ -312,13 +367,25 @@ def gradient(
         state = evaluate(P, blocks, cfg, lambdas)
     sb2 = state.sigma_b2
     sw2 = state.sigma_w2
+    coefs = {(c, cp): -sb2 / sw2**2 if cp == c else 1.0 / sw2 for c, cp in state.costs}
+
+    # W = coef * M is formed again per pair below rather than kept, so only
+    # one (n, m) weight is alive at a time
+    bars = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for keys, batch in state.batches.items():
+            r_bars, s_bars = sinkhorn_batch_reverse(
+                batch, (coefs[key] * state.costs[key] for key in keys)
+            )
+            bars.update((key, (r_bars[b], s_bars[b])) for b, key in enumerate(keys))
 
     C = np.zeros((P.shape[1], P.shape[1]))
     for c, cp in pair_keys(len(blocks)):
-        coef = -sb2 / sw2**2 if cp == c else 1.0 / sw2
+        coef = coefs[(c, cp)]
         trace = state.traces[(c, cp)]
         with np.errstate(over="ignore", invalid="ignore"):
-            G = coef * trace.plan_weights() + sinkhorn_vjp(trace, coef * state.costs[(c, cp)])
+            W = coef * state.costs[(c, cp)]
+            G = coef * trace.plan_weights() + cost_cotangent(trace, W, *bars[(c, cp)])
         if not np.all(np.isfinite(G)):
             raise NumericalRangeError(
                 f"gradient term of class pair ({c}, {cp}) is not finite at "

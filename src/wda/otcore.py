@@ -7,6 +7,18 @@ Samples are stored column-wise: a cloud of n points in dimension d is a
 keeps the full scaling history, because :func:`sinkhorn_vjp` differentiates
 the iteration map itself rather than the converged plan. Early feasibility
 is reported but never used to truncate.
+
+The iterations exist once, in stacked form. :func:`sinkhorn_batch` runs B
+problems of one shape (n, m) as one (B, n, m) iteration, and
+:func:`sinkhorn_batch_reverse` runs its reverse pass the same way. With
+arrays this small the cost of a step is numpy call overhead, not arithmetic,
+so one stacked step costs about what one problem's step did.
+:func:`sinkhorn_plan` and :func:`sinkhorn_vjp` are batches of one. Only the
+O(L (n + m)) vector recursions are stacked. Kernels are built one at a time
+(:func:`sinkhorn_kernel`) into a caller's stack, the reverse pass recomputes
+K v_k and K^T u_{k-1} rather than storing them, and the (n, m)-sized end of
+each derivative (:func:`cost_cotangent`) is formed one problem at a time, so
+stacking adds no (n, m) arrays to what the per-problem loop held.
 """
 
 from __future__ import annotations
@@ -16,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NumericalRangeError
-from .ioutil import matrix_to_json, save_matrix_csv
+from .ioutil import save_matrix_csv
 
 # denominator clamp for the scaling updates; keeps u, v finite when the
 # kernel has extremely small entries
@@ -94,6 +106,105 @@ class SinkhornTrace:
         return u[:, None] * self.kernel * v[None, :]
 
 
+@dataclass(frozen=True)
+class SinkhornBatch:
+    """B fixed-L Sinkhorn runs on kernels of one shape (n, m), stacked on axis 0.
+
+    ``traces[b]`` is the b-th run. Its kernel and histories are views of the
+    stacks, so the batch holds every array once.
+    """
+
+    kernel: np.ndarray     # (B, n, m)
+    u_history: np.ndarray  # (B, L+1, n)
+    v_history: np.ndarray  # (B, L, m)
+    traces: tuple[SinkhornTrace, ...]
+
+
+def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Stacked matrix-vector products A[b] @ x[b], as one matmul call."""
+    return (A @ x[..., None])[..., 0]
+
+
+def sinkhorn_kernel(M: np.ndarray, lam: float) -> np.ndarray:
+    """Gibbs kernel exp(-lam * M) of a finite cost matrix.
+
+    Raises NumericalRangeError when a whole row or column of the kernel falls
+    below the scaling clamp, since no scaling can then match its marginal.
+    """
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2:
+        raise InvalidInputError("cost matrix must be 2-d")
+    if not np.all(np.isfinite(M)):
+        raise InvalidInputError("cost matrix must be finite")
+    if not lam > 0:
+        raise InvalidInputError(f"lam must be positive, got {lam}")
+    K = np.exp(-lam * M)
+    if (K.max(axis=1) < _TINY).any() or (K.max(axis=0) < _TINY).any():
+        raise NumericalRangeError(
+            "kernel row underflow: lam * max(M) = "
+            f"{lam * float(M.max()):.6g} pushes exp(-lam*M) below {_TINY:g}; "
+            "rescale the regularization"
+        )
+    return K
+
+
+def sinkhorn_batch(
+    K: np.ndarray,
+    lams,
+    iterations: int,
+    tol: float = 1e-9,
+) -> SinkhornBatch:
+    """Run exactly ``iterations`` Sinkhorn steps on every kernel of a stack.
+
+    ``K`` is a (B, n, m) stack of kernels from :func:`sinkhorn_kernel` and
+    ``lams[b]`` the regularization that built ``K[b]``, recorded in its
+    trace. The B runs share one loop: each step is two stacked matvecs and a
+    few (B, n) or (B, m) vector operations, so the Python and numpy call
+    overhead of a step is paid once for the whole stack. Run b is
+    bit-identical to running it alone. The stack is kept, not copied.
+    """
+    K = np.asarray(K, dtype=float)
+    if K.ndim != 3:
+        raise InvalidInputError("kernel stack must be 3-d (batch, n, m)")
+    if iterations < 1:
+        raise InvalidInputError(f"iterations must be >= 1, got {iterations}")
+    B, n, m = K.shape
+    if len(lams) != B:
+        raise InvalidInputError(f"{len(lams)} lambdas for {B} kernels")
+
+    KT = K.transpose(0, 2, 1)
+    row_target = 1.0 / n
+    col_target = 1.0 / m
+    u_history = np.empty((B, iterations + 1, n))
+    v_history = np.empty((B, iterations, m))
+    u_history[:, 0] = 1.0
+    converged_at = np.zeros(B, dtype=int)  # 0: not (yet) converged
+    # two matvecs per iteration: r = K v serves the u update and the row
+    # marginal, s = K^T u the column marginal and the next v update
+    s = _matvec(KT, u_history[:, 0])
+    for k in range(1, iterations + 1):
+        v = col_target / np.maximum(s, _TINY)
+        r = _matvec(K, v)
+        u = row_target / np.maximum(r, _TINY)
+        s = _matvec(KT, u)
+        v_history[:, k - 1] = v
+        u_history[:, k] = u
+        residual = np.maximum(
+            np.abs(u * r - row_target).max(axis=1),
+            np.abs(v * s - col_target).max(axis=1),
+        )
+        converged_at[(converged_at == 0) & (residual <= tol)] = k
+
+    traces = tuple(
+        SinkhornTrace(
+            K[b], u_history[b], v_history[b], float(lams[b]), iterations,
+            float(residual[b]), int(converged_at[b]) or None,
+        )
+        for b in range(B)
+    )
+    return SinkhornBatch(K, u_history, v_history, traces)
+
+
 def sinkhorn_plan(
     M: np.ndarray,
     lam: float,
@@ -120,55 +231,64 @@ def sinkhorn_plan(
     (TransportPlan, SinkhornTrace)
         The plan diag(u_L) K diag(v_L) and the full scaling history.
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2:
-        raise InvalidInputError("cost matrix must be 2-d")
-    if not np.all(np.isfinite(M)):
-        raise InvalidInputError("cost matrix must be finite")
-    if not lam > 0:
-        raise InvalidInputError(f"lam must be positive, got {lam}")
-    if iterations < 1:
-        raise InvalidInputError(f"iterations must be >= 1, got {iterations}")
-
-    n, m = M.shape
-    K = np.exp(-lam * M)
-    if (K.max(axis=1) < _TINY).any() or (K.max(axis=0) < _TINY).any():
-        raise NumericalRangeError(
-            "kernel row underflow: lam * max(M) = "
-            f"{lam * float(M.max()):.6g} pushes exp(-lam*M) below {_TINY:g}; "
-            "rescale the regularization"
-        )
-
-    row_target = np.full(n, 1.0 / n)
-    col_target = np.full(m, 1.0 / m)
-    u = np.ones(n)
-    u_history = np.empty((iterations + 1, n))
-    v_history = np.empty((iterations, m))
-    u_history[0] = u
-    residual = np.inf
-    converged_at = None
-    # two matvecs per iteration: r = K v serves the u update and the row
-    # marginal, s = K^T u the column marginal and the next v update
-    s = K.T @ u
-    for k in range(1, iterations + 1):
-        v = col_target / np.maximum(s, _TINY)
-        r = K @ v
-        u = row_target / np.maximum(r, _TINY)
-        s = K.T @ u
-        v_history[k - 1] = v
-        u_history[k] = u
-        row = u * r
-        col = v * s
-        residual = float(
-            max(np.abs(row - row_target).max(), np.abs(col - col_target).max())
-        )
-        if converged_at is None and residual <= tol:
-            converged_at = k
-
-    weights = u[:, None] * K * v[None, :]
-    plan = TransportPlan(weights, row_target, col_target)
-    trace = SinkhornTrace(K, u_history, v_history, float(lam), iterations, residual, converged_at)
+    K = sinkhorn_kernel(M, lam)
+    trace = sinkhorn_batch(K[None], [lam], iterations, tol).traces[0]
+    n, m = K.shape
+    plan = TransportPlan(trace.plan_weights(), np.full(n, 1.0 / n), np.full(m, 1.0 / m))
     return plan, trace
+
+
+def sinkhorn_batch_reverse(batch: SinkhornBatch, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Reverse pass of :func:`sinkhorn_batch` for the B functions <W_b, T_b>.
+
+    ``weights`` yields the (n, m) weights W_b in batch order; each is used
+    once, to seed the cotangents of u_L and v_L, so a generator keeps one
+    W_b alive at a time. The recursion then runs backwards from iteration L
+    to 1 on the whole stack, recomputing K v_k and K^T u_{k-1} as stacked
+    matvecs instead of storing them. Returns the cotangents of r_k = K v_k,
+    (B, L, n), and of s_k = K^T u_{k-1}, (B, L, m), for k = 1..L, which
+    :func:`cost_cotangent` turns into each run's result.
+    """
+    K = batch.kernel
+    KT = K.transpose(0, 2, 1)
+    U = batch.u_history
+    V = batch.v_history
+    B, L, m = V.shape
+    n = U.shape[2]
+    u_bar = np.empty((B, n))
+    v_bar = np.empty((B, m))
+    for b, W in zip(range(B), weights, strict=True):
+        WK = W * K[b]
+        u_bar[b] = WK @ V[b, -1]
+        v_bar[b] = WK.T @ U[b, -1]  # only v_L feeds T directly
+    r_bars = np.empty((B, L, n))
+    s_bars = np.empty((B, L, m))
+    for k in range(L, 0, -1):
+        # u_k = (1/n) / r_k with r_k = K v_k, so du_k/dr_k = -u_k / r_k
+        r_bars[:, k - 1] = -u_bar * U[:, k] / np.maximum(_matvec(K, V[:, k - 1]), _TINY)
+        v_bar = v_bar + _matvec(KT, r_bars[:, k - 1])
+        # v_k = (1/m) / s_k with s_k = K^T u_{k-1}, so dv_k/ds_k = -v_k / s_k
+        s_bars[:, k - 1] = -v_bar * V[:, k - 1] / np.maximum(_matvec(KT, U[:, k - 1]), _TINY)
+        u_bar = _matvec(K, s_bars[:, k - 1])
+        v_bar = 0.0
+    return r_bars, s_bars
+
+
+def cost_cotangent(
+    trace: SinkhornTrace,
+    W: np.ndarray,
+    r_bars: np.ndarray,
+    s_bars: np.ndarray,
+) -> np.ndarray:
+    """d<W, T(M)>/dM of one run, from its slice of :func:`sinkhorn_batch_reverse`.
+
+    Sums the kernel cotangent over the direct term W * u_L v_L^T and every
+    recorded iteration, then applies dK/dM = -lam * K.
+    """
+    U = trace.u_history
+    V = trace.v_history
+    K_bar = W * np.outer(U[-1], V[-1]) + r_bars.T @ V + U[:-1].T @ s_bars
+    return -trace.lam * trace.kernel * K_bar
 
 
 def sinkhorn_vjp(trace: SinkhornTrace, W: np.ndarray) -> np.ndarray:
@@ -178,7 +298,8 @@ def sinkhorn_vjp(trace: SinkhornTrace, W: np.ndarray) -> np.ndarray:
     T = diag(u_L) K diag(v_L) down to u_0, accumulating the cotangent of the
     kernel K; dK/dM = -lam * K then gives the (n, m) result. The derivative
     passes straight through the ``_TINY`` denominator clamp. Linear in W;
-    costs O(L n m) time and O(n m + L (n + m)) memory.
+    costs O(L n m) time and O(n m + L (n + m)) memory. A batch of one for
+    :func:`sinkhorn_batch_reverse`.
     """
     W = np.asarray(W, dtype=float)
     K = trace.kernel
@@ -186,25 +307,9 @@ def sinkhorn_vjp(trace: SinkhornTrace, W: np.ndarray) -> np.ndarray:
         raise InvalidInputError(
             f"cotangent shape {W.shape} does not match kernel shape {K.shape}"
         )
-    n, m = K.shape
-    L = trace.iterations
-    U = trace.u_history
-    V = trace.v_history
-    WK = W * K
-    u_bar = WK @ V[-1]
-    v_bar = WK.T @ U[-1]  # only v_L feeds T directly
-    r_bars = np.empty((L, n))
-    s_bars = np.empty((L, m))
-    for k in range(L, 0, -1):
-        # u_k = (1/n) / r_k with r_k = K v_k, so du_k/dr_k = -u_k / r_k
-        r_bars[k - 1] = -u_bar * U[k] / np.maximum(K @ V[k - 1], _TINY)
-        v_bar = v_bar + K.T @ r_bars[k - 1]
-        # v_k = (1/m) / s_k with s_k = K^T u_{k-1}, so dv_k/ds_k = -v_k / s_k
-        s_bars[k - 1] = -v_bar * V[k - 1] / np.maximum(K.T @ U[k - 1], _TINY)
-        u_bar = K @ s_bars[k - 1]
-        v_bar = 0.0
-    K_bar = W * np.outer(U[-1], V[-1]) + r_bars.T @ V + U[:-1].T @ s_bars
-    return -trace.lam * K * K_bar
+    batch = SinkhornBatch(K[None], trace.u_history[None], trace.v_history[None], (trace,))
+    r_bars, s_bars = sinkhorn_batch_reverse(batch, [W])
+    return cost_cotangent(trace, W, r_bars[0], s_bars[0])
 
 
 def symmetric_scaling(trace: SinkhornTrace) -> np.ndarray:
@@ -232,23 +337,3 @@ def regularized_distance(plan: TransportPlan | np.ndarray, M: np.ndarray) -> flo
 def plan_to_csv(plan: TransportPlan, path: str) -> None:
     """Dump the coupling weights as a dense row-major CSV table."""
     save_matrix_csv(plan.weights, path)
-
-
-def plan_to_json(plan: TransportPlan) -> dict:
-    payload = matrix_to_json(plan.weights)
-    payload["row_marginal"] = plan.row_marginal.tolist()
-    payload["col_marginal"] = plan.col_marginal.tolist()
-    payload["feasibility_residual"] = plan.feasibility_residual()
-    return payload
-
-
-def trace_to_json(trace: SinkhornTrace) -> dict:
-    return {
-        "kernel": matrix_to_json(trace.kernel),
-        "u_history": matrix_to_json(trace.u_history),
-        "v_history": matrix_to_json(trace.v_history),
-        "lambda": trace.lam,
-        "iterations": trace.iterations,
-        "residual": trace.residual,
-        "converged_at": trace.converged_at,
-    }

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datasets import LabeledDataset
+from .datasets import LabeledDataset, require_finite
 from .errors import DegenerateInputError, InvalidInputError
 from .objective import WdaConfig, adaptive_lambdas, evaluate, gradient
 
@@ -112,7 +112,9 @@ def wda_fit(
     until the relative objective change drops below ``cfg.outer_tol``, the
     direction vanishes, the linesearch stalls, or ``cfg.max_outer_iter`` is
     reached. Returns the best-objective iterate and the fit trajectory.
+    Raises InvalidInputError naming the first non-finite sample value.
     """
+    require_finite("samples", data.samples)
     blocks = data.class_blocks()
     if len(blocks) < 2:
         raise DegenerateInputError(f"need at least 2 classes, got {len(blocks)}")

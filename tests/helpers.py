@@ -1,9 +1,17 @@
-"""Shared test utilities: finite differences, subspace angles, and the full
-unrolled plan Jacobian."""
+"""Shared test utilities: finite differences, subspace angles, the full
+unrolled plan Jacobian, and a per-pair reference for the objective."""
 
 import numpy as np
 
-from wda import CapacityError, cross_covariance, project_stiefel, sinkhorn_vjp
+from wda import (
+    CapacityError,
+    cost_matrix,
+    cross_covariance,
+    pair_keys,
+    project_stiefel,
+    sinkhorn_plan,
+    sinkhorn_vjp,
+)
 
 
 def fd_gradient(f, P, h=1e-5):
@@ -54,3 +62,40 @@ def plan_jacobian_full(trace, P, X, Z, max_entries=1024):
         onehot[i, j] = 1.0
         full[i, j] = 2.0 * P @ cross_covariance(X, Z, sinkhorn_vjp(trace, onehot))
     return full
+
+
+def reference_objective(P, classes, cfg, lambdas):
+    """The ratio objective and its gradient from a plain loop over the class
+    pairs: one sinkhorn_plan, sinkhorn_vjp and cross_covariance per pair.
+
+    Returns a dict with ``value``, ``pair_residuals``, ``converged_at`` (both
+    keyed like ``ObjectiveState.to_json``) and ``gradient``.
+    """
+    projected = [P @ X for X in classes]
+    d = classes[0].shape[0]
+    cb = np.zeros((d, d))
+    cw = np.zeros((d, d))
+    solved = {}
+    for c, cp in pair_keys(len(classes)):
+        Yc = projected[c]
+        M = cost_matrix(Yc, Yc if cp == c else projected[cp])
+        plan, trace = sinkhorn_plan(M, lambdas[(c, cp)], cfg.sinkhorn_iters, cfg.feasibility_tol)
+        C = cross_covariance(classes[c], classes[cp], plan)
+        if cp == c:
+            cw += C
+        else:
+            cb += C
+        solved[(c, cp)] = (M, plan, trace)
+    sb2 = float(np.sum((P @ cb) * P))
+    sw2 = float(np.sum((P @ cw) * P))
+    C = np.zeros((d, d))
+    for (c, cp), (M, plan, trace) in solved.items():
+        coef = -sb2 / sw2**2 if cp == c else 1.0 / sw2
+        G = coef * plan.weights + sinkhorn_vjp(trace, coef * M)
+        C += cross_covariance(classes[c], classes[cp], G)
+    return {
+        "value": sb2 / sw2,
+        "pair_residuals": {f"{c},{cp}": t.residual for (c, cp), (_, _, t) in solved.items()},
+        "converged_at": {key: t.converged_at for key, (_, _, t) in solved.items()},
+        "gradient": 2.0 * P @ C,
+    }

@@ -150,6 +150,24 @@ def test_knn_rejects_non_finite_values():
         knn_predict(bad, y, X, 1)
     with pytest.raises(InvalidInputError, match="test_X has a non-finite value at row 0, column 1"):
         knn_predict(X, y, np.array([[0.0, np.inf]]), 1)
+    # finite features whose squared distances overflow: the nearest row has
+    # label 1, but inf - inf distances would vote for label 2
+    with pytest.raises(InvalidInputError, match="distances .* overflow"):
+        knn_predict([[1e200], [2e200], [-1e200]], [0, 1, 2], [[1.9e200]], 1)
+
+
+def test_run_protocol_records_overflowing_distances(tmp_path):
+    from wda import save_csv
+    from wda.evaluation import CsvDataSpec
+
+    data = gen_toy(10, seed=3)
+    path = tmp_path / "huge.csv"
+    save_csv(LabeledDataset(1e200 * data.samples, data.labels), str(path))
+    result = run_protocol(CsvDataSpec(path=str(path)), ["identity"], ks=[1, 3],
+                          ps=[2], lams=[0.5], n_seeds=1)
+    assert np.isnan(result.errors).all()
+    assert [f["k"] for f in result.failures] == [1, 3]
+    assert all("overflow" in f["error"] for f in result.failures)
 
 
 def test_error_rate_trivials():

@@ -3,16 +3,19 @@ import json
 import numpy as np
 import pytest
 
-from helpers import fd_gradient, random_stiefel
+from helpers import fd_gradient, random_stiefel, reference_objective
 from wda import (
     DegenerateInputError,
     InvalidInputError,
+    NumericalRangeError,
     WdaConfig,
     adaptive_lambdas,
     cross_covariance,
     evaluate,
+    gen_toy,
     gradient,
     pair_keys,
+    pca_init,
     pair_lambda,
     riemannian_gradient,
     uniform_coupling_covariances,
@@ -152,6 +155,49 @@ def test_evaluate_zero_within_dispersion_raises():
     lam_map = {key: 0.5 for key in pair_keys(2)}
     with pytest.raises(DegenerateInputError):
         evaluate(P, classes, cfg, lam_map)
+
+
+def test_evaluate_names_the_underflowing_pair():
+    # 1-d classes near 0, 0 and 100: at lambda 1 every kernel entry of a
+    # pair with class 2 underflows, at lambda 1e-3 none does
+    rng = np.random.default_rng(11)
+    classes = [rng.standard_normal((1, 3)), rng.standard_normal((1, 2)),
+               100.0 + rng.standard_normal((1, 3))]
+    cfg = WdaConfig(lam=1.0, sinkhorn_iters=5, dim=1)
+    P = np.eye(1)
+    lam_map = {key: 1e-3 for key in pair_keys(3)}
+    evaluate(P, classes, cfg, lam_map)
+    with pytest.raises(NumericalRangeError, match=r"class pair \(0, 2\) at lambda 1: kernel row underflow"):
+        evaluate(P, classes, cfg, {**lam_map, (0, 2): 1.0})
+    # (0, 1) is the first failing pair in pair order, though the (3, 3)
+    # pairs (0, 0), (0, 2), (2, 2) form the first shape group
+    with pytest.raises(NumericalRangeError, match=r"class pair \(0, 1\) at lambda 1e\+06"):
+        evaluate(P, classes, cfg, {**lam_map, (0, 1): 1e6, (0, 2): 1.0})
+
+
+@pytest.mark.parametrize(
+    "sizes, lam, iters",
+    [((34, 34, 34), 1.0, 10), ((34, 34, 34), 100.0, 10), ((30, 20, 30), 1.0, 10),
+     ((30, 20, 30), 1.0, 80), ((12, 7, 9, 7), 10.0, 30)],
+)
+def test_batched_objective_matches_per_pair_reference(sizes, lam, iters):
+    # evaluate and gradient stack the pairs of one plan shape; they must
+    # equal a per-pair loop bit for bit, for one shape group or several
+    data = gen_toy(max(sizes), 5)
+    rng = np.random.default_rng(5)
+    extra = rng.standard_normal((data.n_features, max(sizes)))
+    blocks = data.class_blocks() + [extra] * (len(sizes) - 3)
+    classes = [X[:, :n] for X, n in zip(blocks, sizes)]
+    cfg = WdaConfig(lam=lam, sinkhorn_iters=iters, dim=2)
+    P = pca_init(np.hstack(classes), 2)
+    lam_map = adaptive_lambdas(P, classes, lam)
+    state = evaluate(P, classes, cfg, lam_map)
+    reference = reference_objective(P, classes, cfg, lam_map)
+    assert list(state.traces) == list(state.costs) == pair_keys(len(sizes))
+    assert state.value == reference["value"]
+    assert state.to_json()["pair_residuals"] == reference["pair_residuals"]
+    assert {key: t.converged_at for key, t in state.traces.items()} == reference["converged_at"]
+    assert np.array_equal(gradient(P, classes, cfg, lam_map, state=state), reference["gradient"])
 
 
 def test_gradient_identical_classes_is_zero():

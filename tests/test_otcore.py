@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,13 +9,11 @@ from wda import (
     NumericalRangeError,
     cost_matrix,
     plan_to_csv,
-    plan_to_json,
     regularized_distance,
     sinkhorn_plan,
     symmetric_scaling,
-    trace_to_json,
 )
-from wda.ioutil import load_matrix_csv, matrix_from_json
+from wda.ioutil import load_matrix_csv
 
 
 def test_cost_matrix_two_points_1d():
@@ -278,17 +274,3 @@ def test_plan_csv_roundtrip(tmp_path):
     plan_to_csv(plan, str(path))
     loaded = load_matrix_csv(str(path))
     assert np.array_equal(loaded, plan.weights)
-
-
-def test_plan_and_trace_json_roundtrip():
-    M = np.array([[0.0, 2.0, 1.0], [1.0, 0.0, 3.0]])
-    plan, trace = sinkhorn_plan(M, 0.7, 25)
-    payload = plan_to_json(plan)
-    assert payload["shape"] == [2, 3]
-    assert np.array_equal(matrix_from_json(payload), plan.weights)
-    json.dumps(payload)
-
-    tpayload = trace_to_json(trace)
-    assert tpayload["iterations"] == 25
-    assert np.array_equal(matrix_from_json(tpayload["kernel"]), trace.kernel)
-    json.dumps(tpayload)

@@ -183,6 +183,13 @@ def test_wda_fit_input_validation():
         wda_fit(data, WdaConfig(dim=5))
 
 
+def test_wda_fit_rejects_non_finite_samples():
+    data = gen_toy(10, 0)
+    data.samples[4, 3] = np.nan
+    with pytest.raises(InvalidInputError, match="samples has a non-finite value at row 4, column 3"):
+        wda_fit(data, WdaConfig(lam=1.0, dim=2))
+
+
 def test_wda_fit_non_finite_gradient_raises():
     # at lam=300 the fixed-L scalings of pair (0, 2) reach ~1e282 and the
     # reverse pass overflows already at the PCA start
