@@ -1,17 +1,21 @@
 """Shared test utilities: finite differences, subspace angles, the full
-unrolled plan Jacobian, and a per-pair reference for the objective."""
+unrolled plan Jacobian, and a per-pair reference for the objective built on
+plain 2-d Sinkhorn loops of its own."""
 
 import numpy as np
 
 from wda import (
     CapacityError,
+    SinkhornTrace,
     cost_matrix,
     cross_covariance,
     pair_keys,
     project_stiefel,
-    sinkhorn_plan,
     sinkhorn_vjp,
 )
+
+# the scaling clamp of wda.otcore
+_TINY = 1e-300
 
 
 def fd_gradient(f, P, h=1e-5):
@@ -64,9 +68,59 @@ def plan_jacobian_full(trace, P, X, Z, max_entries=1024):
     return full
 
 
+def reference_sinkhorn(M, lam, iterations, tol):
+    """One fixed-L Sinkhorn run as a plain 2-d loop, independent of the
+    stacked solver in wda.otcore: the plan weights and the SinkhornTrace."""
+    n, m = M.shape
+    K = np.exp(-lam * M)
+    u = np.ones(n)
+    u_history = np.empty((iterations + 1, n))
+    v_history = np.empty((iterations, m))
+    u_history[0] = u
+    converged_at = None
+    s = K.T @ u
+    for k in range(1, iterations + 1):
+        v = (1.0 / m) / np.maximum(s, _TINY)
+        r = K @ v
+        u = (1.0 / n) / np.maximum(r, _TINY)
+        s = K.T @ u
+        v_history[k - 1] = v
+        u_history[k] = u
+        residual = float(
+            max(np.abs(u * r - 1.0 / n).max(), np.abs(v * s - 1.0 / m).max())
+        )
+        if converged_at is None and residual <= tol:
+            converged_at = k
+    weights = u[:, None] * K * v[None, :]
+    trace = SinkhornTrace(K, u_history, v_history, float(lam), iterations, residual, converged_at)
+    return weights, trace
+
+
+def reference_vjp(trace, W):
+    """d<W, T(M)>/dM of one run as a plain 2-d reverse loop over ``trace``."""
+    K = trace.kernel
+    n, m = K.shape
+    L = trace.iterations
+    U = trace.u_history
+    V = trace.v_history
+    WK = W * K
+    u_bar = WK @ V[-1]
+    v_bar = WK.T @ U[-1]
+    r_bars = np.empty((L, n))
+    s_bars = np.empty((L, m))
+    for k in range(L, 0, -1):
+        r_bars[k - 1] = -u_bar * U[k] / np.maximum(K @ V[k - 1], _TINY)
+        v_bar = v_bar + K.T @ r_bars[k - 1]
+        s_bars[k - 1] = -v_bar * V[k - 1] / np.maximum(K.T @ U[k - 1], _TINY)
+        u_bar = K @ s_bars[k - 1]
+        v_bar = 0.0
+    K_bar = W * np.outer(U[-1], V[-1]) + r_bars.T @ V + U[:-1].T @ s_bars
+    return -trace.lam * K * K_bar
+
+
 def reference_objective(P, classes, cfg, lambdas):
     """The ratio objective and its gradient from a plain loop over the class
-    pairs: one sinkhorn_plan, sinkhorn_vjp and cross_covariance per pair.
+    pairs: one reference_sinkhorn, reference_vjp and cross_covariance per pair.
 
     Returns a dict with ``value``, ``pair_residuals``, ``converged_at`` (both
     keyed like ``ObjectiveState.to_json``) and ``gradient``.
@@ -79,19 +133,21 @@ def reference_objective(P, classes, cfg, lambdas):
     for c, cp in pair_keys(len(classes)):
         Yc = projected[c]
         M = cost_matrix(Yc, Yc if cp == c else projected[cp])
-        plan, trace = sinkhorn_plan(M, lambdas[(c, cp)], cfg.sinkhorn_iters, cfg.feasibility_tol)
-        C = cross_covariance(classes[c], classes[cp], plan)
+        weights, trace = reference_sinkhorn(
+            M, lambdas[(c, cp)], cfg.sinkhorn_iters, cfg.feasibility_tol
+        )
+        C = cross_covariance(classes[c], classes[cp], weights)
         if cp == c:
             cw += C
         else:
             cb += C
-        solved[(c, cp)] = (M, plan, trace)
+        solved[(c, cp)] = (M, weights, trace)
     sb2 = float(np.sum((P @ cb) * P))
     sw2 = float(np.sum((P @ cw) * P))
     C = np.zeros((d, d))
-    for (c, cp), (M, plan, trace) in solved.items():
+    for (c, cp), (M, weights, trace) in solved.items():
         coef = -sb2 / sw2**2 if cp == c else 1.0 / sw2
-        G = coef * plan.weights + sinkhorn_vjp(trace, coef * M)
+        G = coef * weights + reference_vjp(trace, coef * M)
         C += cross_covariance(classes[c], classes[cp], G)
     return {
         "value": sb2 / sw2,

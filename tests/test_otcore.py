@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import entropy
+from helpers import entropy, reference_sinkhorn, reference_vjp
 from wda import (
     InvalidInputError,
     NumericalRangeError,
@@ -11,6 +11,7 @@ from wda import (
     plan_to_csv,
     regularized_distance,
     sinkhorn_plan,
+    sinkhorn_vjp,
     symmetric_scaling,
 )
 from wda.ioutil import load_matrix_csv
@@ -124,6 +125,23 @@ def test_sinkhorn_residual_recomputed_from_trace():
         assert trace.residual == residuals[-1]
         below = [k + 1 for k, r in enumerate(residuals) if r <= tol]
         assert trace.converged_at == (below[0] if below else None)
+
+
+def test_batch_of_one_matches_plain_loops():
+    # sinkhorn_plan and sinkhorn_vjp run the stacked loops on one problem;
+    # they must equal plain 2-d loops bit for bit
+    rng = np.random.default_rng(13)
+    for n, m, lam, iterations in [(1, 1, 1.0, 3), (5, 8, 1.0, 10), (8, 5, 30.0, 10), (6, 6, 100.0, 25)]:
+        M = rng.uniform(0, 1, size=(n, m))
+        W = rng.standard_normal((n, m))
+        plan, trace = sinkhorn_plan(M, lam, iterations, tol=1e-6)
+        weights, reference = reference_sinkhorn(M, lam, iterations, 1e-6)
+        assert np.array_equal(plan.weights, weights)
+        assert np.array_equal(trace.u_history, reference.u_history)
+        assert np.array_equal(trace.v_history, reference.v_history)
+        assert trace.residual == reference.residual
+        assert trace.converged_at == reference.converged_at
+        assert np.array_equal(sinkhorn_vjp(trace, W), reference_vjp(reference, W))
 
 
 def test_sinkhorn_feasibility_after_convergence():
