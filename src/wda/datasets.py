@@ -36,9 +36,8 @@ TOY_CLASSES = 3
 
 def require_finite(name: str, X: np.ndarray) -> None:
     """Raise InvalidInputError naming the first non-finite entry of a 2-d array."""
-    bad = np.argwhere(~np.isfinite(X))
-    if bad.size:
-        row, col = bad[0]
+    if not np.isfinite(X).all():
+        row, col = np.argwhere(~np.isfinite(X))[0]
         raise InvalidInputError(f"{name} has a non-finite value at row {row}, column {col}")
 
 

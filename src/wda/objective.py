@@ -1,30 +1,31 @@
-"""The discriminant ratio objective, its cross-covariances, and its gradient.
+"""The discriminant ratio objective and its gradient.
 
 For a projection P (p x d, orthonormal rows) and per-class sample blocks
-X^c (d x n_c), every class pair (c <= c') gets an entropic transport plan
-between the projected clouds. The transport-weighted covariance of sample
-differences C^{c,c'} = sum_ij T_ij (x_i - x'_j)(x_i - x'_j)^T aggregates into
-a between-class part C_b (pairs c < c') and a within-class part C_w (pairs
-c = c'), and the objective is the ratio
+X^c (d x n_c), every class pair (c <= c') gets an entropic transport plan T
+between the projected clouds Y^c = P X^c, with projected cost matrix
+M_ij = ||y_i - y'_j||^2. Each pair distance is <T, M>; sigma_b^2 sums them
+over the between-class pairs (c < c') and sigma_w^2 over the within-class
+pairs (c = c'), and the objective is the ratio
 
-    J(P) = <P^T P, C_b> / <P^T P, C_w> = sigma_b^2 / sigma_w^2.
+    J(P) = sigma_b^2 / sigma_w^2.
 
-J depends on P only through the projected cost matrices M = M^{c,c'}:
-sigma_b^2 sums <T(M), M> over the between pairs and sigma_w^2 over the
-within pairs. The gradient is therefore one formula for every pair. The cost
-cotangent is dJ/dM = coef * T + d<W, T(M)>/dM at the fixed weight
-W = coef * M, with coef = +1/sigma_w^2 for between pairs and
--sigma_b^2/sigma_w^4 for within pairs. The second term is one reverse pass
-through the recorded Sinkhorn iterations (:func:`~wda.otcore.sinkhorn_vjp`).
-Both are pulled back to P through M_ij = ||P (x_i - x'_j)||^2.
+This equals <P^T P, C_b> / <P^T P, C_w> with the d x d covariances of
+:func:`cross_covariance`, which only the Fisher baseline forms.
+
+J depends on P only through the M of each pair, so the gradient is one
+formula for every pair. The cost cotangent of a pair distance is
+G = T + d<W, T(M)>/dM at the fixed weight W = M, the second term a reverse
+pass through the recorded Sinkhorn iterations, and J weighs it with
+coef = +1/sigma_w^2 for between pairs and -sigma_b^2/sigma_w^4 for within
+pairs. G is pulled back to P in the projected space (see :func:`gradient`).
 
 Pairs whose plans share a shape (n_c, n_c') are solved as one stack: all of
 them on balanced data, one group per distinct shape otherwise, with no
-padding. :func:`evaluate` writes each pair's M and kernel into its shape's
-(B, n, m) stacks, and the per-pair ``costs`` and ``traces`` of the state are
-views of them. :func:`gradient` runs one stacked reverse recursion per group,
-then forms each pair's (n, m) cotangent and cross-covariance in turn. Each
-pair's numbers are those of a per-pair loop, bit for bit.
+padding. :func:`evaluate` builds each shape's (B, n, m) cost and kernel
+stacks whole, and the per-pair ``costs`` and ``traces`` of the state are
+views of them. :func:`gradient` runs one stacked reverse recursion per
+group, then forms each pair's (n, m) cotangent in turn, in place. Each
+pair's numbers are those of a plain per-pair loop, bit for bit.
 """
 
 from __future__ import annotations
@@ -33,16 +34,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .datasets import require_finite
 from .errors import DegenerateInputError, InvalidInputError, NumericalRangeError
 from .otcore import (
     SinkhornBatch,
     SinkhornTrace,
     TransportPlan,
-    cost_cotangent,
     cost_matrix,
+    kernel_underflow_message,
+    self_costs,
     sinkhorn_batch,
     sinkhorn_batch_reverse,
-    sinkhorn_kernel,
+    sinkhorn_kernels,
+    transport_cost_cotangent,
 )
 
 PairKey = tuple[int, int]
@@ -116,20 +120,13 @@ def _check_classes(classes) -> list[np.ndarray]:
             )
         if X.shape[1] < 1:
             raise InvalidInputError(f"class {c}: empty sample block")
+        require_finite(f"class {c} sample block", X)
     return blocks
 
 
 def pair_keys(n_classes: int) -> list[PairKey]:
     """All class pairs (c, c') with c <= c', in lexicographic order."""
     return [(c, cp) for c in range(n_classes) for cp in range(c, n_classes)]
-
-
-def _shape_groups(blocks) -> dict[tuple[int, int], list[PairKey]]:
-    """Class pairs grouped by plan shape (n_c, n_c'), each group in pair order."""
-    groups: dict[tuple[int, int], list[PairKey]] = {}
-    for c, cp in pair_keys(len(blocks)):
-        groups.setdefault((blocks[c].shape[1], blocks[cp].shape[1]), []).append((c, cp))
-    return groups
 
 
 def pair_lambda(P0: np.ndarray, Xc: np.ndarray, Xcp: np.ndarray, lam: float) -> float:
@@ -209,8 +206,6 @@ class ObjectiveState:
     value: float
     sigma_b2: float
     sigma_w2: float
-    cb: np.ndarray
-    cw: np.ndarray
     traces: dict[PairKey, SinkhornTrace] = field(repr=False)
     costs: dict[PairKey, np.ndarray] = field(repr=False)
     batches: dict[tuple[PairKey, ...], SinkhornBatch] = field(repr=False)
@@ -256,10 +251,11 @@ def evaluate(
     is imposed), which lets callers probe J in the ambient space, e.g. for
     finite-difference checks.
 
-    The pairs of each plan shape are solved together by one
-    :func:`~wda.otcore.sinkhorn_batch` call. All kernels are built, in pair
-    order, before any iteration runs, so a kernel underflow is reported for
-    the first failing pair, named with its lambda.
+    The pairs of each plan shape are solved together: one cost stack, one
+    kernel stack and one :func:`~wda.otcore.sinkhorn_batch` call. All kernels
+    are built before any iteration runs, so a kernel underflow is reported
+    for the first failing pair in pair order, named with its lambda. Each
+    pair distance <T, M> is u_L . ((K * M) v_L), without forming T.
     """
     P = np.asarray(P, dtype=float)
     blocks = _check_classes(classes)
@@ -268,56 +264,47 @@ def evaluate(
             f"projection shape {P.shape} does not match feature dimension "
             f"{blocks[0].shape[0]}"
         )
+    require_finite("projection", P)
     lam_map = _resolve_lambdas(blocks, cfg, lambdas)
+    keys_in_order = pair_keys(len(blocks))
 
+    # class pairs grouped by plan shape (n_c, n_c'), each group in pair order
+    groups: dict[tuple[int, int], list[PairKey]] = {}
+    for c, cp in keys_in_order:
+        groups.setdefault((blocks[c].shape[1], blocks[cp].shape[1]), []).append((c, cp))
     projected = [P @ X for X in blocks]
-    groups = _shape_groups(blocks)
-    cost_stacks = {shape: np.empty((len(keys),) + shape) for shape, keys in groups.items()}
-    kernel_stacks = {shape: np.empty_like(stack) for shape, stack in cost_stacks.items()}
-    slots = {key: (shape, b) for shape, keys in groups.items() for b, key in enumerate(keys)}
-    costs: dict[PairKey, np.ndarray] = {}
-    for c, cp in pair_keys(len(blocks)):
-        shape, b = slots[(c, cp)]
-        Yc = projected[c]
-        M = cost_stacks[shape][b]
-        M[...] = cost_matrix(Yc, Yc if cp == c else projected[cp])
-        lam = lam_map[(c, cp)]
-        try:
-            kernel_stacks[shape][b] = sinkhorn_kernel(M, lam)
-        except NumericalRangeError as exc:
-            raise NumericalRangeError(f"class pair ({c}, {cp}) at lambda {lam:.6g}: {exc}") from exc
-        costs[(c, cp)] = M
-
-    batches = {
-        tuple(keys): sinkhorn_batch(
-            kernel_stacks[shape],
-            [lam_map[key] for key in keys],
-            cfg.sinkhorn_iters,
-            cfg.feasibility_tol,
+    stacks, costs, underflow = [], {}, {}
+    for keys in groups.values():
+        M = cost_matrix(
+            np.stack([projected[c] for c, _ in keys]),
+            np.stack([projected[cp] for _, cp in keys]),
         )
-        for shape, keys in groups.items()
-    }
-    solved = {key: batch.traces[b] for keys, batch in batches.items() for b, key in enumerate(keys)}
-    traces = {key: solved[key] for key in costs}
+        own = [b for b, (c, cp) in enumerate(keys) if c == cp]
+        if own:
+            M[own] = self_costs(M[own])
+        lams = [lam_map[key] for key in keys]
+        K, low = sinkhorn_kernels(M, lams)
+        costs.update(zip(keys, M))
+        underflow.update(zip(keys, low))
+        stacks.append((keys, lams, M, K))
+    for key in keys_in_order:
+        if underflow[key]:
+            message = kernel_underflow_message(lam_map[key], costs[key])
+            raise NumericalRangeError(f"class pair {key} at lambda {lam_map[key]:.6g}: {message}")
 
-    d = blocks[0].shape[0]
-    cb = np.zeros((d, d))
-    cw = np.zeros((d, d))
-    pair_distances: dict[PairKey, float] = {}
-    for (c, cp), M in costs.items():
-        T = traces[(c, cp)].plan_weights()
-        C = cross_covariance(blocks[c], blocks[cp], T)
-        if cp == c:
-            cw += C
-        else:
-            cb += C
-        pair_distances[(c, cp)] = float(np.sum(T * M))
-        # drop this plan before the next is formed: the line search keeps the
-        # previous state alive, so this loop sets the peak memory of a fit
-        del T
+    batches, traces, distances = {}, {}, {}
+    for keys, lams, M, K in stacks:
+        batch = sinkhorn_batch(K, lams, cfg.sinkhorn_iters, cfg.feasibility_tol)
+        km_v = np.einsum("bnm,bnm,bm->bn", K, M, batch.v_history[:, -1])
+        distances.update(zip(keys, (batch.u_history[:, -1] * km_v).sum(axis=1).tolist()))
+        traces.update(zip(keys, batch.traces))
+        batches[tuple(keys)] = batch
+    for key in keys_in_order:
+        if not np.isfinite(distances[key]):
+            raise NumericalRangeError(f"class pair {key}: the projected squared distances overflow")
 
-    sigma_b2 = float(np.sum((P @ cb) * P))
-    sigma_w2 = float(np.sum((P @ cw) * P))
+    sigma_b2 = sum(distances[(c, cp)] for c, cp in keys_in_order if c != cp)
+    sigma_w2 = sum(distances[(c, cp)] for c, cp in keys_in_order if c == cp)
     if sigma_w2 <= 0.0:
         raise DegenerateInputError(
             "within-class dispersion is zero; the ratio objective is undefined"
@@ -326,13 +313,11 @@ def evaluate(
         value=sigma_b2 / sigma_w2,
         sigma_b2=sigma_b2,
         sigma_w2=sigma_w2,
-        cb=cb,
-        cw=cw,
-        traces=traces,
-        costs=costs,
+        traces={key: traces[key] for key in keys_in_order},
+        costs={key: costs[key] for key in keys_in_order},
         batches=batches,
         pair_lambdas=lam_map,
-        pair_distances=pair_distances,
+        pair_distances={key: distances[key] for key in keys_in_order},
     )
 
 
@@ -345,52 +330,48 @@ def gradient(
 ) -> np.ndarray:
     """Full ambient gradient dJ/dP, a (p, d) array.
 
-    For every class pair with plan T, projected cost matrix M and trace of
-    its Sinkhorn run, the cost cotangent is
+    J weighs each pair's cost cotangent G = d<T(M), M>/dM (one reverse pass,
+    :func:`~wda.otcore.transport_cost_cotangent`) with coef = +1/sigma_w^2
+    for between pairs and -sigma_b^2/sigma_w^4 for within pairs. As
+    M_ij = ||y_i - y'_j||^2 with Y = P X, G is pulled back in the projected
+    space, into a (p, n_c) accumulator per class:
 
-        G = coef * T + sinkhorn_vjp(trace, coef * M),
+        Z_c  += coef * (Y_c diag(G 1) - Y_c' G^T),
+        Z_c' += coef * (Y_c' diag(G^T 1) - Y_c G),
 
-    with coef = +1/sigma_w^2 for between pairs and -sigma_b^2/sigma_w^4 for
-    within pairs; the first term is the frozen-plan part, the second the
-    derivative of the plan itself. Then dJ/dP = 2 P sum_pairs
-    cross_covariance(X^c, X^c', G). Pass ``state`` to reuse an evaluation at
+    and dJ/dP = 2 sum_c Z_c X_c^T. Pass ``state`` to reuse an evaluation at
     the same (P, lambdas). Raises NumericalRangeError, naming the pair and
-    its lambda, when a pair's term is not finite.
-
-    The reverse recursion runs once per batch of ``state`` over the stacked
-    histories (:func:`~wda.otcore.sinkhorn_batch_reverse`); the (n, m)-sized
-    rest of each term is formed one pair at a time, in pair order.
+    its lambda, when a pair's term is not finite. The reverse recursion runs
+    once per batch of ``state``; each (n, m) G is formed in place, in pair
+    order.
     """
     P = np.asarray(P, dtype=float)
     blocks = _check_classes(classes)
     if state is None:
         state = evaluate(P, blocks, cfg, lambdas)
-    sb2 = state.sigma_b2
-    sw2 = state.sigma_w2
-    coefs = {(c, cp): -sb2 / sw2**2 if cp == c else 1.0 / sw2 for c, cp in state.costs}
+    sb2, sw2 = state.sigma_b2, state.sigma_w2
 
-    # W = coef * M is formed again per pair below rather than kept, so only
-    # one (n, m) weight is alive at a time
     bars = {}
     with np.errstate(over="ignore", invalid="ignore"):
         for keys, batch in state.batches.items():
-            r_bars, s_bars = sinkhorn_batch_reverse(
-                batch, (coefs[key] * state.costs[key] for key in keys)
-            )
+            r_bars, s_bars = sinkhorn_batch_reverse(batch, (state.costs[key] for key in keys))
             bars.update((key, (r_bars[b], s_bars[b])) for b, key in enumerate(keys))
 
-    C = np.zeros((P.shape[1], P.shape[1]))
-    for c, cp in pair_keys(len(blocks)):
-        coef = coefs[(c, cp)]
-        trace = state.traces[(c, cp)]
+    projected = [P @ X for X in blocks]
+    Z = [np.zeros_like(Y) for Y in projected]
+    for (c, cp), trace in state.traces.items():
         with np.errstate(over="ignore", invalid="ignore"):
-            W = coef * state.costs[(c, cp)]
-            G = coef * trace.plan_weights() + cost_cotangent(trace, W, *bars[(c, cp)])
-        if not np.all(np.isfinite(G)):
+            G = transport_cost_cotangent(trace, state.costs[(c, cp)], *bars[(c, cp)])
+            row = G.sum(axis=1)
+            col = G.sum(axis=0)
+        if not (np.isfinite(row).all() and np.isfinite(col).all()):
             raise NumericalRangeError(
                 f"gradient term of class pair ({c}, {cp}) is not finite at "
-                f"lambda {state.pair_lambdas[(c, cp)]:.6g}; the fixed-L Sinkhorn "
+                f"lambda {trace.lam:.6g}; the fixed-L Sinkhorn "
                 "iterations left the floating-point range, lower the regularization"
             )
-        C += cross_covariance(blocks[c], blocks[cp], G)
-    return 2.0 * P @ C
+        coef = -sb2 / sw2**2 if cp == c else 1.0 / sw2
+        Yc, Ycp = projected[c], projected[cp]
+        Z[c] += coef * (Yc * row - Ycp @ G.T)
+        Z[cp] += coef * (Ycp * col - Yc @ G)
+    return 2.0 * sum(Zc @ X.T for Zc, X in zip(Z, blocks))

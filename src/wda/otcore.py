@@ -13,12 +13,11 @@ problems of one shape (n, m) as one (B, n, m) iteration, and
 :func:`sinkhorn_batch_reverse` runs its reverse pass the same way. With
 arrays this small the cost of a step is numpy call overhead, not arithmetic,
 so one stacked step costs about what one problem's step did.
-:func:`sinkhorn_plan` and :func:`sinkhorn_vjp` are batches of one. Only the
-O(L (n + m)) vector recursions are stacked. Kernels are built one at a time
-(:func:`sinkhorn_kernel`) into a caller's stack, the reverse pass recomputes
-K v_k and K^T u_{k-1} rather than storing them, and the (n, m)-sized end of
-each derivative (:func:`cost_cotangent`) is formed one problem at a time, so
-stacking adds no (n, m) arrays to what the per-problem loop held.
+:func:`sinkhorn_plan` and :func:`sinkhorn_vjp` are batches of one. A
+reverse step takes two stacked matvecs: the derivative of a scaling update
+is written with the scaling itself (du/dr = -n u^2), so K v_k and
+K^T u_{k-1} are not needed. The (n, m)-sized end of each derivative is
+formed one problem at a time, so the reverse pass adds no (n, m) stacks.
 """
 
 from __future__ import annotations
@@ -38,26 +37,32 @@ _TINY = 1e-300
 def cost_matrix(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances between the columns of X and Z.
 
-    Returns the (n, m) matrix with entry (i, j) equal to ||x_i - z_j||^2.
-    When ``Z is X`` (self-transport) the result is symmetrized exactly and
-    the diagonal is set to zero.
+    Returns the (n, m) matrix with entry (i, j) equal to ||x_i - z_j||^2,
+    or the (B, n, m) stack of them for stacks (B, d, n) and (B, d, m). When
+    ``Z is X`` (self-transport) the result goes through :func:`self_costs`.
     """
     same = Z is X
     X = np.asarray(X, dtype=float)
     Z = np.asarray(Z, dtype=float)
-    if X.ndim != 2 or Z.ndim != 2:
-        raise InvalidInputError("sample matrices must be 2-d with one column per sample")
-    if X.shape[0] != Z.shape[0]:
-        raise InvalidInputError(
-            f"feature dimensions differ: {X.shape[0]} vs {Z.shape[0]}"
-        )
-    sq_x = np.einsum("ij,ij->j", X, X)
-    sq_z = np.einsum("ij,ij->j", Z, Z)
-    M = sq_x[:, None] + sq_z[None, :] - 2.0 * (X.T @ Z)
+    if X.ndim not in (2, 3) or Z.ndim != X.ndim:
+        raise InvalidInputError("sample matrices must be (d, n) arrays or (B, d, n) stacks")
+    if X.shape[:-1] != Z.shape[:-1]:
+        raise InvalidInputError(f"feature dimensions differ: {X.shape[:-1]} vs {Z.shape[:-1]}")
+    sq_x = np.einsum("...ij,...ij->...j", X, X)
+    sq_z = np.einsum("...ij,...ij->...j", Z, Z)
+    M = np.add(sq_x[..., :, None], sq_z[..., None, :])
+    cross = X.swapaxes(-1, -2) @ Z
+    cross *= 2.0
+    M -= cross
     np.maximum(M, 0.0, out=M)
-    if same:
-        M = 0.5 * (M + M.T)
-        np.fill_diagonal(M, 0.0)
+    return self_costs(M) if same else M
+
+
+def self_costs(M: np.ndarray) -> np.ndarray:
+    """Self-transport costs (or a stack), exactly symmetric with zero diagonal."""
+    M = 0.5 * (M + M.swapaxes(-1, -2))
+    diag = np.arange(M.shape[-1])
+    M[..., diag, diag] = 0.0
     return M
 
 
@@ -125,27 +130,24 @@ def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (A @ x[..., None])[..., 0]
 
 
-def sinkhorn_kernel(M: np.ndarray, lam: float) -> np.ndarray:
-    """Gibbs kernel exp(-lam * M) of a finite cost matrix.
-
-    Raises NumericalRangeError when a whole row or column of the kernel falls
-    below the scaling clamp, since no scaling can then match its marginal.
+def sinkhorn_kernels(M: np.ndarray, lams) -> tuple[np.ndarray, np.ndarray]:
+    """Gibbs kernels exp(-lams[b] * M[b]) of a (B, n, m) cost stack, with one
+    in-place exp, and the mask of kernels with a whole row or column below
+    the scaling clamp: no scaling can match their marginals.
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2:
-        raise InvalidInputError("cost matrix must be 2-d")
-    if not np.all(np.isfinite(M)):
-        raise InvalidInputError("cost matrix must be finite")
-    if not lam > 0:
-        raise InvalidInputError(f"lam must be positive, got {lam}")
-    K = np.exp(-lam * M)
-    if (K.max(axis=1) < _TINY).any() or (K.max(axis=0) < _TINY).any():
-        raise NumericalRangeError(
-            "kernel row underflow: lam * max(M) = "
-            f"{lam * float(M.max()):.6g} pushes exp(-lam*M) below {_TINY:g}; "
-            "rescale the regularization"
-        )
-    return K
+    K = np.multiply(M, -np.asarray(lams, dtype=float)[:, None, None])
+    np.exp(K, out=K)
+    underflow = (K.max(axis=2) < _TINY).any(axis=1) | (K.max(axis=1) < _TINY).any(axis=1)
+    return K, underflow
+
+
+def kernel_underflow_message(lam: float, M: np.ndarray) -> str:
+    """The refusal text for an underflowing kernel exp(-lam * M)."""
+    return (
+        "kernel row underflow: lam * max(M) = "
+        f"{lam * float(M.max()):.6g} pushes exp(-lam*M) below {_TINY:g}; "
+        "rescale the regularization"
+    )
 
 
 def sinkhorn_batch(
@@ -156,7 +158,7 @@ def sinkhorn_batch(
 ) -> SinkhornBatch:
     """Run exactly ``iterations`` Sinkhorn steps on every kernel of a stack.
 
-    ``K`` is a (B, n, m) stack of kernels from :func:`sinkhorn_kernel` and
+    ``K`` is a (B, n, m) stack of kernels from :func:`sinkhorn_kernels` and
     ``lams[b]`` the regularization that built ``K[b]``, recorded in its
     trace. The B runs share one loop: each step is two stacked matvecs and a
     few (B, n) or (B, m) vector operations, so the Python and numpy call
@@ -231,9 +233,18 @@ def sinkhorn_plan(
     (TransportPlan, SinkhornTrace)
         The plan diag(u_L) K diag(v_L) and the full scaling history.
     """
-    K = sinkhorn_kernel(M, lam)
-    trace = sinkhorn_batch(K[None], [lam], iterations, tol).traces[0]
-    n, m = K.shape
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2:
+        raise InvalidInputError("cost matrix must be 2-d")
+    if not np.all(np.isfinite(M)):
+        raise InvalidInputError("cost matrix must be finite")
+    if not lam > 0:
+        raise InvalidInputError(f"lam must be positive, got {lam}")
+    K, underflow = sinkhorn_kernels(M[None], [lam])
+    if underflow[0]:
+        raise NumericalRangeError(kernel_underflow_message(lam, M))
+    trace = sinkhorn_batch(K, [lam], iterations, tol).traces[0]
+    n, m = M.shape
     plan = TransportPlan(trace.plan_weights(), np.full(n, 1.0 / n), np.full(m, 1.0 / m))
     return plan, trace
 
@@ -244,10 +255,12 @@ def sinkhorn_batch_reverse(batch: SinkhornBatch, weights) -> tuple[np.ndarray, n
     ``weights`` yields the (n, m) weights W_b in batch order; each is used
     once, to seed the cotangents of u_L and v_L, so a generator keeps one
     W_b alive at a time. The recursion then runs backwards from iteration L
-    to 1 on the whole stack, recomputing K v_k and K^T u_{k-1} as stacked
-    matvecs instead of storing them. Returns the cotangents of r_k = K v_k,
-    (B, L, n), and of s_k = K^T u_{k-1}, (B, L, m), for k = 1..L, which
-    :func:`cost_cotangent` turns into each run's result.
+    to 1 on the whole stack. u_k = (1/n) / max(r_k, tiny) with r_k = K v_k
+    gives du_k/dr_k = -n u_k^2 (the derivative passes straight through the
+    clamp), and likewise dv_k/ds_k = -m v_k^2 with s_k = K^T u_{k-1}, so a
+    step takes only the two stacked matvecs that carry the cotangents.
+    Returns the cotangents of r_k, (B, L, n), and of s_k, (B, L, m), for
+    k = 1..L.
     """
     K = batch.kernel
     KT = K.transpose(0, 2, 1)
@@ -264,31 +277,31 @@ def sinkhorn_batch_reverse(batch: SinkhornBatch, weights) -> tuple[np.ndarray, n
     r_bars = np.empty((B, L, n))
     s_bars = np.empty((B, L, m))
     for k in range(L, 0, -1):
-        # u_k = (1/n) / r_k with r_k = K v_k, so du_k/dr_k = -u_k / r_k
-        r_bars[:, k - 1] = -u_bar * U[:, k] / np.maximum(_matvec(K, V[:, k - 1]), _TINY)
+        r_bars[:, k - 1] = -n * u_bar * U[:, k] * U[:, k]
         v_bar = v_bar + _matvec(KT, r_bars[:, k - 1])
-        # v_k = (1/m) / s_k with s_k = K^T u_{k-1}, so dv_k/ds_k = -v_k / s_k
-        s_bars[:, k - 1] = -v_bar * V[:, k - 1] / np.maximum(_matvec(KT, U[:, k - 1]), _TINY)
+        s_bars[:, k - 1] = -m * v_bar * V[:, k - 1] * V[:, k - 1]
         u_bar = _matvec(K, s_bars[:, k - 1])
         v_bar = 0.0
     return r_bars, s_bars
 
 
-def cost_cotangent(
+def transport_cost_cotangent(
     trace: SinkhornTrace,
-    W: np.ndarray,
+    M: np.ndarray,
     r_bars: np.ndarray,
     s_bars: np.ndarray,
 ) -> np.ndarray:
-    """d<W, T(M)>/dM of one run, from its slice of :func:`sinkhorn_batch_reverse`.
-
-    Sums the kernel cotangent over the direct term W * u_L v_L^T and every
-    recorded iteration, then applies dK/dM = -lam * K.
+    """d<T(M), M>/dM of one run, from its :func:`sinkhorn_batch_reverse` slice
+    for weights M: K * (u_L v_L^T - lam * (sum_k r_bar_k v_k^T + u_{k-1}
+    s_bar_k^T) - lam * M * u_L v_L^T), the first two terms as one product.
     """
-    U = trace.u_history
-    V = trace.v_history
-    K_bar = W * np.outer(U[-1], V[-1]) + r_bars.T @ V + U[:-1].T @ s_bars
-    return -trace.lam * trace.kernel * K_bar
+    lam, U, V = trace.lam, trace.u_history, trace.v_history
+    left = np.concatenate((r_bars, U))
+    left[:-1] *= -lam
+    G = left.T @ np.concatenate((V, s_bars, V[-1:]))
+    G -= (lam * U[-1])[:, None] * M * V[-1]
+    G *= trace.kernel
+    return G
 
 
 def sinkhorn_vjp(trace: SinkhornTrace, W: np.ndarray) -> np.ndarray:
@@ -307,9 +320,12 @@ def sinkhorn_vjp(trace: SinkhornTrace, W: np.ndarray) -> np.ndarray:
         raise InvalidInputError(
             f"cotangent shape {W.shape} does not match kernel shape {K.shape}"
         )
-    batch = SinkhornBatch(K[None], trace.u_history[None], trace.v_history[None], (trace,))
+    U, V = trace.u_history, trace.v_history
+    batch = SinkhornBatch(K[None], U[None], V[None], (trace,))
     r_bars, s_bars = sinkhorn_batch_reverse(batch, [W])
-    return cost_cotangent(trace, W, r_bars[0], s_bars[0])
+    K_bar = np.concatenate((r_bars[0], U[:-1])).T @ np.concatenate((V, s_bars[0]))
+    K_bar += W * np.outer(U[-1], V[-1])
+    return -trace.lam * K * K_bar
 
 
 def symmetric_scaling(trace: SinkhornTrace) -> np.ndarray:

@@ -112,7 +112,7 @@ def wda_fit(
     until the relative objective change drops below ``cfg.outer_tol``, the
     direction vanishes, the linesearch stalls, or ``cfg.max_outer_iter`` is
     reached. Returns the best-objective iterate and the fit trajectory.
-    Raises InvalidInputError naming the first non-finite sample value.
+    Raises InvalidInputError naming the first non-finite sample or init value.
     """
     require_finite("samples", data.samples)
     blocks = data.class_blocks()
@@ -137,6 +137,7 @@ def wda_fit(
             raise InvalidInputError(
                 f"init shape {P.shape} does not match ({cfg.dim}, {d})"
             )
+        require_finite("init", P)
         if np.abs(P @ P.T - np.eye(cfg.dim)).max() > 1e-8:
             raise InvalidInputError("init must have orthonormal rows")
 

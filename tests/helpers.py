@@ -96,8 +96,9 @@ def reference_sinkhorn(M, lam, iterations, tol):
     return weights, trace
 
 
-def reference_vjp(trace, W):
-    """d<W, T(M)>/dM of one run as a plain 2-d reverse loop over ``trace``."""
+def reference_reverse(trace, W):
+    """Cotangents of r_k = K v_k and s_k = K^T u_{k-1}, k = 1..L, of
+    <W, T(M)>, as a plain 2-d reverse loop over ``trace``."""
     K = trace.kernel
     n, m = K.shape
     L = trace.iterations
@@ -109,49 +110,67 @@ def reference_vjp(trace, W):
     r_bars = np.empty((L, n))
     s_bars = np.empty((L, m))
     for k in range(L, 0, -1):
-        r_bars[k - 1] = -u_bar * U[k] / np.maximum(K @ V[k - 1], _TINY)
+        # du_k/dr_k = -n u_k^2 and dv_k/ds_k = -m v_k^2
+        r_bars[k - 1] = -n * u_bar * U[k] * U[k]
         v_bar = v_bar + K.T @ r_bars[k - 1]
-        s_bars[k - 1] = -v_bar * V[k - 1] / np.maximum(K.T @ U[k - 1], _TINY)
+        s_bars[k - 1] = -m * v_bar * V[k - 1] * V[k - 1]
         u_bar = K @ s_bars[k - 1]
         v_bar = 0.0
-    K_bar = W * np.outer(U[-1], V[-1]) + r_bars.T @ V + U[:-1].T @ s_bars
-    return -trace.lam * K * K_bar
+    return r_bars, s_bars
+
+
+def reference_vjp(trace, W):
+    """d<W, T(M)>/dM of one run as a plain 2-d reverse loop over ``trace``."""
+    U = trace.u_history
+    V = trace.v_history
+    r_bars, s_bars = reference_reverse(trace, W)
+    K_bar = np.concatenate((r_bars, U[:-1])).T @ np.concatenate((V, s_bars))
+    K_bar += W * np.outer(U[-1], V[-1])
+    return -trace.lam * trace.kernel * K_bar
 
 
 def reference_objective(P, classes, cfg, lambdas):
     """The ratio objective and its gradient from a plain loop over the class
-    pairs: one reference_sinkhorn, reference_vjp and cross_covariance per pair.
+    pairs, one reference_sinkhorn and reference_reverse per pair.
+
+    sigma^2 sums the pair distances u_L . ((K * M) v_L). Each pair's cost
+    cotangent d<T(M), M>/dM is pulled back in the projected space. Self
+    costs are computed from a copy of the projected block, so numpy forms
+    Y^T Y with the general matrix product, as it does for a stack.
 
     Returns a dict with ``value``, ``pair_residuals``, ``converged_at`` (both
     keyed like ``ObjectiveState.to_json``) and ``gradient``.
     """
     projected = [P @ X for X in classes]
-    d = classes[0].shape[0]
-    cb = np.zeros((d, d))
-    cw = np.zeros((d, d))
     solved = {}
     for c, cp in pair_keys(len(classes)):
         Yc = projected[c]
-        M = cost_matrix(Yc, Yc if cp == c else projected[cp])
-        weights, trace = reference_sinkhorn(
+        M = cost_matrix(Yc, projected[cp].copy())
+        if cp == c:
+            M = 0.5 * (M + M.T)
+            np.fill_diagonal(M, 0.0)
+        _, trace = reference_sinkhorn(
             M, lambdas[(c, cp)], cfg.sinkhorn_iters, cfg.feasibility_tol
         )
-        C = cross_covariance(classes[c], classes[cp], weights)
-        if cp == c:
-            cw += C
-        else:
-            cb += C
-        solved[(c, cp)] = (M, weights, trace)
-    sb2 = float(np.sum((P @ cb) * P))
-    sw2 = float(np.sum((P @ cw) * P))
-    C = np.zeros((d, d))
-    for (c, cp), (M, weights, trace) in solved.items():
+        u, v = trace.u_history[-1], trace.v_history[-1]
+        distance = float((u * np.einsum("nm,nm,m->n", trace.kernel, M, v)).sum())
+        solved[(c, cp)] = (M, trace, distance)
+    sb2 = sum(dist for (c, cp), (_, _, dist) in solved.items() if c != cp)
+    sw2 = sum(dist for (c, cp), (_, _, dist) in solved.items() if c == cp)
+    Z = [np.zeros_like(Y) for Y in projected]
+    for (c, cp), (M, trace, _) in solved.items():
+        # K * (u_L v_L^T - lam * iterations - lam * M * u_L v_L^T)
+        lam, U, V = trace.lam, trace.u_history, trace.v_history
+        r_bars, s_bars = reference_reverse(trace, M)
+        left = np.vstack([-lam * r_bars, -lam * U[:-1], U[-1:]])
+        right = np.vstack([V, s_bars, V[-1:]])
+        G = (left.T @ right - (lam * U[-1])[:, None] * M * V[-1]) * trace.kernel
         coef = -sb2 / sw2**2 if cp == c else 1.0 / sw2
-        G = coef * weights + reference_vjp(trace, coef * M)
-        C += cross_covariance(classes[c], classes[cp], G)
+        Z[c] += coef * (projected[c] * G.sum(axis=1) - projected[cp] @ G.T)
+        Z[cp] += coef * (projected[cp] * G.sum(axis=0) - projected[c] @ G)
     return {
         "value": sb2 / sw2,
-        "pair_residuals": {f"{c},{cp}": t.residual for (c, cp), (_, _, t) in solved.items()},
-        "converged_at": {key: t.converged_at for key, (_, _, t) in solved.items()},
-        "gradient": 2.0 * P @ C,
+        "pair_residuals": {f"{c},{cp}": t.residual for (c, cp), (_, t, _) in solved.items()},
+        "converged_at": {key: t.converged_at for key, (_, t, _) in solved.items()},
+        "gradient": 2.0 * sum(Zc @ X.T for Zc, X in zip(Z, classes)),
     }

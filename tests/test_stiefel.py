@@ -190,6 +190,13 @@ def test_wda_fit_rejects_non_finite_samples():
         wda_fit(data, WdaConfig(lam=1.0, dim=2))
 
 
+def test_wda_fit_rejects_non_finite_init():
+    # NaN rows pass an orthonormality check written as "deviation > tol"
+    data = gen_toy(10, 0)
+    with pytest.raises(InvalidInputError, match="init has a non-finite value at row 0, column 0"):
+        wda_fit(data, WdaConfig(lam=1.0, dim=2), init=np.full((2, data.n_features), np.nan))
+
+
 def test_wda_fit_non_finite_gradient_raises():
     # at lam=300 the fixed-L scalings of pair (0, 2) reach ~1e282 and the
     # reverse pass overflows already at the PCA start
