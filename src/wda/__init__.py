@@ -51,7 +51,6 @@ from .otcore import (
     SinkhornTrace,
     TransportPlan,
     cost_matrix,
-    plan_to_csv,
     regularized_distance,
     sinkhorn_plan,
     sinkhorn_vjp,
@@ -98,7 +97,6 @@ __all__ = [
     "pair_keys",
     "pair_lambda",
     "pca_init",
-    "plan_to_csv",
     "project_stiefel",
     "regularized_distance",
     "riemannian_gradient",

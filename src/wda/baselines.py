@@ -22,6 +22,8 @@ from .datasets import LabeledDataset
 from .errors import DegenerateInputError, InvalidInputError
 from .objective import cross_covariance, pair_keys
 
+_RIDGE = 1e-10
+
 
 @dataclass(frozen=True)
 class FdaModel:
@@ -49,13 +51,13 @@ def uniform_coupling_covariances(classes) -> tuple[np.ndarray, np.ndarray]:
     return cb, cw
 
 
-def fda_fit(data: LabeledDataset, p: int, ridge: float = 1e-10) -> FdaModel:
+def fda_fit(data: LabeledDataset, p: int) -> FdaModel:
     """Top-p generalized eigenvectors of C_w^{-1} C_b from uniform couplings.
 
-    A ridge of ``ridge * tr(C_w)/d`` is added to C_w before the
-    symmetric-definite eigendecomposition; data whose within matrix stays
-    singular beyond that is rejected. With the Cholesky factor C_w = L L^T
-    the problem becomes the ordinary symmetric eigenproblem of
+    A ridge of ``_RIDGE * tr(C_w)/d``, with _RIDGE = 1e-10, is added to C_w
+    before the symmetric-definite eigendecomposition; data whose within
+    matrix stays singular beyond that is rejected. With the Cholesky factor
+    C_w = L L^T the problem becomes the ordinary symmetric eigenproblem of
     L^{-1} C_b L^{-T}, whose eigenvectors y map back as x = L^{-T} y.
     """
     blocks = data.class_blocks()
@@ -68,7 +70,7 @@ def fda_fit(data: LabeledDataset, p: int, ridge: float = 1e-10) -> FdaModel:
     trace_w = float(np.trace(cw))
     if trace_w <= 0.0:
         raise DegenerateInputError("within-class covariance is zero")
-    cw_ridged = cw + (ridge * trace_w / d) * np.eye(d)
+    cw_ridged = cw + (_RIDGE * trace_w / d) * np.eye(d)
     try:
         chol = np.linalg.cholesky(cw_ridged)
     except np.linalg.LinAlgError as exc:

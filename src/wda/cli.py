@@ -36,7 +36,7 @@ from .evaluation import (
 )
 from .ioutil import load_matrix_csv, save_matrix_csv, write_json
 from .objective import WdaConfig, adaptive_lambdas, pair_keys
-from .otcore import cost_matrix, plan_to_csv, sinkhorn_plan
+from .otcore import cost_matrix, sinkhorn_plan
 from .stiefel import pca_init, wda_fit
 
 
@@ -51,7 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, with_wda=True):
         p.add_argument("--config", help="JSON config file; explicit flags win")
-        p.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
         p.add_argument("--out", default=None, help="output directory")
         if with_wda:
             p.add_argument(
@@ -77,6 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a toy dataset CSV (+ metadata sidecar)")
     add_common(p, with_wda=False)
+    p.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
     p.add_argument("--n-per-class", type=int, default=None, help="samples per class (default 34)")
     p.add_argument(
         "--extra-noise-dims", type=int, default=None,
@@ -101,6 +101,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run a grid experiment protocol")
     add_common(p)
+    p.add_argument(
+        "--seed", type=int, default=None,
+        help="first seed; cells run seeds seed .. seed + n_seeds - 1 (default 0)",
+    )
     p.add_argument("--n-seeds", type=int, default=None, help="seeds per cell (default 2)")
 
     p = sub.add_parser(
@@ -148,7 +152,6 @@ def _wda_config(args, file_cfg: dict) -> WdaConfig:
         dim=_opt(args, file_cfg, "dim", "dim", 2),
         max_outer_iter=_opt(args, file_cfg, "max_iter", "max_iter", 100),
         outer_tol=_opt(args, file_cfg, "tol", "tol", 1e-6),
-        seed=_opt(args, file_cfg, "seed", "seed", 0),
     )
 
 
@@ -299,9 +302,9 @@ def _cmd_dump_transport(args, file_cfg) -> int:
         Yc = projected[c]
         Ycp = Yc if cp == c else projected[cp]
         M = cost_matrix(Yc, Ycp)
-        plan, trace = sinkhorn_plan(M, lam_map[(c, cp)], cfg.sinkhorn_iters, cfg.feasibility_tol)
+        plan, trace = sinkhorn_plan(M, lam_map[(c, cp)], cfg.sinkhorn_iters)
         filename = f"plan_c{c}_c{cp}.csv"
-        plan_to_csv(plan, os.path.join(out, filename))
+        save_matrix_csv(plan.weights, os.path.join(out, filename))
         index["pairs"].append(
             {
                 "source_class": c,
@@ -347,7 +350,7 @@ def main(argv=None) -> int:
                 "ps": file_cfg.get("ps", [args.wda_config.dim]),
                 "lams": file_cfg.get("lambdas", [args.wda_config.lam]),
                 "n_seeds": int(_opt(args, file_cfg, "n_seeds", "n_seeds", 2)),
-                "base_seed": args.wda_config.seed,
+                "base_seed": int(_opt(args, file_cfg, "seed", "seed", 0)),
             }
     except InvalidInputError as exc:
         print(f"config error: {exc}", file=sys.stderr)

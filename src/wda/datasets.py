@@ -22,7 +22,7 @@ from .ioutil import FLOAT_FMT, atomic_write_text
 
 RNG_ALGORITHM = "numpy-pcg64"
 
-# toy generator defaults: mode circle radius, per-mode isotropic sigma,
+# toy generator settings: mode circle radius, per-mode isotropic sigma,
 # noise-dimension sigma, number of noise dimensions. Radius and mode sigma
 # are calibrated so the signal-plane variance matches the noise variance:
 # unsupervised variance ranking then carries no information about the plane,
@@ -99,41 +99,33 @@ class LabeledDataset:
         return [self.samples[self.labels == c].T.copy() for c in range(self.n_classes)]
 
 
-def gen_toy(
-    n_per_class: int,
-    seed: int,
-    radius: float = TOY_RADIUS,
-    mode_sigma: float = TOY_MODE_SIGMA,
-    noise_sigma: float = TOY_NOISE_SIGMA,
-    noise_dims: int = TOY_NOISE_DIMS,
-) -> LabeledDataset:
+def gen_toy(n_per_class: int, seed: int) -> LabeledDataset:
     """Three-class toy problem with a planted 2-d discriminative plane.
 
     Class c has two modes at angles 2*pi*c/3 and 2*pi*c/3 + pi on a circle of
-    the given radius in dimensions 0-1 (each mode isotropic Gaussian with
-    ``mode_sigma``); the remaining ``noise_dims`` dimensions are independent
-    Gaussian noise with ``noise_sigma``. Deterministic given the seed.
+    radius ``TOY_RADIUS`` in dimensions 0-1 (each mode isotropic Gaussian with
+    standard deviation ``TOY_MODE_SIGMA``); the remaining ``TOY_NOISE_DIMS``
+    dimensions are independent Gaussian noise with ``TOY_NOISE_SIGMA``.
+    Deterministic given the seed. Use :func:`append_noise` for wider data.
     """
     if n_per_class < 2:
         raise InvalidInputError(f"n_per_class must be >= 2, got {n_per_class}")
-    if noise_dims < 0:
-        raise InvalidInputError(f"noise_dims must be >= 0, got {noise_dims}")
     rng = np.random.default_rng(seed)
     blocks = []
     labels = []
     for c in range(TOY_CLASSES):
         angle = 2.0 * np.pi * c / TOY_CLASSES
-        centers = radius * np.array(
+        centers = TOY_RADIUS * np.array(
             [[np.cos(angle), np.sin(angle)],
              [np.cos(angle + np.pi), np.sin(angle + np.pi)]]
         )
         n_first = n_per_class - n_per_class // 2
         mode_of = np.repeat([0, 1], [n_first, n_per_class // 2])
-        signal = centers[mode_of] + mode_sigma * rng.standard_normal((n_per_class, 2))
-        noise = noise_sigma * rng.standard_normal((n_per_class, noise_dims))
+        signal = centers[mode_of] + TOY_MODE_SIGMA * rng.standard_normal((n_per_class, 2))
+        noise = TOY_NOISE_SIGMA * rng.standard_normal((n_per_class, TOY_NOISE_DIMS))
         blocks.append(np.hstack([signal, noise]))
         labels.append(np.full(n_per_class, c, dtype=int))
-    names = tuple(f"f{j}" for j in range(2 + noise_dims))
+    names = tuple(f"f{j}" for j in range(2 + TOY_NOISE_DIMS))
     return LabeledDataset(np.vstack(blocks), np.concatenate(labels), names)
 
 

@@ -47,8 +47,14 @@ def save_matrix_csv(matrix: np.ndarray, path: str) -> None:
 
 
 def load_matrix_csv(path: str) -> np.ndarray:
-    """Load a dense CSV table written by :func:`save_matrix_csv`."""
+    """Load a dense CSV table written by :func:`save_matrix_csv`.
+
+    Raises :class:`ParseError` naming the path and line on malformed input,
+    and the line and column of the first non-finite cell ("nan", "inf", or
+    one that overflows).
+    """
     rows = []
+    linenos = []
     width = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -59,11 +65,22 @@ def load_matrix_csv(path: str) -> np.ndarray:
             if width is None:
                 width = len(cells)
             elif len(cells) != width:
-                raise ParseError(f"line {lineno}: expected {width} columns, got {len(cells)}")
+                raise ParseError(
+                    f"{path}: line {lineno}: expected {width} columns, got {len(cells)}"
+                )
             try:
                 rows.append([float(c) for c in cells])
             except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
+                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+            linenos.append(lineno)
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=float)
+    matrix = np.asarray(rows, dtype=float)
+    bad = np.argwhere(~np.isfinite(matrix))
+    if bad.size:
+        r, j = bad[0]
+        raise ParseError(
+            f"{path}: line {linenos[r]}, column {j + 1}: "
+            f"not a finite number: {float(matrix[r, j])}"
+        )
+    return matrix

@@ -54,11 +54,13 @@ PairKey = tuple[int, int]
 
 @dataclass
 class WdaConfig:
-    """Hyperparameters for the fit: regularization, iteration budgets, tolerances.
+    """The five settings of a fit.
 
     ``lam`` is the base regularization strength; per-pair values are derived
     from it a priori (see :func:`adaptive_lambdas`). ``sinkhorn_iters`` is the
-    fixed inner iteration count L whose map gets differentiated.
+    fixed inner iteration count L whose map gets differentiated. ``dim`` is
+    the target dimension p; ``max_outer_iter`` and ``outer_tol`` bound the
+    outer ascent (see :func:`~wda.stiefel.wda_fit`).
     """
 
     lam: float = 0.01
@@ -66,12 +68,6 @@ class WdaConfig:
     dim: int = 2
     max_outer_iter: int = 100
     outer_tol: float = 1e-6
-    step_init: float = 1.0
-    step_shrink: float = 0.5
-    step_c1: float = 1e-4
-    max_backtracks: int = 30
-    feasibility_tol: float = 1e-9
-    seed: int = 0
 
     def __post_init__(self):
         if not self.lam > 0:
@@ -88,22 +84,6 @@ class WdaConfig:
             )
         if self.outer_tol < 0:
             raise InvalidInputError(f"outer_tol must be >= 0, got {self.outer_tol}")
-        if not 0 < self.step_shrink < 1:
-            raise InvalidInputError(
-                f"step_shrink must lie in (0, 1), got {self.step_shrink}"
-            )
-        if not 0 < self.step_c1 < 1:
-            raise InvalidInputError(f"step_c1 must lie in (0, 1), got {self.step_c1}")
-        if not self.step_init > 0:
-            raise InvalidInputError(f"step_init must be positive, got {self.step_init}")
-        if self.max_backtracks < 0:
-            raise InvalidInputError(
-                f"max_backtracks must be >= 0, got {self.max_backtracks}"
-            )
-        if not self.feasibility_tol > 0:
-            raise InvalidInputError(
-                f"feasibility_tol must be positive, got {self.feasibility_tol}"
-            )
 
 
 def _check_classes(classes) -> list[np.ndarray]:
@@ -201,11 +181,16 @@ class ObjectiveState:
     be assembled without re-solving the inner problems. ``batches`` maps the
     pairs of each plan shape, in pair order, to their stacked Sinkhorn runs;
     ``traces`` and ``costs`` entries are views of those stacks.
+    ``projection`` and ``classes`` are the P and the validated class blocks
+    the state was evaluated at, held by reference: modifying them in place
+    afterwards invalidates the state.
     """
 
     value: float
     sigma_b2: float
     sigma_w2: float
+    projection: np.ndarray = field(repr=False)
+    classes: list[np.ndarray] = field(repr=False)
     traces: dict[PairKey, SinkhornTrace] = field(repr=False)
     costs: dict[PairKey, np.ndarray] = field(repr=False)
     batches: dict[tuple[PairKey, ...], SinkhornBatch] = field(repr=False)
@@ -294,7 +279,7 @@ def evaluate(
 
     batches, traces, distances = {}, {}, {}
     for keys, lams, M, K in stacks:
-        batch = sinkhorn_batch(K, lams, cfg.sinkhorn_iters, cfg.feasibility_tol)
+        batch = sinkhorn_batch(K, lams, cfg.sinkhorn_iters)
         km_v = np.einsum("bnm,bnm,bm->bn", K, M, batch.v_history[:, -1])
         distances.update(zip(keys, (batch.u_history[:, -1] * km_v).sum(axis=1).tolist()))
         traces.update(zip(keys, batch.traces))
@@ -313,6 +298,8 @@ def evaluate(
         value=sigma_b2 / sigma_w2,
         sigma_b2=sigma_b2,
         sigma_w2=sigma_w2,
+        projection=P,
+        classes=blocks,
         traces={key: traces[key] for key in keys_in_order},
         costs={key: costs[key] for key in keys_in_order},
         batches=batches,
@@ -321,14 +308,8 @@ def evaluate(
     )
 
 
-def gradient(
-    P: np.ndarray,
-    classes,
-    cfg: WdaConfig,
-    lambdas: dict[PairKey, float] | None = None,
-    state: ObjectiveState | None = None,
-) -> np.ndarray:
-    """Full ambient gradient dJ/dP, a (p, d) array.
+def gradient(state: ObjectiveState) -> np.ndarray:
+    """Full ambient gradient dJ/dP at the projection of one :func:`evaluate`.
 
     J weighs each pair's cost cotangent G = d<T(M), M>/dM (one reverse pass,
     :func:`~wda.otcore.transport_cost_cotangent`) with coef = +1/sigma_w^2
@@ -339,16 +320,13 @@ def gradient(
         Z_c  += coef * (Y_c diag(G 1) - Y_c' G^T),
         Z_c' += coef * (Y_c' diag(G^T 1) - Y_c G),
 
-    and dJ/dP = 2 sum_c Z_c X_c^T. Pass ``state`` to reuse an evaluation at
-    the same (P, lambdas). Raises NumericalRangeError, naming the pair and
-    its lambda, when a pair's term is not finite. The reverse recursion runs
-    once per batch of ``state``; each (n, m) G is formed in place, in pair
-    order.
+    and dJ/dP = 2 sum_c Z_c X_c^T, a (p, d) array. P, the class blocks and
+    the per-pair lambdas are those of ``state``, so the gradient is
+    ``gradient(evaluate(P, classes, cfg, lambdas))``. Raises
+    NumericalRangeError, naming the pair and its lambda, when a pair's term
+    is not finite. The reverse recursion runs once per batch of ``state``;
+    each (n, m) G is formed in place, in pair order.
     """
-    P = np.asarray(P, dtype=float)
-    blocks = _check_classes(classes)
-    if state is None:
-        state = evaluate(P, blocks, cfg, lambdas)
     sb2, sw2 = state.sigma_b2, state.sigma_w2
 
     bars = {}
@@ -357,7 +335,7 @@ def gradient(
             r_bars, s_bars = sinkhorn_batch_reverse(batch, (state.costs[key] for key in keys))
             bars.update((key, (r_bars[b], s_bars[b])) for b, key in enumerate(keys))
 
-    projected = [P @ X for X in blocks]
+    projected = [state.projection @ X for X in state.classes]
     Z = [np.zeros_like(Y) for Y in projected]
     for (c, cp), trace in state.traces.items():
         with np.errstate(over="ignore", invalid="ignore"):
@@ -374,4 +352,4 @@ def gradient(
         Yc, Ycp = projected[c], projected[cp]
         Z[c] += coef * (Yc * row - Ycp @ G.T)
         Z[cp] += coef * (Ycp * col - Yc @ G)
-    return 2.0 * sum(Zc @ X.T for Zc, X in zip(Z, blocks))
+    return 2.0 * sum(Zc @ X.T for Zc, X in zip(Z, state.classes))

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NumericalRangeError
-from .ioutil import save_matrix_csv
 
 # denominator clamp for the scaling updates; keeps u, v finite when the
 # kernel has extremely small entries
@@ -348,8 +347,3 @@ def regularized_distance(plan: TransportPlan | np.ndarray, M: np.ndarray) -> flo
     if T.shape != M.shape:
         raise InvalidInputError(f"plan shape {T.shape} does not match cost shape {M.shape}")
     return float(np.sum(T * M))
-
-
-def plan_to_csv(plan: TransportPlan, path: str) -> None:
-    """Dump the coupling weights as a dense row-major CSV table."""
-    save_matrix_csv(plan.weights, path)

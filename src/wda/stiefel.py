@@ -5,6 +5,11 @@ objective, project each trial point back onto the manifold via the polar
 factor, and stop on relative objective stagnation. The search direction is
 D = proj(P + G) - P, the classic projected-gradient direction, which reduces
 to the tangential gradient for small steps.
+
+The linesearch is fixed: each outer iteration tries the steps
+_STEP_INIT * _STEP_SHRINK**k for k = 0 .. _MAX_BACKTRACKS and accepts the
+first one whose objective gain is at least _STEP_C1 * step * <G, D>
+(the Armijo condition). If none is accepted, the fit stops as "stalled".
 """
 
 from __future__ import annotations
@@ -17,6 +22,11 @@ import numpy as np
 from .datasets import LabeledDataset, require_finite
 from .errors import DegenerateInputError, InvalidInputError
 from .objective import WdaConfig, adaptive_lambdas, evaluate, gradient
+
+_STEP_INIT = 1.0
+_STEP_SHRINK = 0.5
+_STEP_C1 = 1e-4
+_MAX_BACKTRACKS = 30
 
 
 def project_stiefel(A: np.ndarray) -> np.ndarray:
@@ -150,7 +160,7 @@ def wda_fit(
 
     for it in range(1, cfg.max_outer_iter + 1):
         t0 = time.perf_counter()
-        G = gradient(P, blocks, cfg, lambdas, state=state)
+        G = gradient(state)
         report.gradient_norms.append(float(np.linalg.norm(G)))
         D = project_stiefel(P + G) - P
         slope = float(np.sum(G * D))
@@ -159,15 +169,15 @@ def wda_fit(
             report.iteration_seconds.append(time.perf_counter() - t0)
             break
 
-        alpha = cfg.step_init
+        alpha = _STEP_INIT
         accepted = None
-        for _ in range(cfg.max_backtracks + 1):
+        for _ in range(_MAX_BACKTRACKS + 1):
             P_try = project_stiefel(P + alpha * D)
             s_try = evaluate(P_try, blocks, cfg, lambdas)
-            if s_try.value >= state.value + cfg.step_c1 * alpha * slope:
+            if s_try.value >= state.value + _STEP_C1 * alpha * slope:
                 accepted = (P_try, s_try)
                 break
-            alpha *= cfg.step_shrink
+            alpha *= _STEP_SHRINK
         report.iteration_seconds.append(time.perf_counter() - t0)
         if accepted is None:
             report.termination = "stalled"

@@ -150,7 +150,7 @@ def reference_objective(P, classes, cfg, lambdas):
             M = 0.5 * (M + M.T)
             np.fill_diagonal(M, 0.0)
         _, trace = reference_sinkhorn(
-            M, lambdas[(c, cp)], cfg.sinkhorn_iters, cfg.feasibility_tol
+            M, lambdas[(c, cp)], cfg.sinkhorn_iters, 1e-9
         )
         u, v = trace.u_history[-1], trace.v_history[-1]
         distance = float((u * np.einsum("nm,nm,m->n", trace.kernel, M, v)).sum())

@@ -83,7 +83,7 @@ def test_criterion_2_gradient_correctness():
         def J(Pmat, classes=classes, cfg=cfg, lam_map=lam_map):
             return evaluate(Pmat, classes, cfg, lam_map).value
 
-        G = gradient(P, classes, cfg, lam_map)
+        G = gradient(evaluate(P, classes, cfg, lam_map))
         fd = fd_gradient(J, P, h=1e-5)
         worst = max(worst, float(np.abs(G - fd).max() / np.abs(fd).max()))
     elapsed = time.perf_counter() - start

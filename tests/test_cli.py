@@ -145,6 +145,24 @@ def test_transform_dimension_mismatch_exits_1(tmp_path, toy_csv, capsys):
     assert "dimension" in capsys.readouterr().err
 
 
+def test_non_finite_projection_file_is_refused_by_name(tmp_path, toy_csv, capsys):
+    P = np.eye(10)[:2]
+    P[1, 3] = np.nan
+    ppath = tmp_path / "p.csv"
+    np.savetxt(ppath, P, delimiter=",")
+    commands = [
+        ["transform", "--projection", str(ppath), "--data", toy_csv],
+        ["evaluate", "--projection", str(ppath), "--train", toy_csv, "--test", toy_csv],
+        ["dump-transport", "--projection", str(ppath), "--data", toy_csv],
+    ]
+    for argv in commands:
+        out = tmp_path / argv[0]
+        assert main(argv + ["--out", str(out)]) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert f"{ppath}: line 2, column 4: not a finite number: nan" in err, argv[0]
+        assert not out.exists() or not any(out.iterdir()), argv[0]
+
+
 def test_evaluate_prints_error_and_writes_json(tmp_path, toy_csv, capsys):
     test_path = tmp_path / "test.csv"
     save_csv(gen_toy(8, seed=99), str(test_path))
@@ -277,6 +295,40 @@ def test_sweep_records_non_finite_gradient_as_failure(tmp_path):
     assert "not finite" in summary["failures"][0]["error"]
     cells = {cell["method"]: cell["mean_error"] for cell in summary["cells"]}
     assert np.isnan(cells["wda"]) and np.isfinite(cells["pca"])
+
+
+def test_sweep_seed_flag_overrides_config_seed(tmp_path, toy_csv):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({
+        "data": {"type": "csv", "path": toy_csv, "train_fraction": 0.5},
+        "methods": ["identity"],
+        "ks": [1],
+        "seed": 3,
+    }))
+    seeds = {}
+    for name, flags in (("file", []), ("flag", ["--seed", "7"])):
+        out = tmp_path / name
+        assert main(["sweep", "--config", str(config), "--out", str(out), *flags]) == 0
+        seeds[name] = json.loads((out / "summary.json").read_text())["seeds"]
+    assert seeds == {"file": [3, 4], "flag": [7, 8]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--train", "t.csv"],
+        ["transform", "--projection", "p.csv", "--data", "d.csv"],
+        ["evaluate", "--projection", "p.csv", "--train", "t.csv", "--test", "t.csv"],
+        ["dump-transport", "--data", "d.csv"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_seed_flag_only_on_commands_that_use_it(argv, capsys):
+    # --seed would be a silent no-op here; argparse refuses it
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--seed", "1"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_sweep_unknown_data_type_exits_2(tmp_path, capsys):

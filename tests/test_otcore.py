@@ -8,13 +8,12 @@ from wda import (
     InvalidInputError,
     NumericalRangeError,
     cost_matrix,
-    plan_to_csv,
     regularized_distance,
     sinkhorn_plan,
     sinkhorn_vjp,
     symmetric_scaling,
 )
-from wda.ioutil import load_matrix_csv
+from wda.ioutil import load_matrix_csv, save_matrix_csv
 
 
 def test_cost_matrix_two_points_1d():
@@ -289,6 +288,6 @@ def test_plan_csv_roundtrip(tmp_path):
     M = np.array([[0.0, 1.0], [1.0, 0.0]])
     plan, _ = sinkhorn_plan(M, 1.0, 100)
     path = tmp_path / "plan.csv"
-    plan_to_csv(plan, str(path))
+    save_matrix_csv(plan.weights, str(path))
     loaded = load_matrix_csv(str(path))
     assert np.array_equal(loaded, plan.weights)
