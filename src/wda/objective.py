@@ -30,6 +30,8 @@ pair's numbers are those of a plain per-pair loop, bit for bit.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,8 +72,14 @@ class WdaConfig:
     outer_tol: float = 1e-6
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise InvalidInputError(f"lambda must be positive, got {self.lam}")
+        if not 0 < self.lam < math.inf:
+            raise InvalidInputError(
+                f"lambda must be positive and finite, got {self.lam}"
+            )
+        for name in ("sinkhorn_iters", "dim", "max_outer_iter"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
         if self.sinkhorn_iters < 1:
             raise InvalidInputError(
                 f"sinkhorn_iters must be >= 1, got {self.sinkhorn_iters}"
@@ -82,8 +90,10 @@ class WdaConfig:
             raise InvalidInputError(
                 f"max_outer_iter must be >= 1, got {self.max_outer_iter}"
             )
-        if self.outer_tol < 0:
-            raise InvalidInputError(f"outer_tol must be >= 0, got {self.outer_tol}")
+        if not 0 <= self.outer_tol < math.inf:
+            raise InvalidInputError(
+                f"outer_tol must be >= 0 and finite, got {self.outer_tol}"
+            )
 
 
 def _check_classes(classes) -> list[np.ndarray]:

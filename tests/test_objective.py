@@ -449,6 +449,11 @@ def test_missing_pair_lambda_rejected():
         {"sinkhorn_iters": 0},
         {"dim": 0},
         {"max_outer_iter": 0},
+        {"lam": float("nan")},
+        {"lam": float("inf")},
+        {"sinkhorn_iters": 2.5},
+        {"dim": 1.5},
+        {"outer_tol": float("nan")},
         {"outer_tol": -1e-9},
     ],
 )
