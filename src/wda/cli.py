@@ -2,9 +2,11 @@
 dump-transport.
 
 Options can come from a JSON config file (--config) and are overridden by
-explicit flags. Validation failures of the configuration exit with code 2;
-runtime errors from the library exit with code 1; diagnostics go to standard
-error. All outputs are written atomically.
+explicit flags. A config file key the command does not read is refused, as
+is a sweep data spec key its type does not read. Validation failures of the
+configuration exit with code 2; runtime errors from the library exit with
+code 1; diagnostics go to standard error. All outputs are written
+atomically.
 """
 
 from __future__ import annotations
@@ -123,7 +125,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_file_config(path: str | None) -> dict:
+def _check_keys(payload: dict, known, where: str) -> None:
+    unknown = sorted(set(payload) - set(known))
+    if unknown:
+        raise InvalidInputError(
+            f"{where} has unknown key(s) {', '.join(map(repr, unknown))}; "
+            f"known: {', '.join(sorted(known))}"
+        )
+
+
+def _load_file_config(path: str | None, command: str, known) -> dict:
     if not path:
         return {}
     try:
@@ -135,6 +146,7 @@ def _load_file_config(path: str | None) -> dict:
         raise InvalidInputError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise InvalidInputError("config file must contain a JSON object")
+    _check_keys(payload, known, f"config file for 'wda {command}'")
     return payload
 
 
@@ -229,23 +241,32 @@ def _cmd_evaluate(args, file_cfg) -> int:
     return 0
 
 
+_DATA_KEYS = {
+    "toy": ("type", "n_train_per_class", "n_test_per_class", "extra_noise_dims"),
+    "csv": ("type", "path", "train_fraction", "extra_noise_dims"),
+}
+
+
 def _data_spec_from_config(payload: dict):
+    if not isinstance(payload, dict):
+        raise InvalidInputError("sweep 'data' must be a JSON object")
     kind = payload.get("type", "toy")
+    if kind not in _DATA_KEYS:
+        raise InvalidInputError(f"unknown data spec type {kind!r}")
+    _check_keys(payload, _DATA_KEYS[kind], f"{kind} data spec")
     if kind == "toy":
         return ToyDataSpec(
             n_train_per_class=int(payload.get("n_train_per_class", 34)),
             n_test_per_class=int(payload.get("n_test_per_class", 334)),
             extra_noise_dims=int(payload.get("extra_noise_dims", 0)),
         )
-    if kind == "csv":
-        if "path" not in payload:
-            raise InvalidInputError("csv data spec needs a 'path'")
-        return CsvDataSpec(
-            path=payload["path"],
-            train_fraction=float(payload.get("train_fraction", 0.5)),
-            extra_noise_dims=int(payload.get("extra_noise_dims", 0)),
-        )
-    raise InvalidInputError(f"unknown data spec type {kind!r}")
+    if "path" not in payload:
+        raise InvalidInputError("csv data spec needs a 'path'")
+    return CsvDataSpec(
+        path=payload["path"],
+        train_fraction=float(payload.get("train_fraction", 0.5)),
+        extra_noise_dims=int(payload.get("extra_noise_dims", 0)),
+    )
 
 
 def _cmd_sweep(args, file_cfg) -> int:
@@ -322,36 +343,55 @@ def _cmd_dump_transport(args, file_cfg) -> int:
     return 0
 
 
+_WDA_KEYS = ("lambda", "sinkhorn_iters", "dim", "max_iter", "tol")
+
+# handler, whether it builds a WdaConfig (and so reads _WDA_KEYS), and the
+# other config file keys it reads
 _COMMANDS = {
-    "generate": (_cmd_generate, False),
-    "fit": (_cmd_fit, True),
-    "transform": (_cmd_transform, False),
-    "evaluate": (_cmd_evaluate, False),
-    "sweep": (_cmd_sweep, True),
-    "dump-transport": (_cmd_dump_transport, True),
+    "generate": (_cmd_generate, False, ("out", "seed", "n_per_class", "extra_noise_dims")),
+    "fit": (_cmd_fit, True, ("out",)),
+    "transform": (_cmd_transform, False, ("out",)),
+    "evaluate": (_cmd_evaluate, False, ("out", "k")),
+    "sweep": (
+        _cmd_sweep, True,
+        ("out", "seed", "n_seeds", "data", "methods", "ks", "ps", "lambdas"),
+    ),
+    "dump-transport": (_cmd_dump_transport, True, ("out",)),
 }
+
+
+def _configure(args) -> dict:
+    """Merge the config file into ``args``; returns the file's settings.
+
+    Raises InvalidInputError for an unreadable file, an unknown key or an
+    invalid setting.
+    """
+    _, needs_wda, keys = _COMMANDS[args.command]
+    known = keys + _WDA_KEYS if needs_wda else keys
+    file_cfg = _load_file_config(getattr(args, "config", None), args.command, known)
+    if needs_wda:
+        args.wda_config = _wda_config(args, file_cfg)
+    if args.command == "sweep":
+        args.sweep_spec = {
+            "data": _data_spec_from_config(file_cfg.get("data", {})),
+            "methods": file_cfg.get("methods", ["wda", "pca"]),
+            "ks": file_cfg.get("ks", [5]),
+            "ps": file_cfg.get("ps", [args.wda_config.dim]),
+            "lams": file_cfg.get("lambdas", [args.wda_config.lam]),
+            "n_seeds": int(_opt(args, file_cfg, "n_seeds", "n_seeds", 2)),
+            "base_seed": int(_opt(args, file_cfg, "seed", "seed", 0)),
+        }
+    return file_cfg
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handler, needs_wda = _COMMANDS[args.command]
+    handler = _COMMANDS[args.command][0]
 
     # configuration phase: merge file + flags, validate -> exit code 2
     try:
-        file_cfg = _load_file_config(getattr(args, "config", None))
-        if needs_wda:
-            args.wda_config = _wda_config(args, file_cfg)
-        if args.command == "sweep":
-            args.sweep_spec = {
-                "data": _data_spec_from_config(file_cfg.get("data", {})),
-                "methods": file_cfg.get("methods", ["wda", "pca"]),
-                "ks": file_cfg.get("ks", [5]),
-                "ps": file_cfg.get("ps", [args.wda_config.dim]),
-                "lams": file_cfg.get("lambdas", [args.wda_config.lam]),
-                "n_seeds": int(_opt(args, file_cfg, "n_seeds", "n_seeds", 2)),
-                "base_seed": int(_opt(args, file_cfg, "seed", "seed", 0)),
-            }
+        file_cfg = _configure(args)
     except InvalidInputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

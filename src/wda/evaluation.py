@@ -278,6 +278,46 @@ class ExperimentResult:
         }
 
 
+def _run_cell(method, train, test, p, lam, ks, wda_config):
+    """Fit one (method, p, lambda) cell and vote every k in its space.
+
+    Returns the test error per k (NaN where it failed) and the failures as
+    (k, exception) pairs in the order they occurred; k is None for a failed
+    fit, which fails every k.
+    """
+    row = np.full(len(ks), np.nan)
+    failed = []
+    try:
+        projection = _fit_projection(method, train, p, lam, wda_config)
+    except WdaError as exc:
+        return row, [(None, exc)]
+    if projection is None:
+        train_Z, test_Z = train.samples, test.samples
+    else:
+        train_Z = train.samples @ projection.T
+        test_Z = test.samples @ projection.T
+    try:
+        train_Z, labels, test_Z = _knn_inputs(train_Z, train.labels, test_Z)
+    except WdaError as exc:
+        return row, [(k, exc) for k in ks]
+    valid = []
+    for ki, k in enumerate(ks):
+        try:
+            _check_k(k, train_Z.shape[0])
+            valid.append(ki)
+        except InvalidInputError as exc:
+            failed.append((k, exc))
+    if not valid:
+        return row, failed
+    try:
+        preds = _knn_vote(train_Z, labels, test_Z, [ks[ki] for ki in valid])
+    except WdaError as exc:
+        return row, failed + [(ks[ki], exc) for ki in valid]
+    for ki, pred in zip(valid, preds):
+        row[ki] = error_rate(pred, test.labels)
+    return row, failed
+
+
 def run_protocol(
     data_spec,
     methods,
@@ -292,9 +332,12 @@ def run_protocol(
 
     Per seed the data is regenerated (or re-split), each method is fit per
     (p, lambda) cell, and every k reuses that fit and the cell's test-train
-    distances. Cells whose fit or prediction raises a package error are
-    recorded in ``failures`` and left NaN (an invalid k fails only its own
-    column); unexpected exceptions propagate.
+    distances. Only wda reads lambda: pca, fda and identity are fit and voted
+    once per (seed, p), and their errors and failures are repeated for every
+    lambda, in the order a fit per lambda would record them. Cells whose fit
+    or prediction raises a package error are recorded in ``failures`` and
+    left NaN (an invalid k fails only its own column); unexpected exceptions
+    propagate.
     """
     methods = list(methods)
     ks = [int(k) for k in ks]
@@ -310,56 +353,21 @@ def run_protocol(
     errors = np.full((len(methods), len(seeds), len(ps), len(lams), len(ks)), np.nan)
     failures: list[dict] = []
 
-    def record_failure(method, seed, p, lam, k, exc):
-        failures.append(
-            {
-                "method": method,
-                "seed": seed,
-                "p": p,
-                "lambda": lam,
-                "k": k,
-                "error": str(exc),
-            }
-        )
-
     for si, seed in enumerate(seeds):
         train, test = _make_data(data_spec, seed)
         for mi, method in enumerate(methods):
             for pi, p in enumerate(ps):
+                cell = None
                 for li, lam in enumerate(lams):
-                    try:
-                        projection = _fit_projection(method, train, p, lam, wda_config)
-                    except WdaError as exc:
-                        record_failure(method, seed, p, lam, None, exc)
-                        continue
-                    if projection is None:
-                        train_Z, test_Z = train.samples, test.samples
-                    else:
-                        train_Z = train.samples @ projection.T
-                        test_Z = test.samples @ projection.T
-                    try:
-                        train_Z, labels, test_Z = _knn_inputs(train_Z, train.labels, test_Z)
-                    except WdaError as exc:
-                        for k in ks:
-                            record_failure(method, seed, p, lam, k, exc)
-                        continue
-                    valid = []
-                    for ki, k in enumerate(ks):
-                        try:
-                            _check_k(k, train_Z.shape[0])
-                            valid.append(ki)
-                        except InvalidInputError as exc:
-                            record_failure(method, seed, p, lam, k, exc)
-                    if not valid:
-                        continue
-                    try:
-                        preds = _knn_vote(train_Z, labels, test_Z, [ks[ki] for ki in valid])
-                    except WdaError as exc:
-                        for ki in valid:
-                            record_failure(method, seed, p, lam, ks[ki], exc)
-                        continue
-                    for ki, pred in zip(valid, preds):
-                        errors[mi, si, pi, li, ki] = error_rate(pred, test.labels)
+                    # only wda reads lambda: the other methods fit once per p
+                    if cell is None or method == "wda":
+                        cell = _run_cell(method, train, test, p, lam, ks, wda_config)
+                    errors[mi, si, pi, li] = cell[0]
+                    failures.extend(
+                        {"method": method, "seed": seed, "p": p, "lambda": lam,
+                         "k": k, "error": str(exc)}
+                        for k, exc in cell[1]
+                    )
     return ExperimentResult(methods, seeds, ps, lams, ks, errors, failures)
 
 

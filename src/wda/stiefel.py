@@ -7,9 +7,15 @@ D = proj(P + G) - P, the classic projected-gradient direction, which reduces
 to the tangential gradient for small steps.
 
 The linesearch is fixed: each outer iteration tries the steps
-_STEP_INIT * _STEP_SHRINK**k for k = 0 .. _MAX_BACKTRACKS and accepts the
-first one whose objective gain is at least _STEP_C1 * step * <G, D>
-(the Armijo condition). If none is accepted, the fit stops as "stalled".
+a0 * _STEP_SHRINK**k for k = 0 .. _MAX_BACKTRACKS and accepts the first one
+whose objective gain is at least _STEP_C1 * step * <G, D> (the Armijo
+condition). If none is accepted, the fit stops as "stalled". The first
+iteration starts at a0 = _STEP_INIT; every later one starts from the last
+accepted step, grown once: a0 = min(_STEP_INIT, previous / _STEP_SHRINK)
+(Nocedal & Wright, Numerical Optimization, 3.5). Once the accepted steps
+settle far below _STEP_INIT, an iteration no longer evaluates and discards
+every larger step first; while they stay at 1/2 or above, the trials are
+those of a fixed start at _STEP_INIT.
 """
 
 from __future__ import annotations
@@ -83,11 +89,20 @@ def riemannian_gradient(P: np.ndarray, G: np.ndarray) -> np.ndarray:
 
 @dataclass
 class FitReport:
-    """Trajectory of one fit: objective values, steps, norms, timing, stop reason."""
+    """Trajectory of one fit: objective values, steps, norms, timing, stop reason.
+
+    ``gradient_norms``, ``evaluations`` and ``iteration_seconds`` hold one
+    entry per outer iteration run, the stopping one included:
+    ``gradient_norms`` the Frobenius norm of the Riemannian gradient at the
+    iterate, ``evaluations`` the objective evaluations of the linesearch (0
+    for a "stationary" iteration, which tries no step). ``step_sizes`` and
+    ``objective_values[1:]`` hold one entry per accepted step.
+    """
 
     objective_values: list[float] = field(default_factory=list)
     step_sizes: list[float] = field(default_factory=list)
     gradient_norms: list[float] = field(default_factory=list)
+    evaluations: list[int] = field(default_factory=list)
     iteration_seconds: list[float] = field(default_factory=list)
     termination: str = "max_iterations"
     n_iterations: int = 0
@@ -100,6 +115,7 @@ class FitReport:
             "objective_values": self.objective_values,
             "step_sizes": self.step_sizes,
             "gradient_norms": self.gradient_norms,
+            "evaluations": self.evaluations,
             "iteration_seconds": self.iteration_seconds,
             "termination": self.termination,
             "n_iterations": self.n_iterations,
@@ -157,27 +173,30 @@ def wda_fit(
     state = evaluate(P, blocks, cfg, lambdas)
     report.objective_values.append(state.value)
     best_value, best_P, best_iter = state.value, P, 0
+    alpha0 = _STEP_INIT
 
     for it in range(1, cfg.max_outer_iter + 1):
         t0 = time.perf_counter()
         G = gradient(state)
-        report.gradient_norms.append(float(np.linalg.norm(G)))
+        report.gradient_norms.append(float(np.linalg.norm(riemannian_gradient(P, G))))
         D = project_stiefel(P + G) - P
         slope = float(np.sum(G * D))
         if np.linalg.norm(D) <= 1e-14 * max(1.0, np.linalg.norm(P)) or slope <= 0.0:
             report.termination = "stationary"
+            report.evaluations.append(0)
             report.iteration_seconds.append(time.perf_counter() - t0)
             break
 
-        alpha = _STEP_INIT
+        alpha = alpha0
         accepted = None
-        for _ in range(_MAX_BACKTRACKS + 1):
+        for trial in range(1, _MAX_BACKTRACKS + 2):
             P_try = project_stiefel(P + alpha * D)
             s_try = evaluate(P_try, blocks, cfg, lambdas)
             if s_try.value >= state.value + _STEP_C1 * alpha * slope:
                 accepted = (P_try, s_try)
                 break
             alpha *= _STEP_SHRINK
+        report.evaluations.append(trial)
         report.iteration_seconds.append(time.perf_counter() - t0)
         if accepted is None:
             report.termination = "stalled"
@@ -187,6 +206,7 @@ def wda_fit(
         P, state = accepted
         report.n_iterations = it
         report.step_sizes.append(alpha)
+        alpha0 = min(_STEP_INIT, alpha / _STEP_SHRINK)
         report.objective_values.append(state.value)
         if state.value > best_value:
             best_value, best_P, best_iter = state.value, P, it

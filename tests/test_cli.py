@@ -1,11 +1,13 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import random_stiefel
 from wda import LabeledDataset, gen_toy, save_csv
-from wda.cli import main
+from wda.cli import _build_parser, _configure, main
 from wda.ioutil import load_matrix_csv
 
 
@@ -44,6 +46,8 @@ def test_fit_writes_projection_and_report(tmp_path, toy_csv):
     report = json.loads((out / "fit_report.json").read_text())
     assert report["termination"] in {"converged", "stationary", "stalled", "max_iterations"}
     assert len(report["objective_values"]) == report["n_iterations"] + 1
+    assert len(report["evaluations"]) == len(report["gradient_norms"])
+    assert all(isinstance(n, int) and n >= 0 for n in report["evaluations"])
 
 
 def test_fit_deterministic_output(tmp_path, toy_csv):
@@ -331,10 +335,103 @@ def test_seed_flag_only_on_commands_that_use_it(argv, capsys):
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
+def _readme_sweep_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+
+
+_BENCHMARK_SWEEP = {
+    # the sweep-grid spec of perfbench/workloads.py, seed included
+    "methods": ["wda", "pca", "fda", "identity"], "ks": [1, 3, 5, 7], "ps": [2],
+    "lambdas": [1.0, 100.0, 1e4], "n_seeds": 2, "lambda": 1.0, "sinkhorn_iters": 10,
+    "dim": 2, "max_iter": 30, "tol": 0.0, "seed": 12345,
+}
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["sweep"], _readme_sweep_config()),
+        (["sweep"], dict(_BENCHMARK_SWEEP, data={
+            "type": "toy", "n_train_per_class": 34, "n_test_per_class": 334})),
+        (["sweep"], dict(_BENCHMARK_SWEEP, data={
+            "type": "toy", "n_train_per_class": 8, "n_test_per_class": 10})),
+        (["fit", "--train", "t.csv"], {"lambda": 1.0, "dim": 3, "max_iter": 5}),
+        (["sweep"], {"data": {"type": "csv", "path": "t.csv", "train_fraction": 0.5},
+                     "methods": ["pca"], "ks": [3], "ps": [2], "lambdas": [0.5],
+                     "n_seeds": 1}),
+        (["sweep"], {"data": {"type": "toy", "n_train_per_class": 34,
+                              "n_test_per_class": 10},
+                     "methods": ["wda", "pca"], "ks": [1], "ps": [2], "lambdas": [300.0],
+                     "n_seeds": 1, "seed": 18, "max_iter": 5}),
+        (["sweep"], {"data": {"type": "csv", "path": "t.csv", "train_fraction": 0.5},
+                     "methods": ["identity"], "ks": [1], "seed": 3}),
+        (["generate"], {"seed": 1, "n_per_class": 4, "extra_noise_dims": 2, "out": "g"}),
+        (["evaluate", "--projection", "p.csv", "--train", "t.csv", "--test", "t.csv"],
+         {"k": 3, "out": "e"}),
+        (["sweep"], {"data": {"type": "csv", "path": "t.csv", "extra_noise_dims": 1}}),
+        (["sweep"], {"data": {"type": "toy", "extra_noise_dims": 1}}),
+    ],
+    ids=["readme-sweep", "benchmark-sweep", "benchmark-sweep-smoke", "test-fit",
+         "test-sweep-csv", "test-sweep-toy", "test-sweep-seed", "generate", "evaluate",
+         "csv-noise", "toy-noise"],
+)
+def test_config_keys_in_use_are_accepted(tmp_path, argv, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    args = _build_parser().parse_args(argv + ["--config", str(path)])
+    file_cfg = _configure(args)
+    assert file_cfg == config
+    if "lambda" in config:
+        assert args.wda_config.lam == config["lambda"]
+
+
+@pytest.mark.parametrize(
+    "argv, config, unknown",
+    [
+        (["fit", "--train", "t.csv"], {"lamda": 1.0}, "'lamda'"),
+        (["fit", "--train", "t.csv"], {"lambda": 1.0, "seed": 3}, "'seed'"),
+        (["generate"], {"lambda": 1.0}, "'lambda'"),
+        (["transform", "--projection", "p.csv", "--data", "d.csv"], {"k": 3}, "'k'"),
+        (["sweep"], {"lambda": 1.0, "method": ["pca"]}, "'method'"),
+    ],
+    ids=["fit-typo", "fit-seed", "generate", "transform", "sweep"],
+)
+def test_config_file_unknown_key_exits_2(tmp_path, capsys, argv, config, unknown):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert unknown in err and f"'wda {argv[0]}'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "data, unknown",
+    [
+        ({"type": "toy", "n_train": 5}, "'n_train'"),
+        ({"n_test": 5}, "'n_test'"),
+        ({"type": "csv", "path": "t.csv", "n_train_per_class": 5}, "'n_train_per_class'"),
+        ({"type": "toy", "path": "t.csv"}, "'path'"),
+    ],
+    ids=["toy", "toy-by-default", "csv", "toy-path"],
+)
+def test_sweep_unknown_data_spec_key_exits_2(tmp_path, capsys, data, unknown):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"data": data, "methods": ["identity"]}))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert unknown in err and f"{data.get('type', 'toy')} data spec" in err
+
+
 def test_sweep_unknown_data_type_exits_2(tmp_path, capsys):
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps({"data": {"type": "bogus"}}))
     assert main(["sweep", "--config", str(config), "--out", str(tmp_path)]) == 2
+    config.write_text(json.dumps({"data": ["toy"]}))
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert "'data' must be a JSON object" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

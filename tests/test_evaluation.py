@@ -261,6 +261,45 @@ def test_run_protocol_fit_failure_recorded():
     assert result.failures and result.failures[0]["p"] == 99
 
 
+def test_run_protocol_fits_lambda_free_methods_once_per_cell(monkeypatch):
+    # pca, fda and identity ignore lambda: one fit per (seed, p), and the
+    # same errors and failures as one single-lambda run per lambda. p = 11
+    # exceeds d = 10, so the pca and fda fits of that cell fail, and
+    # k = 50 exceeds the 15 training rows, so that k fails in every cell
+    from wda import baselines, stiefel
+
+    fits = []
+    for module, name in ((stiefel, "pca_init"), (baselines, "fda_fit")):
+        def counted(data, p, _fit=getattr(module, name), _name=name):
+            fits.append((_name, p))
+            return _fit(data, p)
+        monkeypatch.setattr(module, name, counted)
+    spec = ToyDataSpec(n_train_per_class=5, n_test_per_class=7)
+    methods, ks, ps, lams = ["pca", "fda", "identity"], [1, 50, 3], [2, 11], [1.0, 100.0, 1e4]
+    result = run_protocol(spec, methods, ks=ks, ps=ps, lams=lams, n_seeds=2, base_seed=4)
+    per_seed = [(name, p) for name in ("pca_init", "fda_fit") for p in ps]
+    assert sorted(fits) == sorted(2 * per_seed)
+
+    singles = [run_protocol(spec, methods, ks=ks, ps=ps, lams=[lam], n_seeds=2, base_seed=4)
+               for lam in lams]
+    for li, single in enumerate(singles):
+        np.testing.assert_array_equal(result.errors[:, :, :, li], single.errors[:, :, :, 0])
+    expected = [
+        f
+        for seed in result.seeds
+        for method in methods
+        for p in ps
+        for single in singles
+        for f in single.failures
+        if (f["seed"], f["method"], f["p"]) == (seed, method, p)
+    ]
+    assert result.failures == expected
+    assert {(f["method"], f["p"], f["k"]) for f in expected} == {
+        ("pca", 11, None), ("fda", 11, None), ("identity", 11, 50),
+        ("pca", 2, 50), ("fda", 2, 50), ("identity", 2, 50),
+    }
+
+
 def test_run_protocol_validation():
     spec = ToyDataSpec()
     with pytest.raises(InvalidInputError):

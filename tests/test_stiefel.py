@@ -18,6 +18,8 @@ from wda import (
     riemannian_gradient,
     wda_fit,
 )
+from wda import stiefel
+from wda.objective import adaptive_lambdas, evaluate, gradient
 
 
 def test_project_stiefel_idempotent_on_orthonormal():
@@ -95,6 +97,57 @@ def test_riemannian_gradient_is_tangential():
     assert np.abs(skew).max() <= 1e-12
 
 
+def _ambient_gradient(data, cfg, P):
+    blocks = data.class_blocks()
+    return gradient(evaluate(P, blocks, cfg, adaptive_lambdas(P, blocks, cfg.lam)))
+
+
+def test_gradient_norms_are_riemannian():
+    data = gen_toy(12, seed=0)
+    cfg = WdaConfig(lam=1.0, sinkhorn_iters=10, dim=2, max_outer_iter=1)
+    _, report = wda_fit(data, cfg)
+    P0 = pca_init(data.samples.T, 2)
+    G = _ambient_gradient(data, cfg, P0)
+    riemannian = np.linalg.norm(riemannian_gradient(P0, G))
+    assert report.gradient_norms[0] == pytest.approx(riemannian, rel=1e-12)
+    assert report.gradient_norms[0] <= np.linalg.norm(G)
+
+
+def test_gradient_norm_vanishes_at_a_stationary_start():
+    # with p = d every projection is a rotation Q of the identity and
+    # J(Q P) = J(P), so J is constant on the manifold; its ambient gradient is
+    # not zero, only the tangential part is
+    rng = np.random.default_rng(7)
+    data = LabeledDataset(rng.standard_normal((20, 3)), np.repeat([0, 1], 10))
+    cfg = WdaConfig(lam=0.5, sinkhorn_iters=10, dim=3)
+    _, report = wda_fit(data, cfg)
+    ambient = np.linalg.norm(_ambient_gradient(data, cfg, pca_init(data.samples.T, 3)))
+    assert ambient >= 0.1
+    assert report.gradient_norms == [pytest.approx(0.0, abs=1e-12 * ambient)]
+
+
+def test_linesearch_starts_from_the_carried_step(monkeypatch):
+    # at lam = 100 the accepted step settles near 1/64; restarting every
+    # linesearch at 1 cost 6.5 evaluations per iteration on this data
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(stiefel, "evaluate", counted)
+    _, report = wda_fit(gen_toy(34, 0), WdaConfig(lam=100.0, sinkhorn_iters=10, dim=2))
+    steps, evaluations = report.step_sizes, report.evaluations
+    assert len(evaluations) == len(report.gradient_norms) == len(report.iteration_seconds)
+    assert sum(evaluations) + 1 == len(calls)
+    assert report.n_iterations >= 10
+    assert steps[0] == 0.5 ** (evaluations[0] - 1)
+    for t in range(1, len(steps)):
+        assert steps[t] == min(1.0, 2.0 * steps[t - 1]) * 0.5 ** (evaluations[t] - 1)
+    assert np.mean(evaluations) <= 3.0
+    assert report.to_json()["evaluations"] == evaluations
+
+
 def _identical_classes_data(rng, d=4, n=6):
     X = rng.standard_normal((n, d))
     samples = np.vstack([X, X])
@@ -110,6 +163,7 @@ def test_wda_fit_identical_classes_stops_immediately():
     assert report.termination == "stationary"
     assert report.n_iterations == 0
     assert report.gradient_norms[0] <= 1e-10
+    assert report.evaluations == [0]
     assert np.array_equal(P, pca_init(data.samples.T, 2))
 
 
