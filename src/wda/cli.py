@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import os
 import sys
 
@@ -134,6 +135,28 @@ def _check_keys(payload: dict, known, where: str) -> None:
         )
 
 
+# what a config value must be: the article for the message, and the test
+_KINDS = {
+    "integer": ("an", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
+    "number": ("a", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)),
+    "string": ("a", lambda v: isinstance(v, str)),
+}
+
+
+def _typed(key: str, value, kind: str, many: bool = False):
+    """``value`` if it is of ``kind`` (a list of them when ``many``); otherwise
+    raise InvalidInputError naming ``key``."""
+    article, is_kind = _KINDS[kind]
+    if many:
+        ok = isinstance(value, list) and all(map(is_kind, value))
+    else:
+        ok = is_kind(value)
+    if not ok:
+        want = f"a list of {kind}s" if many else f"{article} {kind}"
+        raise InvalidInputError(f"{key!r} must be {want}, got {value!r}")
+    return value
+
+
 def _load_file_config(path: str | None, command: str, known) -> dict:
     if not path:
         return {}
@@ -159,11 +182,11 @@ def _opt(args, file_cfg: dict, attr: str, key: str, default):
 
 def _wda_config(args, file_cfg: dict) -> WdaConfig:
     return WdaConfig(
-        lam=_opt(args, file_cfg, "lam", "lambda", 0.01),
+        lam=_typed("lambda", _opt(args, file_cfg, "lam", "lambda", 0.01), "number"),
         sinkhorn_iters=_opt(args, file_cfg, "sinkhorn_iters", "sinkhorn_iters", 10),
         dim=_opt(args, file_cfg, "dim", "dim", 2),
         max_outer_iter=_opt(args, file_cfg, "max_iter", "max_iter", 100),
-        outer_tol=_opt(args, file_cfg, "tol", "tol", 1e-6),
+        outer_tol=_typed("tol", _opt(args, file_cfg, "tol", "tol", 1e-6), "number"),
     )
 
 
@@ -254,18 +277,25 @@ def _data_spec_from_config(payload: dict):
     if kind not in _DATA_KEYS:
         raise InvalidInputError(f"unknown data spec type {kind!r}")
     _check_keys(payload, _DATA_KEYS[kind], f"{kind} data spec")
+    extra = _typed("extra_noise_dims", payload.get("extra_noise_dims", 0), "integer")
     if kind == "toy":
         return ToyDataSpec(
-            n_train_per_class=int(payload.get("n_train_per_class", 34)),
-            n_test_per_class=int(payload.get("n_test_per_class", 334)),
-            extra_noise_dims=int(payload.get("extra_noise_dims", 0)),
+            n_train_per_class=_typed(
+                "n_train_per_class", payload.get("n_train_per_class", 34), "integer"
+            ),
+            n_test_per_class=_typed(
+                "n_test_per_class", payload.get("n_test_per_class", 334), "integer"
+            ),
+            extra_noise_dims=extra,
         )
     if "path" not in payload:
         raise InvalidInputError("csv data spec needs a 'path'")
     return CsvDataSpec(
-        path=payload["path"],
-        train_fraction=float(payload.get("train_fraction", 0.5)),
-        extra_noise_dims=int(payload.get("extra_noise_dims", 0)),
+        path=_typed("path", payload["path"], "string"),
+        train_fraction=float(
+            _typed("train_fraction", payload.get("train_fraction", 0.5), "number")
+        ),
+        extra_noise_dims=extra,
     )
 
 
@@ -374,12 +404,16 @@ def _configure(args) -> dict:
     if args.command == "sweep":
         args.sweep_spec = {
             "data": _data_spec_from_config(file_cfg.get("data", {})),
-            "methods": file_cfg.get("methods", ["wda", "pca"]),
-            "ks": file_cfg.get("ks", [5]),
-            "ps": file_cfg.get("ps", [args.wda_config.dim]),
-            "lams": file_cfg.get("lambdas", [args.wda_config.lam]),
-            "n_seeds": int(_opt(args, file_cfg, "n_seeds", "n_seeds", 2)),
-            "base_seed": int(_opt(args, file_cfg, "seed", "seed", 0)),
+            "methods": _typed(
+                "methods", file_cfg.get("methods", ["wda", "pca"]), "string", many=True
+            ),
+            "ks": _typed("ks", file_cfg.get("ks", [5]), "integer", many=True),
+            "ps": _typed("ps", file_cfg.get("ps", [args.wda_config.dim]), "integer", many=True),
+            "lams": _typed(
+                "lambdas", file_cfg.get("lambdas", [args.wda_config.lam]), "number", many=True
+            ),
+            "n_seeds": _typed("n_seeds", _opt(args, file_cfg, "n_seeds", "n_seeds", 2), "integer"),
+            "base_seed": _typed("seed", _opt(args, file_cfg, "seed", "seed", 0), "integer"),
         }
     return file_cfg
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError, ParseError
-from .ioutil import FLOAT_FMT, atomic_write_text
+from .ioutil import _csv_lines, _is_number, atomic_write_text
 
 RNG_ALGORITHM = "numpy-pcg64"
 
@@ -204,20 +204,43 @@ def save_csv(data: LabeledDataset, path: str, metadata: dict | None = None) -> N
     If ``metadata`` is given it is written alongside as ``<path>.meta.json``.
     """
     names = data.feature_names or tuple(f"f{j}" for j in range(data.n_features))
-    lines = [",".join(names) + ",label"]
-    for x, y in zip(data.samples, data.labels):
-        lines.append(",".join(FLOAT_FMT % v for v in x) + f",{int(y)}")
+    lines = [",".join(names) + ",label"] + _csv_lines(data.samples, data.labels)
     atomic_write_text(path, "\n".join(lines) + "\n")
     if metadata is not None:
         atomic_write_text(path + ".meta.json", json.dumps(metadata, indent=2) + "\n")
 
 
-def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
+# labels are stored as int64: a float label converts exactly within [-2**63, 2**63)
+_LABEL_MIN = -(2.0**63)
+_LABEL_END = 2.0**63
+
+
+def _raise_first_fault(path: str, linenos, rows, width: int, label_col: int) -> None:
+    """Raise the ParseError of the first faulty row, in file order: a row of
+    the wrong width, a feature cell that is not a number, or a label that is
+    not an integer within int64 (checked after the row's features). Returns
+    if there is none."""
+    feature_cols = [j for j in range(width) if j != label_col]
+    for lineno, row in zip(linenos, rows):
+        if len(row) != width:
+            raise ParseError(
+                f"{path}: line {lineno}: expected {width} columns, got {len(row)}"
+            )
+        for j in feature_cols:
+            cell = row[j].strip()
+            if not _is_number(cell):
+                raise ParseError(
+                    f"{path}: line {lineno}, column {j + 1}: not a number: {cell!r}"
+                )
+        cell = row[label_col].strip()
+        where = f"{path}: line {lineno}, column {label_col + 1}"
+        if not _is_number(cell):
+            raise ParseError(f"{where}: label is not a number: {cell!r}")
+        value = float(cell)
+        if not value.is_integer():
+            raise ParseError(f"{where}: label must be an integer, got {cell!r}")
+        if not _LABEL_MIN <= value < _LABEL_END:
+            raise ParseError(f"{where}: label must be an integer within int64, got {cell!r}")
 
 
 def load_csv(path: str) -> LabeledDataset:
@@ -225,23 +248,31 @@ def load_csv(path: str) -> LabeledDataset:
 
     The label column is the one named "label" when a header is present,
     otherwise the last column. Raises :class:`ParseError` with the offending
-    line and column on malformed input, including a non-finite feature value
-    ("nan", "inf", or one that overflows).
+    line and column on malformed input, including a label outside int64 and
+    a non-finite feature value ("nan", "inf", or one that overflows).
+
+    Every cell is converted by one ``np.array(..., dtype=float)`` call, which
+    parses a string as ``float()`` does. Only when that fails, a row has the
+    wrong width or a label is not an integer within int64 are the rows walked
+    cell by cell, to name the first fault in file order.
     """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows = [(i + 1, row) for i, row in enumerate(rows) if any(cell.strip() for cell in row)]
-    if not rows:
+        numbered = [
+            (i, row) for i, row in enumerate(csv.reader(fh), start=1)
+            if any(map(str.strip, row))
+        ]
+    if not numbered:
         raise ParseError(f"{path}: no data rows")
+    linenos, rows = map(list, zip(*numbered))
 
     header = None
-    if not all(_is_number(cell) for cell in rows[0][1]):
-        header = [cell.strip() for cell in rows[0][1]]
-        rows = rows[1:]
+    if not all(_is_number(cell) for cell in rows[0]):
+        header = [cell.strip() for cell in rows[0]]
+        del linenos[0], rows[0]
         if not rows:
             raise ParseError(f"{path}: header but no data rows")
 
-    width = len(rows[0][1])
+    width = len(rows[0])
     if width < 2:
         raise ParseError(
             f"{path}: need at least one feature column and a label column, got {width}"
@@ -253,45 +284,35 @@ def load_csv(path: str) -> LabeledDataset:
         label_col = header.index("label")
     else:
         label_col = width - 1
-    feature_cols = [j for j in range(width) if j != label_col]
 
-    features = np.empty((len(rows), width - 1))
-    labels = np.empty(len(rows), dtype=int)
-    for r, (lineno, row) in enumerate(rows):
-        if len(row) != width:
-            raise ParseError(
-                f"{path}: line {lineno}: expected {width} columns, got {len(row)}"
-            )
-        for out_j, j in enumerate(feature_cols):
-            cell = row[j].strip()
-            try:
-                features[r, out_j] = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"{path}: line {lineno}, column {j + 1}: not a number: {cell!r}"
-                ) from None
-        cell = row[label_col].strip()
+    table = None
+    if all(len(row) == width for row in rows):
         try:
-            value = float(cell)
+            table = np.array(rows, dtype=float)
         except ValueError:
-            raise ParseError(
-                f"{path}: line {lineno}, column {label_col + 1}: "
-                f"label is not a number: {cell!r}"
-            ) from None
-        if not value.is_integer():
-            raise ParseError(
-                f"{path}: line {lineno}, column {label_col + 1}: "
-                f"label must be an integer, got {cell!r}"
-            )
-        labels[r] = int(value)
+            pass
+    if table is None:
+        _raise_first_fault(path, linenos, rows, width, label_col)
+        # every cell is a number once stripped: float() keeps the separators
+        # \x1c-\x1f at the ends of a cell, str.strip() removes them
+        table = np.array([[cell.strip() for cell in row] for row in rows], dtype=float)
+
+    label_values = table[:, label_col]
+    if not np.all(
+        (label_values == np.trunc(label_values))
+        & (label_values >= _LABEL_MIN) & (label_values < _LABEL_END)
+    ):
+        _raise_first_fault(path, linenos, rows, width, label_col)
+    labels = label_values.astype(np.int64)
+    features = np.delete(table, label_col, axis=1)
 
     bad = np.argwhere(~np.isfinite(features))
     if bad.size:
         r, out_j = bad[0]
-        lineno, row = rows[r]
-        j = feature_cols[out_j]
+        j = out_j + (out_j >= label_col)
         raise ParseError(
-            f"{path}: line {lineno}, column {j + 1}: not a finite number: {row[j].strip()!r}"
+            f"{path}: line {linenos[r]}, column {j + 1}: "
+            f"not a finite number: {rows[r][j].strip()!r}"
         )
 
     uniq = np.unique(labels)
@@ -301,5 +322,5 @@ def load_csv(path: str) -> LabeledDataset:
         )
     names = None
     if header is not None:
-        names = tuple(header[j] for j in feature_cols)
+        names = tuple(header[:label_col] + header[label_col + 1:])
     return LabeledDataset(features, labels, names)

@@ -19,6 +19,15 @@ from .errors import ParseError
 FLOAT_FMT = "%.17g"
 
 
+def _is_number(cell: str) -> bool:
+    """Whether ``float()`` takes the string."""
+    try:
+        float(cell)
+        return True
+    except ValueError:
+        return False
+
+
 def atomic_write_text(path: str, text: str) -> None:
     """Write ``text`` to ``path`` atomically (temp file in the same directory + rename)."""
     directory = os.path.dirname(os.path.abspath(path))
@@ -37,21 +46,33 @@ def write_json(path: str, payload: dict) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
+def _csv_lines(matrix: np.ndarray, labels: np.ndarray | None = None) -> list[str]:
+    """One CSV line per row of a 2-d float array, each cell as ``FLOAT_FMT``,
+    with ``labels`` (if given) appended to each row as a ``%d`` column.
+
+    Each line is formatted by a single ``%`` operation over the whole row.
+    """
+    fmt = ",".join([FLOAT_FMT] * matrix.shape[1])
+    if labels is None:
+        return [fmt % tuple(row) for row in matrix.tolist()]
+    fmt += ",%d"
+    return [fmt % (*row, label) for row, label in zip(matrix.tolist(), labels.tolist())]
+
+
 def save_matrix_csv(matrix: np.ndarray, path: str) -> None:
     """Save a 2-d array as a dense CSV table (row-major, full double precision)."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
         raise ParseError(f"expected a 2-d matrix, got array of dimension {matrix.ndim}")
-    lines = [",".join(FLOAT_FMT % x for x in row) for row in matrix]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, "\n".join(_csv_lines(matrix)) + "\n")
 
 
 def load_matrix_csv(path: str) -> np.ndarray:
     """Load a dense CSV table written by :func:`save_matrix_csv`.
 
-    Raises :class:`ParseError` naming the path and line on malformed input,
-    and the line and column of the first non-finite cell ("nan", "inf", or
-    one that overflows).
+    Raises :class:`ParseError` naming the path and line of a row of the
+    wrong width, and the line and column of the first cell that is not a
+    number or not finite ("nan", "inf", or one that overflows).
     """
     rows = []
     linenos = []
@@ -70,8 +91,11 @@ def load_matrix_csv(path: str) -> np.ndarray:
                 )
             try:
                 rows.append([float(c) for c in cells])
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+            except ValueError:
+                j = next(j for j, cell in enumerate(cells) if not _is_number(cell))
+                raise ParseError(
+                    f"{path}: line {lineno}, column {j + 1}: not a number: {cells[j].strip()!r}"
+                ) from None
             linenos.append(lineno)
     if not rows:
         raise ParseError(f"{path}: no data rows")

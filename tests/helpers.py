@@ -1,11 +1,16 @@
 """Shared test utilities: finite differences, subspace angles, the full
-unrolled plan Jacobian, and a per-pair reference for the objective built on
-plain 2-d Sinkhorn loops of its own."""
+unrolled plan Jacobian, a per-pair reference for the objective built on
+plain 2-d Sinkhorn loops of its own, and cell-by-cell references for the
+CSV reader and writers."""
+
+import csv
 
 import numpy as np
 
 from wda import (
     CapacityError,
+    LabeledDataset,
+    ParseError,
     SinkhornTrace,
     cost_matrix,
     cross_covariance,
@@ -174,3 +179,106 @@ def reference_objective(P, classes, cfg, lambdas):
         "converged_at": {key: t.converged_at for key, (_, t, _) in solved.items()},
         "gradient": 2.0 * sum(Zc @ X.T for Zc, X in zip(Z, classes)),
     }
+
+
+def _is_number(cell):
+    try:
+        float(cell)
+        return True
+    except ValueError:
+        return False
+
+
+def reference_load_csv(path):
+    """``wda.load_csv`` converting one cell per ``float()`` call, with every
+    fault checked in file order as the cells are read; the non-finite check
+    follows the loop. A label outside int64 escapes as OverflowError."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows = [(i + 1, row) for i, row in enumerate(rows) if any(cell.strip() for cell in row)]
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+
+    header = None
+    if not all(_is_number(cell) for cell in rows[0][1]):
+        header = [cell.strip() for cell in rows[0][1]]
+        rows = rows[1:]
+        if not rows:
+            raise ParseError(f"{path}: header but no data rows")
+
+    width = len(rows[0][1])
+    if width < 2:
+        raise ParseError(
+            f"{path}: need at least one feature column and a label column, got {width}"
+        )
+    if header is not None and len(header) != width:
+        raise ParseError(f"{path}: header has {len(header)} columns, data has {width}")
+
+    if header is not None and "label" in header:
+        label_col = header.index("label")
+    else:
+        label_col = width - 1
+    feature_cols = [j for j in range(width) if j != label_col]
+
+    features = np.empty((len(rows), width - 1))
+    labels = np.empty(len(rows), dtype=int)
+    for r, (lineno, row) in enumerate(rows):
+        if len(row) != width:
+            raise ParseError(
+                f"{path}: line {lineno}: expected {width} columns, got {len(row)}"
+            )
+        for out_j, j in enumerate(feature_cols):
+            cell = row[j].strip()
+            try:
+                features[r, out_j] = float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"{path}: line {lineno}, column {j + 1}: not a number: {cell!r}"
+                ) from None
+        cell = row[label_col].strip()
+        try:
+            value = float(cell)
+        except ValueError:
+            raise ParseError(
+                f"{path}: line {lineno}, column {label_col + 1}: "
+                f"label is not a number: {cell!r}"
+            ) from None
+        if not value.is_integer():
+            raise ParseError(
+                f"{path}: line {lineno}, column {label_col + 1}: "
+                f"label must be an integer, got {cell!r}"
+            )
+        labels[r] = int(value)
+
+    bad = np.argwhere(~np.isfinite(features))
+    if bad.size:
+        r, out_j = bad[0]
+        lineno, row = rows[r]
+        j = feature_cols[out_j]
+        raise ParseError(
+            f"{path}: line {lineno}, column {j + 1}: not a finite number: {row[j].strip()!r}"
+        )
+
+    uniq = np.unique(labels)
+    if not np.array_equal(uniq, np.arange(len(uniq))):
+        raise ParseError(
+            f"{path}: labels must be contiguous integers starting at 0, got {uniq.tolist()}"
+        )
+    names = None
+    if header is not None:
+        names = tuple(header[j] for j in feature_cols)
+    return LabeledDataset(features, labels, names)
+
+
+def reference_matrix_csv_text(matrix):
+    """The text ``wda.ioutil.save_matrix_csv`` writes, formatted cell by cell."""
+    return "\n".join(",".join("%.17g" % x for x in row) for row in matrix) + "\n"
+
+
+def reference_dataset_csv_text(data):
+    """The text ``wda.save_csv`` writes, formatted cell by cell."""
+    names = data.feature_names or tuple(f"f{j}" for j in range(data.n_features))
+    lines = [",".join(names) + ",label"]
+    for x, y in zip(data.samples, data.labels):
+        lines.append(",".join("%.17g" % v for v in x) + f",{int(y)}")
+    return "\n".join(lines) + "\n"

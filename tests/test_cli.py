@@ -434,6 +434,35 @@ def test_sweep_unknown_data_type_exits_2(tmp_path, capsys):
     assert "'data' must be a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["sweep"], {"ks": 5}, "'ks' must be a list of integers, got 5"),
+        (["sweep"], {"ps": 2}, "'ps' must be a list of integers, got 2"),
+        (["sweep"], {"n_seeds": "x"}, "'n_seeds' must be an integer, got 'x'"),
+        (["sweep"], {"methods": "pca"}, "'methods' must be a list of strings, got 'pca'"),
+        (["sweep"], {"lambdas": "1"}, "'lambdas' must be a list of numbers, got '1'"),
+        (["sweep"], {"ks": [1, 2.5]}, "'ks' must be a list of integers, got [1, 2.5]"),
+        (["sweep"], {"lambdas": [True]}, "'lambdas' must be a list of numbers, got [True]"),
+        (["sweep"], {"seed": "3"}, "'seed' must be an integer, got '3'"),
+        (["sweep"], {"data": {"n_train_per_class": "x"}},
+         "'n_train_per_class' must be an integer, got 'x'"),
+        (["sweep"], {"data": {"type": "csv", "path": 3}}, "'path' must be a string, got 3"),
+        (["sweep"], {"lambda": "1"}, "'lambda' must be a number, got '1'"),
+        (["fit", "--train", "t.csv"], {"tol": "x"}, "'tol' must be a number, got 'x'"),
+    ],
+    ids=["ks", "ps", "n_seeds", "methods", "lambdas", "ks-item", "lambdas-bool", "seed",
+         "data-int", "data-path", "lambda", "fit-tol"],
+)
+def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, argv, config, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(path), "--out", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])

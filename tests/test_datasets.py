@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_dataset_csv_text, reference_load_csv, reference_matrix_csv_text
 from wda import (
     DegenerateInputError,
     InvalidInputError,
@@ -15,6 +16,7 @@ from wda import (
     split_dataset,
 )
 from wda.datasets import TOY_MODE_SIGMA, TOY_RADIUS
+from wda.ioutil import load_matrix_csv, save_matrix_csv
 
 
 def test_labeled_dataset_validation():
@@ -188,6 +190,7 @@ def test_csv_label_column_by_name(tmp_path):
     assert np.array_equal(data.samples, [[1.0, 2.0], [3.0, 4.0]])
     assert data.labels.tolist() == [0, 1]
     assert data.feature_names == ("f0", "f1")
+    assert data.samples.flags.c_contiguous and data.samples.flags.owndata
 
 
 def test_csv_parse_errors(tmp_path):
@@ -228,3 +231,161 @@ def test_csv_parse_errors(tmp_path):
     gap.write_text("f0,label\n1.0,0\n2.0,2\n")
     with pytest.raises(ParseError, match="contiguous"):
         load_csv(str(gap))
+
+    # a label no int64 holds is refused by name, before any integer cast
+    for label in ("1e20", "-1e20", "9223372036854775808"):
+        huge = tmp_path / "huge.csv"
+        huge.write_text(f"f0,label\n1.0,0\n2.0,{label}\n3.0,1\n")
+        with pytest.raises(
+            ParseError,
+            match=f"line 3, column 2: label must be an integer within int64, got '{label}'",
+        ):
+            load_csv(str(huge))
+
+
+def test_matrix_csv_names_the_bad_cell(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("1.0,2.0\n3.0, oops\n")
+    with pytest.raises(ParseError, match=f"{path}: line 2, column 2: not a number: 'oops'"):
+        load_matrix_csv(str(path))
+    path.write_text("1.0,2.0\n3.0\n")
+    with pytest.raises(ParseError, match=f"{path}: line 2: expected 2 columns, got 1"):
+        load_matrix_csv(str(path))
+
+
+# doubles at the edges of the format: zeros of both signs, the smallest
+# subnormal, the subnormal/normal boundary and the largest finite values
+_EDGE_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+_doubles = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_EDGE_DOUBLES)
+)
+# whitespace a cell may carry: everything str.strip() removes except the line
+# ends; float() itself keeps \x1c-\x1f, which load_csv strips first
+_SPACES = [c for c in map(chr, range(0x3001)) if c.isspace() and c not in "\r\n"]
+_FLOAT_SPACES = [c for c in _SPACES if c not in "\x1c\x1d\x1e\x1f"]
+# lines load_csv skips
+_BLANK_LINES = ["", "  ", "\t", ",,", " , "]
+
+
+@st.composite
+def _csv_tables(draw, min_rows=1):
+    """A valid dataset CSV: (text, values, labels, line number of each data
+    row, label column). Cells are written as %.17g or repr with surrounding
+    whitespace; blank lines fall between rows."""
+    n_rows = draw(st.integers(min_rows, 6))
+    d = draw(st.integers(1, 3))
+    values = draw(st.lists(st.lists(_doubles, min_size=d, max_size=d),
+                           min_size=n_rows, max_size=n_rows))
+    n_classes = draw(st.integers(1, n_rows))
+    labels = draw(st.permutations([r % n_classes for r in range(n_rows)]))
+    header = draw(st.booleans())
+    label_col = draw(st.integers(0, d)) if header else d
+
+    def pad(spaces):
+        return draw(st.text(st.sampled_from(spaces), max_size=2))
+
+    lines = []
+    if header:
+        names = [f"f{j}" for j in range(d)]
+        names.insert(label_col, "label")
+        lines.append(",".join(names))
+    linenos = []
+    for r, (row, label) in enumerate(zip(values, labels)):
+        lines += draw(st.lists(st.sampled_from(_BLANK_LINES), max_size=1))
+        # a headerless first row is read as a header unless float() takes
+        # every cell as written
+        spaces = _FLOAT_SPACES if r == 0 and not header else _SPACES
+        cells = [pad(spaces) + draw(st.sampled_from(["%.17g" % x, repr(x)])) + pad(spaces)
+                 for x in row]
+        label_text = draw(st.sampled_from(["%d", "%.1f", "%e"])) % label
+        cells.insert(label_col, pad(spaces) + label_text + pad(spaces))
+        lines.append(",".join(cells))
+        linenos.append(len(lines))
+    return "\n".join(lines) + "\n", values, labels, linenos, label_col
+
+
+def _outcome(load, path):
+    try:
+        data = load(path)
+    except ParseError as exc:
+        return str(exc)
+    return data.samples.tobytes(), data.samples.shape, data.labels.tolist(), data.feature_names
+
+
+@settings(max_examples=200, deadline=None)
+@given(_csv_tables())
+def test_load_csv_matches_the_cell_by_cell_reference(tmp_path_factory, table):
+    text, values, labels, _, _ = table
+    path = str(tmp_path_factory.mktemp("csv") / "data.csv")
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    data = load_csv(path)
+    assert data.samples.tobytes() == np.array(values).tobytes()
+    assert data.labels.tolist() == labels
+    assert data.samples.flags.c_contiguous and data.samples.flags.owndata
+    assert _outcome(load_csv, path) == _outcome(reference_load_csv, path)
+
+
+_FAULTS = ("ragged", "bad cell", "fractional label", "nan feature", "bad cell and label")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_csv_tables(min_rows=3), st.data())
+def test_load_csv_reports_the_reference_fault(tmp_path_factory, table, data):
+    # two or more faulty rows after the first; every fault but a non-finite
+    # feature is found as the rows are read (in a row, the features before
+    # the label), and a non-finite feature is reported only when no other
+    # fault exists
+    text, values, _, linenos, label_col = table
+    n_rows, d = len(values), len(values[0])
+    faulty = data.draw(st.lists(st.integers(1, n_rows - 1), min_size=2, unique=True))
+    kinds = {r: data.draw(st.sampled_from(_FAULTS)) for r in faulty}
+    lines = text.split("\n")
+    for r, kind in kinds.items():
+        cells = lines[linenos[r] - 1].split(",")
+        feature = data.draw(st.sampled_from([j for j in range(d + 1) if j != label_col]))
+        if kind == "ragged":
+            cells = cells[:-1] if data.draw(st.booleans()) else cells + ["0"]
+        elif kind == "bad cell":
+            cells[feature] = " oops"
+        elif kind == "fractional label":
+            cells[label_col] = "0.5 "
+        elif kind == "bad cell and label":
+            cells[feature] = "oops"
+            cells[label_col] = "0.5"
+        else:
+            cells[feature] = "nan"
+        lines[linenos[r] - 1] = ",".join(cells)
+    path = str(tmp_path_factory.mktemp("csv") / "faulty.csv")
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines))
+
+    with pytest.raises(ParseError) as excinfo:
+        load_csv(path)
+    message = str(excinfo.value)
+    assert message == _outcome(reference_load_csv, path)
+    first = min(
+        (r for r in faulty if kinds[r] != "nan feature"), default=min(faulty)
+    )
+    assert f": line {linenos[first]}:" in message or f": line {linenos[first]}," in message
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda d: st.lists(st.lists(_doubles, min_size=d, max_size=d), min_size=1, max_size=6)
+    )
+)
+def test_csv_writers_round_trip_bit_for_bit(tmp_path_factory, values):
+    matrix = np.array(values)
+    directory = tmp_path_factory.mktemp("csv")
+    data = LabeledDataset(matrix, np.arange(len(values)) % 2)
+    save_csv(data, str(directory / "data.csv"))
+    assert (directory / "data.csv").read_text() == reference_dataset_csv_text(data)
+    loaded = load_csv(str(directory / "data.csv"))
+    assert loaded.samples.tobytes() == matrix.tobytes()
+    assert np.array_equal(loaded.labels, data.labels)
+    save_matrix_csv(matrix, str(directory / "matrix.csv"))
+    assert (directory / "matrix.csv").read_text() == reference_matrix_csv_text(matrix)
+    assert load_matrix_csv(str(directory / "matrix.csv")).tobytes() == matrix.tobytes()
