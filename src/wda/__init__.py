@@ -36,7 +36,6 @@ from .evaluation import (
     knn_predict,
     run_protocol,
 )
-from .iftgrad import ift_jacobian
 from .objective import (
     ObjectiveState,
     WdaConfig,
@@ -51,10 +50,7 @@ from .otcore import (
     SinkhornTrace,
     TransportPlan,
     cost_matrix,
-    regularized_distance,
     sinkhorn_plan,
-    sinkhorn_vjp,
-    symmetric_scaling,
 )
 from .stiefel import (
     FitReport,
@@ -91,21 +87,17 @@ __all__ = [
     "fda_fit",
     "gen_toy",
     "gradient",
-    "ift_jacobian",
     "knn_predict",
     "load_csv",
     "pair_keys",
     "pair_lambda",
     "pca_init",
     "project_stiefel",
-    "regularized_distance",
     "riemannian_gradient",
     "run_protocol",
     "save_csv",
     "sinkhorn_plan",
-    "sinkhorn_vjp",
     "split_dataset",
-    "symmetric_scaling",
     "uniform_coupling_covariances",
     "wda_fit",
 ]

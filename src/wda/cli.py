@@ -197,9 +197,9 @@ def _out_dir(args, file_cfg: dict) -> str:
 
 
 def _cmd_generate(args, file_cfg) -> int:
-    n_per_class = int(_opt(args, file_cfg, "n_per_class", "n_per_class", 34))
-    extra = int(_opt(args, file_cfg, "extra_noise_dims", "extra_noise_dims", 0))
-    seed = int(_opt(args, file_cfg, "seed", "seed", 0))
+    n_per_class = _opt(args, file_cfg, "n_per_class", "n_per_class", 34)
+    extra = _opt(args, file_cfg, "extra_noise_dims", "extra_noise_dims", 0)
+    seed = _opt(args, file_cfg, "seed", "seed", 0)
     out = _out_dir(args, file_cfg)
     data = gen_toy(n_per_class, seed)
     if extra:
@@ -240,7 +240,7 @@ def _cmd_transform(args, file_cfg) -> int:
 
 
 def _cmd_evaluate(args, file_cfg) -> int:
-    k = int(_opt(args, file_cfg, "k", "k", 5))
+    k = _opt(args, file_cfg, "k", "k", 5)
     projection = load_matrix_csv(args.projection)
     train = load_csv(args.train)
     test = load_csv(args.test)
@@ -390,6 +390,14 @@ _COMMANDS = {
 }
 
 
+# config file keys that generate and evaluate read as integers (their flags
+# are integers already)
+_INTEGER_KEYS = {
+    "generate": ("seed", "n_per_class", "extra_noise_dims"),
+    "evaluate": ("k",),
+}
+
+
 def _configure(args) -> dict:
     """Merge the config file into ``args``; returns the file's settings.
 
@@ -401,6 +409,9 @@ def _configure(args) -> dict:
     file_cfg = _load_file_config(getattr(args, "config", None), args.command, known)
     if needs_wda:
         args.wda_config = _wda_config(args, file_cfg)
+    for key in _INTEGER_KEYS.get(args.command, ()):
+        if key in file_cfg:
+            _typed(key, file_cfg[key], "integer")
     if args.command == "sweep":
         args.sweep_spec = {
             "data": _data_spec_from_config(file_cfg.get("data", {})),

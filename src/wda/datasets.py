@@ -12,6 +12,7 @@ the algorithm id recorded in metadata sidecars is "numpy-pcg64".
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, replace
 
@@ -201,10 +202,16 @@ def split_dataset(
 def save_csv(data: LabeledDataset, path: str, metadata: dict | None = None) -> None:
     """Write features + label column with full double precision.
 
-    If ``metadata`` is given it is written alongside as ``<path>.meta.json``.
+    The header is written by ``csv.writer`` with minimal quoting, so a
+    feature name holding a comma, a quote or a line break is quoted and
+    reads back intact. If ``metadata`` is given it is written alongside as
+    ``<path>.meta.json``.
     """
     names = data.feature_names or tuple(f"f{j}" for j in range(data.n_features))
-    lines = [",".join(names) + ",label"] + _csv_lines(data.samples, data.labels)
+    header = io.StringIO()
+    # the default line terminator "\r\n" makes the writer quote both \r and \n
+    csv.writer(header).writerow([*names, "label"])
+    lines = [header.getvalue().removesuffix("\r\n")] + _csv_lines(data.samples, data.labels)
     atomic_write_text(path, "\n".join(lines) + "\n")
     if metadata is not None:
         atomic_write_text(path + ".meta.json", json.dumps(metadata, indent=2) + "\n")

@@ -22,9 +22,10 @@ pairs. G is pulled back to P in the projected space (see :func:`gradient`).
 Pairs whose plans share a shape (n_c, n_c') are solved as one stack: all of
 them on balanced data, one group per distinct shape otherwise, with no
 padding. :func:`evaluate` builds each shape's (B, n, m) cost and kernel
-stacks whole, and the per-pair ``costs`` and ``traces`` of the state are
-views of them. :func:`gradient` runs one stacked reverse recursion per
-group, then forms each pair's (n, m) cotangent in turn, in place. Each
+stacks whole; the per-pair ``costs`` of the state are views of the cost
+stacks, and each pair's Sinkhorn run is its slice of the group's batch.
+:func:`gradient` runs one stacked reverse recursion per group, then forms
+each pair's (n, m) cotangent in turn, in pair order, in place. Each
 pair's numbers are those of a plain per-pair loop, bit for bit.
 """
 
@@ -40,7 +41,6 @@ from .datasets import require_finite
 from .errors import DegenerateInputError, InvalidInputError, NumericalRangeError
 from .otcore import (
     SinkhornBatch,
-    SinkhornTrace,
     TransportPlan,
     cost_matrix,
     kernel_underflow_message,
@@ -187,10 +187,11 @@ def cross_covariance(
 class ObjectiveState:
     """One full evaluation of the ratio objective at a projection.
 
-    Keeps the per-pair traces and projected cost matrices so a gradient can
+    Keeps the Sinkhorn runs and projected cost matrices so a gradient can
     be assembled without re-solving the inner problems. ``batches`` maps the
-    pairs of each plan shape, in pair order, to their stacked Sinkhorn runs;
-    ``traces`` and ``costs`` entries are views of those stacks.
+    pairs of each plan shape, in pair order, to their stacked Sinkhorn runs
+    (run b is the key's b-th pair); ``costs`` maps every pair, in pair
+    order, to a view of its group's cost stack.
     ``projection`` and ``classes`` are the P and the validated class blocks
     the state was evaluated at, held by reference: modifying them in place
     afterwards invalidates the state.
@@ -201,7 +202,6 @@ class ObjectiveState:
     sigma_w2: float
     projection: np.ndarray = field(repr=False)
     classes: list[np.ndarray] = field(repr=False)
-    traces: dict[PairKey, SinkhornTrace] = field(repr=False)
     costs: dict[PairKey, np.ndarray] = field(repr=False)
     batches: dict[tuple[PairKey, ...], SinkhornBatch] = field(repr=False)
     pair_lambdas: dict[PairKey, float]
@@ -211,15 +211,16 @@ class ObjectiveState:
         def keyed(d):
             return {f"{c},{cp}": float(v) for (c, cp), v in d.items()}
 
+        residuals = {}
+        for keys, batch in self.batches.items():
+            residuals.update(zip(keys, batch.residual.tolist()))
         return {
             "value": self.value,
             "sigma_b2": self.sigma_b2,
             "sigma_w2": self.sigma_w2,
             "pair_distances": keyed(self.pair_distances),
             "pair_lambdas": keyed(self.pair_lambdas),
-            "pair_residuals": {
-                f"{c},{cp}": t.residual for (c, cp), t in self.traces.items()
-            },
+            "pair_residuals": keyed({key: residuals[key] for key in self.costs}),
         }
 
 
@@ -277,22 +278,20 @@ def evaluate(
         own = [b for b, (c, cp) in enumerate(keys) if c == cp]
         if own:
             M[own] = self_costs(M[own])
-        lams = [lam_map[key] for key in keys]
-        K, low = sinkhorn_kernels(M, lams)
+        K, low = sinkhorn_kernels(M, [lam_map[key] for key in keys])
         costs.update(zip(keys, M))
         underflow.update(zip(keys, low))
-        stacks.append((keys, lams, M, K))
+        stacks.append((keys, M, K))
     for key in keys_in_order:
         if underflow[key]:
             message = kernel_underflow_message(lam_map[key], costs[key])
             raise NumericalRangeError(f"class pair {key} at lambda {lam_map[key]:.6g}: {message}")
 
-    batches, traces, distances = {}, {}, {}
-    for keys, lams, M, K in stacks:
-        batch = sinkhorn_batch(K, lams, cfg.sinkhorn_iters)
+    batches, distances = {}, {}
+    for keys, M, K in stacks:
+        batch = sinkhorn_batch(K, cfg.sinkhorn_iters)
         km_v = np.einsum("bnm,bnm,bm->bn", K, M, batch.v_history[:, -1])
         distances.update(zip(keys, (batch.u_history[:, -1] * km_v).sum(axis=1).tolist()))
-        traces.update(zip(keys, batch.traces))
         batches[tuple(keys)] = batch
     for key in keys_in_order:
         if not np.isfinite(distances[key]):
@@ -310,7 +309,6 @@ def evaluate(
         sigma_w2=sigma_w2,
         projection=P,
         classes=blocks,
-        traces={key: traces[key] for key in keys_in_order},
         costs={key: costs[key] for key in keys_in_order},
         batches=batches,
         pair_lambdas=lam_map,
@@ -335,27 +333,30 @@ def gradient(state: ObjectiveState) -> np.ndarray:
     ``gradient(evaluate(P, classes, cfg, lambdas))``. Raises
     NumericalRangeError, naming the pair and its lambda, when a pair's term
     is not finite. The reverse recursion runs once per batch of ``state``;
-    each (n, m) G is formed in place, in pair order.
+    each (n, m) G is formed in place, in pair order, from the pair's slice
+    of its batch.
     """
     sb2, sw2 = state.sigma_b2, state.sigma_w2
 
-    bars = {}
+    runs = {}
     with np.errstate(over="ignore", invalid="ignore"):
         for keys, batch in state.batches.items():
             r_bars, s_bars = sinkhorn_batch_reverse(batch, (state.costs[key] for key in keys))
-            bars.update((key, (r_bars[b], s_bars[b])) for b, key in enumerate(keys))
+            runs.update((key, (batch, b, r_bars[b], s_bars[b])) for b, key in enumerate(keys))
 
     projected = [state.projection @ X for X in state.classes]
     Z = [np.zeros_like(Y) for Y in projected]
-    for (c, cp), trace in state.traces.items():
+    for (c, cp), M in state.costs.items():
+        lam = float(state.pair_lambdas[(c, cp)])
+        batch, b, r_bars, s_bars = runs[(c, cp)]
         with np.errstate(over="ignore", invalid="ignore"):
-            G = transport_cost_cotangent(trace, state.costs[(c, cp)], *bars[(c, cp)])
+            G = transport_cost_cotangent(batch, b, lam, M, r_bars, s_bars)
             row = G.sum(axis=1)
             col = G.sum(axis=0)
         if not (np.isfinite(row).all() and np.isfinite(col).all()):
             raise NumericalRangeError(
                 f"gradient term of class pair ({c}, {cp}) is not finite at "
-                f"lambda {trace.lam:.6g}; the fixed-L Sinkhorn "
+                f"lambda {lam:.6g}; the fixed-L Sinkhorn "
                 "iterations left the floating-point range, lower the regularization"
             )
         coef = -sb2 / sw2**2 if cp == c else 1.0 / sw2

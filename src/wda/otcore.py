@@ -1,23 +1,24 @@
 """Entropic optimal transport between point clouds: cost matrices, Sinkhorn
-scaling with a fixed iteration budget, its reverse-mode derivative, and the
-regularized transport cost.
+scaling with a fixed iteration budget and its reverse-mode derivative.
 
 Samples are stored column-wise: a cloud of n points in dimension d is a
 (d, n) array. The solver always runs the requested number of iterations and
-keeps the full scaling history, because :func:`sinkhorn_vjp` differentiates
-the iteration map itself rather than the converged plan. Early feasibility
-is reported but never used to truncate.
+keeps the full scaling history, because the gradient differentiates the
+iteration map itself rather than the converged plan. The loop records the
+scalings and nothing else: the marginal residual of the final plan is
+computed once, after it, and only :func:`sinkhorn_plan` reports the first
+iteration that met a tolerance, recomputed from the recorded history.
 
 The iterations exist once, in stacked form. :func:`sinkhorn_batch` runs B
 problems of one shape (n, m) as one (B, n, m) iteration, and
 :func:`sinkhorn_batch_reverse` runs its reverse pass the same way. With
 arrays this small the cost of a step is numpy call overhead, not arithmetic,
 so one stacked step costs about what one problem's step did.
-:func:`sinkhorn_plan` and :func:`sinkhorn_vjp` are batches of one. A
-reverse step takes two stacked matvecs: the derivative of a scaling update
-is written with the scaling itself (du/dr = -n u^2), so K v_k and
-K^T u_{k-1} are not needed. The (n, m)-sized end of each derivative is
-formed one problem at a time, so the reverse pass adds no (n, m) stacks.
+:func:`sinkhorn_plan` is a batch of one. A reverse step takes two stacked
+matvecs: the derivative of a scaling update is written with the scaling
+itself (du/dr = -n u^2), so K v_k and K^T u_{k-1} are not needed. The
+(n, m)-sized end of each derivative is formed one problem at a time, so the
+reverse pass adds no (n, m) stacks.
 """
 
 from __future__ import annotations
@@ -86,13 +87,14 @@ class TransportPlan:
 
 @dataclass(frozen=True)
 class SinkhornTrace:
-    """Everything needed to replay (and differentiate) a fixed-L Sinkhorn run.
+    """One fixed-L Sinkhorn run as :func:`sinkhorn_plan` reports it.
 
     ``u_history[k]`` is the left scaling after k iterations (``u_history[0]``
     is the all-ones initialization), ``v_history[k-1]`` the right scaling of
     iteration k. ``residual`` is the infinity-norm marginal violation of the
-    final plan; ``converged_at`` the first iteration at which it dropped
-    below the requested tolerance, or None if it never did.
+    final plan; ``converged_at`` the first iteration whose plan met the
+    requested tolerance, or None if none did. It is recomputed after the
+    loop from the recorded histories; the iterations never stop early.
     """
 
     kernel: np.ndarray     # (n, m), K = exp(-lam * M)
@@ -114,19 +116,29 @@ class SinkhornTrace:
 class SinkhornBatch:
     """B fixed-L Sinkhorn runs on kernels of one shape (n, m), stacked on axis 0.
 
-    ``traces[b]`` is the b-th run. Its kernel and histories are views of the
-    stacks, so the batch holds every array once.
+    Run b is ``kernel[b]``, ``u_history[b]`` and ``v_history[b]`` (indexed as
+    in :class:`SinkhornTrace`); ``residual[b]`` is the infinity-norm marginal
+    violation of its final plan.
     """
 
     kernel: np.ndarray     # (B, n, m)
     u_history: np.ndarray  # (B, L+1, n)
     v_history: np.ndarray  # (B, L, m)
-    traces: tuple[SinkhornTrace, ...]
+    residual: np.ndarray   # (B,)
 
 
 def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Stacked matrix-vector products A[b] @ x[b], as one matmul call."""
     return (A @ x[..., None])[..., 0]
+
+
+def _marginal_residual(u, r, v, s) -> np.ndarray:
+    """Infinity-norm marginal violation of diag(u) K diag(v) along the last
+    axis, from r = K v and s = K^T u."""
+    return np.maximum(
+        np.abs(u * r - 1.0 / u.shape[-1]).max(axis=-1),
+        np.abs(v * s - 1.0 / v.shape[-1]).max(axis=-1),
+    )
 
 
 def sinkhorn_kernels(M: np.ndarray, lams) -> tuple[np.ndarray, np.ndarray]:
@@ -149,20 +161,15 @@ def kernel_underflow_message(lam: float, M: np.ndarray) -> str:
     )
 
 
-def sinkhorn_batch(
-    K: np.ndarray,
-    lams,
-    iterations: int,
-    tol: float = 1e-9,
-) -> SinkhornBatch:
+def sinkhorn_batch(K: np.ndarray, iterations: int) -> SinkhornBatch:
     """Run exactly ``iterations`` Sinkhorn steps on every kernel of a stack.
 
-    ``K`` is a (B, n, m) stack of kernels from :func:`sinkhorn_kernels` and
-    ``lams[b]`` the regularization that built ``K[b]``, recorded in its
-    trace. The B runs share one loop: each step is two stacked matvecs and a
-    few (B, n) or (B, m) vector operations, so the Python and numpy call
-    overhead of a step is paid once for the whole stack. Run b is
-    bit-identical to running it alone. The stack is kept, not copied.
+    ``K`` is a (B, n, m) stack of kernels from :func:`sinkhorn_kernels`. The
+    B runs share one loop: each step is two stacked matvecs, the two scaling
+    updates and their history writes, so the Python and numpy call overhead
+    of a step is paid once for the whole stack. The marginal residual is
+    computed once, after the loop. Run b is bit-identical to running it
+    alone. The stack is kept, not copied.
     """
     K = np.asarray(K, dtype=float)
     if K.ndim != 3:
@@ -170,8 +177,6 @@ def sinkhorn_batch(
     if iterations < 1:
         raise InvalidInputError(f"iterations must be >= 1, got {iterations}")
     B, n, m = K.shape
-    if len(lams) != B:
-        raise InvalidInputError(f"{len(lams)} lambdas for {B} kernels")
 
     KT = K.transpose(0, 2, 1)
     row_target = 1.0 / n
@@ -179,9 +184,8 @@ def sinkhorn_batch(
     u_history = np.empty((B, iterations + 1, n))
     v_history = np.empty((B, iterations, m))
     u_history[:, 0] = 1.0
-    converged_at = np.zeros(B, dtype=int)  # 0: not (yet) converged
-    # two matvecs per iteration: r = K v serves the u update and the row
-    # marginal, s = K^T u the column marginal and the next v update
+    # two matvecs per iteration: r = K v serves the u update, s = K^T u the
+    # next v update; the last r and s also give the final residual
     s = _matvec(KT, u_history[:, 0])
     for k in range(1, iterations + 1):
         v = col_target / np.maximum(s, _TINY)
@@ -190,20 +194,7 @@ def sinkhorn_batch(
         s = _matvec(KT, u)
         v_history[:, k - 1] = v
         u_history[:, k] = u
-        residual = np.maximum(
-            np.abs(u * r - row_target).max(axis=1),
-            np.abs(v * s - col_target).max(axis=1),
-        )
-        converged_at[(converged_at == 0) & (residual <= tol)] = k
-
-    traces = tuple(
-        SinkhornTrace(
-            K[b], u_history[b], v_history[b], float(lams[b]), iterations,
-            float(residual[b]), int(converged_at[b]) or None,
-        )
-        for b in range(B)
-    )
-    return SinkhornBatch(K, u_history, v_history, traces)
+    return SinkhornBatch(K, u_history, v_history, _marginal_residual(u, r, v, s))
 
 
 def sinkhorn_plan(
@@ -230,7 +221,10 @@ def sinkhorn_plan(
     Returns
     -------
     (TransportPlan, SinkhornTrace)
-        The plan diag(u_L) K diag(v_L) and the full scaling history.
+        The plan diag(u_L) K diag(v_L) and the full scaling history. A batch
+        of one for :func:`sinkhorn_batch`; ``converged_at`` is found after
+        the loop, by recomputing every iteration's residual from the
+        recorded scalings with the loop's own matvecs.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
@@ -242,7 +236,14 @@ def sinkhorn_plan(
     K, underflow = sinkhorn_kernels(M[None], [lam])
     if underflow[0]:
         raise NumericalRangeError(kernel_underflow_message(lam, M))
-    trace = sinkhorn_batch(K, [lam], iterations, tol).traces[0]
+    batch = sinkhorn_batch(K, iterations)
+    K, U, V = batch.kernel[0], batch.u_history[0], batch.v_history[0]
+    residuals = _marginal_residual(U[1:], _matvec(K, V), V, _matvec(K.T, U[1:]))
+    met = np.flatnonzero(residuals <= tol)
+    trace = SinkhornTrace(
+        K, U, V, float(lam), iterations, float(batch.residual[0]),
+        int(met[0]) + 1 if met.size else None,
+    )
     n, m = M.shape
     plan = TransportPlan(trace.plan_weights(), np.full(n, 1.0 / n), np.full(m, 1.0 / m))
     return plan, trace
@@ -285,65 +286,22 @@ def sinkhorn_batch_reverse(batch: SinkhornBatch, weights) -> tuple[np.ndarray, n
 
 
 def transport_cost_cotangent(
-    trace: SinkhornTrace,
+    batch: SinkhornBatch,
+    b: int,
+    lam: float,
     M: np.ndarray,
     r_bars: np.ndarray,
     s_bars: np.ndarray,
 ) -> np.ndarray:
-    """d<T(M), M>/dM of one run, from its :func:`sinkhorn_batch_reverse` slice
-    for weights M: K * (u_L v_L^T - lam * (sum_k r_bar_k v_k^T + u_{k-1}
+    """d<T(M), M>/dM of run b of ``batch``, whose kernel is exp(-lam * M),
+    from its :func:`sinkhorn_batch_reverse` slices r_bars, s_bars for
+    weights M: K * (u_L v_L^T - lam * (sum_k r_bar_k v_k^T + u_{k-1}
     s_bar_k^T) - lam * M * u_L v_L^T), the first two terms as one product.
     """
-    lam, U, V = trace.lam, trace.u_history, trace.v_history
+    U, V = batch.u_history[b], batch.v_history[b]
     left = np.concatenate((r_bars, U))
     left[:-1] *= -lam
     G = left.T @ np.concatenate((V, s_bars, V[-1:]))
     G -= (lam * U[-1])[:, None] * M * V[-1]
-    G *= trace.kernel
+    G *= batch.kernel[b]
     return G
-
-
-def sinkhorn_vjp(trace: SinkhornTrace, W: np.ndarray) -> np.ndarray:
-    """Reverse-mode derivative of <W, T(M)> w.r.t. the cost matrix M.
-
-    Replays the recorded iterations of :func:`sinkhorn_plan` backwards, from
-    T = diag(u_L) K diag(v_L) down to u_0, accumulating the cotangent of the
-    kernel K; dK/dM = -lam * K then gives the (n, m) result. The derivative
-    passes straight through the ``_TINY`` denominator clamp. Linear in W;
-    costs O(L n m) time and O(n m + L (n + m)) memory. A batch of one for
-    :func:`sinkhorn_batch_reverse`.
-    """
-    W = np.asarray(W, dtype=float)
-    K = trace.kernel
-    if W.shape != K.shape:
-        raise InvalidInputError(
-            f"cotangent shape {W.shape} does not match kernel shape {K.shape}"
-        )
-    U, V = trace.u_history, trace.v_history
-    batch = SinkhornBatch(K[None], U[None], V[None], (trace,))
-    r_bars, s_bars = sinkhorn_batch_reverse(batch, [W])
-    K_bar = np.concatenate((r_bars[0], U[:-1])).T @ np.concatenate((V, s_bars[0]))
-    K_bar += W * np.outer(U[-1], V[-1])
-    return -trace.lam * K * K_bar
-
-
-def symmetric_scaling(trace: SinkhornTrace) -> np.ndarray:
-    """Symmetric scaling vector w with T = diag(w) K diag(w).
-
-    Only meaningful for self-transport (square symmetric kernel) once the
-    plan has converged, where the left/right scalings agree up to a constant
-    and w = sqrt(u * v).
-    """
-    n, m = trace.kernel.shape
-    if n != m:
-        raise InvalidInputError("symmetric scaling requires a square kernel")
-    return np.sqrt(trace.u_history[-1] * trace.v_history[-1])
-
-
-def regularized_distance(plan: TransportPlan | np.ndarray, M: np.ndarray) -> float:
-    """Transport cost <T, M> (Frobenius inner product of plan and cost)."""
-    T = plan.weights if isinstance(plan, TransportPlan) else np.asarray(plan, dtype=float)
-    M = np.asarray(M, dtype=float)
-    if T.shape != M.shape:
-        raise InvalidInputError(f"plan shape {T.shape} does not match cost shape {M.shape}")
-    return float(np.sum(T * M))

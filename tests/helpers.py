@@ -1,4 +1,6 @@
-"""Shared test utilities: finite differences, subspace angles, the full
+"""Shared test utilities: finite differences, subspace angles, the
+validation-only transport helpers (the reverse pass of one Sinkhorn run, the
+symmetric scaling of self-transport, the transport cost <T, M>), the full
 unrolled plan Jacobian, a per-pair reference for the objective built on
 plain 2-d Sinkhorn loops of its own, and cell-by-cell references for the
 CSV reader and writers."""
@@ -9,15 +11,17 @@ import numpy as np
 
 from wda import (
     CapacityError,
+    InvalidInputError,
     LabeledDataset,
     ParseError,
     SinkhornTrace,
+    TransportPlan,
     cost_matrix,
     cross_covariance,
     pair_keys,
     project_stiefel,
-    sinkhorn_vjp,
 )
+from wda.otcore import SinkhornBatch, sinkhorn_batch_reverse
 
 # the scaling clamp of wda.otcore
 _TINY = 1e-300
@@ -51,6 +55,52 @@ def principal_angle(A, B):
 def entropy(T):
     """Entropy of a strictly positive coupling, -sum t log t."""
     return -float(np.sum(T * np.log(T)))
+
+
+def sinkhorn_vjp(trace, W):
+    """Reverse-mode derivative of <W, T(M)> w.r.t. the cost matrix M.
+
+    Replays the recorded iterations of ``wda.sinkhorn_plan`` backwards, from
+    T = diag(u_L) K diag(v_L) down to u_0, accumulating the cotangent of the
+    kernel K; dK/dM = -lam * K then gives the (n, m) result. The derivative
+    passes straight through the scaling clamp. Linear in W; costs O(L n m)
+    time and O(n m + L (n + m)) memory. A batch of one for
+    ``wda.otcore.sinkhorn_batch_reverse``.
+    """
+    W = np.asarray(W, dtype=float)
+    K = trace.kernel
+    if W.shape != K.shape:
+        raise InvalidInputError(
+            f"cotangent shape {W.shape} does not match kernel shape {K.shape}"
+        )
+    U, V = trace.u_history, trace.v_history
+    batch = SinkhornBatch(K[None], U[None], V[None], np.array([trace.residual]))
+    r_bars, s_bars = sinkhorn_batch_reverse(batch, [W])
+    K_bar = np.concatenate((r_bars[0], U[:-1])).T @ np.concatenate((V, s_bars[0]))
+    K_bar += W * np.outer(U[-1], V[-1])
+    return -trace.lam * K * K_bar
+
+
+def symmetric_scaling(trace):
+    """Symmetric scaling vector w with T = diag(w) K diag(w).
+
+    Only meaningful for self-transport (square symmetric kernel) once the
+    plan has converged, where the left/right scalings agree up to a constant
+    and w = sqrt(u * v).
+    """
+    n, m = trace.kernel.shape
+    if n != m:
+        raise InvalidInputError("symmetric scaling requires a square kernel")
+    return np.sqrt(trace.u_history[-1] * trace.v_history[-1])
+
+
+def regularized_distance(plan, M):
+    """Transport cost <T, M> (Frobenius inner product of plan and cost)."""
+    T = plan.weights if isinstance(plan, TransportPlan) else np.asarray(plan, dtype=float)
+    M = np.asarray(M, dtype=float)
+    if T.shape != M.shape:
+        raise InvalidInputError(f"plan shape {T.shape} does not match cost shape {M.shape}")
+    return float(np.sum(T * M))
 
 
 def plan_jacobian_full(trace, P, X, Z, max_entries=1024):
@@ -143,8 +193,8 @@ def reference_objective(P, classes, cfg, lambdas):
     costs are computed from a copy of the projected block, so numpy forms
     Y^T Y with the general matrix product, as it does for a stack.
 
-    Returns a dict with ``value``, ``pair_residuals``, ``converged_at`` (both
-    keyed like ``ObjectiveState.to_json``) and ``gradient``.
+    Returns a dict with ``value``, ``pair_residuals`` (keyed like
+    ``ObjectiveState.to_json``) and ``gradient``.
     """
     projected = [P @ X for X in classes]
     solved = {}
@@ -176,7 +226,6 @@ def reference_objective(P, classes, cfg, lambdas):
     return {
         "value": sb2 / sw2,
         "pair_residuals": {f"{c},{cp}": t.residual for (c, cp), (_, t, _) in solved.items()},
-        "converged_at": {key: t.converged_at for key, (_, t, _) in solved.items()},
         "gradient": 2.0 * sum(Zc @ X.T for Zc, X in zip(Z, classes)),
     }
 

@@ -1,9 +1,9 @@
 """Implicit-function-theorem Jacobian of the converged transport plan.
 
-A slow exact oracle used only to validate the unrolled differentiation. The
-optimality system of the entropic transport problem (stationarity of the
-Lagrangian plus the two marginal constraints) implicitly defines T(P); its
-linearization
+A slow exact oracle, used by the tests only to validate the unrolled
+differentiation. The optimality system of the entropic transport problem
+(stationarity of the Lagrangian plus the two marginal constraints)
+implicitly defines T(P); its linearization
 
     E [dT/dP; dalpha/dP; dbeta/dP] = -dg/dP
 
@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapacityError, NumericalRangeError
-from .otcore import cost_matrix
+from wda import CapacityError, NumericalRangeError, cost_matrix
 
 
 def ift_jacobian(

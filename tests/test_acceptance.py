@@ -13,7 +13,14 @@ import time
 import numpy as np
 import pytest
 
-from helpers import fd_gradient, plan_jacobian_full, principal_angle, random_stiefel
+from helpers import (
+    fd_gradient,
+    plan_jacobian_full,
+    principal_angle,
+    random_stiefel,
+    symmetric_scaling,
+)
+from iftgrad import ift_jacobian
 from wda import (
     WdaConfig,
     cost_matrix,
@@ -22,12 +29,10 @@ from wda import (
     fda_fit,
     gen_toy,
     gradient,
-    ift_jacobian,
     knn_predict,
     pair_keys,
     pca_init,
     sinkhorn_plan,
-    symmetric_scaling,
     wda_fit,
 )
 from wda.datasets import LabeledDataset, load_csv, split_dataset

@@ -5,14 +5,13 @@ built from it in ``helpers`` is checked against finite differences."""
 import numpy as np
 import pytest
 
-from helpers import plan_jacobian_full, random_stiefel
+from helpers import plan_jacobian_full, random_stiefel, sinkhorn_vjp
 from wda import (
     CapacityError,
     InvalidInputError,
     cost_matrix,
     cross_covariance,
     sinkhorn_plan,
-    sinkhorn_vjp,
 )
 
 

@@ -5,10 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import random_stiefel
-from wda import LabeledDataset, gen_toy, save_csv
+from helpers import random_stiefel, reference_sinkhorn
+from wda import LabeledDataset, cost_matrix, gen_toy, save_csv
 from wda.cli import _build_parser, _configure, main
-from wda.ioutil import load_matrix_csv
+from wda.ioutil import load_matrix_csv, save_matrix_csv
 
 
 @pytest.fixture()
@@ -217,6 +217,47 @@ def test_dump_transport_tiny_lambda_uniform(tmp_path):
     for name in ("plan_c0_c0.csv", "plan_c0_c1.csv", "plan_c1_c2.csv"):
         plan = load_matrix_csv(str(out / name))
         assert np.abs(plan - 1.0 / plan.size).max() <= 1e-6
+
+
+@pytest.mark.parametrize("iterations", [300, 2])
+def test_dump_transport_converged_at_is_the_first_feasible_iteration(tmp_path, iterations):
+    # converged_at in index.json is the first k whose plan diag(u_k) K
+    # diag(v_k) has marginal residual <= 1e-9, recomputed here from a plain
+    # 2-d Sinkhorn loop; null when no iteration gets there
+    data = gen_toy(12, seed=7)
+    dpath = tmp_path / "toy.csv"
+    save_csv(data, str(dpath))
+    P = np.eye(10)[:2]
+    ppath = tmp_path / "p.csv"
+    save_matrix_csv(P, str(ppath))
+    out = tmp_path / "dump"
+    code = main([
+        "dump-transport", "--data", str(dpath), "--projection", str(ppath),
+        "--lambda", "1.0", "--sinkhorn-iters", str(iterations), "--out", str(out),
+    ])
+    assert code == 0
+    index = json.loads((out / "index.json").read_text())
+    blocks = data.class_blocks()
+    found = []
+    for entry in index["pairs"]:
+        c, cp = entry["source_class"], entry["target_class"]
+        Y = P @ blocks[c]
+        M = cost_matrix(Y, Y if cp == c else P @ blocks[cp])
+        _, trace = reference_sinkhorn(M, 1.0, iterations, 1e-9)
+        K = trace.kernel
+        n, m = K.shape
+        residuals = [
+            max(np.abs(u * (K @ v) - 1.0 / n).max(), np.abs(v * (K.T @ u) - 1.0 / m).max())
+            for u, v in zip(trace.u_history[1:], trace.v_history)
+        ]
+        below = [k for k, r in enumerate(residuals, start=1) if r <= 1e-9]
+        assert entry["converged_at"] == (below[0] if below else None)
+        assert entry["marginal_residual"] == residuals[-1]
+        found.append(entry["converged_at"])
+    if iterations == 2:
+        assert found == [None] * len(found)
+    else:
+        assert len(set(found) - {None}) > 1
 
 
 def test_dump_transport_locality_monotone_in_lambda(tmp_path):
@@ -434,6 +475,9 @@ def test_sweep_unknown_data_type_exits_2(tmp_path, capsys):
     assert "'data' must be a JSON object" in capsys.readouterr().err
 
 
+_EVALUATE = ["evaluate", "--projection", "p.csv", "--train", "t.csv", "--test", "t.csv"]
+
+
 @pytest.mark.parametrize(
     "argv, config, message",
     [
@@ -450,9 +494,15 @@ def test_sweep_unknown_data_type_exits_2(tmp_path, capsys):
         (["sweep"], {"data": {"type": "csv", "path": 3}}, "'path' must be a string, got 3"),
         (["sweep"], {"lambda": "1"}, "'lambda' must be a number, got '1'"),
         (["fit", "--train", "t.csv"], {"tol": "x"}, "'tol' must be a number, got 'x'"),
+        (_EVALUATE, {"k": "x"}, "'k' must be an integer, got 'x'"),
+        (_EVALUATE, {"k": 2.5}, "'k' must be an integer, got 2.5"),
+        (["generate"], {"n_per_class": "x"}, "'n_per_class' must be an integer, got 'x'"),
+        (["generate"], {"seed": 1.5}, "'seed' must be an integer, got 1.5"),
+        (["generate"], {"extra_noise_dims": "2"}, "'extra_noise_dims' must be an integer, got '2'"),
     ],
     ids=["ks", "ps", "n_seeds", "methods", "lambdas", "ks-item", "lambdas-bool", "seed",
-         "data-int", "data-path", "lambda", "fit-tol"],
+         "data-int", "data-path", "lambda", "fit-tol", "evaluate-k", "evaluate-k-float",
+         "generate-n", "generate-seed", "generate-noise"],
 )
 def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, argv, config, message):
     path = tmp_path / "cfg.json"

@@ -174,6 +174,28 @@ def test_csv_roundtrip_bitwise(tmp_path):
     assert (tmp_path / "toy.csv.meta.json").exists()
 
 
+@pytest.mark.parametrize(
+    "names, header",
+    [
+        (("a,b", "c"), '"a,b",c,label'),
+        (('say "hi"', "x"), '"say ""hi""",x,label'),
+        (("two\nlines", "cr\rlf"), '"two\nlines","cr\rlf",label'),
+        (("f 0", "é"), "f 0,é,label"),
+    ],
+    ids=["comma", "quote", "line-breaks", "plain"],
+)
+def test_csv_feature_names_round_trip(tmp_path, names, header):
+    # the header is quoted only where a name needs it
+    data = LabeledDataset(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0, 1]), names)
+    path = tmp_path / "named.csv"
+    save_csv(data, str(path))
+    with open(path, newline="") as fh:
+        assert fh.read() == header + "\n1,2,0\n3,4,1\n"
+    loaded = load_csv(str(path))
+    assert loaded.feature_names == names
+    assert np.array_equal(loaded.samples, data.samples)
+
+
 def test_csv_headerless_uses_last_column(tmp_path):
     path = tmp_path / "plain.csv"
     path.write_text("1.0,2.0,0\n3.0,4.0,1\n")

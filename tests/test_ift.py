@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from helpers import plan_jacobian_full, random_stiefel
+from iftgrad import ift_jacobian
 from wda import (
     CapacityError,
     NumericalRangeError,
     cost_matrix,
-    ift_jacobian,
     sinkhorn_plan,
 )
 

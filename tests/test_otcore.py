@@ -3,15 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import entropy, reference_sinkhorn, reference_vjp
+from helpers import (
+    entropy,
+    reference_sinkhorn,
+    reference_vjp,
+    regularized_distance,
+    sinkhorn_vjp,
+    symmetric_scaling,
+)
 from wda import (
     InvalidInputError,
     NumericalRangeError,
     cost_matrix,
-    regularized_distance,
     sinkhorn_plan,
-    sinkhorn_vjp,
-    symmetric_scaling,
 )
 from wda.ioutil import load_matrix_csv, save_matrix_csv
 
