@@ -40,11 +40,9 @@ from .objective import (
     ObjectiveState,
     WdaConfig,
     adaptive_lambdas,
-    cross_covariance,
     evaluate,
     gradient,
     pair_keys,
-    pair_lambda,
 )
 from .otcore import (
     SinkhornTrace,
@@ -80,7 +78,6 @@ __all__ = [
     "adaptive_lambdas",
     "append_noise",
     "cost_matrix",
-    "cross_covariance",
     "error_rate",
     "evaluate",
     "experiment_to_csv",
@@ -90,7 +87,6 @@ __all__ = [
     "knn_predict",
     "load_csv",
     "pair_keys",
-    "pair_lambda",
     "pca_init",
     "project_stiefel",
     "riemannian_gradient",

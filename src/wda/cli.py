@@ -1,12 +1,14 @@
 """Command-line interface: generate, fit, transform, evaluate, sweep,
 dump-transport.
 
-Options can come from a JSON config file (--config) and are overridden by
-explicit flags. A config file key the command does not read is refused, as
-is a sweep data spec key its type does not read. Validation failures of the
-configuration exit with code 2; runtime errors from the library exit with
-code 1; diagnostics go to standard error. All outputs are written
-atomically.
+Each setting is declared once, in ``_SETTINGS``, with its kind, default and
+flag help; ``_COMMANDS`` lists the settings each command reads. A setting
+is taken from its flag, else the JSON config file (--config), else its
+default; every config file key is type-checked, naming the key. A config
+file key the command does not read is refused, as is a sweep data spec key
+its type does not read. Validation failures of the configuration exit with
+code 2; runtime errors from the library exit with code 1; diagnostics go to
+standard error. All outputs are written atomically.
 """
 
 from __future__ import annotations
@@ -43,6 +45,41 @@ from .otcore import cost_matrix, sinkhorn_plan
 from .stiefel import pca_init, wda_fit
 
 
+# what a config value must be: the article for the message, the test, and
+# the type of its flag
+_KINDS = {
+    "integer": ("an", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), int),
+    "number": ("a", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), float),
+    "string": ("a", lambda v: isinstance(v, str), str),
+}
+
+_WDA = WdaConfig()  # the defaults of a fit
+
+# every setting a command reads: key -> (kind, default, flag help). A kind in
+# a list is a JSON list of that kind; "data" (kind None) is a JSON object that
+# _data_spec reads. A setting with help has the flag --key, "-" for "_" (-k
+# for k); one without is read from the config file only. Without "out",
+# outputs go to the working directory, and evaluate writes none.
+_SETTINGS = {
+    "out": ("string", None, "output directory"),
+    "lambda": ("number", _WDA.lam, "base regularization strength"),
+    "sinkhorn_iters": ("integer", _WDA.sinkhorn_iters, "fixed inner scaling iterations"),
+    "dim": ("integer", _WDA.dim, "target dimension p"),
+    "max_iter": ("integer", _WDA.max_outer_iter, "outer iteration cap"),
+    "tol": ("number", _WDA.outer_tol, "relative objective tolerance"),
+    "seed": ("integer", 0, "random seed; sweep cells run seeds seed .. seed + n_seeds - 1"),
+    "n_per_class": ("integer", 34, "samples per class"),
+    "extra_noise_dims": ("integer", 0, "additional pure-noise columns appended after generation"),
+    "k": ("integer", 5, "number of neighbors"),
+    "n_seeds": ("integer", 2, "seeds per cell"),
+    "data": (None, {}, None),
+    "methods": (["string"], ["wda", "pca"], None),
+    "ks": (["integer"], [5], None),
+    "ps": (["integer"], None, None),  # default [dim]
+    "lambdas": (["number"], None, None),  # default [lambda]
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wda",
@@ -52,68 +89,36 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_wda=True):
+    def add(command, help):
+        p = sub.add_parser(command, help=help)
         p.add_argument("--config", help="JSON config file; explicit flags win")
-        p.add_argument("--out", default=None, help="output directory")
-        if with_wda:
-            p.add_argument(
-                "--lambda", dest="lam", type=float, default=None,
-                help="base regularization strength (default 0.01)",
-            )
-            p.add_argument(
-                "--sinkhorn-iters", type=int, default=None,
-                help="fixed inner scaling iterations (default 10)",
-            )
-            p.add_argument(
-                "--dim", type=int, default=None,
-                help="target dimension p (default 2)",
-            )
-            p.add_argument(
-                "--max-iter", type=int, default=None,
-                help="outer iteration cap (default 100)",
-            )
-            p.add_argument(
-                "--tol", type=float, default=None,
-                help="relative objective tolerance (default 1e-6)",
-            )
+        for key in _COMMANDS[command][1]:
+            kind, default, text = _SETTINGS[key]
+            if text is None:
+                continue
+            if default is not None:
+                text = f"{text} (default {default})"
+            flag = f"-{key}" if len(key) == 1 else "--" + key.replace("_", "-")
+            p.add_argument(flag, dest=key, type=_KINDS[kind][2], help=text)
+        return p
 
-    p = sub.add_parser("generate", help="write a toy dataset CSV (+ metadata sidecar)")
-    add_common(p, with_wda=False)
-    p.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
-    p.add_argument("--n-per-class", type=int, default=None, help="samples per class (default 34)")
-    p.add_argument(
-        "--extra-noise-dims", type=int, default=None,
-        help="additional pure-noise columns appended after generation (default 0)",
-    )
+    add("generate", "write a toy dataset CSV (+ metadata sidecar)")
 
-    p = sub.add_parser("fit", help="learn a projection from a labeled CSV")
-    add_common(p)
+    p = add("fit", "learn a projection from a labeled CSV")
     p.add_argument("--train", required=True, help="training CSV (features + label column)")
 
-    p = sub.add_parser("transform", help="project a labeled CSV with a saved projection")
-    add_common(p, with_wda=False)
+    p = add("transform", "project a labeled CSV with a saved projection")
     p.add_argument("--projection", required=True, help="projection CSV (p rows x d columns)")
     p.add_argument("--data", required=True, help="dataset CSV to project")
 
-    p = sub.add_parser("evaluate", help="KNN test error in a projected space")
-    add_common(p, with_wda=False)
+    p = add("evaluate", "KNN test error in a projected space")
     p.add_argument("--projection", required=True)
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
-    p.add_argument("-k", type=int, default=None, help="number of neighbors (default 5)")
 
-    p = sub.add_parser("sweep", help="run a grid experiment protocol")
-    add_common(p)
-    p.add_argument(
-        "--seed", type=int, default=None,
-        help="first seed; cells run seeds seed .. seed + n_seeds - 1 (default 0)",
-    )
-    p.add_argument("--n-seeds", type=int, default=None, help="seeds per cell (default 2)")
+    add("sweep", "run a grid experiment protocol")
 
-    p = sub.add_parser(
-        "dump-transport", help="write every class-pair transport plan as CSV"
-    )
-    add_common(p)
+    p = add("dump-transport", "write every class-pair transport plan as CSV")
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument(
         "--projection", default=None,
@@ -135,24 +140,16 @@ def _check_keys(payload: dict, known, where: str) -> None:
         )
 
 
-# what a config value must be: the article for the message, and the test
-_KINDS = {
-    "integer": ("an", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
-    "number": ("a", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)),
-    "string": ("a", lambda v: isinstance(v, str)),
-}
-
-
-def _typed(key: str, value, kind: str, many: bool = False):
-    """``value`` if it is of ``kind`` (a list of them when ``many``); otherwise
-    raise InvalidInputError naming ``key``."""
-    article, is_kind = _KINDS[kind]
-    if many:
-        ok = isinstance(value, list) and all(map(is_kind, value))
+def _typed(key: str, value, kind):
+    """``value`` if it is of ``kind`` (a list of them when ``kind`` is in a
+    list); otherwise raise InvalidInputError naming ``key``."""
+    if isinstance(kind, list):
+        is_kind = _KINDS[kind[0]][1]
+        ok, want = isinstance(value, list) and all(map(is_kind, value)), f"a list of {kind[0]}s"
     else:
-        ok = is_kind(value)
+        article, is_kind, _ = _KINDS[kind]
+        ok, want = is_kind(value), f"{article} {kind}"
     if not ok:
-        want = f"a list of {kind}s" if many else f"{article} {kind}"
         raise InvalidInputError(f"{key!r} must be {want}, got {value!r}")
     return value
 
@@ -173,34 +170,15 @@ def _load_file_config(path: str | None, command: str, known) -> dict:
     return payload
 
 
-def _opt(args, file_cfg: dict, attr: str, key: str, default):
-    value = getattr(args, attr, None)
-    if value is not None:
-        return value
-    return file_cfg.get(key, default)
-
-
-def _wda_config(args, file_cfg: dict) -> WdaConfig:
-    return WdaConfig(
-        lam=_typed("lambda", _opt(args, file_cfg, "lam", "lambda", 0.01), "number"),
-        sinkhorn_iters=_opt(args, file_cfg, "sinkhorn_iters", "sinkhorn_iters", 10),
-        dim=_opt(args, file_cfg, "dim", "dim", 2),
-        max_outer_iter=_opt(args, file_cfg, "max_iter", "max_iter", 100),
-        outer_tol=_typed("tol", _opt(args, file_cfg, "tol", "tol", 1e-6), "number"),
-    )
-
-
-def _out_dir(args, file_cfg: dict) -> str:
-    out = _opt(args, file_cfg, "out", "out", ".")
+def _out_dir(args) -> str:
+    out = os.curdir if args.out is None else args.out
     os.makedirs(out, exist_ok=True)
     return out
 
 
-def _cmd_generate(args, file_cfg) -> int:
-    n_per_class = _opt(args, file_cfg, "n_per_class", "n_per_class", 34)
-    extra = _opt(args, file_cfg, "extra_noise_dims", "extra_noise_dims", 0)
-    seed = _opt(args, file_cfg, "seed", "seed", 0)
-    out = _out_dir(args, file_cfg)
+def _cmd_generate(args) -> int:
+    n_per_class, extra, seed = args.n_per_class, args.extra_noise_dims, args.seed
+    out = _out_dir(args)
     data = gen_toy(n_per_class, seed)
     if extra:
         data = append_noise(data, extra, seed + 1)
@@ -210,11 +188,10 @@ def _cmd_generate(args, file_cfg) -> int:
     return 0
 
 
-def _cmd_fit(args, file_cfg) -> int:
-    cfg = args.wda_config
-    out = _out_dir(args, file_cfg)
+def _cmd_fit(args) -> int:
+    out = _out_dir(args)
     data = load_csv(args.train)
-    projection, report = wda_fit(data, cfg)
+    projection, report = wda_fit(data, args.wda_config)
     proj_path = os.path.join(out, "projection.csv")
     save_matrix_csv(projection, proj_path)
     write_json(os.path.join(out, "fit_report.json"), report.to_json())
@@ -222,8 +199,8 @@ def _cmd_fit(args, file_cfg) -> int:
     return 0
 
 
-def _cmd_transform(args, file_cfg) -> int:
-    out = _out_dir(args, file_cfg)
+def _cmd_transform(args) -> int:
+    out = _out_dir(args)
     projection = load_matrix_csv(args.projection)
     data = load_csv(args.data)
     if projection.shape[1] != data.n_features:
@@ -239,8 +216,7 @@ def _cmd_transform(args, file_cfg) -> int:
     return 0
 
 
-def _cmd_evaluate(args, file_cfg) -> int:
-    k = _opt(args, file_cfg, "k", "k", 5)
+def _cmd_evaluate(args) -> int:
     projection = load_matrix_csv(args.projection)
     train = load_csv(args.train)
     test = load_csv(args.test)
@@ -252,65 +228,51 @@ def _cmd_evaluate(args, file_cfg) -> int:
             )
     train_Z = train.samples @ projection.T
     test_Z = test.samples @ projection.T
-    predicted = knn_predict(train_Z, train.labels, test_Z, k)
+    predicted = knn_predict(train_Z, train.labels, test_Z, args.k)
     err = error_rate(predicted, test.labels)
-    if getattr(args, "out", None) is not None or "out" in file_cfg:
-        out = _out_dir(args, file_cfg)
+    if args.out is not None:
+        out = _out_dir(args)
         write_json(
             os.path.join(out, "evaluation.json"),
-            {"k": k, "error": err, "n_train": train.n_samples, "n_test": test.n_samples},
+            {"k": args.k, "error": err, "n_train": train.n_samples, "n_test": test.n_samples},
         )
     print(f"{err:.6f}")
     return 0
 
 
-_DATA_KEYS = {
-    "toy": ("type", "n_train_per_class", "n_test_per_class", "extra_noise_dims"),
-    "csv": ("type", "path", "train_fraction", "extra_noise_dims"),
+# each sweep data spec type: its class and the kind of each key it reads,
+# besides "type"; a key left out takes the class's default
+_DATA_SPECS = {
+    "toy": (ToyDataSpec, {
+        "n_train_per_class": "integer", "n_test_per_class": "integer",
+        "extra_noise_dims": "integer",
+    }),
+    "csv": (CsvDataSpec, {
+        "path": "string", "train_fraction": "number", "extra_noise_dims": "integer",
+    }),
 }
 
 
-def _data_spec_from_config(payload: dict):
+def _data_spec(payload):
     if not isinstance(payload, dict):
         raise InvalidInputError("sweep 'data' must be a JSON object")
     kind = payload.get("type", "toy")
-    if kind not in _DATA_KEYS:
+    if not isinstance(kind, str) or kind not in _DATA_SPECS:
         raise InvalidInputError(f"unknown data spec type {kind!r}")
-    _check_keys(payload, _DATA_KEYS[kind], f"{kind} data spec")
-    extra = _typed("extra_noise_dims", payload.get("extra_noise_dims", 0), "integer")
-    if kind == "toy":
-        return ToyDataSpec(
-            n_train_per_class=_typed(
-                "n_train_per_class", payload.get("n_train_per_class", 34), "integer"
-            ),
-            n_test_per_class=_typed(
-                "n_test_per_class", payload.get("n_test_per_class", 334), "integer"
-            ),
-            extra_noise_dims=extra,
-        )
-    if "path" not in payload:
+    spec_class, kinds = _DATA_SPECS[kind]
+    _check_keys(payload, ("type", *kinds), f"{kind} data spec")
+    if kind == "csv" and "path" not in payload:
         raise InvalidInputError("csv data spec needs a 'path'")
-    return CsvDataSpec(
-        path=_typed("path", payload["path"], "string"),
-        train_fraction=float(
-            _typed("train_fraction", payload.get("train_fraction", 0.5), "number")
-        ),
-        extra_noise_dims=extra,
-    )
+    return spec_class(**{
+        key: _typed(key, payload[key], kinds[key]) for key in kinds if key in payload
+    })
 
 
-def _cmd_sweep(args, file_cfg) -> int:
-    out = _out_dir(args, file_cfg)
-    spec = args.sweep_spec
+def _cmd_sweep(args) -> int:
+    out = _out_dir(args)
     result = run_protocol(
-        spec["data"],
-        spec["methods"],
-        spec["ks"],
-        spec["ps"],
-        spec["lams"],
-        n_seeds=spec["n_seeds"],
-        base_seed=spec["base_seed"],
-        wda_config=args.wda_config,
+        args.data, args.methods, args.ks, args.ps, args.lambdas,
+        n_seeds=args.n_seeds, base_seed=args.seed, wda_config=args.wda_config,
     )
     experiment_to_csv(result, os.path.join(out, "results.csv"))
     write_json(os.path.join(out, "summary.json"), result.summary_json())
@@ -320,9 +282,9 @@ def _cmd_sweep(args, file_cfg) -> int:
     return 0
 
 
-def _cmd_dump_transport(args, file_cfg) -> int:
+def _cmd_dump_transport(args) -> int:
     cfg = args.wda_config
-    out = _out_dir(args, file_cfg)
+    out = _out_dir(args)
     data = load_csv(args.data)
     blocks = data.class_blocks()
     if args.projection is not None:
@@ -375,57 +337,47 @@ def _cmd_dump_transport(args, file_cfg) -> int:
 
 _WDA_KEYS = ("lambda", "sinkhorn_iters", "dim", "max_iter", "tol")
 
-# handler, whether it builds a WdaConfig (and so reads _WDA_KEYS), and the
-# other config file keys it reads
+# each command's handler and the settings it reads
 _COMMANDS = {
-    "generate": (_cmd_generate, False, ("out", "seed", "n_per_class", "extra_noise_dims")),
-    "fit": (_cmd_fit, True, ("out",)),
-    "transform": (_cmd_transform, False, ("out",)),
-    "evaluate": (_cmd_evaluate, False, ("out", "k")),
+    "generate": (_cmd_generate, ("out", "seed", "n_per_class", "extra_noise_dims")),
+    "fit": (_cmd_fit, ("out", *_WDA_KEYS)),
+    "transform": (_cmd_transform, ("out",)),
+    "evaluate": (_cmd_evaluate, ("out", "k")),
     "sweep": (
-        _cmd_sweep, True,
-        ("out", "seed", "n_seeds", "data", "methods", "ks", "ps", "lambdas"),
+        _cmd_sweep,
+        ("out", *_WDA_KEYS, "seed", "n_seeds", "data", "methods", "ks", "ps", "lambdas"),
     ),
-    "dump-transport": (_cmd_dump_transport, True, ("out",)),
-}
-
-
-# config file keys that generate and evaluate read as integers (their flags
-# are integers already)
-_INTEGER_KEYS = {
-    "generate": ("seed", "n_per_class", "extra_noise_dims"),
-    "evaluate": ("k",),
+    "dump-transport": (_cmd_dump_transport, ("out", *_WDA_KEYS)),
 }
 
 
 def _configure(args) -> dict:
-    """Merge the config file into ``args``; returns the file's settings.
+    """Set each setting of the command on ``args``: its flag, else its config
+    file value, else its default. Returns the file's settings.
 
+    Every file value is checked against its kind, even where a flag wins.
     Raises InvalidInputError for an unreadable file, an unknown key or an
     invalid setting.
     """
-    _, needs_wda, keys = _COMMANDS[args.command]
-    known = keys + _WDA_KEYS if needs_wda else keys
-    file_cfg = _load_file_config(getattr(args, "config", None), args.command, known)
-    if needs_wda:
-        args.wda_config = _wda_config(args, file_cfg)
-    for key in _INTEGER_KEYS.get(args.command, ()):
-        if key in file_cfg:
-            _typed(key, file_cfg[key], "integer")
+    keys = _COMMANDS[args.command][1]
+    file_cfg = _load_file_config(args.config, args.command, keys)
+    for key in keys:
+        kind, default, _ = _SETTINGS[key]
+        if key in file_cfg and kind is not None:
+            _typed(key, file_cfg[key], kind)
+        if getattr(args, key, None) is None:
+            setattr(args, key, file_cfg.get(key, default))
+    if "lambda" in keys:
+        args.wda_config = WdaConfig(
+            lam=getattr(args, "lambda"), sinkhorn_iters=args.sinkhorn_iters, dim=args.dim,
+            max_outer_iter=args.max_iter, outer_tol=args.tol,
+        )
     if args.command == "sweep":
-        args.sweep_spec = {
-            "data": _data_spec_from_config(file_cfg.get("data", {})),
-            "methods": _typed(
-                "methods", file_cfg.get("methods", ["wda", "pca"]), "string", many=True
-            ),
-            "ks": _typed("ks", file_cfg.get("ks", [5]), "integer", many=True),
-            "ps": _typed("ps", file_cfg.get("ps", [args.wda_config.dim]), "integer", many=True),
-            "lams": _typed(
-                "lambdas", file_cfg.get("lambdas", [args.wda_config.lam]), "number", many=True
-            ),
-            "n_seeds": _typed("n_seeds", _opt(args, file_cfg, "n_seeds", "n_seeds", 2), "integer"),
-            "base_seed": _typed("seed", _opt(args, file_cfg, "seed", "seed", 0), "integer"),
-        }
+        args.data = _data_spec(args.data)
+        if args.ps is None:
+            args.ps = [args.dim]
+        if args.lambdas is None:
+            args.lambdas = [args.wda_config.lam]
     return file_cfg
 
 
@@ -436,14 +388,14 @@ def main(argv=None) -> int:
 
     # configuration phase: merge file + flags, validate -> exit code 2
     try:
-        file_cfg = _configure(args)
+        _configure(args)
     except InvalidInputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     # execution phase: library or I/O failures -> exit code 1
     try:
-        return handler(args, file_cfg)
+        return handler(args)
     except (WdaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -76,6 +76,12 @@ class LabeledDataset:
                 raise InvalidInputError(
                     f"{len(names)} feature names for {samples.shape[1]} columns"
                 )
+            # load_csv strips header cells, so such a name would not read back
+            for name in names:
+                if isinstance(name, str) and name != name.strip():
+                    raise InvalidInputError(
+                        f"feature name {name!r} has leading or trailing whitespace"
+                    )
             object.__setattr__(self, "feature_names", names)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "labels", labels)

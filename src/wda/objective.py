@@ -230,6 +230,12 @@ def _resolve_lambdas(blocks, cfg: WdaConfig, lambdas) -> dict[PairKey, float]:
     missing = [key for key in pair_keys(len(blocks)) if key not in lambdas]
     if missing:
         raise InvalidInputError(f"missing per-pair lambda for pairs {missing}")
+    for key in pair_keys(len(blocks)):
+        if not 0 < lambdas[key] < math.inf:
+            raise InvalidInputError(
+                f"per-pair lambda for pair {key} must be positive and finite, "
+                f"got {lambdas[key]}"
+            )
     return dict(lambdas)
 
 

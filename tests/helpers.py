@@ -17,10 +17,10 @@ from wda import (
     SinkhornTrace,
     TransportPlan,
     cost_matrix,
-    cross_covariance,
     pair_keys,
     project_stiefel,
 )
+from wda.objective import cross_covariance
 from wda.otcore import SinkhornBatch, sinkhorn_batch_reverse
 
 # the scaling clamp of wda.otcore

@@ -10,9 +10,9 @@ from wda import (
     CapacityError,
     InvalidInputError,
     cost_matrix,
-    cross_covariance,
     sinkhorn_plan,
 )
+from wda.objective import cross_covariance
 
 
 def _instance(rng, n, m, d, p, lam, L):

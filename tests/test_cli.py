@@ -499,10 +499,19 @@ _EVALUATE = ["evaluate", "--projection", "p.csv", "--train", "t.csv", "--test", 
         (["generate"], {"n_per_class": "x"}, "'n_per_class' must be an integer, got 'x'"),
         (["generate"], {"seed": 1.5}, "'seed' must be an integer, got 1.5"),
         (["generate"], {"extra_noise_dims": "2"}, "'extra_noise_dims' must be an integer, got '2'"),
+        (["fit", "--train", "t.csv"], {"out": 5}, "'out' must be a string, got 5"),
+        (["fit", "--train", "t.csv"], {"out": None}, "'out' must be a string, got None"),
+        (["generate"], {"out": 5}, "'out' must be a string, got 5"),
+        (["generate"], {"out": None}, "'out' must be a string, got None"),
+        (["fit", "--train", "t.csv"], {"max_iter": 2.5}, "'max_iter' must be an integer, got 2.5"),
+        (["sweep"], {"sinkhorn_iters": "10"}, "'sinkhorn_iters' must be an integer, got '10'"),
+        (["dump-transport", "--data", "d.csv"], {"dim": True}, "'dim' must be an integer, got True"),
     ],
     ids=["ks", "ps", "n_seeds", "methods", "lambdas", "ks-item", "lambdas-bool", "seed",
          "data-int", "data-path", "lambda", "fit-tol", "evaluate-k", "evaluate-k-float",
-         "generate-n", "generate-seed", "generate-noise"],
+         "generate-n", "generate-seed", "generate-noise", "fit-out", "fit-out-null",
+         "generate-out", "generate-out-null", "fit-max-iter", "sweep-sinkhorn-iters",
+         "dump-transport-dim"],
 )
 def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, argv, config, message):
     path = tmp_path / "cfg.json"
@@ -511,6 +520,14 @@ def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, argv, config, 
     assert main(argv + ["--config", str(path), "--out", str(out)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", [[], {}], ids=["list", "object"])
+def test_sweep_data_type_that_is_not_a_string_exits_2(tmp_path, capsys, kind):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"data": {"type": kind}}))
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: unknown data spec type {kind!r}" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

@@ -181,11 +181,17 @@ def test_csv_roundtrip_bitwise(tmp_path):
         (('say "hi"', "x"), '"say ""hi""",x,label'),
         (("two\nlines", "cr\rlf"), '"two\nlines","cr\rlf",label'),
         (("f 0", "é"), "f 0,é,label"),
+        ((" sp ", "b"), None),
     ],
-    ids=["comma", "quote", "line-breaks", "plain"],
+    ids=["comma", "quote", "line-breaks", "plain", "surrounding-space"],
 )
 def test_csv_feature_names_round_trip(tmp_path, names, header):
-    # the header is quoted only where a name needs it
+    # the header is quoted only where a name needs it; load_csv strips header
+    # cells, so a name with surrounding whitespace (header None) is refused
+    if header is None:
+        with pytest.raises(InvalidInputError, match="feature name ' sp ' has leading"):
+            LabeledDataset(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0, 1]), names)
+        return
     data = LabeledDataset(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0, 1]), names)
     path = tmp_path / "named.csv"
     save_csv(data, str(path))

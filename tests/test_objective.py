@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,16 +16,15 @@ from wda import (
     WdaConfig,
     adaptive_lambdas,
     append_noise,
-    cross_covariance,
     evaluate,
     gen_toy,
     gradient,
     pair_keys,
     pca_init,
-    pair_lambda,
     riemannian_gradient,
     uniform_coupling_covariances,
 )
+from wda.objective import cross_covariance, pair_lambda
 
 
 def _gaussian_classes(rng, d, n_c, n_classes, spread=2.0):
@@ -453,6 +453,18 @@ def test_missing_pair_lambda_rejected():
     P = random_stiefel(rng, 2, 4)
     with pytest.raises(InvalidInputError):
         evaluate(P, classes, cfg, {(0, 0): 0.1})
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.0, np.nan, np.inf], ids=["-1", "0", "nan", "inf"])
+def test_explicit_pair_lambda_must_be_positive_and_finite(value):
+    # unchecked, -1 builds an anti-concentrated kernel exp(+M) with a finite J,
+    # and nan is taken for an overflow of the projected distances
+    blocks = gen_toy(6, 0).class_blocks()
+    lambdas = {key: 1.0 for key in pair_keys(len(blocks))}
+    lambdas[(0, 1)] = value
+    message = f"per-pair lambda for pair (0, 1) must be positive and finite, got {value}"
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        evaluate(np.eye(10)[:2], blocks, WdaConfig(lam=1.0), lambdas)
 
 
 @pytest.mark.parametrize(
