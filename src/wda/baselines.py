@@ -7,9 +7,9 @@ within covariances become plain all-pairs difference covariances
     C^{c,c'} = 1/(n_c n_{c'}) sum_ij (x_i^c - x_j^{c'})(x_i^c - x_j^{c'})^T
 
 and the ratio is maximized by the top generalized eigenvectors of
-C_w^{-1} C_b. Note the within matrix uses all sample pairs, not the classical
-mean-centered scatter; this keeps the limit equivalence with the transport
-objective literal.
+C_w^{-1} C_b. A class paired with itself gives C^{c,c} = 2 S_c, with S_c its
+mean-centered covariance, so C_w = 2 sum_c S_c is exactly twice the
+classical within-class scatter (each class normalized by its own size).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .datasets import LabeledDataset
 from .errors import DegenerateInputError, InvalidInputError
-from .objective import cross_covariance, pair_keys
+from .objective import uniform_pair_covariances
 
 _RIDGE = 1e-10
 
@@ -34,20 +34,13 @@ class FdaModel:
 
 
 def uniform_coupling_covariances(classes) -> tuple[np.ndarray, np.ndarray]:
-    """Between/within covariances under uniform couplings: (C_b, C_w)."""
-    blocks = [np.asarray(X, dtype=float) for X in classes]
-    d = blocks[0].shape[0]
-    cb = np.zeros((d, d))
-    cw = np.zeros((d, d))
-    for c, cp in pair_keys(len(blocks)):
-        n_c = blocks[c].shape[1]
-        n_cp = blocks[cp].shape[1]
-        uniform = np.full((n_c, n_cp), 1.0 / (n_c * n_cp))
-        C = cross_covariance(blocks[c], blocks[cp], uniform)
-        if c == cp:
-            cw += C
-        else:
-            cb += C
+    """Between/within covariances under uniform couplings, (C_b, C_w): the
+    sums of :func:`~wda.objective.uniform_pair_covariances` over the between
+    pairs (c < c') and the within pairs (c = c')."""
+    pairs = uniform_pair_covariances(classes)
+    zero = np.zeros_like(pairs[(0, 0)])
+    cb = sum((C for (c, cp), C in pairs.items() if c != cp), zero)
+    cw = sum((C for (c, cp), C in pairs.items() if c == cp), zero)
     return cb, cw
 
 

@@ -4,7 +4,8 @@ dump-transport.
 Each setting is declared once, in ``_SETTINGS``, with its kind, default and
 flag help; ``_COMMANDS`` lists the settings each command reads. A setting
 is taken from its flag, else the JSON config file (--config), else its
-default; every config file key is type-checked, naming the key. A config
+default; every config file key is type-checked, and every setting is
+checked for values that are never valid, naming the key. A config
 file key the command does not read is refused, as is a sweep data spec key
 its type does not read. Validation failures of the configuration exit with
 code 2; runtime errors from the library exit with code 1; diagnostics go to
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import numbers
 import os
 import sys
@@ -80,6 +82,13 @@ _SETTINGS = {
 }
 
 
+# the least value of an integer setting or sweep data spec key (of each entry,
+# for a list); "lambdas" entries must be positive and finite. Limits that
+# depend on the data, such as k <= n_train and p <= d, fail per sweep cell
+_LEAST = {"seed": 0, "extra_noise_dims": 0, "k": 1, "n_seeds": 1, "ks": 1, "ps": 1,
+          "n_per_class": 2, "n_train_per_class": 2, "n_test_per_class": 2}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wda",
@@ -141,8 +150,9 @@ def _check_keys(payload: dict, known, where: str) -> None:
 
 
 def _typed(key: str, value, kind):
-    """``value`` if it is of ``kind`` (a list of them when ``kind`` is in a
-    list); otherwise raise InvalidInputError naming ``key``."""
+    """``value`` if it is of ``kind`` (a list of them, not empty, when
+    ``kind`` is in a list) and in the range of ``key``; otherwise raise
+    InvalidInputError naming ``key``."""
     if isinstance(kind, list):
         is_kind = _KINDS[kind[0]][1]
         ok, want = isinstance(value, list) and all(map(is_kind, value)), f"a list of {kind[0]}s"
@@ -151,6 +161,13 @@ def _typed(key: str, value, kind):
         ok, want = is_kind(value), f"{article} {kind}"
     if not ok:
         raise InvalidInputError(f"{key!r} must be {want}, got {value!r}")
+    if value == []:
+        raise InvalidInputError(f"{key!r} must not be empty")
+    for entry in value if isinstance(value, list) else [value]:
+        if key == "lambdas" and not 0 < entry < math.inf:
+            raise InvalidInputError(f"{key!r} must be positive and finite, got {entry!r}")
+        if key in _LEAST and entry < _LEAST[key]:
+            raise InvalidInputError(f"{key!r} must be >= {_LEAST[key]}, got {entry!r}")
     return value
 
 
@@ -174,6 +191,19 @@ def _out_dir(args) -> str:
     out = os.curdir if args.out is None else args.out
     os.makedirs(out, exist_ok=True)
     return out
+
+
+def _load_projection(path: str, *named) -> np.ndarray:
+    """The projection CSV at ``path``; raises InvalidInputError unless its
+    width is the dimension of each (name, dataset) in ``named``."""
+    projection = load_matrix_csv(path)
+    for name, data in named:
+        if projection.shape[1] != data.n_features:
+            raise InvalidInputError(
+                f"projection expects dimension {projection.shape[1]}, "
+                f"{name} has {data.n_features}"
+            )
+    return projection
 
 
 def _cmd_generate(args) -> int:
@@ -201,13 +231,8 @@ def _cmd_fit(args) -> int:
 
 def _cmd_transform(args) -> int:
     out = _out_dir(args)
-    projection = load_matrix_csv(args.projection)
     data = load_csv(args.data)
-    if projection.shape[1] != data.n_features:
-        raise InvalidInputError(
-            f"projection expects dimension {projection.shape[1]}, "
-            f"data has {data.n_features}"
-        )
+    projection = _load_projection(args.projection, ("data", data))
     projected = data.samples @ projection.T
     names = tuple(f"z{j}" for j in range(projected.shape[1]))
     path = os.path.join(out, "transformed.csv")
@@ -217,15 +242,9 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    projection = load_matrix_csv(args.projection)
     train = load_csv(args.train)
     test = load_csv(args.test)
-    for name, data in (("train", train), ("test", test)):
-        if projection.shape[1] != data.n_features:
-            raise InvalidInputError(
-                f"projection expects dimension {projection.shape[1]}, "
-                f"{name} data has {data.n_features}"
-            )
+    projection = _load_projection(args.projection, ("train data", train), ("test data", test))
     train_Z = train.samples @ projection.T
     test_Z = test.samples @ projection.T
     predicted = knn_predict(train_Z, train.labels, test_Z, args.k)
@@ -288,12 +307,7 @@ def _cmd_dump_transport(args) -> int:
     data = load_csv(args.data)
     blocks = data.class_blocks()
     if args.projection is not None:
-        projection = load_matrix_csv(args.projection)
-        if projection.shape[1] != data.n_features:
-            raise InvalidInputError(
-                f"projection expects dimension {projection.shape[1]}, "
-                f"data has {data.n_features}"
-            )
+        projection = _load_projection(args.projection, ("data", data))
         source = "file"
     else:
         projection = pca_init(data.samples.T, cfg.dim)
@@ -335,7 +349,11 @@ def _cmd_dump_transport(args) -> int:
     return 0
 
 
-_WDA_KEYS = ("lambda", "sinkhorn_iters", "dim", "max_iter", "tol")
+# the WdaConfig field of each fit setting; those a command does not read keep
+# their defaults
+_WDA_FIELDS = {"lambda": "lam", "sinkhorn_iters": "sinkhorn_iters", "dim": "dim",
+               "max_iter": "max_outer_iter", "tol": "outer_tol"}
+_WDA_KEYS = tuple(_WDA_FIELDS)
 
 # each command's handler and the settings it reads
 _COMMANDS = {
@@ -347,7 +365,7 @@ _COMMANDS = {
         _cmd_sweep,
         ("out", *_WDA_KEYS, "seed", "n_seeds", "data", "methods", "ks", "ps", "lambdas"),
     ),
-    "dump-transport": (_cmd_dump_transport, ("out", *_WDA_KEYS)),
+    "dump-transport": (_cmd_dump_transport, ("out", "lambda", "sinkhorn_iters", "dim")),
 }
 
 
@@ -355,9 +373,9 @@ def _configure(args) -> dict:
     """Set each setting of the command on ``args``: its flag, else its config
     file value, else its default. Returns the file's settings.
 
-    Every file value is checked against its kind, even where a flag wins.
-    Raises InvalidInputError for an unreadable file, an unknown key or an
-    invalid setting.
+    Every file value is checked against its kind and range, even where a
+    flag wins. Raises InvalidInputError for an unreadable file, an unknown
+    key or an invalid setting.
     """
     keys = _COMMANDS[args.command][1]
     file_cfg = _load_file_config(args.config, args.command, keys)
@@ -367,11 +385,12 @@ def _configure(args) -> dict:
             _typed(key, file_cfg[key], kind)
         if getattr(args, key, None) is None:
             setattr(args, key, file_cfg.get(key, default))
+        elif kind is not None:
+            _typed(key, getattr(args, key), kind)
     if "lambda" in keys:
-        args.wda_config = WdaConfig(
-            lam=getattr(args, "lambda"), sinkhorn_iters=args.sinkhorn_iters, dim=args.dim,
-            max_outer_iter=args.max_iter, outer_tol=args.tol,
-        )
+        args.wda_config = WdaConfig(**{
+            field: getattr(args, key) for key, field in _WDA_FIELDS.items() if key in keys
+        })
     if args.command == "sweep":
         args.data = _data_spec(args.data)
         if args.ps is None:

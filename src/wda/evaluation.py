@@ -165,16 +165,15 @@ class CsvDataSpec:
     extra_noise_dims: int = 0
 
 
-def _make_data(spec, seed: int) -> tuple[LabeledDataset, LabeledDataset]:
+def _make_data(spec, seed: int, loaded) -> tuple[LabeledDataset, LabeledDataset]:
+    """Train and test sets of one seed; ``loaded`` is the dataset of a
+    CsvDataSpec, read once per protocol."""
     child = np.random.default_rng(seed).integers(2**63, size=4)
     if isinstance(spec, ToyDataSpec):
         train = gen_toy(spec.n_train_per_class, int(child[0]))
         test = gen_toy(spec.n_test_per_class, int(child[1]))
-    elif isinstance(spec, CsvDataSpec):
-        data = load_csv(spec.path)
-        train, test = split_dataset(data, spec.train_fraction, int(child[0]))
     else:
-        raise InvalidInputError(f"unknown data spec {type(spec).__name__}")
+        train, test = split_dataset(loaded, spec.train_fraction, int(child[0]))
     if spec.extra_noise_dims:
         train = append_noise(train, spec.extra_noise_dims, int(child[2]))
         test = append_noise(test, spec.extra_noise_dims, int(child[3]))
@@ -348,13 +347,16 @@ def run_protocol(
     for method in methods:
         if method not in KNOWN_METHODS:
             raise InvalidInputError(f"unknown method {method!r}; known: {KNOWN_METHODS}")
+    if not isinstance(data_spec, (ToyDataSpec, CsvDataSpec)):
+        raise InvalidInputError(f"unknown data spec {type(data_spec).__name__}")
+    loaded = load_csv(data_spec.path) if isinstance(data_spec, CsvDataSpec) else None
     wda_config = wda_config if wda_config is not None else WdaConfig()
     seeds = [base_seed + s for s in range(n_seeds)]
     errors = np.full((len(methods), len(seeds), len(ps), len(lams), len(ks)), np.nan)
     failures: list[dict] = []
 
     for si, seed in enumerate(seeds):
-        train, test = _make_data(data_spec, seed)
+        train, test = _make_data(data_spec, seed, loaded)
         for mi, method in enumerate(methods):
             for pi, p in enumerate(ps):
                 cell = None

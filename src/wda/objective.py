@@ -9,8 +9,9 @@ pairs (c = c'), and the objective is the ratio
 
     J(P) = sigma_b^2 / sigma_w^2.
 
-This equals <P^T P, C_b> / <P^T P, C_w> with the d x d covariances of
-:func:`cross_covariance`, which only the Fisher baseline forms.
+This equals <P^T P, C_b> / <P^T P, C_w> with d x d transport-weighted
+covariances of sample differences, which are never formed here; at
+lambda -> 0 they are those of :func:`uniform_pair_covariances`.
 
 J depends on P only through the M of each pair, so the gradient is one
 formula for every pair. The cost cotangent of a pair distance is
@@ -41,7 +42,6 @@ from .datasets import require_finite
 from .errors import DegenerateInputError, InvalidInputError, NumericalRangeError
 from .otcore import (
     SinkhornBatch,
-    TransportPlan,
     cost_matrix,
     kernel_underflow_message,
     self_costs,
@@ -119,27 +119,34 @@ def pair_keys(n_classes: int) -> list[PairKey]:
     return [(c, cp) for c in range(n_classes) for cp in range(c, n_classes)]
 
 
-def pair_lambda(P0: np.ndarray, Xc: np.ndarray, Xcp: np.ndarray, lam: float) -> float:
-    """Per-pair regularization: lam divided by the mean projected squared distance.
-
-    The mean runs over all ordered sample pairs of the two blocks (including
-    the zero diagonal for a block paired with itself), so inter- and
-    intra-class transport see comparable regularization strength.
+def uniform_pair_covariances(classes) -> dict[PairKey, np.ndarray]:
+    """Each class pair's (c <= c') difference covariance under the uniform
+    coupling, 1/(n_c n_c') sum_ij (x_i - x'_j)(x_i - x'_j)^T, in closed form
+    S_c + S_c' + (m_c - m_c')(m_c - m_c')^T from the class means m and
+    covariances S (2 S_c for a class with itself). Each block's moments are
+    taken about its first sample, so identical points give S = 0 exactly and
+    a common offset cancels.
     """
-    P0 = np.asarray(P0, dtype=float)
-    Yc = P0 @ Xc
-    Ycp = Yc if Xcp is Xc else P0 @ np.asarray(Xcp, dtype=float)
-    mean = float(cost_matrix(Yc, Ycp).mean())
-    if mean <= 0.0:
-        raise DegenerateInputError(
-            "all projected points of the class pair coincide; "
-            "adaptive regularization is undefined"
-        )
-    return lam / mean
+    blocks = [np.asarray(X, dtype=float) for X in classes]
+    origins, means, covs = [], [], []
+    for X in blocks:
+        D = X - X[:, :1]
+        mean = D.mean(axis=1, keepdims=True)
+        E = D - mean
+        origins.append(X[:, :1])
+        means.append(mean)
+        covs.append(E @ E.T / X.shape[1])
+    pairs = {}
+    for c, cp in pair_keys(len(blocks)):
+        gap = (origins[c] - origins[cp]) + (means[c] - means[cp])  # 0 when c == cp
+        pairs[(c, cp)] = covs[c] + covs[cp] + gap @ gap.T
+    return pairs
 
 
 def adaptive_lambdas(P0: np.ndarray, classes, lam: float) -> dict[PairKey, float]:
-    """Fix one regularization value per class pair from the initial projection.
+    """Fix one regularization value per class pair from the initial projection:
+    ``lam`` divided by the pair's lambda -> 0 transport cost at P0, the trace
+    of its :func:`uniform_pair_covariances` in the projected space.
 
     Values are computed once (typically at the PCA initialization) and reused
     unchanged for every subsequent objective or gradient evaluation.
@@ -147,40 +154,17 @@ def adaptive_lambdas(P0: np.ndarray, classes, lam: float) -> dict[PairKey, float
     if not lam > 0:
         raise InvalidInputError(f"lambda must be positive, got {lam}")
     blocks = _check_classes(classes)
-    return {
-        (c, cp): pair_lambda(P0, blocks[c], blocks[cp], lam)
-        for (c, cp) in pair_keys(len(blocks))
-    }
-
-
-def cross_covariance(
-    Xc: np.ndarray,
-    Xcp: np.ndarray,
-    plan: TransportPlan | np.ndarray,
-) -> np.ndarray:
-    """Transport-weighted covariance of sample differences, a (d, d) matrix.
-
-    C = sum_ij T_ij (x_i - x'_j)(x_i - x'_j)^T, assembled from the plan
-    marginals instead of an explicit double loop. Symmetric PSD by
-    construction; symmetrized once more to remove rounding skew.
-    """
-    T = plan.weights if isinstance(plan, TransportPlan) else np.asarray(plan, dtype=float)
-    Xc = np.asarray(Xc, dtype=float)
-    Xcp = np.asarray(Xcp, dtype=float)
-    if Xc.shape[0] != Xcp.shape[0]:
-        raise InvalidInputError(
-            f"feature dimensions differ: {Xc.shape[0]} vs {Xcp.shape[0]}"
-        )
-    if T.shape != (Xc.shape[1], Xcp.shape[1]):
-        raise InvalidInputError(
-            f"plan shape {T.shape} does not match sample counts "
-            f"({Xc.shape[1]}, {Xcp.shape[1]})"
-        )
-    row = T.sum(axis=1)
-    col = T.sum(axis=0)
-    cross = Xc @ T @ Xcp.T
-    C = (Xc * row) @ Xc.T - cross - cross.T + (Xcp * col) @ Xcp.T
-    return 0.5 * (C + C.T)
+    P0 = np.asarray(P0, dtype=float)
+    lam_map = {}
+    for key, C in uniform_pair_covariances([P0 @ X for X in blocks]).items():
+        cost = float(np.trace(C))
+        if cost <= 0.0:
+            raise DegenerateInputError(
+                f"all projected points of class pair {key} coincide; "
+                "adaptive regularization is undefined"
+            )
+        lam_map[key] = lam / cost
+    return lam_map
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Shared test utilities: finite differences, subspace angles, the
 validation-only transport helpers (the reverse pass of one Sinkhorn run, the
-symmetric scaling of self-transport, the transport cost <T, M>), the full
+symmetric scaling of self-transport, the transport cost <T, M>, the
+transport-weighted covariance of sample differences), the full
 unrolled plan Jacobian, a per-pair reference for the objective built on
 plain 2-d Sinkhorn loops of its own, and cell-by-cell references for the
 CSV reader and writers."""
@@ -20,7 +21,6 @@ from wda import (
     pair_keys,
     project_stiefel,
 )
-from wda.objective import cross_covariance
 from wda.otcore import SinkhornBatch, sinkhorn_batch_reverse
 
 # the scaling clamp of wda.otcore
@@ -101,6 +101,36 @@ def regularized_distance(plan, M):
     if T.shape != M.shape:
         raise InvalidInputError(f"plan shape {T.shape} does not match cost shape {M.shape}")
     return float(np.sum(T * M))
+
+
+def cross_covariance(
+    Xc: np.ndarray,
+    Xcp: np.ndarray,
+    plan: TransportPlan | np.ndarray,
+) -> np.ndarray:
+    """Transport-weighted covariance of sample differences, a (d, d) matrix.
+
+    C = sum_ij T_ij (x_i - x'_j)(x_i - x'_j)^T, assembled from the plan
+    marginals instead of an explicit double loop. Symmetric PSD by
+    construction; symmetrized once more to remove rounding skew.
+    """
+    T = plan.weights if isinstance(plan, TransportPlan) else np.asarray(plan, dtype=float)
+    Xc = np.asarray(Xc, dtype=float)
+    Xcp = np.asarray(Xcp, dtype=float)
+    if Xc.shape[0] != Xcp.shape[0]:
+        raise InvalidInputError(
+            f"feature dimensions differ: {Xc.shape[0]} vs {Xcp.shape[0]}"
+        )
+    if T.shape != (Xc.shape[1], Xcp.shape[1]):
+        raise InvalidInputError(
+            f"plan shape {T.shape} does not match sample counts "
+            f"({Xc.shape[1]}, {Xcp.shape[1]})"
+        )
+    row = T.sum(axis=1)
+    col = T.sum(axis=0)
+    cross = Xc @ T @ Xcp.T
+    C = (Xc * row) @ Xc.T - cross - cross.T + (Xcp * col) @ Xcp.T
+    return 0.5 * (C + C.T)
 
 
 def plan_jacobian_full(trace, P, X, Z, max_entries=1024):

@@ -5,14 +5,13 @@ built from it in ``helpers`` is checked against finite differences."""
 import numpy as np
 import pytest
 
-from helpers import plan_jacobian_full, random_stiefel, sinkhorn_vjp
+from helpers import cross_covariance, plan_jacobian_full, random_stiefel, sinkhorn_vjp
 from wda import (
     CapacityError,
     InvalidInputError,
     cost_matrix,
     sinkhorn_plan,
 )
-from wda.objective import cross_covariance
 
 
 def _instance(rng, n, m, d, p, lam, L):

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import random_stiefel, reference_sinkhorn
 from wda import LabeledDataset, cost_matrix, gen_toy, save_csv
-from wda.cli import _build_parser, _configure, main
+from wda.cli import _COMMANDS, _SETTINGS, _build_parser, _configure, main
 from wda.ioutil import load_matrix_csv, save_matrix_csv
 
 
@@ -376,9 +376,33 @@ def test_seed_flag_only_on_commands_that_use_it(argv, capsys):
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["--max-iter", "7"], ["--tol", "5"]], ids=["max-iter", "tol"])
+def test_dump_transport_refuses_the_outer_loop_flags(flag, capsys):
+    # dump-transport runs no outer ascent, so these flags would be no-ops
+    with pytest.raises(SystemExit) as excinfo:
+        main(["dump-transport", "--data", "d.csv", *flag])
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def _readme():
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_readme_key_table_matches_the_settings_table():
+    section = _readme().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \|[^|\n]*\|[^|\n]*\| ([^|\n]*) \|$", section, re.M)
+    table = {
+        key: set(_COMMANDS) if cell.startswith("every command") else set(re.findall(r"`([\w-]+)`", cell))
+        for key, cell in rows
+    }
+    readers = {key: {c for c, (_, keys) in _COMMANDS.items() if key in keys} for key in _SETTINGS}
+    assert [key for key, _ in rows] == list(_SETTINGS)
+    assert table == readers
+
+
 def _readme_sweep_config():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    return json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    return json.loads(re.search(r"```json\n(.*?)```", _readme(), re.S).group(1))
 
 
 _BENCHMARK_SWEEP = {
@@ -435,8 +459,9 @@ def test_config_keys_in_use_are_accepted(tmp_path, argv, config):
         (["generate"], {"lambda": 1.0}, "'lambda'"),
         (["transform", "--projection", "p.csv", "--data", "d.csv"], {"k": 3}, "'k'"),
         (["sweep"], {"lambda": 1.0, "method": ["pca"]}, "'method'"),
+        (["dump-transport", "--data", "d.csv"], {"max_iter": 7, "tol": 5.0}, "'max_iter', 'tol'"),
     ],
-    ids=["fit-typo", "fit-seed", "generate", "transform", "sweep"],
+    ids=["fit-typo", "fit-seed", "generate", "transform", "sweep", "dump-transport"],
 )
 def test_config_file_unknown_key_exits_2(tmp_path, capsys, argv, config, unknown):
     path = tmp_path / "cfg.json"
@@ -514,12 +539,53 @@ _EVALUATE = ["evaluate", "--projection", "p.csv", "--train", "t.csv", "--test", 
          "dump-transport-dim"],
 )
 def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, argv, config, message):
+    _assert_config_error(tmp_path, capsys, argv, config, message)
+
+
+def _assert_config_error(tmp_path, capsys, argv, config, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "out"
     assert main(argv + ["--config", str(path), "--out", str(out)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["sweep"], {"lambdas": [-1.0]}, "'lambdas' must be positive and finite, got -1.0"),
+        (["sweep"], {"lambdas": [1.0, 0.0]}, "'lambdas' must be positive and finite, got 0.0"),
+        (["sweep"], {"lambdas": [float("inf")]}, "'lambdas' must be positive and finite, got inf"),
+        (["sweep"], {"ps": [0]}, "'ps' must be >= 1, got 0"),
+        (["sweep"], {"ks": [1, 0]}, "'ks' must be >= 1, got 0"),
+        (["sweep"], {"n_seeds": 0}, "'n_seeds' must be >= 1, got 0"),
+        (["sweep", "--n-seeds", "0"], {}, "'n_seeds' must be >= 1, got 0"),
+        (["sweep"], {"seed": -3}, "'seed' must be >= 0, got -3"),
+        (["sweep"], {"methods": []}, "'methods' must not be empty"),
+        (["sweep"], {"ks": []}, "'ks' must not be empty"),
+        (["sweep"], {"ps": []}, "'ps' must not be empty"),
+        (["sweep"], {"lambdas": []}, "'lambdas' must not be empty"),
+        (["sweep"], {"data": {"extra_noise_dims": -2}}, "'extra_noise_dims' must be >= 0, got -2"),
+        (["sweep"], {"data": {"type": "csv", "path": "t.csv", "extra_noise_dims": -1}},
+         "'extra_noise_dims' must be >= 0, got -1"),
+        (["sweep"], {"data": {"n_train_per_class": 0}}, "'n_train_per_class' must be >= 2, got 0"),
+        (["sweep"], {"data": {"n_test_per_class": 1}}, "'n_test_per_class' must be >= 2, got 1"),
+        (["generate", "--extra-noise-dims", "-1"], {}, "'extra_noise_dims' must be >= 0, got -1"),
+        (["generate"], {"extra_noise_dims": -1}, "'extra_noise_dims' must be >= 0, got -1"),
+        (["generate", "--n-per-class", "1"], {}, "'n_per_class' must be >= 2, got 1"),
+        (["generate", "--n-per-class", "4"], {"n_per_class": 1}, "'n_per_class' must be >= 2, got 1"),
+        (["generate", "--seed", "-1"], {}, "'seed' must be >= 0, got -1"),
+        (_EVALUATE + ["-k", "0"], {}, "'k' must be >= 1, got 0"),
+    ],
+    ids=["lambdas-negative", "lambdas-zero", "lambdas-inf", "ps", "ks", "n_seeds",
+         "n_seeds-flag", "sweep-seed", "methods-empty", "ks-empty", "ps-empty",
+         "lambdas-empty", "toy-noise", "csv-noise", "n_train", "n_test", "generate-noise-flag",
+         "generate-noise", "generate-n-flag", "generate-n-under-flag", "generate-seed-flag",
+         "evaluate-k-flag"],
+)
+def test_config_value_out_of_range_exits_2(tmp_path, capsys, argv, config, message):
+    _assert_config_error(tmp_path, capsys, argv, config, message)
 
 
 @pytest.mark.parametrize("kind", [[], {}], ids=["list", "object"])

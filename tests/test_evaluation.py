@@ -190,7 +190,7 @@ def test_error_rate_matches_count(pairs):
 def test_run_protocol_identity_matches_raw_knn():
     spec = ToyDataSpec(n_train_per_class=10, n_test_per_class=20)
     result = run_protocol(spec, ["identity"], ks=[3], ps=[2], lams=[0.01], n_seeds=1, base_seed=5)
-    train, test = _make_data(spec, 5)
+    train, test = _make_data(spec, 5, None)
     pred = knn_predict(train.samples, train.labels, test.samples, 3)
     expected = error_rate(pred, test.labels)
     assert result.errors[0, 0, 0, 0, 0] == pytest.approx(expected)
@@ -202,7 +202,7 @@ def test_run_protocol_votes_every_k_of_a_cell():
     ks = [1, 3, 5, n_train + 1]
     result = run_protocol(spec, ["pca", "identity"], ks=ks, ps=[2], lams=[0.5],
                           n_seeds=1, base_seed=2)
-    train, test = _make_data(spec, 2)
+    train, test = _make_data(spec, 2, None)
     P = pca_init(train.samples.T, 2)
     spaces = [(train.samples @ P.T, test.samples @ P.T), (train.samples, test.samples)]
     for mi, (train_Z, test_Z) in enumerate(spaces):
@@ -326,12 +326,31 @@ def test_experiment_csv_and_summary(tmp_path):
 
 def test_csv_data_spec_split(tmp_path):
     from wda.evaluation import CsvDataSpec
-    from wda import save_csv
+    from wda import load_csv, save_csv
 
     data = gen_toy(10, seed=3)
     path = tmp_path / "toy.csv"
     save_csv(data, str(path))
     spec = CsvDataSpec(path=str(path), train_fraction=0.5)
-    train, test = _make_data(spec, 0)
+    train, test = _make_data(spec, 0, load_csv(str(path)))
     assert train.n_samples + test.n_samples == data.n_samples
     assert train.class_counts() == [5, 5, 5]
+
+
+def test_run_protocol_reads_a_csv_once(tmp_path, monkeypatch):
+    from wda import save_csv
+    from wda.evaluation import CsvDataSpec
+
+    path = tmp_path / "toy.csv"
+    save_csv(gen_toy(10, seed=3), str(path))
+    reads = []
+
+    def counted(path, _load=evaluation.load_csv):
+        reads.append(path)
+        return _load(path)
+
+    monkeypatch.setattr(evaluation, "load_csv", counted)
+    result = run_protocol(CsvDataSpec(path=str(path)), ["pca", "identity"], ks=[1],
+                          ps=[2], lams=[0.5], n_seeds=3)
+    assert reads == [str(path)]
+    assert len(result.seeds) == 3 and not result.failures

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fd_gradient, random_stiefel, reference_objective, sinkhorn_vjp
+from helpers import (
+    cross_covariance,
+    fd_gradient,
+    random_stiefel,
+    reference_objective,
+    sinkhorn_vjp,
+)
 from wda import (
     DegenerateInputError,
     InvalidInputError,
@@ -24,7 +30,7 @@ from wda import (
     riemannian_gradient,
     uniform_coupling_covariances,
 )
-from wda.objective import cross_covariance, pair_lambda
+from wda.objective import uniform_pair_covariances
 
 
 def _gaussian_classes(rng, d, n_c, n_classes, spread=2.0):
@@ -47,7 +53,39 @@ def test_adaptive_lambdas_regular_simplex():
 def test_pair_lambda_single_points():
     Xc = np.array([[0.0], [0.0]])
     Xcp = np.array([[3.0], [0.0]])
-    assert pair_lambda(np.eye(2), Xc, Xcp, 0.01) == pytest.approx(1.0 / 900.0, rel=1e-12)
+    pairs = uniform_pair_covariances([Xc, Xcp])
+    assert np.trace(pairs[(0, 1)]) == 9.0
+    assert not pairs[(0, 0)].any() and not pairs[(1, 1)].any()
+
+
+@pytest.mark.parametrize("d, sizes", [(3, (5, 1, 8)), (1, (4, 1, 2))])
+def test_uniform_pair_covariances_match_uniform_plans(d, sizes):
+    # the closed form against an explicit uniform n x m plan, on unbalanced
+    # classes with a single-sample class
+    rng = np.random.default_rng(40 + d)
+    classes = [rng.standard_normal((d, n)) + 3.0 * rng.standard_normal((d, 1)) for n in sizes]
+    pairs = uniform_pair_covariances(classes)
+    assert list(pairs) == pair_keys(len(sizes))
+    for (c, cp), C in pairs.items():
+        uniform = np.full((sizes[c], sizes[cp]), 1.0 / (sizes[c] * sizes[cp]))
+        expected = cross_covariance(classes[c], classes[cp], uniform)
+        assert np.abs(C - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_uniform_dispersions_invariant_under_common_shift():
+    # a common offset cancels from every pair's closed form, so the adaptive
+    # map and the Fisher covariances do not see it, not even at rounding level
+    data = gen_toy(34, 5)
+    classes = data.class_blocks()
+    shifted = [X + 1e6 for X in classes]
+    P0 = pca_init(data.samples.T, 2)
+    lam_map = adaptive_lambdas(P0, classes, 1.0)
+    moved = adaptive_lambdas(P0, shifted, 1.0)
+    for key, lam in lam_map.items():
+        assert moved[key] == pytest.approx(lam, rel=1e-8)
+    for C, C_moved in zip(uniform_coupling_covariances(classes),
+                          uniform_coupling_covariances(shifted)):
+        assert np.abs(C_moved - C).max() <= 1e-8 * np.abs(C).max()
 
 
 def test_adaptive_lambdas_match_double_loop():
@@ -71,6 +109,16 @@ def test_adaptive_lambdas_degenerate_pair():
     classes = [np.zeros((3, 4)), np.ones((3, 4))]
     with pytest.raises(DegenerateInputError):
         adaptive_lambdas(np.eye(3), classes, 0.1)
+
+
+@pytest.mark.parametrize("value, n", [(0.1, 3), (0.7, 7)])
+def test_adaptive_lambdas_refuse_identical_points_off_their_rounded_mean(value, n):
+    # the mean of n copies of value does not round back to value, so
+    # moments about the class mean would see a tiny spread and a huge lambda
+    assert np.full(n, value).mean() != value
+    classes = [np.array([[0.0, 1.0, 2.0]]), np.full((1, n), value)]
+    with pytest.raises(DegenerateInputError, match=re.escape("class pair (1, 1) coincide")):
+        adaptive_lambdas(np.eye(1), classes, 1.0)
 
 
 def test_cross_covariance_single_pair():
