@@ -34,6 +34,7 @@ from .datasets import (
 )
 from .errors import InvalidInputError, WdaError
 from .evaluation import (
+    KNOWN_METHODS,
     CsvDataSpec,
     ToyDataSpec,
     error_rate,
@@ -82,11 +83,22 @@ _SETTINGS = {
 }
 
 
-# the least value of an integer setting or sweep data spec key (of each entry,
-# for a list); "lambdas" entries must be positive and finite. Limits that
-# depend on the data, such as k <= n_train and p <= d, fail per sweep cell
-_LEAST = {"seed": 0, "extra_noise_dims": 0, "k": 1, "n_seeds": 1, "ks": 1, "ps": 1,
-          "n_per_class": 2, "n_train_per_class": 2, "n_test_per_class": 2}
+def _at_least(least):
+    return (lambda value: value >= least), f">= {least}"
+
+
+# the values a setting or sweep data spec key (each entry, for a list) may
+# take, as (test, description). Limits that depend on the data, such as
+# k <= n_train and p <= d, fail per sweep cell
+_RANGES = {
+    "seed": _at_least(0), "extra_noise_dims": _at_least(0), "k": _at_least(1),
+    "n_seeds": _at_least(1), "ks": _at_least(1), "ps": _at_least(1),
+    "n_per_class": _at_least(2), "n_train_per_class": _at_least(2),
+    "n_test_per_class": _at_least(2),
+    "lambdas": ((lambda value: 0 < value < math.inf), "positive and finite"),
+    "train_fraction": ((lambda value: 0 < value < 1), "in (0, 1)"),
+    "methods": (KNOWN_METHODS.__contains__, "one of " + ", ".join(map(repr, KNOWN_METHODS))),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -163,11 +175,11 @@ def _typed(key: str, value, kind):
         raise InvalidInputError(f"{key!r} must be {want}, got {value!r}")
     if value == []:
         raise InvalidInputError(f"{key!r} must not be empty")
-    for entry in value if isinstance(value, list) else [value]:
-        if key == "lambdas" and not 0 < entry < math.inf:
-            raise InvalidInputError(f"{key!r} must be positive and finite, got {entry!r}")
-        if key in _LEAST and entry < _LEAST[key]:
-            raise InvalidInputError(f"{key!r} must be >= {_LEAST[key]}, got {entry!r}")
+    if key in _RANGES:
+        in_range, allowed = _RANGES[key]
+        for entry in value if isinstance(value, list) else [value]:
+            if not in_range(entry):
+                raise InvalidInputError(f"{key!r} must be {allowed}, got {entry!r}")
     return value
 
 

@@ -21,6 +21,7 @@ from .datasets import (
     gen_toy,
     load_csv,
     require_finite,
+    require_seed,
     split_dataset,
 )
 from .errors import InvalidInputError, WdaError
@@ -349,6 +350,7 @@ def run_protocol(
             raise InvalidInputError(f"unknown method {method!r}; known: {KNOWN_METHODS}")
     if not isinstance(data_spec, (ToyDataSpec, CsvDataSpec)):
         raise InvalidInputError(f"unknown data spec {type(data_spec).__name__}")
+    require_seed(base_seed, "base_seed")
     loaded = load_csv(data_spec.path) if isinstance(data_spec, CsvDataSpec) else None
     wda_config = wda_config if wda_config is not None else WdaConfig()
     seeds = [base_seed + s for s in range(n_seeds)]

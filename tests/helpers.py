@@ -4,9 +4,10 @@ symmetric scaling of self-transport, the transport cost <T, M>, the
 transport-weighted covariance of sample differences), the full
 unrolled plan Jacobian, a per-pair reference for the objective built on
 plain 2-d Sinkhorn loops of its own, and cell-by-cell references for the
-CSV reader and writers."""
+CSV readers and writers."""
 
 import csv
+import math
 
 import numpy as np
 
@@ -347,6 +348,43 @@ def reference_load_csv(path):
     if header is not None:
         names = tuple(header[j] for j in feature_cols)
     return LabeledDataset(features, labels, names)
+
+
+def reference_load_matrix_csv(path):
+    """``wda.ioutil.load_matrix_csv`` reading one line at a time and
+    converting one stripped cell per ``float()`` call, with every fault
+    checked in file order as the cells are read; the non-finite check
+    follows the loop."""
+    rows = []
+    linenos = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            cells = [cell.strip() for cell in line.split(",")]
+            if rows and len(cells) != len(rows[0]):
+                raise ParseError(
+                    f"{path}: line {lineno}: expected {len(rows[0])} columns, got {len(cells)}"
+                )
+            row = []
+            for j, cell in enumerate(cells):
+                try:
+                    row.append(float(cell))
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: line {lineno}, column {j + 1}: not a number: {cell!r}"
+                    ) from None
+            rows.append(row)
+            linenos.append(lineno)
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    for lineno, row in zip(linenos, rows):
+        for j, value in enumerate(row):
+            if not math.isfinite(value):
+                raise ParseError(
+                    f"{path}: line {lineno}, column {j + 1}: not a finite number: {value}"
+                )
+    return np.array(rows)
 
 
 def reference_matrix_csv_text(matrix):

@@ -577,12 +577,18 @@ def _assert_config_error(tmp_path, capsys, argv, config, message):
         (["generate", "--n-per-class", "4"], {"n_per_class": 1}, "'n_per_class' must be >= 2, got 1"),
         (["generate", "--seed", "-1"], {}, "'seed' must be >= 0, got -1"),
         (_EVALUATE + ["-k", "0"], {}, "'k' must be >= 1, got 0"),
+        (["sweep"], {"methods": ["pca", "pcaa"]},
+         "'methods' must be one of 'wda', 'pca', 'fda', 'identity', got 'pcaa'"),
+        (["sweep"], {"data": {"type": "csv", "path": "t.csv", "train_fraction": 1.5}},
+         "'train_fraction' must be in (0, 1), got 1.5"),
+        (["sweep"], {"data": {"type": "csv", "path": "t.csv", "train_fraction": 0}},
+         "'train_fraction' must be in (0, 1), got 0"),
     ],
     ids=["lambdas-negative", "lambdas-zero", "lambdas-inf", "ps", "ks", "n_seeds",
          "n_seeds-flag", "sweep-seed", "methods-empty", "ks-empty", "ps-empty",
          "lambdas-empty", "toy-noise", "csv-noise", "n_train", "n_test", "generate-noise-flag",
          "generate-noise", "generate-n-flag", "generate-n-under-flag", "generate-seed-flag",
-         "evaluate-k-flag"],
+         "evaluate-k-flag", "methods-unknown", "train_fraction-high", "train_fraction-zero"],
 )
 def test_config_value_out_of_range_exits_2(tmp_path, capsys, argv, config, message):
     _assert_config_error(tmp_path, capsys, argv, config, message)

@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_dataset_csv_text, reference_load_csv, reference_matrix_csv_text
+from helpers import (
+    reference_dataset_csv_text,
+    reference_load_csv,
+    reference_load_matrix_csv,
+    reference_matrix_csv_text,
+)
 from wda import (
     DegenerateInputError,
     InvalidInputError,
@@ -15,6 +20,8 @@ from wda import (
     save_csv,
     split_dataset,
 )
+import wda.datasets
+import wda.ioutil
 from wda.datasets import TOY_MODE_SIGMA, TOY_RADIUS
 from wda.ioutil import load_matrix_csv, save_matrix_csv
 
@@ -82,6 +89,18 @@ def test_gen_toy_validation():
         gen_toy(1, seed=0)
 
 
+def test_gen_toy_refuses_a_negative_seed():
+    with pytest.raises(InvalidInputError, match="seed must be >= 0, got -1"):
+        gen_toy(5, seed=-1)
+
+
+def test_append_noise_refuses_a_negative_seed():
+    # even with no columns to add, as every seed is checked before use
+    for n_noise in (0, 3):
+        with pytest.raises(InvalidInputError, match="seed must be >= 0, got -2"):
+            append_noise(gen_toy(4, seed=1), n_noise, seed=-2)
+
+
 def test_append_noise_zero_is_identity():
     data = gen_toy(4, seed=1)
     same = append_noise(data, 0, seed=9)
@@ -133,6 +152,11 @@ def test_split_deterministic_and_guards():
     tiny = LabeledDataset(np.zeros((3, 2)), np.array([0, 0, 1]))
     with pytest.raises(DegenerateInputError):
         split_dataset(tiny, 0.5, seed=0)
+
+
+def test_split_refuses_a_negative_seed():
+    with pytest.raises(InvalidInputError, match="seed must be >= 0, got -5"):
+        split_dataset(gen_toy(6, seed=9), 0.5, seed=-5)
 
 
 @settings(max_examples=40, deadline=None)
@@ -417,3 +441,173 @@ def test_csv_writers_round_trip_bit_for_bit(tmp_path_factory, values):
     save_matrix_csv(matrix, str(directory / "matrix.csv"))
     assert (directory / "matrix.csv").read_text() == reference_matrix_csv_text(matrix)
     assert load_matrix_csv(str(directory / "matrix.csv")).tobytes() == matrix.tobytes()
+
+
+# files at the boundary between numpy's C table reader and the cell walk of
+# load_csv: each gives (samples, labels, names) or the ParseError text after
+# the path, the same as the reference
+_BOUNDARY_FILES = {
+    # no line is a comment: a "#" line is a short row, a "#" cell not a number
+    "hash-line": ("f0,label\n1,0\n# note\n", "line 3: expected 2 columns, got 1"),
+    "hash-cell": ("f0,label\n1,0\n#2,1\n", "line 3, column 1: not a number: '#2'"),
+    "quoted-cells": ('f0,label\n"1.5","0"\n" 2 ",1\n', ([[1.5], [2.0]], [0, 1], ("f0",))),
+    "quoted-comma": ('f0,label\n"1,5",0\n', "line 2, column 1: not a number: '1,5'"),
+    "quoted-line-break": ('f0,label\n1,0\n"2\n5",1\n', "line 3, column 1: not a number: '2\\n5'"),
+    "crlf": ("f0,label\r\n1.5,0\r\n2,1\r\n", ([[1.5], [2.0]], [0, 1], ("f0",))),
+    "lone-cr": ("f0,label\r1.5,0\r2,1\r", ([[1.5], [2.0]], [0, 1], ("f0",))),
+    "mixed-line-ends": ("1.5,0\r\n2,1\r3,0\n", ([[1.5], [2.0], [3.0]], [0, 1, 0], None)),
+    "header-line-break": ('"f\n0",label\n1.5,0\n2,1\n', ([[1.5], [2.0]], [0, 1], ("f\n0",))),
+    "label-in-middle": (
+        "f0,label,f1\n1,0,2\n3,1,4\n", ([[1.0, 2.0], [3.0, 4.0]], [0, 1], ("f0", "f1"))
+    ),
+    "blank-rows": ("f0,label\n1,0\n  \n,,\n \t, \n2,1\n", ([[1.0], [2.0]], [0, 1], ("f0",))),
+    "leading-blank-lines": ("\n \n,\n1.5,0\n2,1\n", ([[1.5], [2.0]], [0, 1], None)),
+    "underscore": (
+        "f0,label\n1_000,0\n2,1_0\n",
+        "labels must be contiguous integers starting at 0, got [0, 10]",
+    ),
+    "underscore-valid": ("f0,label\n1_000,0\n2,1\n", ([[1000.0], [2.0]], [0, 1], ("f0",))),
+    "separator-padding": (
+        "f0,label\n\x1c1.5\x1f,0\x1d\n2,\x1e1\n", ([[1.5], [2.0]], [0, 1], ("f0",))
+    ),
+    "no-trailing-newline": ("f0,label\n1.5,0\n2,1", ([[1.5], [2.0]], [0, 1], ("f0",))),
+    "header-only": ("f0,label\n\n", "header but no data rows"),
+    "blank-only": ("\n \n,,\n", "no data rows"),
+    "non-finite": ("f0,label\n1,0\ninf,1\n", "line 3, column 1: not a finite number: 'inf'"),
+    "wide-header": ("f0,f1,label\n1,0\n", "header has 3 columns, data has 2"),
+}
+
+
+@pytest.mark.parametrize("text, expected", _BOUNDARY_FILES.values(), ids=_BOUNDARY_FILES)
+def test_load_csv_boundary_files_match_the_reference(tmp_path, text, expected):
+    path = str(tmp_path / "data.csv")
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    outcome = _outcome(load_csv, path)
+    assert outcome == _outcome(reference_load_csv, path)
+    if isinstance(expected, str):
+        assert outcome == f"{path}: {expected}"
+    else:
+        samples, labels, names = expected
+        assert outcome == (np.array(samples).tobytes(), np.shape(samples), labels, names)
+
+
+def test_written_csvs_are_read_without_the_cell_walk(tmp_path, monkeypatch):
+    # the cell walk runs only for a fault or text numpy's C reader refuses
+    def refuse(path):
+        raise AssertionError(f"cell walk ran for {path}")
+
+    monkeypatch.setattr(wda.datasets, "_load_csv_by_cells", refuse)
+    monkeypatch.setattr(wda.ioutil, "_load_matrix_csv_by_lines", refuse)
+    data = gen_toy(20, seed=3)
+    for names in (None, ("a,b", 'say "hi"', "two\nlines", *data.feature_names[3:])):
+        save_csv(LabeledDataset(data.samples, data.labels, names), str(tmp_path / "d.csv"))
+        loaded = load_csv(str(tmp_path / "d.csv"))
+        assert loaded.samples.tobytes() == data.samples.tobytes()
+    save_matrix_csv(data.samples, str(tmp_path / "m.csv"))
+    assert load_matrix_csv(str(tmp_path / "m.csv")).tobytes() == data.samples.tobytes()
+
+
+def _matrix_outcome(load, path):
+    try:
+        return load(path)
+    except ParseError as exc:
+        return str(exc)
+
+
+@st.composite
+def _matrix_csv_lines(draw):
+    """The lines of a valid matrix CSV and its values. Cells are written as
+    %.17g or repr with surrounding whitespace; blank lines fall between rows."""
+    d = draw(st.integers(1, 4))
+    values = draw(st.lists(st.lists(_doubles, min_size=d, max_size=d), min_size=1, max_size=6))
+
+    def pad():
+        return draw(st.text(st.sampled_from(_SPACES), max_size=2))
+
+    lines = []
+    for row in values:
+        lines += draw(st.lists(st.sampled_from(["", "  ", "\t", "\x1c"]), max_size=1))
+        lines.append(",".join(
+            pad() + draw(st.sampled_from(["%.17g" % x, repr(x)])) + pad() for x in row
+        ))
+    return lines, values
+
+
+def _write_lines(path, lines, draw):
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrix_csv_lines(), st.data())
+def test_load_matrix_csv_matches_the_line_by_line_reference(tmp_path_factory, table, data):
+    lines, values = table
+    path = str(tmp_path_factory.mktemp("csv") / "matrix.csv")
+    _write_lines(path, lines, data.draw)
+    matrix = load_matrix_csv(path)
+    assert matrix.tobytes() == np.array(values).tobytes()
+    assert matrix.shape == np.shape(values)
+    assert matrix.flags.c_contiguous
+    assert _matrix_outcome(reference_load_matrix_csv, path).tobytes() == matrix.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrix_csv_lines(), st.data())
+def test_load_matrix_csv_reports_the_reference_fault(tmp_path_factory, table, data):
+    lines, _ = table
+    rows = [i for i, line in enumerate(lines) if line.strip()]
+    for i in data.draw(st.lists(st.sampled_from(rows), min_size=1, max_size=2, unique=True)):
+        cells = lines[i].split(",")
+        j = data.draw(st.integers(0, len(cells) - 1))
+        kind = data.draw(st.sampled_from(["short", "long", "quoted", "oops", "nan", "1e999"]))
+        if kind == "short":
+            cells = cells[:-1]
+        elif kind == "long":
+            cells.append("0")
+        elif kind == "quoted":
+            cells[j] = f'"{cells[j].strip()}"'
+        else:
+            cells[j] = kind
+        lines[i] = ",".join(cells)
+    path = str(tmp_path_factory.mktemp("csv") / "matrix.csv")
+    _write_lines(path, lines, data.draw)
+    expected = _matrix_outcome(reference_load_matrix_csv, path)
+    outcome = _matrix_outcome(load_matrix_csv, path)
+    if isinstance(expected, str):
+        assert outcome == expected
+    else:
+        # a short row of one cell is blank, and a first row may set the width
+        assert outcome.tobytes() == expected.tobytes() and outcome.shape == expected.shape
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ('1,2\n3,"4"\n', "line 2, column 2: not a number: '\"4\"'"),
+        ("1,2\r\n3,4\r5,6", [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+        ("1,\x1c2\x1f\n3 ,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+        ("1,2\n  \n3,1_000\n", [[1.0, 2.0], [3.0, 1000.0]]),
+        ("1,2\n,\n", "line 2, column 1: not a number: ''"),
+        ("# p\n1,2\n", "line 1, column 1: not a number: '# p'"),
+        ("1,2\n3,-inf\n", "line 2, column 2: not a finite number: -inf"),
+        (" \n\n", "no data rows"),
+    ],
+    ids=["quoted", "line-ends", "separator-padding", "blank-and-underscore", "empty-cells",
+         "hash", "non-finite", "blank-only"],
+)
+def test_load_matrix_csv_boundary_files_match_the_reference(tmp_path, text, expected):
+    path = str(tmp_path / "matrix.csv")
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    outcome = _matrix_outcome(load_matrix_csv, path)
+    reference = _matrix_outcome(reference_load_matrix_csv, path)
+    assert isinstance(outcome, str) == isinstance(expected, str)
+    if isinstance(expected, str):
+        assert outcome == reference == f"{path}: {expected}"
+    else:
+        assert outcome.tobytes() == reference.tobytes() == np.array(expected).tobytes()

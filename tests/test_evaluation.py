@@ -196,6 +196,12 @@ def test_run_protocol_identity_matches_raw_knn():
     assert result.errors[0, 0, 0, 0, 0] == pytest.approx(expected)
 
 
+def test_run_protocol_refuses_a_negative_base_seed():
+    spec = ToyDataSpec(n_train_per_class=5, n_test_per_class=7)
+    with pytest.raises(InvalidInputError, match="base_seed must be >= 0, got -1"):
+        run_protocol(spec, ["identity"], ks=[1], ps=[2], lams=[1.0], n_seeds=2, base_seed=-1)
+
+
 def test_run_protocol_votes_every_k_of_a_cell():
     spec = ToyDataSpec(n_train_per_class=5, n_test_per_class=7)
     n_train = 15
