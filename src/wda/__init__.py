@@ -20,7 +20,6 @@ from .datasets import (
     split_dataset,
 )
 from .errors import (
-    CapacityError,
     DegenerateInputError,
     InvalidInputError,
     NumericalRangeError,
@@ -44,12 +43,7 @@ from .objective import (
     gradient,
     pair_keys,
 )
-from .otcore import (
-    SinkhornTrace,
-    TransportPlan,
-    cost_matrix,
-    sinkhorn_plan,
-)
+from .otcore import cost_matrix
 from .stiefel import (
     FitReport,
     pca_init,
@@ -59,7 +53,6 @@ from .stiefel import (
 )
 
 __all__ = [
-    "CapacityError",
     "CsvDataSpec",
     "DegenerateInputError",
     "ExperimentResult",
@@ -70,9 +63,7 @@ __all__ = [
     "NumericalRangeError",
     "ObjectiveState",
     "ParseError",
-    "SinkhornTrace",
     "ToyDataSpec",
-    "TransportPlan",
     "WdaConfig",
     "WdaError",
     "adaptive_lambdas",
@@ -92,7 +83,6 @@ __all__ = [
     "riemannian_gradient",
     "run_protocol",
     "save_csv",
-    "sinkhorn_plan",
     "split_dataset",
     "uniform_coupling_covariances",
     "wda_fit",

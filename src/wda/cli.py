@@ -43,8 +43,7 @@ from .evaluation import (
     run_protocol,
 )
 from .ioutil import load_matrix_csv, save_matrix_csv, write_json
-from .objective import WdaConfig, adaptive_lambdas, pair_keys
-from .otcore import cost_matrix, sinkhorn_plan
+from .objective import WdaConfig, adaptive_lambdas, solve_pairs
 from .stiefel import pca_init, wda_fit
 
 
@@ -324,12 +323,12 @@ def _cmd_dump_transport(args) -> int:
     else:
         projection = pca_init(data.samples.T, cfg.dim)
         source = "pca-init"
-    if args.adaptive_lambda:
-        lam_map = adaptive_lambdas(projection, blocks, cfg.lam)
-    else:
-        lam_map = {key: cfg.lam for key in pair_keys(len(blocks))}
+    lam_map = adaptive_lambdas(projection, blocks, cfg.lam) if args.adaptive_lambda else None
+    pairs = solve_pairs(projection, blocks, cfg, lam_map)
+    converged = {}
+    for keys, batch in pairs.batches.items():
+        converged.update(zip(keys, batch.converged_at()))
 
-    projected = [projection @ X for X in blocks]
     index = {
         "projection": source,
         "lambda_base": cfg.lam,
@@ -337,23 +336,20 @@ def _cmd_dump_transport(args) -> int:
         "sinkhorn_iterations": cfg.sinkhorn_iters,
         "pairs": [],
     }
-    for c, cp in pair_keys(len(blocks)):
-        Yc = projected[c]
-        Ycp = Yc if cp == c else projected[cp]
-        M = cost_matrix(Yc, Ycp)
-        plan, trace = sinkhorn_plan(M, lam_map[(c, cp)], cfg.sinkhorn_iters)
+    for (c, cp), (batch, b) in pairs.runs().items():
+        plan = batch.plan(b)
         filename = f"plan_c{c}_c{cp}.csv"
-        save_matrix_csv(plan.weights, os.path.join(out, filename))
+        save_matrix_csv(plan, os.path.join(out, filename))
         index["pairs"].append(
             {
                 "source_class": c,
                 "target_class": cp,
                 "file": filename,
                 "shape": list(plan.shape),
-                "lambda": lam_map[(c, cp)],
-                "marginal_residual": trace.residual,
-                "converged_at": trace.converged_at,
-                "transport_cost": float(np.sum(plan.weights * M)),
+                "lambda": pairs.pair_lambdas[(c, cp)],
+                "marginal_residual": float(batch.residual[b]),
+                "converged_at": converged[(c, cp)],
+                "transport_cost": float(np.sum(plan * pairs.costs[(c, cp)])),
             }
         )
     write_json(os.path.join(out, "index.json"), index)

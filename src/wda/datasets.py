@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError, ParseError
-from .ioutil import _csv_lines, _is_number, _read_table, atomic_write_text
+from .ioutil import _csv_lines, _is_number, _read_table, _undecodable, atomic_write_text
 
 RNG_ALGORITHM = "numpy-pcg64"
 
@@ -271,7 +271,9 @@ def load_csv(path: str) -> LabeledDataset:
     The label column is the one named "label" when a header is present,
     otherwise the last column. Raises :class:`ParseError` with the offending
     line and column on malformed input, including a label outside int64 and
-    a non-finite feature value ("nan", "inf", or one that overflows).
+    a non-finite feature value ("nan", "inf", or one that overflows); with
+    the line of a record ``csv.reader`` refuses (a cell over its field size
+    limit); and with the path alone for a file that is not text.
 
     ``csv.reader`` takes the first non-blank record, a header unless
     ``float()`` takes every cell (a quoted name may span lines). The rest of
@@ -287,11 +289,11 @@ def load_csv(path: str) -> LabeledDataset:
     pass and one ``np.array(rows, dtype=float)`` (2 vCPU).
     """
     with open(path, newline="") as fh:
-        first = next((row for row in csv.reader(fh) if any(map(str.strip, row))), None)
+        first = next((row for row in _records(path, fh) if any(map(str.strip, row))), None)
         header = _header(first)
         if header is None:
             fh.seek(0)
-        table = _read_table(fh, quotechar='"')
+        table = _read_table(fh)
     if table is not None:
         label_col = _label_column(path, header, table.shape[1])
         label_values = table[:, label_col]
@@ -303,6 +305,19 @@ def load_csv(path: str) -> LabeledDataset:
         if labels_fit.all() and np.isfinite(features).all():
             return _dataset(path, features, label_values, header, label_col)
     return _load_csv_by_cells(path)
+
+
+def _records(path: str, fh):
+    """The records ``csv.reader`` reads from the open file ``fh``. A record it
+    refuses raises ParseError naming ``path`` and the line, and text that does
+    not decode raises ParseError naming ``path``."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from None
 
 
 def _header(record: list[str] | None) -> list[str] | None:
@@ -346,7 +361,7 @@ def _load_csv_by_cells(path: str) -> LabeledDataset:
     """:func:`load_csv` read with ``csv.reader`` and walked cell by cell."""
     with open(path, newline="") as fh:
         numbered = [
-            (i, row) for i, row in enumerate(csv.reader(fh), start=1)
+            (i, row) for i, row in enumerate(_records(path, fh), start=1)
             if any(map(str.strip, row))
         ]
     if not numbered:

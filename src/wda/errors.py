@@ -21,9 +21,5 @@ class NumericalRangeError(WdaError):
     """A computation left the representable floating-point range."""
 
 
-class CapacityError(WdaError):
-    """A size guard on a reference-only code path was exceeded."""
-
-
 class ParseError(WdaError):
     """A data file could not be parsed; the message locates the offending cell."""

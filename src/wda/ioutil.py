@@ -1,5 +1,5 @@
 """Small file helpers: atomic writes, JSON output, dense matrix CSV round
-trips and the table reader behind every CSV load.
+trips and the table reader behind :func:`wda.datasets.load_csv`.
 
 Matrix CSV files are plain dense row-major tables of numbers, one matrix row
 per line. All writes go through a temp file + rename so partial outputs are
@@ -69,77 +69,76 @@ def save_matrix_csv(matrix: np.ndarray, path: str) -> None:
     atomic_write_text(path, "\n".join(_csv_lines(matrix)) + "\n")
 
 
-def _read_table(fh, quotechar: str | None) -> np.ndarray | None:
+def _read_table(fh) -> np.ndarray | None:
     """The rest of the open text file ``fh`` as a 2-d float array, read by one
     ``np.loadtxt`` call (numpy's C tokenizer and parser); None when that call
     refuses the text or finds no rows.
 
     Lines end at "\\n", "\\r\\n" or "\\r", cells are split at "," (a cell
-    opening with ``quotechar`` may hold commas and line breaks), no line is a
-    comment, and a line with no characters is skipped. Each cell is stripped of
-    what ``str.strip()`` removes and parsed as ``float()`` parses it, so a
+    opening with a double quote may hold commas and line breaks), no line is
+    a comment, and a line with no characters is skipped. Each cell is stripped
+    of what ``str.strip()`` removes and parsed as ``float()`` parses it, so a
     table it returns is bit-identical to a cell-by-cell read. Some valid text
     is refused: a line of whitespace or of empty cells, ``1_000`` or non-ASCII
-    digits; callers read those with their cell walk.
+    digits; callers read those with their cell walk. Text that does not decode
+    is refused too (``UnicodeDecodeError`` is a ``ValueError``).
     """
     with warnings.catch_warnings():
         # no rows is None here, not numpy's "input contained no data" warning
         warnings.simplefilter("ignore", UserWarning)
         try:
             table = np.loadtxt(
-                fh, dtype=float, delimiter=",", comments=None, quotechar=quotechar, ndmin=2
+                fh, dtype=float, delimiter=",", comments=None, quotechar='"', ndmin=2
             )
         except ValueError:
             return None
     return table if table.size else None
 
 
+def _undecodable(path: str, exc: UnicodeDecodeError) -> ParseError:
+    """The refusal of a file that is not text in the encoding it was read in.
+
+    No position is given: ``exc.start`` counts from the start of the
+    decoder's buffer, not from the start of the file.
+    """
+    return ParseError(f"{path}: not valid {exc.encoding} text: {exc.reason}")
+
+
 def load_matrix_csv(path: str) -> np.ndarray:
     """Load a dense CSV table written by :func:`save_matrix_csv`.
 
-    Raises :class:`ParseError` naming the path and line of a row of the
-    wrong width, and the line and column of the first cell that is not a
-    number or not finite ("nan", "inf", or one that overflows). Cells are
-    not quoted; surrounding whitespace is ignored.
-
-    The file is read by :func:`_read_table`. Only when it refuses the text or
-    a value is not finite is the file read again line by line, to name the
-    first fault or to read the rare valid file the C reader refuses (a line
-    of whitespace, ``1_000``). A 102 x 102 matrix reads in about 5.5 ms,
-    against about 7.6 ms line by line (2 vCPU).
+    Raises :class:`ParseError` naming the path for a file that is not text,
+    the path and line of a row of the wrong width, and the line and column of
+    the first cell that is not a number or not finite ("nan", "inf", or one
+    that overflows). Cells are not quoted; surrounding whitespace is ignored.
+    The file is read one line and one ``float()`` per cell at a time.
     """
-    with open(path) as fh:
-        matrix = _read_table(fh, quotechar=None)
-    if matrix is not None and np.isfinite(matrix).all():
-        return matrix
-    return _load_matrix_csv_by_lines(path)
-
-
-def _load_matrix_csv_by_lines(path: str) -> np.ndarray:
-    """:func:`load_matrix_csv`, one line and one ``float()`` per cell at a time."""
     rows = []
     linenos = []
     width = None
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = [cell.strip() for cell in line.split(",")]
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise ParseError(
-                    f"{path}: line {lineno}: expected {width} columns, got {len(cells)}"
-                )
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError:
-                j = next(j for j, cell in enumerate(cells) if not _is_number(cell))
-                raise ParseError(
-                    f"{path}: line {lineno}, column {j + 1}: not a number: {cells[j]!r}"
-                ) from None
-            linenos.append(lineno)
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                cells = [cell.strip() for cell in line.split(",")]
+                if width is None:
+                    width = len(cells)
+                elif len(cells) != width:
+                    raise ParseError(
+                        f"{path}: line {lineno}: expected {width} columns, got {len(cells)}"
+                    )
+                try:
+                    rows.append([float(c) for c in cells])
+                except ValueError:
+                    j = next(j for j, cell in enumerate(cells) if not _is_number(cell))
+                    raise ParseError(
+                        f"{path}: line {lineno}, column {j + 1}: not a number: {cells[j]!r}"
+                    ) from None
+                linenos.append(lineno)
+        except UnicodeDecodeError as exc:
+            raise _undecodable(path, exc) from None
     if not rows:
         raise ParseError(f"{path}: no data rows")
     matrix = np.asarray(rows, dtype=float)

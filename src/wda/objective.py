@@ -22,9 +22,11 @@ pairs. G is pulled back to P in the projected space (see :func:`gradient`).
 
 Pairs whose plans share a shape (n_c, n_c') are solved as one stack: all of
 them on balanced data, one group per distinct shape otherwise, with no
-padding. :func:`evaluate` builds each shape's (B, n, m) cost and kernel
-stacks whole; the per-pair ``costs`` of the state are views of the cost
-stacks, and each pair's Sinkhorn run is its slice of the group's batch.
+padding. :func:`solve_pairs` builds each shape's (B, n, m) cost and kernel
+stacks whole; the per-pair ``costs`` of its :class:`PairPlans` are views of
+the cost stacks, and each pair's Sinkhorn run is its slice of the group's
+batch. :func:`evaluate` forms the ratio from them, and ``wda
+dump-transport`` writes them, so the plans a user dumps are the plans J uses.
 :func:`gradient` runs one stacked reverse recursion per group, then forms
 each pair's (n, m) cotangent in turn, in pair order, in place. Each
 pair's numbers are those of a plain per-pair loop, bit for bit.
@@ -41,9 +43,9 @@ import numpy as np
 from .datasets import require_finite
 from .errors import DegenerateInputError, InvalidInputError, NumericalRangeError
 from .otcore import (
+    _TINY,
     SinkhornBatch,
     cost_matrix,
-    kernel_underflow_message,
     self_costs,
     sinkhorn_batch,
     sinkhorn_batch_reverse,
@@ -168,22 +170,18 @@ def adaptive_lambdas(P0: np.ndarray, classes, lam: float) -> dict[PairKey, float
 
 
 @dataclass
-class ObjectiveState:
-    """One full evaluation of the ratio objective at a projection.
+class PairPlans:
+    """The fixed-L Sinkhorn runs of every class pair at one projection.
 
-    Keeps the Sinkhorn runs and projected cost matrices so a gradient can
-    be assembled without re-solving the inner problems. ``batches`` maps the
-    pairs of each plan shape, in pair order, to their stacked Sinkhorn runs
-    (run b is the key's b-th pair); ``costs`` maps every pair, in pair
-    order, to a view of its group's cost stack.
+    ``batches`` maps the pairs of each plan shape, in pair order, to their
+    stacked Sinkhorn runs (run b is the key's b-th pair); ``costs`` maps
+    every pair, in pair order, to a view of its group's cost stack, and
+    ``pair_distances`` to its transport cost <T, M>.
     ``projection`` and ``classes`` are the P and the validated class blocks
-    the state was evaluated at, held by reference: modifying them in place
-    afterwards invalidates the state.
+    the plans were solved at, held by reference: modifying them in place
+    afterwards invalidates the result.
     """
 
-    value: float
-    sigma_b2: float
-    sigma_w2: float
     projection: np.ndarray = field(repr=False)
     classes: list[np.ndarray] = field(repr=False)
     costs: dict[PairKey, np.ndarray] = field(repr=False)
@@ -191,20 +189,37 @@ class ObjectiveState:
     pair_lambdas: dict[PairKey, float]
     pair_distances: dict[PairKey, float]
 
+    def runs(self) -> dict[PairKey, tuple[SinkhornBatch, int]]:
+        """Each pair's batch and its run index in it, in pair order."""
+        found = {}
+        for keys, batch in self.batches.items():
+            found.update((key, (batch, b)) for b, key in enumerate(keys))
+        return {key: found[key] for key in self.costs}
+
+
+@dataclass
+class ObjectiveState(PairPlans):
+    """One full evaluation of the ratio objective at a projection: the pair
+    plans it was assembled from, kept so a gradient can be formed without
+    re-solving the inner problems, and the ratio."""
+
+    value: float
+    sigma_b2: float
+    sigma_w2: float
+
     def to_json(self) -> dict:
         def keyed(d):
             return {f"{c},{cp}": float(v) for (c, cp), v in d.items()}
 
-        residuals = {}
-        for keys, batch in self.batches.items():
-            residuals.update(zip(keys, batch.residual.tolist()))
         return {
             "value": self.value,
             "sigma_b2": self.sigma_b2,
             "sigma_w2": self.sigma_w2,
             "pair_distances": keyed(self.pair_distances),
             "pair_lambdas": keyed(self.pair_lambdas),
-            "pair_residuals": keyed({key: residuals[key] for key in self.costs}),
+            "pair_residuals": keyed(
+                {key: batch.residual[b] for key, (batch, b) in self.runs().items()}
+            ),
         }
 
 
@@ -223,19 +238,17 @@ def _resolve_lambdas(blocks, cfg: WdaConfig, lambdas) -> dict[PairKey, float]:
     return dict(lambdas)
 
 
-def evaluate(
+def solve_pairs(
     P: np.ndarray,
     classes,
     cfg: WdaConfig,
     lambdas: dict[PairKey, float] | None = None,
-) -> ObjectiveState:
-    """Solve every inner transport problem and assemble the ratio objective.
+) -> PairPlans:
+    """Solve the inner transport problem of every class pair at projection P.
 
     ``lambdas`` maps each pair (c, c') with c <= c' to its fixed
     regularization value; if omitted, ``cfg.lam`` is used for every pair.
-    The evaluation is defined for any P of the right shape (no orthonormality
-    is imposed), which lets callers probe J in the ambient space, e.g. for
-    finite-difference checks.
+    Any P of the right shape is accepted (no orthonormality is imposed).
 
     The pairs of each plan shape are solved together: one cost stack, one
     kernel stack and one :func:`~wda.otcore.sinkhorn_batch` call. All kernels
@@ -274,8 +287,12 @@ def evaluate(
         stacks.append((keys, M, K))
     for key in keys_in_order:
         if underflow[key]:
-            message = kernel_underflow_message(lam_map[key], costs[key])
-            raise NumericalRangeError(f"class pair {key} at lambda {lam_map[key]:.6g}: {message}")
+            lam = lam_map[key]
+            raise NumericalRangeError(
+                f"class pair {key} at lambda {lam:.6g}: kernel row underflow: "
+                f"lam * max(M) = {lam * float(costs[key].max()):.6g} pushes "
+                f"exp(-lam*M) below {_TINY:g}; rescale the regularization"
+            )
 
     batches, distances = {}, {}
     for keys, M, K in stacks:
@@ -286,23 +303,40 @@ def evaluate(
     for key in keys_in_order:
         if not np.isfinite(distances[key]):
             raise NumericalRangeError(f"class pair {key}: the projected squared distances overflow")
-
-    sigma_b2 = sum(distances[(c, cp)] for c, cp in keys_in_order if c != cp)
-    sigma_w2 = sum(distances[(c, cp)] for c, cp in keys_in_order if c == cp)
-    if sigma_w2 <= 0.0:
-        raise DegenerateInputError(
-            "within-class dispersion is zero; the ratio objective is undefined"
-        )
-    return ObjectiveState(
-        value=sigma_b2 / sigma_w2,
-        sigma_b2=sigma_b2,
-        sigma_w2=sigma_w2,
+    return PairPlans(
         projection=P,
         classes=blocks,
         costs={key: costs[key] for key in keys_in_order},
         batches=batches,
         pair_lambdas=lam_map,
         pair_distances={key: distances[key] for key in keys_in_order},
+    )
+
+
+def evaluate(
+    P: np.ndarray,
+    classes,
+    cfg: WdaConfig,
+    lambdas: dict[PairKey, float] | None = None,
+) -> ObjectiveState:
+    """Solve every inner transport problem and assemble the ratio objective.
+
+    The pair plans are those of :func:`solve_pairs` (same arguments, same
+    refusals). The evaluation is defined for any P of the right shape, which
+    lets callers probe J in the ambient space, e.g. for finite-difference
+    checks. Raises DegenerateInputError when the within-class dispersion
+    sigma_w^2 is zero.
+    """
+    pairs = solve_pairs(P, classes, cfg, lambdas)
+    distances = pairs.pair_distances
+    sigma_b2 = sum(dist for (c, cp), dist in distances.items() if c != cp)
+    sigma_w2 = sum(dist for (c, cp), dist in distances.items() if c == cp)
+    if sigma_w2 <= 0.0:
+        raise DegenerateInputError(
+            "within-class dispersion is zero; the ratio objective is undefined"
+        )
+    return ObjectiveState(
+        **vars(pairs), value=sigma_b2 / sigma_w2, sigma_b2=sigma_b2, sigma_w2=sigma_w2
     )
 
 

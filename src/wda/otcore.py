@@ -6,19 +6,21 @@ Samples are stored column-wise: a cloud of n points in dimension d is a
 keeps the full scaling history, because the gradient differentiates the
 iteration map itself rather than the converged plan. The loop records the
 scalings and nothing else: the marginal residual of the final plan is
-computed once, after it, and only :func:`sinkhorn_plan` reports the first
-iteration that met a tolerance, recomputed from the recorded history.
+computed once, after it, and the first iteration that met a tolerance
+(:meth:`SinkhornBatch.converged_at`) is recomputed on request from the
+recorded history.
 
 The iterations exist once, in stacked form. :func:`sinkhorn_batch` runs B
 problems of one shape (n, m) as one (B, n, m) iteration, and
 :func:`sinkhorn_batch_reverse` runs its reverse pass the same way. With
 arrays this small the cost of a step is numpy call overhead, not arithmetic,
-so one stacked step costs about what one problem's step did.
-:func:`sinkhorn_plan` is a batch of one. A reverse step takes two stacked
-matvecs: the derivative of a scaling update is written with the scaling
-itself (du/dr = -n u^2), so K v_k and K^T u_{k-1} are not needed. The
-(n, m)-sized end of each derivative is formed one problem at a time, so the
-reverse pass adds no (n, m) stacks.
+so one stacked step costs about what one problem's step did. Kernels come
+from :func:`sinkhorn_kernels`; :func:`wda.objective.solve_pairs` builds the
+stacks of every class pair and refuses an underflowing kernel by its pair.
+A reverse step takes two stacked matvecs: the derivative of a scaling
+update is written with the scaling itself (du/dr = -n u^2), so K v_k and
+K^T u_{k-1} are not needed. The (n, m)-sized end of each derivative is
+formed one problem at a time, so the reverse pass adds no (n, m) stacks.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalRangeError
+from .errors import InvalidInputError
 
 # denominator clamp for the scaling updates; keeps u, v finite when the
 # kernel has extremely small entries
@@ -67,64 +69,37 @@ def self_costs(M: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TransportPlan:
-    """Nonnegative coupling with uniform marginals 1/n and 1/m."""
-
-    weights: np.ndarray       # (n, m)
-    row_marginal: np.ndarray  # (n,) uniform 1/n
-    col_marginal: np.ndarray  # (m,) uniform 1/m
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.weights.shape
-
-    def feasibility_residual(self) -> float:
-        """Infinity-norm violation of the two marginal constraints."""
-        row = self.weights.sum(axis=1) - self.row_marginal
-        col = self.weights.sum(axis=0) - self.col_marginal
-        return float(max(np.abs(row).max(), np.abs(col).max()))
-
-
-@dataclass(frozen=True)
-class SinkhornTrace:
-    """One fixed-L Sinkhorn run as :func:`sinkhorn_plan` reports it.
-
-    ``u_history[k]`` is the left scaling after k iterations (``u_history[0]``
-    is the all-ones initialization), ``v_history[k-1]`` the right scaling of
-    iteration k. ``residual`` is the infinity-norm marginal violation of the
-    final plan; ``converged_at`` the first iteration whose plan met the
-    requested tolerance, or None if none did. It is recomputed after the
-    loop from the recorded histories; the iterations never stop early.
-    """
-
-    kernel: np.ndarray     # (n, m), K = exp(-lam * M)
-    u_history: np.ndarray  # (L+1, n)
-    v_history: np.ndarray  # (L, m)
-    lam: float
-    iterations: int
-    residual: float
-    converged_at: int | None
-
-    def plan_weights(self) -> np.ndarray:
-        """Reconstruct diag(u_L) K diag(v_L)."""
-        u = self.u_history[-1]
-        v = self.v_history[-1]
-        return u[:, None] * self.kernel * v[None, :]
-
-
-@dataclass(frozen=True)
 class SinkhornBatch:
     """B fixed-L Sinkhorn runs on kernels of one shape (n, m), stacked on axis 0.
 
-    Run b is ``kernel[b]``, ``u_history[b]`` and ``v_history[b]`` (indexed as
-    in :class:`SinkhornTrace`); ``residual[b]`` is the infinity-norm marginal
-    violation of its final plan.
+    Run b is ``kernel[b]``, ``u_history[b]`` and ``v_history[b]``:
+    ``u_history[b, k]`` is its left scaling after k iterations
+    (``u_history[b, 0]`` is the all-ones initialization), ``v_history[b, k-1]``
+    the right scaling of iteration k. ``residual[b]`` is the infinity-norm
+    marginal violation of its final plan.
     """
 
     kernel: np.ndarray     # (B, n, m)
     u_history: np.ndarray  # (B, L+1, n)
     v_history: np.ndarray  # (B, L, m)
     residual: np.ndarray   # (B,)
+
+    def plan(self, b: int) -> np.ndarray:
+        """Run b's plan diag(u_L) K diag(v_L), an (n, m) array."""
+        return self.u_history[b, -1][:, None] * self.kernel[b] * self.v_history[b, -1][None, :]
+
+    def converged_at(self, tol: float = 1e-9) -> list[int | None]:
+        """Each run's first iteration whose plan diag(u_k) K diag(v_k) met
+        ``tol`` in marginal residual, or None if none did.
+
+        Recomputed from the recorded scalings with the loop's own matvecs,
+        for every iteration of every run at once (two (B, L)-wide stacked
+        matvecs); the iterations never stop early.
+        """
+        K, U, V = self.kernel[:, None], self.u_history[:, 1:], self.v_history
+        residuals = _marginal_residual(U, _matvec(K, V), V, _matvec(K.swapaxes(-1, -2), U))
+        met = [np.flatnonzero(row) for row in residuals <= tol]
+        return [int(k[0]) + 1 if k.size else None for k in met]
 
 
 def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -150,15 +125,6 @@ def sinkhorn_kernels(M: np.ndarray, lams) -> tuple[np.ndarray, np.ndarray]:
     np.exp(K, out=K)
     underflow = (K.max(axis=2) < _TINY).any(axis=1) | (K.max(axis=1) < _TINY).any(axis=1)
     return K, underflow
-
-
-def kernel_underflow_message(lam: float, M: np.ndarray) -> str:
-    """The refusal text for an underflowing kernel exp(-lam * M)."""
-    return (
-        "kernel row underflow: lam * max(M) = "
-        f"{lam * float(M.max()):.6g} pushes exp(-lam*M) below {_TINY:g}; "
-        "rescale the regularization"
-    )
 
 
 def sinkhorn_batch(K: np.ndarray, iterations: int) -> SinkhornBatch:
@@ -195,58 +161,6 @@ def sinkhorn_batch(K: np.ndarray, iterations: int) -> SinkhornBatch:
         v_history[:, k - 1] = v
         u_history[:, k] = u
     return SinkhornBatch(K, u_history, v_history, _marginal_residual(u, r, v, s))
-
-
-def sinkhorn_plan(
-    M: np.ndarray,
-    lam: float,
-    iterations: int,
-    tol: float = 1e-9,
-) -> tuple[TransportPlan, SinkhornTrace]:
-    """Run exactly ``iterations`` Sinkhorn scaling steps on kernel exp(-lam*M).
-
-    Parameters
-    ----------
-    M : (n, m) array
-        Ground cost matrix (finite, typically squared Euclidean distances).
-    lam : float
-        Regularization strength, > 0. Larger values concentrate the plan on
-        low-cost pairs; lam -> 0 gives the uniform coupling.
-    iterations : int
-        Fixed number of scaling iterations L >= 1. All L iterations always
-        execute; the fixed-L map is the object later differentiated.
-    tol : float
-        Feasibility tolerance used only for reporting ``converged_at``.
-
-    Returns
-    -------
-    (TransportPlan, SinkhornTrace)
-        The plan diag(u_L) K diag(v_L) and the full scaling history. A batch
-        of one for :func:`sinkhorn_batch`; ``converged_at`` is found after
-        the loop, by recomputing every iteration's residual from the
-        recorded scalings with the loop's own matvecs.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2:
-        raise InvalidInputError("cost matrix must be 2-d")
-    if not np.all(np.isfinite(M)):
-        raise InvalidInputError("cost matrix must be finite")
-    if not lam > 0:
-        raise InvalidInputError(f"lam must be positive, got {lam}")
-    K, underflow = sinkhorn_kernels(M[None], [lam])
-    if underflow[0]:
-        raise NumericalRangeError(kernel_underflow_message(lam, M))
-    batch = sinkhorn_batch(K, iterations)
-    K, U, V = batch.kernel[0], batch.u_history[0], batch.v_history[0]
-    residuals = _marginal_residual(U[1:], _matvec(K, V), V, _matvec(K.T, U[1:]))
-    met = np.flatnonzero(residuals <= tol)
-    trace = SinkhornTrace(
-        K, U, V, float(lam), iterations, float(batch.residual[0]),
-        int(met[0]) + 1 if met.size else None,
-    )
-    n, m = M.shape
-    plan = TransportPlan(trace.plan_weights(), np.full(n, 1.0 / n), np.full(m, 1.0 / m))
-    return plan, trace
 
 
 def sinkhorn_batch_reverse(batch: SinkhornBatch, weights) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,5 @@
-"""Shared test utilities: finite differences, subspace angles, the
+"""Shared test utilities: finite differences, subspace angles, a one-run
+Sinkhorn adaptor over the stacked solver with its two record types, the
 validation-only transport helpers (the reverse pass of one Sinkhorn run, the
 symmetric scaling of self-transport, the transport cost <T, M>, the
 transport-weighted covariance of sample differences), the full
@@ -8,24 +9,99 @@ CSV readers and writers."""
 
 import csv
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from wda import (
-    CapacityError,
     InvalidInputError,
     LabeledDataset,
+    NumericalRangeError,
     ParseError,
-    SinkhornTrace,
-    TransportPlan,
+    WdaError,
     cost_matrix,
     pair_keys,
     project_stiefel,
 )
-from wda.otcore import SinkhornBatch, sinkhorn_batch_reverse
+from wda.otcore import SinkhornBatch, sinkhorn_batch, sinkhorn_batch_reverse, sinkhorn_kernels
 
 # the scaling clamp of wda.otcore
 _TINY = 1e-300
+
+
+class CapacityError(WdaError):
+    """A size guard on a reference-only code path was exceeded."""
+
+
+@dataclass(frozen=True)
+class TransportPlan:
+    """Nonnegative coupling with uniform marginals 1/n and 1/m."""
+
+    weights: np.ndarray       # (n, m)
+    row_marginal: np.ndarray  # (n,) uniform 1/n
+    col_marginal: np.ndarray  # (m,) uniform 1/m
+
+    def feasibility_residual(self) -> float:
+        """Infinity-norm violation of the two marginal constraints."""
+        row = self.weights.sum(axis=1) - self.row_marginal
+        col = self.weights.sum(axis=0) - self.col_marginal
+        return float(max(np.abs(row).max(), np.abs(col).max()))
+
+
+@dataclass(frozen=True)
+class SinkhornTrace:
+    """One fixed-L Sinkhorn run, indexed as a run of ``SinkhornBatch``.
+
+    ``residual`` is the infinity-norm marginal violation of the final plan;
+    ``converged_at`` the first iteration whose plan met the requested
+    tolerance, or None if none did.
+    """
+
+    kernel: np.ndarray     # (n, m), K = exp(-lam * M)
+    u_history: np.ndarray  # (L+1, n)
+    v_history: np.ndarray  # (L, m)
+    lam: float
+    iterations: int
+    residual: float
+    converged_at: int | None
+
+    def plan_weights(self) -> np.ndarray:
+        """Reconstruct diag(u_L) K diag(v_L)."""
+        u = self.u_history[-1]
+        v = self.v_history[-1]
+        return u[:, None] * self.kernel * v[None, :]
+
+
+def sinkhorn_plan(M, lam, iterations, tol=1e-9):
+    """Run exactly ``iterations`` Sinkhorn steps on kernel exp(-lam * M), as a
+    batch of one for ``wda.otcore.sinkhorn_kernels`` and ``sinkhorn_batch``.
+
+    Returns (TransportPlan, SinkhornTrace); ``converged_at`` is
+    ``SinkhornBatch.converged_at(tol)``. Refuses a cost matrix that is not
+    2-d or not finite, lam <= 0, and a kernel with a row or column below the
+    scaling clamp.
+    """
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2:
+        raise InvalidInputError("cost matrix must be 2-d")
+    if not np.all(np.isfinite(M)):
+        raise InvalidInputError("cost matrix must be finite")
+    if not lam > 0:
+        raise InvalidInputError(f"lam must be positive, got {lam}")
+    K, underflow = sinkhorn_kernels(M[None], [lam])
+    if underflow[0]:
+        raise NumericalRangeError(
+            f"kernel row underflow: lam * max(M) = {lam * float(M.max()):.6g} "
+            f"pushes exp(-lam*M) below {_TINY:g}"
+        )
+    batch = sinkhorn_batch(K, iterations)
+    trace = SinkhornTrace(
+        batch.kernel[0], batch.u_history[0], batch.v_history[0], float(lam), iterations,
+        float(batch.residual[0]), batch.converged_at(tol)[0],
+    )
+    n, m = M.shape
+    plan = TransportPlan(batch.plan(0), np.full(n, 1.0 / n), np.full(m, 1.0 / m))
+    return plan, trace
 
 
 def fd_gradient(f, P, h=1e-5):
@@ -61,7 +137,7 @@ def entropy(T):
 def sinkhorn_vjp(trace, W):
     """Reverse-mode derivative of <W, T(M)> w.r.t. the cost matrix M.
 
-    Replays the recorded iterations of ``wda.sinkhorn_plan`` backwards, from
+    Replays the recorded iterations of ``sinkhorn_plan`` backwards, from
     T = diag(u_L) K diag(v_L) down to u_0, accumulating the cotangent of the
     kernel K; dK/dM = -lam * K then gives the (n, m) result. The derivative
     passes straight through the scaling clamp. Linear in W; costs O(L n m)

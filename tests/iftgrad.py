@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from wda import CapacityError, NumericalRangeError, cost_matrix
+from helpers import CapacityError
+from wda import NumericalRangeError, cost_matrix
 
 
 def ift_jacobian(

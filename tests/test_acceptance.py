@@ -18,6 +18,7 @@ from helpers import (
     plan_jacobian_full,
     principal_angle,
     random_stiefel,
+    sinkhorn_plan,
     symmetric_scaling,
 )
 from iftgrad import ift_jacobian
@@ -32,7 +33,6 @@ from wda import (
     knn_predict,
     pair_keys,
     pca_init,
-    sinkhorn_plan,
     wda_fit,
 )
 from wda.datasets import LabeledDataset, load_csv, split_dataset

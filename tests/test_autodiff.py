@@ -5,13 +5,15 @@ built from it in ``helpers`` is checked against finite differences."""
 import numpy as np
 import pytest
 
-from helpers import cross_covariance, plan_jacobian_full, random_stiefel, sinkhorn_vjp
-from wda import (
+from helpers import (
     CapacityError,
-    InvalidInputError,
-    cost_matrix,
+    cross_covariance,
+    plan_jacobian_full,
+    random_stiefel,
     sinkhorn_plan,
+    sinkhorn_vjp,
 )
+from wda import InvalidInputError, cost_matrix
 
 
 def _instance(rng, n, m, d, p, lam, L):

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from helpers import random_stiefel, reference_sinkhorn
-from wda import LabeledDataset, cost_matrix, gen_toy, save_csv
+from wda import (
+    LabeledDataset,
+    adaptive_lambdas,
+    cost_matrix,
+    gen_toy,
+    pair_keys,
+    pca_init,
+    save_csv,
+)
 from wda.cli import _COMMANDS, _SETTINGS, _build_parser, _configure, main
 from wda.ioutil import load_matrix_csv, save_matrix_csv
 
@@ -167,6 +175,32 @@ def test_non_finite_projection_file_is_refused_by_name(tmp_path, toy_csv, capsys
         assert not out.exists() or not any(out.iterdir()), argv[0]
 
 
+@pytest.mark.parametrize(
+    "content, bad, message",
+    [
+        (b"f0,label\n1,0\n2,\xff\n", "data", "not valid utf-8 text: invalid start byte"),
+        (b"1,0\n0,\xff\n", "projection", "not valid utf-8 text: invalid start byte"),
+        (b"f0," + b"x" * 131_073 + b",label\n1,2,0\n", "data",
+         "line 1: field larger than field limit (131072)"),
+        (b'f0,label\n1,0\n"' + b"x" * 131_073 + b'",1\n', "data",
+         "line 3: field larger than field limit (131072)"),
+    ],
+    ids=["data-not-text", "projection-not-text", "header-cell-too-long", "data-cell-too-long"],
+)
+def test_unreadable_csv_exits_1_naming_the_file(tmp_path, toy_csv, capsys, content, bad, message):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(content)
+    ppath = tmp_path / "p.csv"
+    np.savetxt(ppath, np.eye(10)[:2], delimiter=",")
+    files = {"data": toy_csv, "projection": str(ppath), bad: str(path)}
+    code = main([
+        "transform", "--projection", files["projection"], "--data", files["data"],
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 def test_evaluate_prints_error_and_writes_json(tmp_path, toy_csv, capsys):
     test_path = tmp_path / "test.csv"
     save_csv(gen_toy(8, seed=99), str(test_path))
@@ -258,6 +292,43 @@ def test_dump_transport_converged_at_is_the_first_feasible_iteration(tmp_path, i
         assert found == [None] * len(found)
     else:
         assert len(set(found) - {None}) > 1
+
+
+def test_dump_transport_unbalanced_classes_match_the_per_pair_reference(tmp_path):
+    # class sizes 5/7/5 give plan shapes 5x5 (three pairs), 5x7, 7x7 and 7x5,
+    # so the pairs are solved in four stacks; index.json still lists them in
+    # pair order, each with the numbers of a plain per-pair Sinkhorn loop
+    toy = gen_toy(7, seed=3)
+    keep = np.concatenate([np.flatnonzero(toy.labels == c)[:n] for c, n in enumerate((5, 7, 5))])
+    data = LabeledDataset(toy.samples[keep], toy.labels[keep])
+    dpath = tmp_path / "unbalanced.csv"
+    save_csv(data, str(dpath))
+    out = tmp_path / "dump"
+    code = main([
+        "dump-transport", "--data", str(dpath), "--lambda", "1.0", "--adaptive-lambda",
+        "--sinkhorn-iters", "300", "--out", str(out),
+    ])
+    assert code == 0
+    index = json.loads((out / "index.json").read_text())
+    assert [(e["source_class"], e["target_class"]) for e in index["pairs"]] == pair_keys(3)
+
+    blocks = data.class_blocks()
+    P = pca_init(data.samples.T, 2)
+    lambdas = adaptive_lambdas(P, blocks, 1.0)
+    projected = [P @ X for X in blocks]
+    for entry in index["pairs"]:
+        c, cp = entry["source_class"], entry["target_class"]
+        M = cost_matrix(projected[c], projected[cp].copy())
+        if cp == c:
+            M = 0.5 * (M + M.T)
+            np.fill_diagonal(M, 0.0)
+        weights, trace = reference_sinkhorn(M, lambdas[(c, cp)], 300, 1e-9)
+        assert entry["file"] == f"plan_c{c}_c{cp}.csv"
+        assert entry["shape"] == list(M.shape)
+        assert load_matrix_csv(str(out / entry["file"])).tobytes() == weights.tobytes()
+        assert entry["lambda"] == lambdas[(c, cp)]
+        assert entry["marginal_residual"] == trace.residual
+        assert entry["converged_at"] == trace.converged_at
 
 
 def test_dump_transport_locality_monotone_in_lambda(tmp_path):

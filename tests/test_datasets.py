@@ -21,7 +21,6 @@ from wda import (
     split_dataset,
 )
 import wda.datasets
-import wda.ioutil
 from wda.datasets import TOY_MODE_SIGMA, TOY_RADIUS
 from wda.ioutil import load_matrix_csv, save_matrix_csv
 
@@ -295,6 +294,41 @@ def test_csv_parse_errors(tmp_path):
             load_csv(str(huge))
 
 
+@pytest.mark.parametrize("at", ["start", "past-first-read"])
+@pytest.mark.parametrize("load", [load_csv, load_matrix_csv], ids=["load_csv", "load_matrix_csv"])
+def test_a_file_that_is_not_text_is_a_parse_error_naming_the_path(tmp_path, load, at):
+    # a 0xff byte never starts a UTF-8 character; past the first read, the
+    # byte is met by numpy's reader first, not by the header read
+    lines = [",".join(f"{v:.17g}" for v in row) + ",0" for row in gen_toy(400, 0).samples]
+    text = "\n".join(lines).encode()
+    i = 5 if at == "start" else len(text) - 5
+    path = tmp_path / "data.csv"
+    path.write_bytes(text[:i] + b"\xff" + text[i + 1:])
+    with pytest.raises(ParseError) as excinfo:
+        load(str(path))
+    # no byte position: the decoder counts it from the start of its buffer
+    assert str(excinfo.value) == f"{path}: not valid utf-8 text: invalid start byte"
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("f0,{big},label\n1,2,0\n", 1),
+        ('f0,label\n1,0\n"{big}",1\n', 3),
+        ('1,0\n2,1\n3,"1\n{big}"\n', 4),
+    ],
+    ids=["header", "quoted-data-cell", "quoted-cell-over-two-lines"],
+)
+def test_load_csv_names_the_line_of_a_cell_over_the_csv_field_limit(tmp_path, text, line):
+    path = tmp_path / "big.csv"
+    path.write_text(text.format(big="x" * 131_073))
+    with pytest.raises(ParseError) as excinfo:
+        load_csv(str(path))
+    assert str(excinfo.value) == (
+        f"{path}: line {line}: field larger than field limit (131072)"
+    )
+
+
 def test_matrix_csv_names_the_bad_cell(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text("1.0,2.0\n3.0, oops\n")
@@ -493,19 +527,16 @@ def test_load_csv_boundary_files_match_the_reference(tmp_path, text, expected):
 
 
 def test_written_csvs_are_read_without_the_cell_walk(tmp_path, monkeypatch):
-    # the cell walk runs only for a fault or text numpy's C reader refuses
+    # load_csv's cell walk runs only for a fault or text numpy's C reader refuses
     def refuse(path):
         raise AssertionError(f"cell walk ran for {path}")
 
     monkeypatch.setattr(wda.datasets, "_load_csv_by_cells", refuse)
-    monkeypatch.setattr(wda.ioutil, "_load_matrix_csv_by_lines", refuse)
     data = gen_toy(20, seed=3)
     for names in (None, ("a,b", 'say "hi"', "two\nlines", *data.feature_names[3:])):
         save_csv(LabeledDataset(data.samples, data.labels, names), str(tmp_path / "d.csv"))
         loaded = load_csv(str(tmp_path / "d.csv"))
         assert loaded.samples.tobytes() == data.samples.tobytes()
-    save_matrix_csv(data.samples, str(tmp_path / "m.csv"))
-    assert load_matrix_csv(str(tmp_path / "m.csv")).tobytes() == data.samples.tobytes()
 
 
 def _matrix_outcome(load, path):

@@ -1,14 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import plan_jacobian_full, random_stiefel
+from helpers import CapacityError, plan_jacobian_full, random_stiefel, sinkhorn_plan
 from iftgrad import ift_jacobian
-from wda import (
-    CapacityError,
-    NumericalRangeError,
-    cost_matrix,
-    sinkhorn_plan,
-)
+from wda import NumericalRangeError, cost_matrix
 
 
 def _frozen_instance(seed=42, lam=1.8):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    SinkhornTrace,
     cross_covariance,
     fd_gradient,
     random_stiefel,
@@ -18,7 +19,6 @@ from wda import (
     DegenerateInputError,
     InvalidInputError,
     NumericalRangeError,
-    SinkhornTrace,
     WdaConfig,
     adaptive_lambdas,
     append_noise,

@@ -8,15 +8,11 @@ from helpers import (
     reference_sinkhorn,
     reference_vjp,
     regularized_distance,
+    sinkhorn_plan,
     sinkhorn_vjp,
     symmetric_scaling,
 )
-from wda import (
-    InvalidInputError,
-    NumericalRangeError,
-    cost_matrix,
-    sinkhorn_plan,
-)
+from wda import InvalidInputError, NumericalRangeError, cost_matrix
 from wda.ioutil import load_matrix_csv, save_matrix_csv
 
 
