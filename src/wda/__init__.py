@@ -41,14 +41,12 @@ from .objective import (
     adaptive_lambdas,
     evaluate,
     gradient,
-    pair_keys,
 )
 from .otcore import cost_matrix
 from .stiefel import (
     FitReport,
     pca_init,
     project_stiefel,
-    riemannian_gradient,
     wda_fit,
 )
 
@@ -77,10 +75,8 @@ __all__ = [
     "gradient",
     "knn_predict",
     "load_csv",
-    "pair_keys",
     "pca_init",
     "project_stiefel",
-    "riemannian_gradient",
     "run_protocol",
     "save_csv",
     "split_dataset",

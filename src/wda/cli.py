@@ -43,8 +43,8 @@ from .evaluation import (
     run_protocol,
 )
 from .ioutil import load_matrix_csv, save_matrix_csv, write_json
-from .objective import WdaConfig, adaptive_lambdas, solve_pairs
-from .stiefel import pca_init, wda_fit
+from .objective import WdaConfig, solve_pairs
+from .stiefel import pca_init, pca_start, wda_fit
 
 
 # what a config value must be: the article for the message, the test, and
@@ -146,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--adaptive-lambda", action="store_true",
-        help="rescale lambda per class pair by mean projected squared distance",
+        help="use the per-pair lambda map of wda fit (fixed at the PCA start)",
     )
     return parser
 
@@ -190,8 +190,8 @@ def _load_file_config(path: str | None, command: str, known) -> dict:
             payload = json.load(fh)
     except OSError as exc:
         raise InvalidInputError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"config file is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # not JSON, not text, or an integer too long to parse
+        raise InvalidInputError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise InvalidInputError("config file must contain a JSON object")
     _check_keys(payload, known, f"config file for 'wda {command}'")
@@ -316,15 +316,14 @@ def _cmd_dump_transport(args) -> int:
     cfg = args.wda_config
     out = _out_dir(args)
     data = load_csv(args.data)
-    blocks = data.class_blocks()
     if args.projection is not None:
         projection = _load_projection(args.projection, ("data", data))
         source = "file"
     else:
         projection = pca_init(data.samples.T, cfg.dim)
         source = "pca-init"
-    lam_map = adaptive_lambdas(projection, blocks, cfg.lam) if args.adaptive_lambda else None
-    pairs = solve_pairs(projection, blocks, cfg, lam_map)
+    lam_map = pca_start(data, len(projection), cfg.lam)[1] if args.adaptive_lambda else None
+    pairs = solve_pairs(projection, data.class_blocks(), cfg, lam_map)
     converged = {}
     for keys, batch in pairs.batches.items():
         converged.update(zip(keys, batch.converged_at()))

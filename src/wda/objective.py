@@ -25,8 +25,9 @@ them on balanced data, one group per distinct shape otherwise, with no
 padding. :func:`solve_pairs` builds each shape's (B, n, m) cost and kernel
 stacks whole; the per-pair ``costs`` of its :class:`PairPlans` are views of
 the cost stacks, and each pair's Sinkhorn run is its slice of the group's
-batch. :func:`evaluate` forms the ratio from them, and ``wda
-dump-transport`` writes them, so the plans a user dumps are the plans J uses.
+batch. :func:`evaluate` forms the ratio from them, and ``wda dump-transport
+--adaptive-lambda`` writes them under the fit's lambda map, so a user dumps
+the plans J uses at the dumped projection.
 :func:`gradient` runs one stacked reverse recursion per group, then forms
 each pair's (n, m) cotangent in turn, in pair order, in place. Each
 pair's numbers are those of a plain per-pair loop, bit for bit.
@@ -150,8 +151,8 @@ def adaptive_lambdas(P0: np.ndarray, classes, lam: float) -> dict[PairKey, float
     ``lam`` divided by the pair's lambda -> 0 transport cost at P0, the trace
     of its :func:`uniform_pair_covariances` in the projected space.
 
-    Values are computed once (typically at the PCA initialization) and reused
-    unchanged for every subsequent objective or gradient evaluation.
+    A fit computes them once, at the PCA start whatever its ``init`` (see
+    :func:`~wda.stiefel.pca_start`), and reuses them in every evaluation.
     """
     if not lam > 0:
         raise InvalidInputError(f"lambda must be positive, got {lam}")

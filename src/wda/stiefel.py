@@ -27,7 +27,7 @@ import numpy as np
 
 from .datasets import LabeledDataset, require_finite
 from .errors import DegenerateInputError, InvalidInputError
-from .objective import WdaConfig, adaptive_lambdas, evaluate, gradient
+from .objective import PairKey, WdaConfig, adaptive_lambdas, evaluate, gradient
 
 _STEP_INIT = 1.0
 _STEP_SHRINK = 0.5
@@ -81,6 +81,14 @@ def pca_init(X: np.ndarray, p: int) -> np.ndarray:
     return P
 
 
+def pca_start(data: LabeledDataset, p: int, lam: float) -> tuple[np.ndarray, dict[PairKey, float]]:
+    """The PCA start at dimension p, and the per-pair lambda map fixed there:
+    the map of every fit of ``data`` at (p, lam), whatever its ``init``, and
+    of ``wda dump-transport --adaptive-lambda``, whatever its projection."""
+    P0 = pca_init(data.samples.T, p)
+    return P0, adaptive_lambdas(P0, data.class_blocks(), lam)
+
+
 def riemannian_gradient(P: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Tangential component of an ambient gradient at a point with P P^T = I."""
     GPt = G @ P.T
@@ -132,8 +140,8 @@ def wda_fit(
 ) -> tuple[np.ndarray, FitReport]:
     """Learn a discriminant projection by projected gradient ascent.
 
-    Runs: PCA initialization (unless ``init`` is given), per-pair
-    regularization fixed once at the initial point, then iterate
+    Runs: per-pair regularization fixed at the PCA start (:func:`pca_start`)
+    whatever ``init`` is, then from ``init`` (else the PCA start) iterate
         G = dJ/dP,  D = proj(P + G) - P,  backtracking on J(proj(P + a D))
     until the relative objective change drops below ``cfg.outer_tol``, the
     direction vanishes, the linesearch stalls, or ``cfg.max_outer_iter`` is
@@ -150,14 +158,9 @@ def wda_fit(
             f"every class needs at least 2 samples, got counts {counts}"
         )
     d = data.n_features
-    if cfg.dim > d:
-        raise InvalidInputError(
-            f"target dimension {cfg.dim} exceeds feature dimension {d}"
-        )
 
-    if init is None:
-        P = pca_init(data.samples.T, cfg.dim)
-    else:
+    P, lambdas = pca_start(data, cfg.dim, cfg.lam)
+    if init is not None:
         P = np.asarray(init, dtype=float)
         if P.shape != (cfg.dim, d):
             raise InvalidInputError(
@@ -167,7 +170,6 @@ def wda_fit(
         if np.abs(P @ P.T - np.eye(cfg.dim)).max() > 1e-8:
             raise InvalidInputError("init must have orthonormal rows")
 
-    lambdas = adaptive_lambdas(P, blocks, cfg.lam)
     report = FitReport(pair_lambdas=dict(lambdas))
 
     state = evaluate(P, blocks, cfg, lambdas)

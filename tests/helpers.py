@@ -20,9 +20,9 @@ from wda import (
     ParseError,
     WdaError,
     cost_matrix,
-    pair_keys,
     project_stiefel,
 )
+from wda.objective import pair_keys
 from wda.otcore import SinkhornBatch, sinkhorn_batch, sinkhorn_batch_reverse, sinkhorn_kernels
 
 # the scaling clamp of wda.otcore

@@ -31,11 +31,11 @@ from wda import (
     gen_toy,
     gradient,
     knn_predict,
-    pair_keys,
     pca_init,
     wda_fit,
 )
 from wda.datasets import LabeledDataset, load_csv, split_dataset
+from wda.objective import pair_keys
 
 TOY_PLANE = np.eye(10)[:2]
 

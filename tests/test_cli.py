@@ -8,15 +8,18 @@ import pytest
 from helpers import random_stiefel, reference_sinkhorn
 from wda import (
     LabeledDataset,
+    WdaConfig,
     adaptive_lambdas,
     cost_matrix,
+    evaluate,
     gen_toy,
-    pair_keys,
+    load_csv,
     pca_init,
     save_csv,
 )
 from wda.cli import _COMMANDS, _SETTINGS, _build_parser, _configure, main
 from wda.ioutil import load_matrix_csv, save_matrix_csv
+from wda.objective import pair_keys
 
 
 @pytest.fixture()
@@ -84,12 +87,18 @@ def test_fit_config_file_and_flag_override(tmp_path, toy_csv):
     assert load_matrix_csv(str(out / "projection.csv")).shape == (2, 10)
 
 
-def test_fit_bad_config_json_exits_2(tmp_path, toy_csv, capsys):
+@pytest.mark.parametrize(
+    "content",
+    [b"{not json", b'{"lambda": "\xff"}', b'{"lambda": 1' + b"0" * 5000 + b"}"],
+    ids=["json", "utf-8", "long-integer"],
+)
+def test_fit_bad_config_json_exits_2(tmp_path, toy_csv, capsys, content):
     config = tmp_path / "cfg.json"
-    config.write_text("{not json")
+    config.write_bytes(content)
     code = main(["fit", "--train", toy_csv, "--config", str(config)])
     assert code == 2
-    assert "config" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(config) in err
 
 
 def test_fit_missing_train_exits_1(tmp_path, capsys):
@@ -105,7 +114,6 @@ def test_transform_orthogonal_preserves_norms(tmp_path, toy_csv):
     out = tmp_path / "out"
     code = main(["transform", "--projection", str(ppath), "--data", toy_csv, "--out", str(out)])
     assert code == 0
-    from wda import load_csv
 
     original = load_csv(toy_csv)
     transformed = load_csv(str(out / "transformed.csv"))
@@ -127,7 +135,6 @@ def test_transform_recovers_signal_coordinate(tmp_path):
     np.savetxt(ppath, np.array([[0.0, 1.0, 0.0]]), delimiter=",")
     out = tmp_path / "out"
     assert main(["transform", "--projection", str(ppath), "--data", str(dpath), "--out", str(out)]) == 0
-    from wda import load_csv
 
     transformed = load_csv(str(out / "transformed.csv"))
     assert np.abs(transformed.samples[:, 0] - signal).max() <= 1e-12
@@ -142,7 +149,6 @@ def test_transform_matches_in_process_projection(tmp_path, toy_csv):
     save_matrix_csv(P, str(ppath))
     out = tmp_path / "out"
     assert main(["transform", "--projection", str(ppath), "--data", toy_csv, "--out", str(out)]) == 0
-    from wda import load_csv
 
     original = load_csv(toy_csv)
     transformed = load_csv(str(out / "transformed.csv"))
@@ -329,6 +335,34 @@ def test_dump_transport_unbalanced_classes_match_the_per_pair_reference(tmp_path
         assert entry["lambda"] == lambdas[(c, cp)]
         assert entry["marginal_residual"] == trace.residual
         assert entry["converged_at"] == trace.converged_at
+
+
+def test_dump_transport_adaptive_lambda_writes_the_plans_of_the_fit(tmp_path, toy_csv):
+    # the fit fixes its lambda map at the PCA start; a dump at the fitted
+    # projection uses that same map, so its plans are those J used there
+    fit_out, dump_out = tmp_path / "fit", tmp_path / "dump"
+    assert main([
+        "fit", "--train", toy_csv, "--lambda", "1.0", "--max-iter", "10", "--out", str(fit_out),
+    ]) == 0
+    ppath = fit_out / "projection.csv"
+    assert main([
+        "dump-transport", "--data", toy_csv, "--projection", str(ppath),
+        "--lambda", "1.0", "--adaptive-lambda", "--out", str(dump_out),
+    ]) == 0
+    report = json.loads((fit_out / "fit_report.json").read_text())
+    index = json.loads((dump_out / "index.json").read_text())
+    lambdas = {
+        (e["source_class"], e["target_class"]): e["lambda"] for e in index["pairs"]
+    }
+    assert {f"{c},{cp}": lam for (c, cp), lam in lambdas.items()} == report["pair_lambdas"]
+
+    data = load_csv(toy_csv)
+    P = load_matrix_csv(str(ppath))
+    assert not np.array_equal(P, pca_init(data.samples.T, 2))
+    runs = evaluate(P, data.class_blocks(), WdaConfig(lam=1.0), lambdas).runs()
+    for entry in index["pairs"]:
+        batch, b = runs[(entry["source_class"], entry["target_class"])]
+        assert load_matrix_csv(str(dump_out / entry["file"])).tobytes() == batch.plan(b).tobytes()
 
 
 def test_dump_transport_locality_monotone_in_lambda(tmp_path):

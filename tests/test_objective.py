@@ -25,12 +25,11 @@ from wda import (
     evaluate,
     gen_toy,
     gradient,
-    pair_keys,
     pca_init,
-    riemannian_gradient,
     uniform_coupling_covariances,
 )
-from wda.objective import uniform_pair_covariances
+from wda.objective import pair_keys, uniform_pair_covariances
+from wda.stiefel import riemannian_gradient
 
 
 def _gaussian_classes(rng, d, n_c, n_classes, spread=2.0):

@@ -15,11 +15,11 @@ from wda import (
     gen_toy,
     pca_init,
     project_stiefel,
-    riemannian_gradient,
     wda_fit,
 )
 from wda import stiefel
 from wda.objective import adaptive_lambdas, evaluate, gradient
+from wda.stiefel import riemannian_gradient
 
 
 def test_project_stiefel_idempotent_on_orthonormal():
@@ -272,6 +272,17 @@ def test_wda_fit_accepts_explicit_init():
     assert P.shape == (2, 3)
     with pytest.raises(InvalidInputError):
         wda_fit(data, cfg, init=np.ones((2, 3)))
+
+
+def test_wda_fit_fixes_the_lambda_map_at_the_pca_start_whatever_the_init():
+    data = gen_toy(12, seed=3)
+    cfg = WdaConfig(lam=1.0, dim=2, max_outer_iter=3)
+    init = random_stiefel(np.random.default_rng(4), 2, data.n_features)
+    _, report = wda_fit(data, cfg, init=init)
+    expected = adaptive_lambdas(pca_init(data.samples.T, 2), data.class_blocks(), 1.0)
+    assert report.pair_lambdas == expected
+    assert report.pair_lambdas != adaptive_lambdas(init, data.class_blocks(), 1.0)
+    assert wda_fit(data, cfg)[1].pair_lambdas == expected
 
 
 def _short_fit(data, sinkhorn_iters=10):
