@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import LabeledDataset
+from .datasets import LabeledDataset, require_finite, require_integer
 from .errors import DegenerateInputError, InvalidInputError
 from .objective import uniform_pair_covariances
 
@@ -52,12 +52,15 @@ def fda_fit(data: LabeledDataset, p: int) -> FdaModel:
     matrix stays singular beyond that is rejected. With the Cholesky factor
     C_w = L L^T the problem becomes the ordinary symmetric eigenproblem of
     L^{-1} C_b L^{-T}, whose eigenvectors y map back as x = L^{-T} y.
+    Raises InvalidInputError naming the first non-finite sample, or for a p
+    that is not an integer in [1, d].
     """
+    require_finite("samples", data.samples)
     blocks = data.class_blocks()
     if len(blocks) < 2:
         raise DegenerateInputError(f"need at least 2 classes, got {len(blocks)}")
     d = data.n_features
-    if not 1 <= p <= d:
+    if not 1 <= require_integer("p", p) <= d:
         raise InvalidInputError(f"p must lie in [1, {d}], got {p}")
     cb, cw = uniform_coupling_covariances(blocks)
     trace_w = float(np.trace(cw))

@@ -15,6 +15,7 @@ standard error. All outputs are written atomically.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import numbers
@@ -270,31 +271,33 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-# each sweep data spec type: its class and the kind of each key it reads,
-# besides "type"; a key left out takes the class's default
-_DATA_SPECS = {
-    "toy": (ToyDataSpec, {
-        "n_train_per_class": "integer", "n_test_per_class": "integer",
-        "extra_noise_dims": "integer",
-    }),
-    "csv": (CsvDataSpec, {
-        "path": "string", "train_fraction": "number", "extra_noise_dims": "integer",
-    }),
-}
+# each sweep data spec type and its class
+_DATA_SPECS = {"toy": ToyDataSpec, "csv": CsvDataSpec}
+
+# the setting kind of a data spec field, by its annotation: a string, as the
+# evaluation module postpones annotations
+_FIELD_KINDS = {"int": "integer", "float": "number", "str": "string"}
 
 
 def _data_spec(payload):
+    """The data spec of a sweep's 'data' object. Its "type" (default "toy")
+    picks the class; the keys it reads and their kinds are that class's
+    fields and annotations. A key left out takes the field's default, and a
+    field without one is required. Raises InvalidInputError naming the key."""
     if not isinstance(payload, dict):
         raise InvalidInputError("sweep 'data' must be a JSON object")
     kind = payload.get("type", "toy")
     if not isinstance(kind, str) or kind not in _DATA_SPECS:
         raise InvalidInputError(f"unknown data spec type {kind!r}")
-    spec_class, kinds = _DATA_SPECS[kind]
-    _check_keys(payload, ("type", *kinds), f"{kind} data spec")
-    if kind == "csv" and "path" not in payload:
-        raise InvalidInputError("csv data spec needs a 'path'")
+    spec_class = _DATA_SPECS[kind]
+    fields = dataclasses.fields(spec_class)
+    _check_keys(payload, ("type", *(f.name for f in fields)), f"{kind} data spec")
+    for f in fields:
+        if f.default is dataclasses.MISSING and f.name not in payload:
+            raise InvalidInputError(f"{kind} data spec needs a {f.name!r}")
     return spec_class(**{
-        key: _typed(key, payload[key], kinds[key]) for key in kinds if key in payload
+        f.name: _typed(f.name, payload[f.name], _FIELD_KINDS[f.type])
+        for f in fields if f.name in payload
     })
 
 
@@ -348,7 +351,7 @@ def _cmd_dump_transport(args) -> int:
                 "lambda": pairs.pair_lambdas[(c, cp)],
                 "marginal_residual": float(batch.residual[b]),
                 "converged_at": converged[(c, cp)],
-                "transport_cost": float(np.sum(plan * pairs.costs[(c, cp)])),
+                "transport_cost": pairs.pair_distances[(c, cp)],
             }
         )
     write_json(os.path.join(out, "index.json"), index)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,9 +43,18 @@ def require_finite(name: str, X: np.ndarray) -> None:
         raise InvalidInputError(f"{name} has a non-finite value at row {row}, column {col}")
 
 
+def require_integer(name: str, value) -> int:
+    """``value`` as an int; raise InvalidInputError naming it unless it is an
+    integer that is not a bool."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def require_seed(seed: int, name: str = "seed") -> None:
-    """Raise InvalidInputError for a negative seed, which numpy's generators refuse."""
-    if seed < 0:
+    """Raise InvalidInputError for a seed that is not an integer, or is
+    negative, which numpy's generators refuse."""
+    if require_integer(name, seed) < 0:
         raise InvalidInputError(f"{name} must be >= 0, got {seed}")
 
 
@@ -121,7 +131,7 @@ def gen_toy(n_per_class: int, seed: int) -> LabeledDataset:
     dimensions are independent Gaussian noise with ``TOY_NOISE_SIGMA``.
     Deterministic given the seed. Use :func:`append_noise` for wider data.
     """
-    if n_per_class < 2:
+    if require_integer("n_per_class", n_per_class) < 2:
         raise InvalidInputError(f"n_per_class must be >= 2, got {n_per_class}")
     require_seed(seed)
     rng = np.random.default_rng(seed)
@@ -161,7 +171,7 @@ def toy_metadata(n_per_class: int, seed: int, **params) -> dict:
 
 def append_noise(data: LabeledDataset, n_noise: int, seed: int) -> LabeledDataset:
     """Append ``n_noise`` unit-Gaussian feature columns; labels unchanged."""
-    if n_noise < 0:
+    if require_integer("n_noise", n_noise) < 0:
         raise InvalidInputError(f"n_noise must be >= 0, got {n_noise}")
     require_seed(seed)
     if n_noise == 0:

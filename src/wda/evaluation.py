@@ -21,6 +21,7 @@ from .datasets import (
     gen_toy,
     load_csv,
     require_finite,
+    require_integer,
     require_seed,
     split_dataset,
 )
@@ -91,7 +92,7 @@ def _knn_inputs(train_X, train_y, test_X):
 
 
 def _check_k(k: int, n_train: int) -> None:
-    if not 1 <= k <= n_train:
+    if not 1 <= require_integer("k", k) <= n_train:
         raise InvalidInputError(f"k must lie in [1, {n_train}], got {k}")
 
 
@@ -233,40 +234,15 @@ class ExperimentResult:
         result[failed] = np.nan
         return result
 
-    def long_rows(self):
-        """Yield one dict per cell in fixed order: seed, k, p, lambda, method, error."""
-        for mi, method in enumerate(self.methods):
-            for si, seed in enumerate(self.seeds):
-                for pi, p in enumerate(self.ps):
-                    for li, lam in enumerate(self.lams):
-                        for ki, k in enumerate(self.ks):
-                            yield {
-                                "seed": seed,
-                                "k": k,
-                                "p": p,
-                                "lambda": lam,
-                                "method": method,
-                                "error": self.errors[mi, si, pi, li, ki],
-                            }
-
     def summary_json(self) -> dict:
         mean = self.mean_errors()
         std = self.std_errors()
-        cells = []
-        for mi, method in enumerate(self.methods):
-            for pi, p in enumerate(self.ps):
-                for li, lam in enumerate(self.lams):
-                    for ki, k in enumerate(self.ks):
-                        cells.append(
-                            {
-                                "method": method,
-                                "p": p,
-                                "lambda": lam,
-                                "k": k,
-                                "mean_error": float(mean[mi, pi, li, ki]),
-                                "std_error": float(std[mi, pi, li, ki]),
-                            }
-                        )
+        cells = [
+            {"method": self.methods[mi], "p": self.ps[pi], "lambda": self.lams[li],
+             "k": self.ks[ki], "mean_error": float(mean[mi, pi, li, ki]),
+             "std_error": float(std[mi, pi, li, ki])}
+            for mi, pi, li, ki in np.ndindex(mean.shape)
+        ]
         return {
             "methods": self.methods,
             "seeds": self.seeds,
@@ -337,13 +313,14 @@ def run_protocol(
     lambda, in the order a fit per lambda would record them. Cells whose fit
     or prediction raises a package error are recorded in ``failures`` and
     left NaN (an invalid k fails only its own column); unexpected exceptions
-    propagate.
+    propagate. A ``ks`` or ``ps`` entry, ``n_seeds`` or ``base_seed`` that
+    is not an integer raises InvalidInputError before any cell runs.
     """
     methods = list(methods)
-    ks = [int(k) for k in ks]
-    ps = [int(p) for p in ps]
+    ks = [require_integer("each k", k) for k in ks]
+    ps = [require_integer("each p", p) for p in ps]
     lams = [float(l) for l in lams]
-    if not methods or not ks or not ps or not lams or n_seeds < 1:
+    if not methods or not ks or not ps or not lams or require_integer("n_seeds", n_seeds) < 1:
         raise InvalidInputError("empty experiment grid")
     for method in methods:
         if method not in KNOWN_METHODS:
@@ -376,19 +353,15 @@ def run_protocol(
 
 
 def experiment_to_csv(result: ExperimentResult, path: str) -> None:
-    """Long-format dump: seed,k,p,lambda,method,error (one row per cell)."""
+    """Long-format dump: seed,k,p,lambda,method,error, one row per cell of
+    the error tensor in its (method, seed, p, lambda, k) order; a failed
+    cell has an empty error."""
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["seed", "k", "p", "lambda", "method", "error"])
-    for row in result.long_rows():
-        writer.writerow(
-            [
-                row["seed"],
-                row["k"],
-                row["p"],
-                FLOAT_FMT % row["lambda"],
-                row["method"],
-                "" if np.isnan(row["error"]) else FLOAT_FMT % row["error"],
-            ]
-        )
+    for mi, si, pi, li, ki in np.ndindex(result.errors.shape):
+        error = result.errors[mi, si, pi, li, ki]
+        writer.writerow([result.seeds[si], result.ks[ki], result.ps[pi],
+                         FLOAT_FMT % result.lams[li], result.methods[mi],
+                         "" if np.isnan(error) else FLOAT_FMT % error])
     atomic_write_text(path, buffer.getvalue())

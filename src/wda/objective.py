@@ -36,12 +36,11 @@ pair's numbers are those of a plain per-pair loop, bit for bit.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datasets import require_finite
+from .datasets import require_finite, require_integer
 from .errors import DegenerateInputError, InvalidInputError, NumericalRangeError
 from .otcore import (
     _TINY,
@@ -80,9 +79,7 @@ class WdaConfig:
                 f"lambda must be positive and finite, got {self.lam}"
             )
         for name in ("sinkhorn_iters", "dim", "max_outer_iter"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+            require_integer(name, getattr(self, name))
         if self.sinkhorn_iters < 1:
             raise InvalidInputError(
                 f"sinkhorn_iters must be >= 1, got {self.sinkhorn_iters}"
@@ -122,6 +119,11 @@ def pair_keys(n_classes: int) -> list[PairKey]:
     return [(c, cp) for c in range(n_classes) for cp in range(c, n_classes)]
 
 
+def pair_json(values: dict[PairKey, float]) -> dict[str, float]:
+    """A per-pair map as JSON: each value a float under the key "c,cp"."""
+    return {f"{c},{cp}": float(v) for (c, cp), v in values.items()}
+
+
 def uniform_pair_covariances(classes) -> dict[PairKey, np.ndarray]:
     """Each class pair's (c <= c') difference covariance under the uniform
     coupling, 1/(n_c n_c') sum_ij (x_i - x'_j)(x_i - x'_j)^T, in closed form
@@ -153,9 +155,10 @@ def adaptive_lambdas(P0: np.ndarray, classes, lam: float) -> dict[PairKey, float
 
     A fit computes them once, at the PCA start whatever its ``init`` (see
     :func:`~wda.stiefel.pca_start`), and reuses them in every evaluation.
+    Raises InvalidInputError for a ``lam`` that is not positive and finite.
     """
-    if not lam > 0:
-        raise InvalidInputError(f"lambda must be positive, got {lam}")
+    if not 0 < lam < math.inf:
+        raise InvalidInputError(f"lambda must be positive and finite, got {lam}")
     blocks = _check_classes(classes)
     P0 = np.asarray(P0, dtype=float)
     lam_map = {}
@@ -209,16 +212,13 @@ class ObjectiveState(PairPlans):
     sigma_w2: float
 
     def to_json(self) -> dict:
-        def keyed(d):
-            return {f"{c},{cp}": float(v) for (c, cp), v in d.items()}
-
         return {
             "value": self.value,
             "sigma_b2": self.sigma_b2,
             "sigma_w2": self.sigma_w2,
-            "pair_distances": keyed(self.pair_distances),
-            "pair_lambdas": keyed(self.pair_lambdas),
-            "pair_residuals": keyed(
+            "pair_distances": pair_json(self.pair_distances),
+            "pair_lambdas": pair_json(self.pair_lambdas),
+            "pair_residuals": pair_json(
                 {key: batch.residual[b] for key, (batch, b) in self.runs().items()}
             ),
         }

@@ -21,13 +21,13 @@ those of a fixed start at _STEP_INIT.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .datasets import LabeledDataset, require_finite
+from .datasets import LabeledDataset, require_finite, require_integer
 from .errors import DegenerateInputError, InvalidInputError
-from .objective import PairKey, WdaConfig, adaptive_lambdas, evaluate, gradient
+from .objective import PairKey, WdaConfig, adaptive_lambdas, evaluate, gradient, pair_json
 
 _STEP_INIT = 1.0
 _STEP_SHRINK = 0.5
@@ -39,15 +39,23 @@ def project_stiefel(A: np.ndarray) -> np.ndarray:
     """Closest matrix with orthonormal rows in Frobenius norm (polar factor).
 
     For A = U S V^T (thin SVD) the projection is U V^T. A must have full row
-    rank, otherwise the projection is not unique.
+    rank, otherwise the projection is not unique. Raises InvalidInputError
+    naming the first non-finite entry of A.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] > A.shape[1]:
         raise InvalidInputError(
             f"expected a p x d matrix with p <= d, got shape {A.shape}"
         )
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    if s[0] <= 0.0 or s[-1] <= 1e-13 * s[0]:
+    # the matrix is scanned for a non-finite entry only once the SVD fails
+    # (a NaN) or gives NaN singular values (an inf), so a fit adds no pass
+    try:
+        U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    except np.linalg.LinAlgError:
+        require_finite("matrix", A)
+        raise
+    if not (s[0] > 0.0 and s[-1] > 1e-13 * s[0]):
+        require_finite("matrix", A)
         raise DegenerateInputError("matrix is rank deficient; polar factor undefined")
     return U @ Vt
 
@@ -57,15 +65,18 @@ def pca_init(X: np.ndarray, p: int) -> np.ndarray:
 
     X is (d, n) with one column per sample. Rows of the result are the
     leading eigenvectors of the centered sample covariance; each row is sign
-    fixed so its largest-magnitude entry is positive.
+    fixed so its largest-magnitude entry is positive. Raises
+    InvalidInputError naming the first non-finite entry of X, or for a p
+    that is not an integer in [1, d].
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise InvalidInputError("X must be 2-d with one column per sample")
+    require_finite("X", X)
     d, n = X.shape
     if n < 2:
         raise InvalidInputError("need at least 2 samples for PCA")
-    if not 1 <= p <= d:
+    if not 1 <= require_integer("p", p) <= d:
         raise InvalidInputError(f"p must lie in [1, {d}], got {p}")
     Xc = X - X.mean(axis=1, keepdims=True)
     U, s, _ = np.linalg.svd(Xc, full_matrices=False)
@@ -105,6 +116,9 @@ class FitReport:
     iterate, ``evaluations`` the objective evaluations of the linesearch (0
     for a "stationary" iteration, which tries no step). ``step_sizes`` and
     ``objective_values[1:]`` hold one entry per accepted step.
+
+    The fields are the record: :meth:`to_json` (``fit_report.json``) writes
+    each under its name, in this order, with ``pair_lambdas`` keyed "c,cp".
     """
 
     objective_values: list[float] = field(default_factory=list)
@@ -119,18 +133,7 @@ class FitReport:
     pair_lambdas: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "objective_values": self.objective_values,
-            "step_sizes": self.step_sizes,
-            "gradient_norms": self.gradient_norms,
-            "evaluations": self.evaluations,
-            "iteration_seconds": self.iteration_seconds,
-            "termination": self.termination,
-            "n_iterations": self.n_iterations,
-            "best_objective": self.best_objective,
-            "best_iteration": self.best_iteration,
-            "pair_lambdas": {f"{c},{cp}": v for (c, cp), v in self.pair_lambdas.items()},
-        }
+        return {**asdict(self), "pair_lambdas": pair_json(self.pair_lambdas)}
 
 
 def wda_fit(

@@ -359,10 +359,18 @@ def test_dump_transport_adaptive_lambda_writes_the_plans_of_the_fit(tmp_path, to
     data = load_csv(toy_csv)
     P = load_matrix_csv(str(ppath))
     assert not np.array_equal(P, pca_init(data.samples.T, 2))
-    runs = evaluate(P, data.class_blocks(), WdaConfig(lam=1.0), lambdas).runs()
+    state = evaluate(P, data.class_blocks(), WdaConfig(lam=1.0), lambdas)
+    runs = state.runs()
     for entry in index["pairs"]:
-        batch, b = runs[(entry["source_class"], entry["target_class"])]
+        key = (entry["source_class"], entry["target_class"])
+        batch, b = runs[key]
         assert load_matrix_csv(str(dump_out / entry["file"])).tobytes() == batch.plan(b).tobytes()
+        # the pair distance J sums, not a recomputed sum of T * M
+        assert entry["transport_cost"] == state.pair_distances[key]
+    # summed in pair order, the dumped costs give the fit's best J exactly
+    costs = [(e["source_class"] == e["target_class"], e["transport_cost"]) for e in index["pairs"]]
+    between = sum(cost for within, cost in costs if not within)
+    assert between / sum(cost for within, cost in costs if within) == report["best_objective"]
 
 
 def test_dump_transport_locality_monotone_in_lambda(tmp_path):
@@ -697,6 +705,12 @@ def _assert_config_error(tmp_path, capsys, argv, config, message):
 )
 def test_config_value_out_of_range_exits_2(tmp_path, capsys, argv, config, message):
     _assert_config_error(tmp_path, capsys, argv, config, message)
+
+
+def test_sweep_csv_data_spec_without_a_path_exits_2(tmp_path, capsys):
+    # the one data spec field without a default
+    config = {"data": {"type": "csv", "train_fraction": 0.5}}
+    _assert_config_error(tmp_path, capsys, ["sweep"], config, "csv data spec needs a 'path'")
 
 
 @pytest.mark.parametrize("kind", [[], {}], ids=["list", "object"])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,9 +16,16 @@ from wda import (
     InvalidInputError,
     LabeledDataset,
     ParseError,
+    ToyDataSpec,
+    adaptive_lambdas,
     append_noise,
+    fda_fit,
     gen_toy,
+    knn_predict,
     load_csv,
+    pca_init,
+    project_stiefel,
+    run_protocol,
     save_csv,
     split_dataset,
 )
@@ -91,6 +100,62 @@ def test_gen_toy_validation():
 def test_gen_toy_refuses_a_negative_seed():
     with pytest.raises(InvalidInputError, match="seed must be >= 0, got -1"):
         gen_toy(5, seed=-1)
+
+
+_TOY = gen_toy(5, seed=0)
+
+
+@pytest.mark.parametrize(
+    "call, name, value",
+    [
+        (lambda: knn_predict(_TOY.samples, _TOY.labels, _TOY.samples, 2.5), "k", 2.5),
+        (lambda: gen_toy(2.5, 0), "n_per_class", 2.5),
+        (lambda: gen_toy(5, 1.5), "seed", 1.5),
+        (lambda: append_noise(_TOY, 1.5, 0), "n_noise", 1.5),
+        (lambda: split_dataset(_TOY, 0.5, 1.5), "seed", 1.5),
+        (lambda: pca_init(_TOY.samples.T, 1.5), "p", 1.5),
+        (lambda: fda_fit(_TOY, 1.5), "p", 1.5),
+        (lambda: run_protocol(ToyDataSpec(5, 5), ["pca"], [1], [2], [1.0], n_seeds=2.0),
+         "n_seeds", 2.0),
+        (lambda: run_protocol(ToyDataSpec(5, 5), ["pca"], [1], [2], [1.0], 2, base_seed=1.5),
+         "base_seed", 1.5),
+        (lambda: run_protocol(ToyDataSpec(5, 5), ["pca"], [2.5], [2], [1.0], 1), "each k", 2.5),
+        (lambda: run_protocol(ToyDataSpec(5, 5), ["pca"], [1], [True], [1.0], 1), "each p", True),
+    ],
+    ids=["knn-k", "toy-n", "toy-seed", "noise-n", "split-seed", "pca-p", "fda-p",
+         "protocol-n_seeds", "protocol-base_seed", "protocol-ks", "protocol-ps"],
+)
+def test_integer_arguments_are_refused_by_name(call, name, value):
+    message = f"{name} must be an integer, got {value!r}"
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        call()
+
+
+def _with_entry(A, value):
+    A = np.array(A, dtype=float)
+    A[1, 2] = value
+    return A
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: pca_init(_with_entry(_TOY.samples.T, np.nan), 2),
+         "X has a non-finite value at row 1, column 2"),
+        (lambda: project_stiefel(_with_entry(np.eye(2, 3), np.nan)),
+         "matrix has a non-finite value at row 1, column 2"),
+        (lambda: project_stiefel(_with_entry(np.eye(2, 3), np.inf)),
+         "matrix has a non-finite value at row 1, column 2"),
+        (lambda: fda_fit(LabeledDataset(_with_entry(_TOY.samples, np.nan), _TOY.labels), 2),
+         "samples has a non-finite value at row 1, column 2"),
+        (lambda: adaptive_lambdas(np.eye(2, 10), _TOY.class_blocks(), np.inf),
+         "lambda must be positive and finite, got inf"),
+    ],
+    ids=["pca-nan", "stiefel-nan", "stiefel-inf", "fda-nan", "adaptive-lambda-inf"],
+)
+def test_non_finite_input_is_refused_by_name(call, message):
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        call()
 
 
 def test_append_noise_refuses_a_negative_seed():

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from wda import (
     ExperimentResult,
+    FitReport,
     InvalidInputError,
     LabeledDataset,
     ToyDataSpec,
@@ -328,6 +330,76 @@ def test_experiment_csv_and_summary(tmp_path):
     assert means.shape == (2, 1, 1, 2)
     for cell in summary["cells"]:
         assert 0.0 <= cell["mean_error"] <= 1.0
+
+
+def test_record_formats_are_pinned(tmp_path):
+    # results.csv, summary.json and fit_report.json as they are written
+    # today, byte for byte: key order, number formats and NaN cells included
+    nan = np.nan
+    errors = np.array([
+        # wda, seeds 3 and 4; lambda 1.0 then 1e-4 (a failed fit); k = 1 then 5
+        [[[[1 / 3, 0.2], [nan, nan]]], [[[2 / 15, 0.25], [nan, nan]]]],
+        # pca: k = 5 fails in seed 3
+        [[[[0.3, nan], [0.3, nan]]], [[[0.35, 0.4], [0.35, 0.4]]]],
+    ])
+    failures = [
+        {"method": "wda", "seed": 3, "p": 2, "lambda": 1e-4, "k": None, "error": "underflow"},
+        {"method": "pca", "seed": 3, "p": 2, "lambda": 1.0, "k": 5,
+         "error": "k must lie in [1, 4], got 5"},
+    ]
+    result = ExperimentResult(["wda", "pca"], [3, 4], [2], [1.0, 1e-4], [1, 5], errors, failures)
+    path = tmp_path / "results.csv"
+    experiment_to_csv(result, str(path))
+    assert path.read_bytes() == (
+        b"seed,k,p,lambda,method,error\r\n"
+        b"3,1,2,1,wda,0.33333333333333331\r\n"
+        b"3,5,2,1,wda,0.20000000000000001\r\n"
+        b"3,1,2,0.0001,wda,\r\n"
+        b"3,5,2,0.0001,wda,\r\n"
+        b"4,1,2,1,wda,0.13333333333333333\r\n"
+        b"4,5,2,1,wda,0.25\r\n"
+        b"4,1,2,0.0001,wda,\r\n"
+        b"4,5,2,0.0001,wda,\r\n"
+        b"3,1,2,1,pca,0.29999999999999999\r\n"
+        b"3,5,2,1,pca,\r\n"
+        b"3,1,2,0.0001,pca,0.29999999999999999\r\n"
+        b"3,5,2,0.0001,pca,\r\n"
+        b"4,1,2,1,pca,0.34999999999999998\r\n"
+        b"4,5,2,1,pca,0.40000000000000002\r\n"
+        b"4,1,2,0.0001,pca,0.34999999999999998\r\n"
+        b"4,5,2,0.0001,pca,0.40000000000000002\r\n"
+    )
+
+    def cell(method, lam, k, mean, std):
+        return {"method": method, "p": 2, "lambda": lam, "k": k,
+                "mean_error": mean, "std_error": std}
+
+    expected = {
+        "methods": ["wda", "pca"], "seeds": [3, 4], "ps": [2], "lambdas": [1.0, 1e-4],
+        "ks": [1, 5],
+        "cells": [
+            cell("wda", 1.0, 1, 0.23333333333333334, 0.09999999999999999),
+            cell("wda", 1.0, 5, 0.225, 0.024999999999999994),
+            cell("wda", 1e-4, 1, nan, nan),
+            cell("wda", 1e-4, 5, nan, nan),
+            cell("pca", 1.0, 1, 0.32499999999999996, 0.024999999999999994),
+            cell("pca", 1.0, 5, 0.4, 0.0),
+            cell("pca", 1e-4, 1, 0.32499999999999996, 0.024999999999999994),
+            cell("pca", 1e-4, 5, 0.4, 0.0),
+        ],
+        "failures": failures,
+    }
+    # json.dumps compares key order, int against float, and NaN
+    assert json.dumps(result.summary_json()) == json.dumps(expected)
+
+    report = FitReport([2.0, 2.5], [1.0], [0.5, 0.25], [1, 3], [0.1, 0.2], "stalled", 1,
+                       2.5, 1, {(0, 0): 0.25, (0, 1): 0.5})
+    assert json.dumps(report.to_json()) == json.dumps({
+        "objective_values": [2.0, 2.5], "step_sizes": [1.0], "gradient_norms": [0.5, 0.25],
+        "evaluations": [1, 3], "iteration_seconds": [0.1, 0.2], "termination": "stalled",
+        "n_iterations": 1, "best_objective": 2.5, "best_iteration": 1,
+        "pair_lambdas": {"0,0": 0.25, "0,1": 0.5},
+    })
 
 
 def test_csv_data_spec_split(tmp_path):
