@@ -51,6 +51,14 @@ def require_integer(name: str, value) -> int:
     return int(value)
 
 
+def require_number(name: str, value) -> float:
+    """``value`` as a float; raise InvalidInputError naming it unless it is a
+    real number that is not a bool."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise InvalidInputError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def require_seed(seed: int, name: str = "seed") -> None:
     """Raise InvalidInputError for a seed that is not an integer, or is
     negative, which numpy's generators refuse."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from .datasets import (
     load_csv,
     require_finite,
     require_integer,
+    require_number,
     require_seed,
     split_dataset,
 )
@@ -314,17 +316,21 @@ def run_protocol(
     or prediction raises a package error are recorded in ``failures`` and
     left NaN (an invalid k fails only its own column); unexpected exceptions
     propagate. A ``ks`` or ``ps`` entry, ``n_seeds`` or ``base_seed`` that
-    is not an integer raises InvalidInputError before any cell runs.
+    is not an integer, and a ``lams`` entry that is not a positive finite
+    number, raise InvalidInputError before any cell runs.
     """
     methods = list(methods)
     ks = [require_integer("each k", k) for k in ks]
     ps = [require_integer("each p", p) for p in ps]
-    lams = [float(l) for l in lams]
+    lams = [require_number("each lambda", lam) for lam in lams]
     if not methods or not ks or not ps or not lams or require_integer("n_seeds", n_seeds) < 1:
         raise InvalidInputError("empty experiment grid")
     for method in methods:
         if method not in KNOWN_METHODS:
             raise InvalidInputError(f"unknown method {method!r}; known: {KNOWN_METHODS}")
+    for lam in lams:
+        if not 0 < lam < math.inf:
+            raise InvalidInputError(f"each lambda must be positive and finite, got {lam}")
     if not isinstance(data_spec, (ToyDataSpec, CsvDataSpec)):
         raise InvalidInputError(f"unknown data spec {type(data_spec).__name__}")
     require_seed(base_seed, "base_seed")

@@ -22,15 +22,21 @@ pairs. G is pulled back to P in the projected space (see :func:`gradient`).
 
 Pairs whose plans share a shape (n_c, n_c') are solved as one stack: all of
 them on balanced data, one group per distinct shape otherwise, with no
-padding. :func:`solve_pairs` builds each shape's (B, n, m) cost and kernel
-stacks whole; the per-pair ``costs`` of its :class:`PairPlans` are views of
-the cost stacks, and each pair's Sinkhorn run is its slice of the group's
-batch. :func:`evaluate` forms the ratio from them, and ``wda dump-transport
+padding. :func:`solve_pairs` builds each shape's (B, n, m) cost stack from
+one product, its kernel stack, and then turns the cost stack into K * M in
+place; each pair's Sinkhorn run is its slice of the group's batch.
+:func:`evaluate` forms the ratio from them, and ``wda dump-transport
 --adaptive-lambda`` writes them under the fit's lambda map, so a user dumps
 the plans J uses at the dumped projection.
 :func:`gradient` runs one stacked reverse recursion per group, then forms
-each pair's (n, m) cotangent in turn, in pair order, in place. Each
-pair's numbers are those of a plain per-pair loop, bit for bit.
+each pair's (n, m) cotangent in turn, in pair order. Each pair's numbers
+are those of a plain per-pair loop, bit for bit.
+
+A fit's line search reads only the value of the state its gradient came
+from, so :func:`~wda.stiefel.wda_fit` has each trial write its stacks into
+that state's, and a rejected trial's into the next: after its first
+evaluation a fit allocates no new (B, n, m) stack. Every state returned by
+:func:`evaluate` or :func:`solve_pairs` owns its arrays.
 """
 
 from __future__ import annotations
@@ -40,12 +46,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datasets import require_finite, require_integer
+from .datasets import require_finite, require_integer, require_number
 from .errors import DegenerateInputError, InvalidInputError, NumericalRangeError
 from .otcore import (
     _TINY,
     SinkhornBatch,
-    cost_matrix,
+    _matvec,
+    cost_factors,
+    costs_from_factors,
     self_costs,
     sinkhorn_batch,
     sinkhorn_batch_reverse,
@@ -74,7 +82,7 @@ class WdaConfig:
     outer_tol: float = 1e-6
 
     def __post_init__(self):
-        if not 0 < self.lam < math.inf:
+        if not 0 < require_number("lam", self.lam) < math.inf:
             raise InvalidInputError(
                 f"lambda must be positive and finite, got {self.lam}"
             )
@@ -90,7 +98,7 @@ class WdaConfig:
             raise InvalidInputError(
                 f"max_outer_iter must be >= 1, got {self.max_outer_iter}"
             )
-        if not 0 <= self.outer_tol < math.inf:
+        if not 0 <= require_number("outer_tol", self.outer_tol) < math.inf:
             raise InvalidInputError(
                 f"outer_tol must be >= 0 and finite, got {self.outer_tol}"
             )
@@ -178,9 +186,12 @@ class PairPlans:
     """The fixed-L Sinkhorn runs of every class pair at one projection.
 
     ``batches`` maps the pairs of each plan shape, in pair order, to their
-    stacked Sinkhorn runs (run b is the key's b-th pair); ``costs`` maps
-    every pair, in pair order, to a view of its group's cost stack, and
-    ``pair_distances`` to its transport cost <T, M>.
+    stacked Sinkhorn runs (run b is the key's b-th pair), and
+    ``kernel_costs`` maps the same keys to the (B, n, m) stacks K * M of
+    each run's kernel times its cost matrix: the weighted kernels of the
+    pair distances and of the gradient's reverse pass. M itself is not kept;
+    :func:`~wda.otcore.cost_matrix` recomputes it. ``pair_distances`` maps
+    every pair, in pair order, to its transport cost <T, M>.
     ``projection`` and ``classes`` are the P and the validated class blocks
     the plans were solved at, held by reference: modifying them in place
     afterwards invalidates the result.
@@ -188,7 +199,7 @@ class PairPlans:
 
     projection: np.ndarray = field(repr=False)
     classes: list[np.ndarray] = field(repr=False)
-    costs: dict[PairKey, np.ndarray] = field(repr=False)
+    kernel_costs: dict[tuple[PairKey, ...], np.ndarray] = field(repr=False)
     batches: dict[tuple[PairKey, ...], SinkhornBatch] = field(repr=False)
     pair_lambdas: dict[PairKey, float]
     pair_distances: dict[PairKey, float]
@@ -198,7 +209,7 @@ class PairPlans:
         found = {}
         for keys, batch in self.batches.items():
             found.update((key, (batch, b)) for b, key in enumerate(keys))
-        return {key: found[key] for key in self.costs}
+        return {key: found[key] for key in self.pair_distances}
 
 
 @dataclass
@@ -254,9 +265,17 @@ def solve_pairs(
     The pairs of each plan shape are solved together: one cost stack, one
     kernel stack and one :func:`~wda.otcore.sinkhorn_batch` call. All kernels
     are built before any iteration runs, so a kernel underflow is reported
-    for the first failing pair in pair order, named with its lambda. Each
-    pair distance <T, M> is u_L . ((K * M) v_L), without forming T.
+    for the first failing pair in pair order, named with its lambda. The
+    cost stack then becomes K * M in place, and each pair distance <T, M> is
+    u_L . ((K * M) v_L), without forming T.
     """
+    return _solve_pairs(P, classes, cfg, lambdas, None)
+
+
+def _solve_pairs(P, classes, cfg, lambdas, spare: PairPlans | None) -> PairPlans:
+    """:func:`solve_pairs`, writing the cost and kernel stacks into those of
+    ``spare`` when given: plans solved at the same classes and lambdas that
+    are no longer needed, and are overwritten."""
     P = np.asarray(P, dtype=float)
     blocks = _check_classes(classes)
     if P.ndim != 2 or P.shape[1] != blocks[0].shape[0]:
@@ -272,42 +291,46 @@ def solve_pairs(
     groups: dict[tuple[int, int], list[PairKey]] = {}
     for c, cp in keys_in_order:
         groups.setdefault((blocks[c].shape[1], blocks[cp].shape[1]), []).append((c, cp))
-    projected = [P @ X for X in blocks]
-    stacks, costs, underflow = [], {}, {}
-    for keys in groups.values():
-        M = cost_matrix(
-            np.stack([projected[c] for c, _ in keys]),
-            np.stack([projected[cp] for _, cp in keys]),
+    factors = [cost_factors(P @ X) for X in blocks]
+    stacks, top_costs = [], {}
+    for keys in map(tuple, groups.values()):
+        M = costs_from_factors(
+            np.stack([factors[c][0] for c, _ in keys]),
+            np.stack([factors[cp][1] for _, cp in keys]),
+            out=None if spare is None else spare.kernel_costs[keys],
         )
-        own = [b for b, (c, cp) in enumerate(keys) if c == cp]
-        if own:
-            M[own] = self_costs(M[own])
-        K, low = sinkhorn_kernels(M, [lam_map[key] for key in keys])
-        costs.update(zip(keys, M))
-        underflow.update(zip(keys, low))
+        for b, (c, cp) in enumerate(keys):
+            if c == cp:
+                self_costs(M[b])
+        K, low = sinkhorn_kernels(
+            M, [lam_map[key] for key in keys],
+            out=None if spare is None else spare.batches[keys].kernel,
+        )
+        top_costs.update((key, float(M[b].max())) for b, key in enumerate(keys) if low[b])
         stacks.append((keys, M, K))
     for key in keys_in_order:
-        if underflow[key]:
+        if key in top_costs:
             lam = lam_map[key]
             raise NumericalRangeError(
                 f"class pair {key} at lambda {lam:.6g}: kernel row underflow: "
-                f"lam * max(M) = {lam * float(costs[key].max()):.6g} pushes "
+                f"lam * max(M) = {lam * top_costs[key]:.6g} pushes "
                 f"exp(-lam*M) below {_TINY:g}; rescale the regularization"
             )
 
     batches, distances = {}, {}
-    for keys, M, K in stacks:
+    for keys, KM, K in stacks:
+        KM *= K
         batch = sinkhorn_batch(K, cfg.sinkhorn_iters)
-        km_v = np.einsum("bnm,bnm,bm->bn", K, M, batch.v_history[:, -1])
+        km_v = _matvec(KM, batch.v_history[:, -1])
         distances.update(zip(keys, (batch.u_history[:, -1] * km_v).sum(axis=1).tolist()))
-        batches[tuple(keys)] = batch
+        batches[keys] = batch
     for key in keys_in_order:
         if not np.isfinite(distances[key]):
             raise NumericalRangeError(f"class pair {key}: the projected squared distances overflow")
     return PairPlans(
         projection=P,
         classes=blocks,
-        costs={key: costs[key] for key in keys_in_order},
+        kernel_costs={keys: KM for keys, KM, _ in stacks},
         batches=batches,
         pair_lambdas=lam_map,
         pair_distances={key: distances[key] for key in keys_in_order},
@@ -328,7 +351,12 @@ def evaluate(
     checks. Raises DegenerateInputError when the within-class dispersion
     sigma_w^2 is zero.
     """
-    pairs = solve_pairs(P, classes, cfg, lambdas)
+    return _evaluate(P, classes, cfg, lambdas, None)
+
+
+def _evaluate(P, classes, cfg, lambdas, spare: PairPlans | None) -> ObjectiveState:
+    """:func:`evaluate` on the plans of :func:`_solve_pairs` with ``spare``."""
+    pairs = _solve_pairs(P, classes, cfg, lambdas, spare)
     distances = pairs.pair_distances
     sigma_b2 = sum(dist for (c, cp), dist in distances.items() if c != cp)
     sigma_w2 = sum(dist for (c, cp), dist in distances.items() if c == cp)
@@ -357,27 +385,33 @@ def gradient(state: ObjectiveState) -> np.ndarray:
     the per-pair lambdas are those of ``state``, so the gradient is
     ``gradient(evaluate(P, classes, cfg, lambdas))``. Raises
     NumericalRangeError, naming the pair and its lambda, when a pair's term
-    is not finite. The reverse recursion runs once per batch of ``state``;
-    each (n, m) G is formed in place, in pair order, from the pair's slice
-    of its batch.
+    is not finite. The reverse recursion runs once per batch of ``state``,
+    seeded from its K * M stack; each (n, m) G is then formed in pair order
+    from the pair's slice of its batch. The two pull-back products take a
+    row of ones under Y_c' and Y_c, so they give G 1 and G^T 1 as well.
     """
     sb2, sw2 = state.sigma_b2, state.sigma_w2
 
     runs = {}
     with np.errstate(over="ignore", invalid="ignore"):
         for keys, batch in state.batches.items():
-            r_bars, s_bars = sinkhorn_batch_reverse(batch, (state.costs[key] for key in keys))
-            runs.update((key, (batch, b, r_bars[b], s_bars[b])) for b, key in enumerate(keys))
+            KM = state.kernel_costs[keys]
+            r_bars, s_bars = sinkhorn_batch_reverse(batch, KM)
+            runs.update(
+                (key, (batch, b, KM[b], r_bars[b], s_bars[b])) for b, key in enumerate(keys)
+            )
 
-    projected = [state.projection @ X for X in state.classes]
-    Z = [np.zeros_like(Y) for Y in projected]
-    for (c, cp), M in state.costs.items():
+    # [Y_c; 1] per class: Y_c is the view of its first p rows
+    ones_below = [np.vstack((state.projection @ X, np.ones(X.shape[1]))) for X in state.classes]
+    Z = [np.zeros_like(Ya[:-1]) for Ya in ones_below]
+    for c, cp in state.pair_distances:
         lam = float(state.pair_lambdas[(c, cp)])
-        batch, b, r_bars, s_bars = runs[(c, cp)]
+        batch, b, KM, r_bars, s_bars = runs[(c, cp)]
         with np.errstate(over="ignore", invalid="ignore"):
-            G = transport_cost_cotangent(batch, b, lam, M, r_bars, s_bars)
-            row = G.sum(axis=1)
-            col = G.sum(axis=0)
+            G = transport_cost_cotangent(batch, b, lam, KM, r_bars, s_bars)
+            pulled_c = ones_below[cp] @ G.T  # [Y_c' G^T; (G 1)^T]
+            pulled_cp = ones_below[c] @ G    # [Y_c G; 1^T G]
+        row, col = pulled_c[-1], pulled_cp[-1]
         if not (np.isfinite(row).all() and np.isfinite(col).all()):
             raise NumericalRangeError(
                 f"gradient term of class pair ({c}, {cp}) is not finite at "
@@ -385,7 +419,6 @@ def gradient(state: ObjectiveState) -> np.ndarray:
                 "iterations left the floating-point range, lower the regularization"
             )
         coef = -sb2 / sw2**2 if cp == c else 1.0 / sw2
-        Yc, Ycp = projected[c], projected[cp]
-        Z[c] += coef * (Yc * row - Ycp @ G.T)
-        Z[cp] += coef * (Ycp * col - Yc @ G)
+        Z[c] += coef * (ones_below[c][:-1] * row - pulled_c[:-1])
+        Z[cp] += coef * (ones_below[cp][:-1] * col - pulled_cp[:-1])
     return 2.0 * sum(Zc @ X.T for Zc, X in zip(Z, state.classes))

@@ -12,15 +12,21 @@ recorded history.
 
 The iterations exist once, in stacked form. :func:`sinkhorn_batch` runs B
 problems of one shape (n, m) as one (B, n, m) iteration, and
-:func:`sinkhorn_batch_reverse` runs its reverse pass the same way. With
-arrays this small the cost of a step is numpy call overhead, not arithmetic,
-so one stacked step costs about what one problem's step did. Kernels come
-from :func:`sinkhorn_kernels`; :func:`wda.objective.solve_pairs` builds the
-stacks of every class pair and refuses an underflowing kernel by its pair.
-A reverse step takes two stacked matvecs: the derivative of a scaling
-update is written with the scaling itself (du/dr = -n u^2), so K v_k and
-K^T u_{k-1} are not needed. The (n, m)-sized end of each derivative is
-formed one problem at a time, so the reverse pass adds no (n, m) stacks.
+:func:`sinkhorn_batch_reverse` runs its reverse pass the same way, so the
+numpy call overhead of a step is paid once per stack. That overhead is most
+of a step only for small problems: with one BLAS thread and L = 10, tripling
+B from 6 to 18 made a forward pass 1.8 times as costly at n = m = 34 and
+3.7 times at n = m = 100, where the arithmetic dominates.
+Cost matrices are one product of two (d + 2)-row factors
+(:func:`cost_factors`). Kernels come from :func:`sinkhorn_kernels`;
+:func:`wda.objective.solve_pairs` builds the stacks of every class pair,
+refuses an underflowing kernel by its pair, and then keeps K * M in place
+of M: the pair distances, the reverse seeds and the cost cotangent read
+only K * M. A reverse step takes two stacked matvecs: the derivative of a
+scaling update is written with the scaling itself (du/dr = -n u^2), so
+K v_k and K^T u_{k-1} are not needed. The (n, m)-sized end of each
+derivative is formed one problem at a time, so the reverse pass adds no
+(n, m) stacks.
 """
 
 from __future__ import annotations
@@ -36,12 +42,39 @@ from .errors import InvalidInputError
 _TINY = 1e-300
 
 
+def cost_factors(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two factors of a cloud's costs: A = [X; |x|^2; 1] and
+    B = [-2X; 1; |x|^2], each (d + 2, n), or the stacks of them for a
+    (B, d, n) stack. A_X^T B_Z holds |x_i|^2 + |z_j|^2 - 2 x_i . z_j, the
+    costs between X and Z before the clamp at zero, as one product.
+    """
+    d = X.shape[-2]
+    A = np.empty(X.shape[:-2] + (d + 2, X.shape[-1]))
+    B = np.empty_like(A)
+    A[..., :d, :] = X
+    np.einsum("...ij,...ij->...j", X, X, out=A[..., d, :])
+    A[..., d + 1, :] = 1.0
+    np.multiply(X, -2.0, out=B[..., :d, :])
+    B[..., d, :] = 1.0
+    B[..., d + 1, :] = A[..., d, :]
+    return A, B
+
+
+def costs_from_factors(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Cost matrix (or stack) A^T B from :func:`cost_factors`, clamped at
+    zero in place; written into ``out`` when given."""
+    M = np.matmul(A.swapaxes(-1, -2), B, out=out)
+    np.maximum(M, 0.0, out=M)
+    return M
+
+
 def cost_matrix(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances between the columns of X and Z.
 
     Returns the (n, m) matrix with entry (i, j) equal to ||x_i - z_j||^2,
-    or the (B, n, m) stack of them for stacks (B, d, n) and (B, d, m). When
-    ``Z is X`` (self-transport) the result goes through :func:`self_costs`.
+    or the (B, n, m) stack of them for stacks (B, d, n) and (B, d, m), from
+    one product of :func:`cost_factors`. When ``Z is X`` (self-transport)
+    each matrix then goes through :func:`self_costs`.
     """
     same = Z is X
     X = np.asarray(X, dtype=float)
@@ -50,21 +83,19 @@ def cost_matrix(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
         raise InvalidInputError("sample matrices must be (d, n) arrays or (B, d, n) stacks")
     if X.shape[:-1] != Z.shape[:-1]:
         raise InvalidInputError(f"feature dimensions differ: {X.shape[:-1]} vs {Z.shape[:-1]}")
-    sq_x = np.einsum("...ij,...ij->...j", X, X)
-    sq_z = np.einsum("...ij,...ij->...j", Z, Z)
-    M = np.add(sq_x[..., :, None], sq_z[..., None, :])
-    cross = X.swapaxes(-1, -2) @ Z
-    cross *= 2.0
-    M -= cross
-    np.maximum(M, 0.0, out=M)
-    return self_costs(M) if same else M
+    M = costs_from_factors(cost_factors(X)[0], cost_factors(Z)[1])
+    if same:
+        for square in M.reshape((-1,) + M.shape[-2:]):
+            self_costs(square)
+    return M
 
 
 def self_costs(M: np.ndarray) -> np.ndarray:
-    """Self-transport costs (or a stack), exactly symmetric with zero diagonal."""
-    M = 0.5 * (M + M.swapaxes(-1, -2))
-    diag = np.arange(M.shape[-1])
-    M[..., diag, diag] = 0.0
+    """Make one square cost matrix of a cloud with itself exactly symmetric,
+    0.5 (M + M^T), with a zero diagonal, in place; returns M."""
+    np.add(M, M.T, out=M)
+    M *= 0.5
+    np.fill_diagonal(M, 0.0)
     return M
 
 
@@ -116,12 +147,15 @@ def _marginal_residual(u, r, v, s) -> np.ndarray:
     )
 
 
-def sinkhorn_kernels(M: np.ndarray, lams) -> tuple[np.ndarray, np.ndarray]:
+def sinkhorn_kernels(
+    M: np.ndarray, lams, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Gibbs kernels exp(-lams[b] * M[b]) of a (B, n, m) cost stack, with one
-    in-place exp, and the mask of kernels with a whole row or column below
-    the scaling clamp: no scaling can match their marginals.
+    in-place exp, written into ``out`` when given, and the mask of kernels
+    with a whole row or column below the scaling clamp: no scaling can match
+    their marginals.
     """
-    K = np.multiply(M, -np.asarray(lams, dtype=float)[:, None, None])
+    K = np.multiply(M, -np.asarray(lams, dtype=float)[:, None, None], out=out)
     np.exp(K, out=K)
     underflow = (K.max(axis=2) < _TINY).any(axis=1) | (K.max(axis=1) < _TINY).any(axis=1)
     return K, underflow
@@ -163,18 +197,20 @@ def sinkhorn_batch(K: np.ndarray, iterations: int) -> SinkhornBatch:
     return SinkhornBatch(K, u_history, v_history, _marginal_residual(u, r, v, s))
 
 
-def sinkhorn_batch_reverse(batch: SinkhornBatch, weights) -> tuple[np.ndarray, np.ndarray]:
+def sinkhorn_batch_reverse(
+    batch: SinkhornBatch, weighted: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Reverse pass of :func:`sinkhorn_batch` for the B functions <W_b, T_b>.
 
-    ``weights`` yields the (n, m) weights W_b in batch order; each is used
-    once, to seed the cotangents of u_L and v_L, so a generator keeps one
-    W_b alive at a time. The recursion then runs backwards from iteration L
-    to 1 on the whole stack. u_k = (1/n) / max(r_k, tiny) with r_k = K v_k
-    gives du_k/dr_k = -n u_k^2 (the derivative passes straight through the
-    clamp), and likewise dv_k/ds_k = -m v_k^2 with s_k = K^T u_{k-1}, so a
-    step takes only the two stacked matvecs that carry the cotangents.
-    Returns the cotangents of r_k, (B, L, n), and of s_k, (B, L, m), for
-    k = 1..L.
+    ``weighted`` is the (B, n, m) stack of the weighted kernels W_b * K_b.
+    It seeds the cotangents of u_L and v_L with two stacked matvecs (only
+    v_L and u_L feed T directly), so the pass forms no (n, m) array. The
+    recursion then runs backwards from iteration L to 1 on the whole stack.
+    u_k = (1/n) / max(r_k, tiny) with r_k = K v_k gives du_k/dr_k = -n u_k^2
+    (the derivative passes straight through the clamp), and likewise
+    dv_k/ds_k = -m v_k^2 with s_k = K^T u_{k-1}, so a step takes only the two
+    stacked matvecs that carry the cotangents. Returns the cotangents of r_k,
+    (B, L, n), and of s_k, (B, L, m), for k = 1..L.
     """
     K = batch.kernel
     KT = K.transpose(0, 2, 1)
@@ -182,12 +218,8 @@ def sinkhorn_batch_reverse(batch: SinkhornBatch, weights) -> tuple[np.ndarray, n
     V = batch.v_history
     B, L, m = V.shape
     n = U.shape[2]
-    u_bar = np.empty((B, n))
-    v_bar = np.empty((B, m))
-    for b, W in zip(range(B), weights, strict=True):
-        WK = W * K[b]
-        u_bar[b] = WK @ V[b, -1]
-        v_bar[b] = WK.T @ U[b, -1]  # only v_L feeds T directly
+    u_bar = _matvec(weighted, V[:, -1])
+    v_bar = _matvec(weighted.transpose(0, 2, 1), U[:, -1])
     r_bars = np.empty((B, L, n))
     s_bars = np.empty((B, L, m))
     for k in range(L, 0, -1):
@@ -203,19 +235,26 @@ def transport_cost_cotangent(
     batch: SinkhornBatch,
     b: int,
     lam: float,
-    M: np.ndarray,
+    kernel_cost: np.ndarray,
     r_bars: np.ndarray,
     s_bars: np.ndarray,
 ) -> np.ndarray:
-    """d<T(M), M>/dM of run b of ``batch``, whose kernel is exp(-lam * M),
-    from its :func:`sinkhorn_batch_reverse` slices r_bars, s_bars for
-    weights M: K * (u_L v_L^T - lam * (sum_k r_bar_k v_k^T + u_{k-1}
-    s_bar_k^T) - lam * M * u_L v_L^T), the first two terms as one product.
+    """d<T(M), M>/dM of run b of ``batch``, whose kernel is K = exp(-lam * M),
+    from K * M (``kernel_cost``) and the run's :func:`sinkhorn_batch_reverse`
+    slices r_bars, s_bars for the weighted kernels K * M:
+
+        K * (u_L v_L^T - lam * sum_k (r_bar_k v_k^T + u_{k-1} s_bar_k^T))
+          - lam * diag(u_L) (K * M) diag(v_L),
+
+    the first term as one product, so M itself is not needed. Forms the
+    (n, m) result and one (n, m) temporary.
     """
     U, V = batch.u_history[b], batch.v_history[b]
     left = np.concatenate((r_bars, U))
     left[:-1] *= -lam
     G = left.T @ np.concatenate((V, s_bars, V[-1:]))
-    G -= (lam * U[-1])[:, None] * M * V[-1]
     G *= batch.kernel[b]
+    plan_cost = kernel_cost * V[-1]
+    plan_cost *= (lam * U[-1])[:, None]
+    G -= plan_cost
     return G

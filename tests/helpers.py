@@ -4,8 +4,9 @@ validation-only transport helpers (the reverse pass of one Sinkhorn run, the
 symmetric scaling of self-transport, the transport cost <T, M>, the
 transport-weighted covariance of sample differences), the full
 unrolled plan Jacobian, a per-pair reference for the objective built on
-plain 2-d Sinkhorn loops of its own, and cell-by-cell references for the
-CSV readers and writers."""
+plain 2-d Sinkhorn loops of its own, a replay of ``wda_fit`` on fresh
+evaluations, and cell-by-cell references for the CSV readers and
+writers."""
 
 import csv
 import math
@@ -20,9 +21,13 @@ from wda import (
     ParseError,
     WdaError,
     cost_matrix,
+    evaluate,
+    gradient,
     project_stiefel,
+    stiefel,
 )
 from wda.objective import pair_keys
+from wda.stiefel import pca_start, riemannian_gradient
 from wda.otcore import SinkhornBatch, sinkhorn_batch, sinkhorn_batch_reverse, sinkhorn_kernels
 
 # the scaling clamp of wda.otcore
@@ -152,7 +157,7 @@ def sinkhorn_vjp(trace, W):
         )
     U, V = trace.u_history, trace.v_history
     batch = SinkhornBatch(K[None], U[None], V[None], np.array([trace.residual]))
-    r_bars, s_bars = sinkhorn_batch_reverse(batch, [W])
+    r_bars, s_bars = sinkhorn_batch_reverse(batch, (W * K)[None])
     K_bar = np.concatenate((r_bars[0], U[:-1])).T @ np.concatenate((V, s_bars[0]))
     K_bar += W * np.outer(U[-1], V[-1])
     return -trace.lam * K * K_bar
@@ -296,9 +301,9 @@ def reference_objective(P, classes, cfg, lambdas):
     pairs, one reference_sinkhorn and reference_reverse per pair.
 
     sigma^2 sums the pair distances u_L . ((K * M) v_L). Each pair's cost
-    cotangent d<T(M), M>/dM is pulled back in the projected space. Self
-    costs are computed from a copy of the projected block, so numpy forms
-    Y^T Y with the general matrix product, as it does for a stack.
+    cotangent d<T(M), M>/dM is pulled back in the projected space, with a
+    row of ones under each block for G's row and column sums. Self costs
+    are 0.5 (M + M^T) with a zero diagonal.
 
     Returns a dict with ``value``, ``pair_residuals`` (keyed like
     ``ObjectiveState.to_json``) and ``gradient``.
@@ -306,35 +311,89 @@ def reference_objective(P, classes, cfg, lambdas):
     projected = [P @ X for X in classes]
     solved = {}
     for c, cp in pair_keys(len(classes)):
-        Yc = projected[c]
-        M = cost_matrix(Yc, projected[cp].copy())
+        M = cost_matrix(projected[c], projected[cp].copy())
         if cp == c:
             M = 0.5 * (M + M.T)
             np.fill_diagonal(M, 0.0)
         _, trace = reference_sinkhorn(
             M, lambdas[(c, cp)], cfg.sinkhorn_iters, 1e-9
         )
-        u, v = trace.u_history[-1], trace.v_history[-1]
-        distance = float((u * np.einsum("nm,nm,m->n", trace.kernel, M, v)).sum())
+        KM = trace.kernel * M
+        distance = float((trace.u_history[-1] * (KM @ trace.v_history[-1])).sum())
         solved[(c, cp)] = (M, trace, distance)
     sb2 = sum(dist for (c, cp), (_, _, dist) in solved.items() if c != cp)
     sw2 = sum(dist for (c, cp), (_, _, dist) in solved.items() if c == cp)
+    ones_below = [np.vstack((Y, np.ones(Y.shape[1]))) for Y in projected]
     Z = [np.zeros_like(Y) for Y in projected]
     for (c, cp), (M, trace, _) in solved.items():
-        # K * (u_L v_L^T - lam * iterations - lam * M * u_L v_L^T)
+        # K * (u_L v_L^T - lam * iterations) - lam * u_L (K * M) v_L
         lam, U, V = trace.lam, trace.u_history, trace.v_history
+        KM = trace.kernel * M
         r_bars, s_bars = reference_reverse(trace, M)
         left = np.vstack([-lam * r_bars, -lam * U[:-1], U[-1:]])
         right = np.vstack([V, s_bars, V[-1:]])
-        G = (left.T @ right - (lam * U[-1])[:, None] * M * V[-1]) * trace.kernel
+        G = (left.T @ right) * trace.kernel - (lam * U[-1])[:, None] * (KM * V[-1])
+        pulled_c = ones_below[cp] @ G.T
+        pulled_cp = ones_below[c] @ G
         coef = -sb2 / sw2**2 if cp == c else 1.0 / sw2
-        Z[c] += coef * (projected[c] * G.sum(axis=1) - projected[cp] @ G.T)
-        Z[cp] += coef * (projected[cp] * G.sum(axis=0) - projected[c] @ G)
+        Z[c] += coef * (projected[c] * pulled_c[-1] - pulled_c[:-1])
+        Z[cp] += coef * (projected[cp] * pulled_cp[-1] - pulled_cp[:-1])
     return {
         "value": sb2 / sw2,
         "pair_residuals": {f"{c},{cp}": t.residual for (c, cp), (_, t, _) in solved.items()},
         "gradient": 2.0 * sum(Zc @ X.T for Zc, X in zip(Z, classes)),
     }
+
+
+def replay_wda_fit(data, cfg):
+    """``wda.wda_fit`` from the PCA start, replayed step for step on public
+    calls: every trial is a fresh ``evaluate``, so no array is ever reused.
+    Returns the best P and a dict of every ``FitReport`` field except
+    ``iteration_seconds``."""
+    blocks = data.class_blocks()
+    P, lambdas = pca_start(data, cfg.dim, cfg.lam)
+    report = {"objective_values": [], "step_sizes": [], "gradient_norms": [],
+              "evaluations": [], "termination": "max_iterations", "n_iterations": 0,
+              "pair_lambdas": dict(lambdas)}
+    state = evaluate(P, blocks, cfg, lambdas)
+    report["objective_values"].append(state.value)
+    best_value, best_P, best_iter = state.value, P, 0
+    alpha0 = stiefel._STEP_INIT
+    for it in range(1, cfg.max_outer_iter + 1):
+        G = gradient(state)
+        report["gradient_norms"].append(float(np.linalg.norm(riemannian_gradient(P, G))))
+        D = project_stiefel(P + G) - P
+        slope = float(np.sum(G * D))
+        if np.linalg.norm(D) <= 1e-14 * max(1.0, np.linalg.norm(P)) or slope <= 0.0:
+            report["termination"] = "stationary"
+            report["evaluations"].append(0)
+            break
+        alpha = alpha0
+        for trial in range(1, stiefel._MAX_BACKTRACKS + 2):
+            P_try = project_stiefel(P + alpha * D)
+            s_try = evaluate(P_try, blocks, cfg, lambdas)
+            if s_try.value >= state.value + stiefel._STEP_C1 * alpha * slope:
+                break
+            alpha *= stiefel._STEP_SHRINK
+        else:
+            report["evaluations"].append(trial)
+            report["termination"] = "stalled"
+            break
+        report["evaluations"].append(trial)
+        previous = state.value
+        P, state = P_try, s_try
+        report["n_iterations"] = it
+        report["step_sizes"].append(alpha)
+        alpha0 = min(stiefel._STEP_INIT, alpha / stiefel._STEP_SHRINK)
+        report["objective_values"].append(state.value)
+        if state.value > best_value:
+            best_value, best_P, best_iter = state.value, P, it
+        if (state.value - previous) / max(abs(previous), 1e-300) < cfg.outer_tol:
+            report["termination"] = "converged"
+            break
+    report["best_objective"] = best_value
+    report["best_iteration"] = best_iter
+    return best_P, report
 
 
 def _is_number(cell):

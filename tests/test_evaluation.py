@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -202,6 +203,25 @@ def test_run_protocol_refuses_a_negative_base_seed():
     spec = ToyDataSpec(n_train_per_class=5, n_test_per_class=7)
     with pytest.raises(InvalidInputError, match="base_seed must be >= 0, got -1"):
         run_protocol(spec, ["identity"], ks=[1], ps=[2], lams=[1.0], n_seeds=2, base_seed=-1)
+
+
+@pytest.mark.parametrize(
+    "lams, message",
+    [
+        (["x"], "each lambda must be a number, got 'x'"),
+        (["1e4"], "each lambda must be a number, got '1e4'"),
+        ([True], "each lambda must be a number, got True"),
+        ([1.0, -1.0], "each lambda must be positive and finite, got -1.0"),
+        ([float("inf")], "each lambda must be positive and finite, got inf"),
+    ],
+    ids=["text", "numeric-text", "bool", "negative", "infinite"],
+)
+def test_run_protocol_refuses_each_invalid_lambda_up_front(lams, message):
+    # refused before any cell runs, as the ks and ps entries are; pca reads no
+    # lambda, so a per-cell check would have let these grids run
+    spec = ToyDataSpec(n_train_per_class=5, n_test_per_class=7)
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        run_protocol(spec, ["pca"], ks=[1], ps=[2], lams=lams, n_seeds=1)
 
 
 def test_run_protocol_votes_every_k_of_a_cell():

@@ -22,6 +22,7 @@ from wda import (
     WdaConfig,
     adaptive_lambdas,
     append_noise,
+    cost_matrix,
     evaluate,
     gen_toy,
     gradient,
@@ -245,7 +246,8 @@ def test_batched_objective_matches_per_pair_reference(sizes, lam, iters):
     lam_map = adaptive_lambdas(P, classes, lam)
     state = evaluate(P, classes, cfg, lam_map)
     reference = reference_objective(P, classes, cfg, lam_map)
-    assert list(state.costs) == pair_keys(len(sizes))
+    assert list(state.pair_distances) == pair_keys(len(sizes))
+    assert list(state.kernel_costs) == list(state.batches)
     assert sorted(key for keys in state.batches for key in keys) == pair_keys(len(sizes))
     assert state.value == reference["value"]
     assert state.to_json()["pair_residuals"] == reference["pair_residuals"]
@@ -262,7 +264,7 @@ def _pair_traces(state):
                 state.pair_lambdas[key], batch.v_history.shape[1],
                 float(batch.residual[b]), None,
             )
-    return {key: traces[key] for key in state.costs}
+    return {key: traces[key] for key in state.pair_distances}
 
 
 def _covariance_form(P, classes, state):
@@ -284,7 +286,9 @@ def _covariance_form(P, classes, state):
     C = np.zeros((d, d))
     for (c, cp), trace in traces.items():
         coef = -sb2 / sw2**2 if cp == c else 1.0 / sw2
-        G = coef * trace.plan_weights() + sinkhorn_vjp(trace, coef * state.costs[(c, cp)])
+        Y = P @ classes[c]
+        M = cost_matrix(Y, Y if cp == c else P @ classes[cp])
+        G = coef * trace.plan_weights() + sinkhorn_vjp(trace, coef * M)
         C += cross_covariance(classes[c], classes[cp], G)
     return sb2 / sw2, 2.0 * P @ C
 
@@ -532,6 +536,22 @@ def test_explicit_pair_lambda_must_be_positive_and_finite(value):
 )
 def test_config_validation(kwargs):
     with pytest.raises(InvalidInputError):
+        WdaConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"lam": "1"}, "lam must be a number, got '1'"),
+        ({"lam": True}, "lam must be a number, got True"),
+        ({"lam": None}, "lam must be a number, got None"),
+        ({"outer_tol": "x"}, "outer_tol must be a number, got 'x'"),
+        ({"outer_tol": True}, "outer_tol must be a number, got True"),
+    ],
+)
+def test_config_number_fields_refuse_other_types_by_name(kwargs, message):
+    # at the parent a string escaped as TypeError and True ran as 1
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
         WdaConfig(**kwargs)
 
 

@@ -4,13 +4,16 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import principal_angle, random_stiefel
+from dataclasses import asdict
+
+from helpers import principal_angle, random_stiefel, replay_wda_fit
 from wda import (
     DegenerateInputError,
     InvalidInputError,
     LabeledDataset,
     NumericalRangeError,
     WdaConfig,
+    append_noise,
     fda_fit,
     gen_toy,
     pca_init,
@@ -18,7 +21,7 @@ from wda import (
     wda_fit,
 )
 from wda import stiefel
-from wda.objective import adaptive_lambdas, evaluate, gradient
+from wda.objective import _evaluate, adaptive_lambdas, evaluate, gradient
 from wda.stiefel import riemannian_gradient
 
 
@@ -133,9 +136,9 @@ def test_linesearch_starts_from_the_carried_step(monkeypatch):
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return evaluate(*args, **kwargs)
+        return _evaluate(*args, **kwargs)
 
-    monkeypatch.setattr(stiefel, "evaluate", counted)
+    monkeypatch.setattr(stiefel, "_evaluate", counted)
     _, report = wda_fit(gen_toy(34, 0), WdaConfig(lam=100.0, sinkhorn_iters=10, dim=2))
     steps, evaluations = report.step_sizes, report.evaluations
     assert len(evaluations) == len(report.gradient_norms) == len(report.iteration_seconds)
@@ -146,6 +149,39 @@ def test_linesearch_starts_from_the_carried_step(monkeypatch):
         assert steps[t] == min(1.0, 2.0 * steps[t - 1]) * 0.5 ** (evaluations[t] - 1)
     assert np.mean(evaluations) <= 3.0
     assert report.to_json()["evaluations"] == evaluations
+
+
+def _unequal_classes(n_per_class, sizes, seed):
+    toy = gen_toy(n_per_class, seed)
+    keep = np.concatenate([np.flatnonzero(toy.labels == c)[:n] for c, n in enumerate(sizes)])
+    return LabeledDataset(toy.samples[keep], toy.labels[keep])
+
+
+@pytest.mark.parametrize(
+    "data, cfg, backtracks",
+    [
+        # lam = 100: the line search rejects trials, whose stacks the next
+        # trial writes into
+        (gen_toy(34, 0), WdaConfig(lam=100.0, sinkhorn_iters=10, dim=2), True),
+        # class sizes 30/20/30: four shape groups, one of them three pairs
+        (_unequal_classes(30, (30, 20, 30), 4), WdaConfig(lam=1.0, sinkhorn_iters=10, dim=2),
+         False),
+        (append_noise(gen_toy(100, 3), 20, 4),
+         WdaConfig(lam=1.0, sinkhorn_iters=10, dim=2, max_outer_iter=30, outer_tol=0.0), False),
+    ],
+    ids=["lam100-backtracking", "unequal-classes", "wide"],
+)
+def test_wda_fit_equals_a_replay_on_fresh_evaluations(data, cfg, backtracks):
+    # wda_fit recycles the stacks of states it no longer reads; a plain replay
+    # of its loop on public evaluate calls must give the same fit bit for bit
+    P, report = wda_fit(data, cfg)
+    P_replay, expected = replay_wda_fit(data, cfg)
+    assert P.tobytes() == P_replay.tobytes()
+    fields = asdict(report)
+    del fields["iteration_seconds"]
+    assert fields == expected
+    assert any(e > 1 for e in report.evaluations) == backtracks
+    assert report.n_iterations >= 10
 
 
 def _identical_classes_data(rng, d=4, n=6):
