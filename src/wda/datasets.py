@@ -75,7 +75,10 @@ class LabeledDataset:
     feature_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
+        try:
+            samples = np.asarray(self.samples, dtype=float)
+        except (TypeError, ValueError):
+            raise InvalidInputError("samples must be numbers") from None
         labels = np.asarray(self.labels)
         if samples.ndim != 2:
             raise InvalidInputError("samples must be a 2-d array (n, d)")
@@ -84,7 +87,11 @@ class LabeledDataset:
                 f"labels shape {labels.shape} does not match {samples.shape[0]} samples"
             )
         if not np.issubdtype(labels.dtype, np.integer):
-            if not np.all(labels == labels.astype(int)):
+            try:
+                whole = np.all(labels == labels.astype(int))
+            except (TypeError, ValueError):
+                whole = False
+            if not whole:
                 raise InvalidInputError("labels must be integers")
             labels = labels.astype(int)
         if samples.shape[0] < 1:
@@ -205,7 +212,7 @@ def split_dataset(
     Each class contributes round(n_c * train_fraction) samples to the train
     side (clamped so both sides keep at least one sample per class).
     """
-    if not 0.0 < train_fraction < 1.0:
+    if not 0.0 < require_number("train_fraction", train_fraction) < 1.0:
         raise InvalidInputError(
             f"train_fraction must lie in (0, 1), got {train_fraction}"
         )

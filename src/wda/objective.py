@@ -34,9 +34,10 @@ are those of a plain per-pair loop, bit for bit.
 
 A fit's line search reads only the value of the state its gradient came
 from, so :func:`~wda.stiefel.wda_fit` has each trial write its stacks into
-that state's, and a rejected trial's into the next: after its first
-evaluation a fit allocates no new (B, n, m) stack. Every state returned by
-:func:`evaluate` or :func:`solve_pairs` owns its arrays.
+that state's, and a rejected trial's into the next, through the ``out=`` of
+:func:`evaluate`: after its first evaluation a fit allocates no new
+(B, n, m) stack. Every state returned by :func:`evaluate` or
+:func:`solve_pairs` owns its arrays unless ``out`` is given.
 """
 
 from __future__ import annotations
@@ -52,8 +53,7 @@ from .otcore import (
     _TINY,
     SinkhornBatch,
     _matvec,
-    cost_factors,
-    costs_from_factors,
+    cost_matrix,
     self_costs,
     sinkhorn_batch,
     sinkhorn_batch_reverse,
@@ -138,9 +138,9 @@ def uniform_pair_covariances(classes) -> dict[PairKey, np.ndarray]:
     S_c + S_c' + (m_c - m_c')(m_c - m_c')^T from the class means m and
     covariances S (2 S_c for a class with itself). Each block's moments are
     taken about its first sample, so identical points give S = 0 exactly and
-    a common offset cancels.
+    a common offset cancels. Refuses blocks as :func:`evaluate` does.
     """
-    blocks = [np.asarray(X, dtype=float) for X in classes]
+    blocks = _check_classes(classes)
     origins, means, covs = [], [], []
     for X in blocks:
         D = X - X[:, :1]
@@ -163,9 +163,10 @@ def adaptive_lambdas(P0: np.ndarray, classes, lam: float) -> dict[PairKey, float
 
     A fit computes them once, at the PCA start whatever its ``init`` (see
     :func:`~wda.stiefel.pca_start`), and reuses them in every evaluation.
-    Raises InvalidInputError for a ``lam`` that is not positive and finite.
+    Raises InvalidInputError for a ``lam`` that is not a positive, finite
+    number.
     """
-    if not 0 < lam < math.inf:
+    if not 0 < require_number("lam", lam) < math.inf:
         raise InvalidInputError(f"lambda must be positive and finite, got {lam}")
     blocks = _check_classes(classes)
     P0 = np.asarray(P0, dtype=float)
@@ -194,7 +195,8 @@ class PairPlans:
     every pair, in pair order, to its transport cost <T, M>.
     ``projection`` and ``classes`` are the P and the validated class blocks
     the plans were solved at, held by reference: modifying them in place
-    afterwards invalidates the result.
+    afterwards invalidates the result. The stacks are its own unless it was
+    solved with ``out``: then they are ``out``'s, whose plans are void.
     """
 
     projection: np.ndarray = field(repr=False)
@@ -242,7 +244,7 @@ def _resolve_lambdas(blocks, cfg: WdaConfig, lambdas) -> dict[PairKey, float]:
     if missing:
         raise InvalidInputError(f"missing per-pair lambda for pairs {missing}")
     for key in pair_keys(len(blocks)):
-        if not 0 < lambdas[key] < math.inf:
+        if not 0 < require_number(f"per-pair lambda for pair {key}", lambdas[key]) < math.inf:
             raise InvalidInputError(
                 f"per-pair lambda for pair {key} must be positive and finite, "
                 f"got {lambdas[key]}"
@@ -255,6 +257,8 @@ def solve_pairs(
     classes,
     cfg: WdaConfig,
     lambdas: dict[PairKey, float] | None = None,
+    *,
+    out: PairPlans | None = None,
 ) -> PairPlans:
     """Solve the inner transport problem of every class pair at projection P.
 
@@ -262,20 +266,18 @@ def solve_pairs(
     regularization value; if omitted, ``cfg.lam`` is used for every pair.
     Any P of the right shape is accepted (no orthonormality is imposed).
 
-    The pairs of each plan shape are solved together: one cost stack, one
-    kernel stack and one :func:`~wda.otcore.sinkhorn_batch` call. All kernels
-    are built before any iteration runs, so a kernel underflow is reported
-    for the first failing pair in pair order, named with its lambda. The
-    cost stack then becomes K * M in place, and each pair distance <T, M> is
-    u_L . ((K * M) v_L), without forming T.
+    The pairs of each plan shape are solved together: one
+    :func:`~wda.otcore.cost_matrix` stack of the projected blocks P X_c, one
+    kernel stack and one :func:`~wda.otcore.sinkhorn_batch` call. All
+    kernels are built before any iteration runs, so a kernel underflow is
+    reported for the first failing pair in pair order, named with its
+    lambda. The cost stack then becomes K * M in place, and each pair
+    distance <T, M> is u_L . ((K * M) v_L), without forming T.
+
+    ``out``, plans of the same class sizes that are no longer needed, has its
+    cost and kernel stacks overwritten and reused; plans of other class sizes
+    are refused with InvalidInputError.
     """
-    return _solve_pairs(P, classes, cfg, lambdas, None)
-
-
-def _solve_pairs(P, classes, cfg, lambdas, spare: PairPlans | None) -> PairPlans:
-    """:func:`solve_pairs`, writing the cost and kernel stacks into those of
-    ``spare`` when given: plans solved at the same classes and lambdas that
-    are no longer needed, and are overwritten."""
     P = np.asarray(P, dtype=float)
     blocks = _check_classes(classes)
     if P.ndim != 2 or P.shape[1] != blocks[0].shape[0]:
@@ -291,20 +293,23 @@ def _solve_pairs(P, classes, cfg, lambdas, spare: PairPlans | None) -> PairPlans
     groups: dict[tuple[int, int], list[PairKey]] = {}
     for c, cp in keys_in_order:
         groups.setdefault((blocks[c].shape[1], blocks[cp].shape[1]), []).append((c, cp))
-    factors = [cost_factors(P @ X) for X in blocks]
+    stack_shapes = {tuple(keys): (len(keys),) + shape for shape, keys in groups.items()}
+    if out is not None and stack_shapes != {keys: M.shape for keys, M in out.kernel_costs.items()}:
+        raise InvalidInputError("out holds plans of other class sizes")
+    projected = [P @ X for X in blocks]
     stacks, top_costs = [], {}
-    for keys in map(tuple, groups.values()):
-        M = costs_from_factors(
-            np.stack([factors[c][0] for c, _ in keys]),
-            np.stack([factors[cp][1] for _, cp in keys]),
-            out=None if spare is None else spare.kernel_costs[keys],
+    for keys in stack_shapes:
+        M = cost_matrix(
+            np.stack([projected[c] for c, _ in keys]),
+            np.stack([projected[cp] for _, cp in keys]),
+            out=None if out is None else out.kernel_costs[keys],
         )
         for b, (c, cp) in enumerate(keys):
             if c == cp:
                 self_costs(M[b])
         K, low = sinkhorn_kernels(
             M, [lam_map[key] for key in keys],
-            out=None if spare is None else spare.batches[keys].kernel,
+            out=None if out is None else out.batches[keys].kernel,
         )
         top_costs.update((key, float(M[b].max())) for b, key in enumerate(keys) if low[b])
         stacks.append((keys, M, K))
@@ -342,21 +347,18 @@ def evaluate(
     classes,
     cfg: WdaConfig,
     lambdas: dict[PairKey, float] | None = None,
+    *,
+    out: PairPlans | None = None,
 ) -> ObjectiveState:
     """Solve every inner transport problem and assemble the ratio objective.
 
     The pair plans are those of :func:`solve_pairs` (same arguments, same
-    refusals). The evaluation is defined for any P of the right shape, which
-    lets callers probe J in the ambient space, e.g. for finite-difference
-    checks. Raises DegenerateInputError when the within-class dispersion
-    sigma_w^2 is zero.
+    refusals, and the same reuse of ``out``'s stacks). The evaluation is
+    defined for any P of the right shape, which lets callers probe J in the
+    ambient space, e.g. for finite-difference checks. Raises
+    DegenerateInputError when the within-class dispersion sigma_w^2 is zero.
     """
-    return _evaluate(P, classes, cfg, lambdas, None)
-
-
-def _evaluate(P, classes, cfg, lambdas, spare: PairPlans | None) -> ObjectiveState:
-    """:func:`evaluate` on the plans of :func:`_solve_pairs` with ``spare``."""
-    pairs = _solve_pairs(P, classes, cfg, lambdas, spare)
+    pairs = solve_pairs(P, classes, cfg, lambdas, out=out)
     distances = pairs.pair_distances
     sigma_b2 = sum(dist for (c, cp), dist in distances.items() if c != cp)
     sigma_w2 = sum(dist for (c, cp), dist in distances.items() if c == cp)

@@ -17,8 +17,8 @@ numpy call overhead of a step is paid once per stack. That overhead is most
 of a step only for small problems: with one BLAS thread and L = 10, tripling
 B from 6 to 18 made a forward pass 1.8 times as costly at n = m = 34 and
 3.7 times at n = m = 100, where the arithmetic dominates.
-Cost matrices are one product of two (d + 2)-row factors
-(:func:`cost_factors`). Kernels come from :func:`sinkhorn_kernels`;
+A cost matrix, or a stack of them, is one product of two (d + 2)-row
+factors (:func:`cost_matrix`). Kernels come from :func:`sinkhorn_kernels`;
 :func:`wda.objective.solve_pairs` builds the stacks of every class pair,
 refuses an underflowing kernel by its pair, and then keeps K * M in place
 of M: the pair distances, the reverse seeds and the cost cotangent read
@@ -42,39 +42,15 @@ from .errors import InvalidInputError
 _TINY = 1e-300
 
 
-def cost_factors(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two factors of a cloud's costs: A = [X; |x|^2; 1] and
-    B = [-2X; 1; |x|^2], each (d + 2, n), or the stacks of them for a
-    (B, d, n) stack. A_X^T B_Z holds |x_i|^2 + |z_j|^2 - 2 x_i . z_j, the
-    costs between X and Z before the clamp at zero, as one product.
-    """
-    d = X.shape[-2]
-    A = np.empty(X.shape[:-2] + (d + 2, X.shape[-1]))
-    B = np.empty_like(A)
-    A[..., :d, :] = X
-    np.einsum("...ij,...ij->...j", X, X, out=A[..., d, :])
-    A[..., d + 1, :] = 1.0
-    np.multiply(X, -2.0, out=B[..., :d, :])
-    B[..., d, :] = 1.0
-    B[..., d + 1, :] = A[..., d, :]
-    return A, B
-
-
-def costs_from_factors(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Cost matrix (or stack) A^T B from :func:`cost_factors`, clamped at
-    zero in place; written into ``out`` when given."""
-    M = np.matmul(A.swapaxes(-1, -2), B, out=out)
-    np.maximum(M, 0.0, out=M)
-    return M
-
-
-def cost_matrix(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+def cost_matrix(X: np.ndarray, Z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Pairwise squared Euclidean distances between the columns of X and Z.
 
     Returns the (n, m) matrix with entry (i, j) equal to ||x_i - z_j||^2,
-    or the (B, n, m) stack of them for stacks (B, d, n) and (B, d, m), from
-    one product of :func:`cost_factors`. When ``Z is X`` (self-transport)
-    each matrix then goes through :func:`self_costs`.
+    or the (B, n, m) stack of them for stacks (B, d, n) and (B, d, m),
+    written into ``out`` when given. It is one product
+    [X; |x|^2; 1]^T [-2Z; 1; |z|^2] of two (d + 2)-row factors, clamped at
+    zero in place. When ``Z is X`` (self-transport) each matrix then goes
+    through :func:`self_costs`.
     """
     same = Z is X
     X = np.asarray(X, dtype=float)
@@ -83,7 +59,20 @@ def cost_matrix(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
         raise InvalidInputError("sample matrices must be (d, n) arrays or (B, d, n) stacks")
     if X.shape[:-1] != Z.shape[:-1]:
         raise InvalidInputError(f"feature dimensions differ: {X.shape[:-1]} vs {Z.shape[:-1]}")
-    M = costs_from_factors(cost_factors(X)[0], cost_factors(Z)[1])
+    shape = X.shape[:-2] + (X.shape[-1], Z.shape[-1])
+    if out is not None and (out.shape != shape or out.dtype != float):
+        raise InvalidInputError(f"out must be a float array of shape {shape}")
+    d = X.shape[-2]
+    A = np.empty(X.shape[:-2] + (d + 2, X.shape[-1]))
+    B = np.empty(Z.shape[:-2] + (d + 2, Z.shape[-1]))
+    A[..., :d, :] = X
+    np.einsum("...ij,...ij->...j", X, X, out=A[..., d, :])
+    A[..., d + 1, :] = 1.0
+    np.multiply(Z, -2.0, out=B[..., :d, :])
+    B[..., d, :] = 1.0
+    np.einsum("...ij,...ij->...j", Z, Z, out=B[..., d + 1, :])
+    M = np.matmul(A.swapaxes(-1, -2), B, out=out)
+    np.maximum(M, 0.0, out=M)
     if same:
         for square in M.reshape((-1,) + M.shape[-2:]):
             self_costs(square)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .datasets import LabeledDataset, require_finite, require_integer
 from .errors import DegenerateInputError, InvalidInputError
-from .objective import PairKey, WdaConfig, _evaluate, adaptive_lambdas, gradient, pair_json
+from .objective import PairKey, WdaConfig, adaptive_lambdas, evaluate, gradient, pair_json
 
 _STEP_INIT = 1.0
 _STEP_SHRINK = 0.5
@@ -175,7 +175,7 @@ def wda_fit(
 
     report = FitReport(pair_lambdas=dict(lambdas))
 
-    state = _evaluate(P, blocks, cfg, lambdas, None)
+    state = evaluate(P, blocks, cfg, lambdas)
     report.objective_values.append(state.value)
     best_value, best_P, best_iter = state.value, P, 0
     alpha0 = _STEP_INIT
@@ -199,7 +199,7 @@ def wda_fit(
         spare = state
         for trial in range(1, _MAX_BACKTRACKS + 2):
             P_try = project_stiefel(P + alpha * D)
-            s_try = _evaluate(P_try, blocks, cfg, lambdas, spare)
+            s_try = evaluate(P_try, blocks, cfg, lambdas, out=spare)
             if s_try.value >= state.value + _STEP_C1 * alpha * slope:
                 accepted = (P_try, s_try)
                 break

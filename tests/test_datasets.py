@@ -17,8 +17,10 @@ from wda import (
     LabeledDataset,
     ParseError,
     ToyDataSpec,
+    WdaConfig,
     adaptive_lambdas,
     append_noise,
+    evaluate,
     fda_fit,
     gen_toy,
     knn_predict,
@@ -31,6 +33,7 @@ from wda import (
 )
 import wda.datasets
 from wda.datasets import TOY_MODE_SIGMA, TOY_RADIUS
+from wda.objective import pair_keys
 from wda.ioutil import load_matrix_csv, save_matrix_csv
 
 
@@ -129,6 +132,41 @@ def test_integer_arguments_are_refused_by_name(call, name, value):
     message = f"{name} must be an integer, got {value!r}"
     with pytest.raises(InvalidInputError, match=re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, name, value",
+    [
+        (lambda: adaptive_lambdas(np.eye(2, 10), _TOY.class_blocks(), "1"), "lam", "1"),
+        (lambda: adaptive_lambdas(np.eye(2, 10), _TOY.class_blocks(), True), "lam", True),
+        (lambda: evaluate(np.eye(2, 10), _TOY.class_blocks(), WdaConfig(),
+                          {key: "1" for key in pair_keys(3)}),
+         "per-pair lambda for pair (0, 0)", "1"),
+        (lambda: split_dataset(gen_toy(6, 0), "0.5", 0), "train_fraction", "0.5"),
+    ],
+    ids=["adaptive-lam-str", "adaptive-lam-bool", "pair-lambda-str", "split-fraction-str"],
+)
+def test_number_arguments_are_refused_by_name(call, name, value):
+    # a string escaped as TypeError, and True ran as lambda = 1
+    message = f"{name} must be a number, got {value!r}"
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize(
+    "samples, labels, message",
+    [
+        (np.zeros((1, 2)), np.array(["a"]), "labels must be integers"),
+        (np.zeros((2, 2)), np.array([None, 0], dtype=object), "labels must be integers"),
+        (np.array([["a", "b"]]), np.array([0]), "samples must be numbers"),
+        ([[1.0, 2.0], [3.0]], [0, 1], "samples must be numbers"),
+    ],
+    ids=["label-str", "label-none", "sample-str", "sample-ragged"],
+)
+def test_labeled_dataset_refuses_non_numeric_values_by_name(samples, labels, message):
+    # each escaped as a numpy ValueError
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        LabeledDataset(samples, labels)
 
 
 def _with_entry(A, value):

@@ -29,7 +29,7 @@ from wda import (
     pca_init,
     uniform_coupling_covariances,
 )
-from wda.objective import pair_keys, uniform_pair_covariances
+from wda.objective import pair_keys, solve_pairs, uniform_pair_covariances
 from wda.stiefel import riemannian_gradient
 
 
@@ -412,6 +412,61 @@ def test_evaluate_refuses_overflowing_costs():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalRangeError, match=r"class pair \(0, 0\): the projected squared distances overflow"):
             evaluate(P, classes, cfg, {key: 0.5 for key in pair_keys(2)})
+
+
+def _sized_classes(sizes, seed):
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal((5, n)) + 2.0 * rng.standard_normal((5, 1)) for n in sizes]
+
+
+@pytest.mark.parametrize("sizes", [(8, 8, 8), (6, 4, 6, 4)], ids=["balanced", "unequal"])
+def test_evaluate_into_out_equals_a_fresh_evaluate(sizes):
+    # out's stacks, solved at another projection, are overwritten in place
+    classes = _sized_classes(sizes, 16)
+    rng = np.random.default_rng(17)
+    cfg = WdaConfig(lam=1.0, sinkhorn_iters=10)
+    P_old, P = random_stiefel(rng, 2, 5), random_stiefel(rng, 2, 5)
+    lam_map = adaptive_lambdas(P_old, classes, cfg.lam)
+    spare = evaluate(P_old, classes, cfg, lam_map)
+    fresh = evaluate(P, classes, cfg, lam_map)
+    reused = evaluate(P, classes, cfg, lam_map, out=spare)
+    assert reused.value == fresh.value
+    assert reused.pair_distances == fresh.pair_distances
+    assert np.array_equal(gradient(reused), gradient(fresh))
+    for keys, KM in reused.kernel_costs.items():
+        assert np.shares_memory(KM, spare.kernel_costs[keys])
+        assert np.shares_memory(reused.batches[keys].kernel, spare.batches[keys].kernel)
+
+
+@pytest.mark.parametrize(
+    "sizes, other",
+    [((8, 8, 8), (8, 7, 8)), ((8, 8, 8), (7, 7, 7)), ((8, 8, 8), (8, 8)),
+     ((6, 4, 6), (4, 6, 6))],
+    ids=["class-size", "stack-shape", "class-count", "shape-order"],
+)
+def test_evaluate_refuses_an_out_of_other_class_sizes(sizes, other):
+    cfg = WdaConfig(lam=1.0, sinkhorn_iters=5)
+    P = np.eye(2, 5)
+    spare = solve_pairs(P, _sized_classes(other, 18), cfg)
+    classes = _sized_classes(sizes, 19)
+    for call in (evaluate, solve_pairs):
+        with pytest.raises(InvalidInputError, match="out holds plans of other class sizes"):
+            call(P, classes, cfg, out=spare)
+
+
+@pytest.mark.parametrize(
+    "classes, message",
+    [
+        ([np.ones(3), np.ones(3)], "class 0: sample block must be 2-d"),
+        ([np.ones((2, 3)), np.full((2, 3), np.nan)],
+         "class 1 sample block has a non-finite value at row 0, column 0"),
+    ],
+    ids=["1-d", "nan"],
+)
+def test_uniform_covariances_validate_their_blocks(classes, message):
+    # a 1-d block escaped as IndexError, and a NaN block passed silently
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        uniform_coupling_covariances(classes)
 
 
 def test_gradient_identical_classes_is_zero():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,6 +65,17 @@ def test_cost_matrix_self_is_exactly_symmetric():
     M = cost_matrix(X, X)
     assert np.array_equal(M, M.T)
     assert np.array_equal(np.diag(M), np.zeros(6))
+
+
+def test_cost_matrix_writes_into_out():
+    rng = np.random.default_rng(3)
+    X, Z = rng.standard_normal((2, 3, 5)), rng.standard_normal((2, 3, 4))
+    out = np.empty((2, 5, 4))
+    M = cost_matrix(X, Z, out=out)
+    assert M is out
+    assert np.array_equal(M, cost_matrix(X, Z))
+    with pytest.raises(InvalidInputError, match=re.escape("out must be a float array of shape (2, 5, 4)")):
+        cost_matrix(X, Z, out=np.empty((2, 4, 5)))
 
 
 def test_cost_matrix_dimension_mismatch():

@@ -21,7 +21,7 @@ from wda import (
     wda_fit,
 )
 from wda import stiefel
-from wda.objective import _evaluate, adaptive_lambdas, evaluate, gradient
+from wda.objective import adaptive_lambdas, evaluate, gradient
 from wda.stiefel import riemannian_gradient
 
 
@@ -136,9 +136,9 @@ def test_linesearch_starts_from_the_carried_step(monkeypatch):
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return _evaluate(*args, **kwargs)
+        return evaluate(*args, **kwargs)
 
-    monkeypatch.setattr(stiefel, "_evaluate", counted)
+    monkeypatch.setattr(stiefel, "evaluate", counted)
     _, report = wda_fit(gen_toy(34, 0), WdaConfig(lam=100.0, sinkhorn_iters=10, dim=2))
     steps, evaluations = report.step_sizes, report.evaluations
     assert len(evaluations) == len(report.gradient_norms) == len(report.iteration_seconds)
