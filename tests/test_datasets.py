@@ -33,8 +33,8 @@ from wda import (
 )
 import wda.datasets
 from wda.datasets import TOY_MODE_SIGMA, TOY_RADIUS
-from wda.objective import pair_keys
 from wda.ioutil import load_matrix_csv, save_matrix_csv
+from wda.objective import pair_keys
 
 
 def test_labeled_dataset_validation():

@@ -74,7 +74,8 @@ def test_cost_matrix_writes_into_out():
     M = cost_matrix(X, Z, out=out)
     assert M is out
     assert np.array_equal(M, cost_matrix(X, Z))
-    with pytest.raises(InvalidInputError, match=re.escape("out must be a float array of shape (2, 5, 4)")):
+    message = "out must be a float array of shape (2, 5, 4)"
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
         cost_matrix(X, Z, out=np.empty((2, 4, 5)))
 
 
