@@ -23,8 +23,12 @@ pairs. G is pulled back to P in the projected space (see :func:`gradient`).
 Pairs whose plans share a shape (n_c, n_c') are solved as one stack: all of
 them on balanced data, one group per distinct shape otherwise, with no
 padding. :func:`solve_pairs` builds each shape's (B, n, m) cost stack from
-one product, its kernel stack, and then turns the cost stack into K * M in
-place; each pair's Sinkhorn run is its slice of the group's batch.
+one product and turns it into the kernel stack in place; each pair's
+Sinkhorn run is its slice of the group's batch. That kernel stack is the
+only (B, n, m) array a state holds. Wherever K * M is needed, it is read
+through the (p + 2)-row factors of the pair's cost, taken about the mean of
+the pair's n + m projected points, so the pair distances and the gradient
+lose no digits to large squared norms cancelling far from the origin.
 :func:`evaluate` forms the ratio from them, and ``wda dump-transport
 --adaptive-lambda`` writes them under the fit's lambda map, so a user dumps
 the plans J uses at the dumped projection.
@@ -52,7 +56,8 @@ from .errors import DegenerateInputError, InvalidInputError, NumericalRangeError
 from .otcore import (
     _TINY,
     SinkhornBatch,
-    _matvec,
+    _cost_factors,
+    _factored_matvec,
     cost_matrix,
     self_costs,
     sinkhorn_batch,
@@ -122,6 +127,17 @@ def _check_classes(classes) -> list[np.ndarray]:
     return blocks
 
 
+def _check_projection(P, blocks: list[np.ndarray]) -> np.ndarray:
+    P = np.asarray(P, dtype=float)
+    if P.ndim != 2 or P.shape[1] != blocks[0].shape[0]:
+        raise InvalidInputError(
+            f"projection shape {P.shape} does not match feature dimension "
+            f"{blocks[0].shape[0]}"
+        )
+    require_finite("projection", P)
+    return P
+
+
 def pair_keys(n_classes: int) -> list[PairKey]:
     """All class pairs (c, c') with c <= c', in lexicographic order."""
     return [(c, cp) for c in range(n_classes) for cp in range(c, n_classes)]
@@ -164,12 +180,12 @@ def adaptive_lambdas(P0: np.ndarray, classes, lam: float) -> dict[PairKey, float
     A fit computes them once, at the PCA start whatever its ``init`` (see
     :func:`~wda.stiefel.pca_start`), and reuses them in every evaluation.
     Raises InvalidInputError for a ``lam`` that is not a positive, finite
-    number.
+    number, and refuses blocks and ``P0`` as :func:`solve_pairs` does.
     """
     if not 0 < require_number("lam", lam) < math.inf:
         raise InvalidInputError(f"lambda must be positive and finite, got {lam}")
     blocks = _check_classes(classes)
-    P0 = np.asarray(P0, dtype=float)
+    P0 = _check_projection(P0, blocks)
     lam_map = {}
     for key, C in uniform_pair_covariances([P0 @ X for X in blocks]).items():
         cost = float(np.trace(C))
@@ -187,12 +203,15 @@ class PairPlans:
     """The fixed-L Sinkhorn runs of every class pair at one projection.
 
     ``batches`` maps the pairs of each plan shape, in pair order, to their
-    stacked Sinkhorn runs (run b is the key's b-th pair), and
-    ``kernel_costs`` maps the same keys to the (B, n, m) stacks K * M of
-    each run's kernel times its cost matrix: the weighted kernels of the
-    pair distances and of the gradient's reverse pass. M itself is not kept;
-    :func:`~wda.otcore.cost_matrix` recomputes it. ``pair_distances`` maps
-    every pair, in pair order, to its transport cost <T, M>.
+    stacked Sinkhorn runs (run b is the key's b-th pair); their kernel
+    stacks are the only (B, n, m) arrays held. ``cost_factors`` maps the
+    same keys to the factor stacks A = [Y - mu; |y - mu|^2; 1], (B, p + 2, n),
+    and B = [-2 (Y' - mu); 1; |y' - mu|^2], (B, p + 2, m), of each run's
+    projected clouds Y, Y' about the mean mu of their n + m points: A^T B
+    is the run's cost matrix up to rounding, so K * M is read through them
+    by the pair distances and the gradient, and neither M nor K * M is
+    kept. ``pair_distances`` maps every pair, in pair order, to its
+    transport cost <T, M>.
     ``projection`` and ``classes`` are the P and the validated class blocks
     the plans were solved at, held by reference: modifying them in place
     afterwards invalidates the result. The stacks are its own unless it was
@@ -201,7 +220,7 @@ class PairPlans:
 
     projection: np.ndarray = field(repr=False)
     classes: list[np.ndarray] = field(repr=False)
-    kernel_costs: dict[tuple[PairKey, ...], np.ndarray] = field(repr=False)
+    cost_factors: dict[tuple[PairKey, ...], tuple[np.ndarray, np.ndarray]] = field(repr=False)
     batches: dict[tuple[PairKey, ...], SinkhornBatch] = field(repr=False)
     pair_lambdas: dict[PairKey, float]
     pair_distances: dict[PairKey, float]
@@ -267,25 +286,22 @@ def solve_pairs(
     Any P of the right shape is accepted (no orthonormality is imposed).
 
     The pairs of each plan shape are solved together: one
-    :func:`~wda.otcore.cost_matrix` stack of the projected blocks P X_c, one
-    kernel stack and one :func:`~wda.otcore.sinkhorn_batch` call. All
-    kernels are built before any iteration runs, so a kernel underflow is
-    reported for the first failing pair in pair order, named with its
-    lambda. The cost stack then becomes K * M in place, and each pair
-    distance <T, M> is u_L . ((K * M) v_L), without forming T.
+    :func:`~wda.otcore.cost_matrix` stack of the projected blocks P X_c,
+    turned into the kernel stack in place, and one
+    :func:`~wda.otcore.sinkhorn_batch` call. All kernels are built before
+    any iteration runs, so a kernel underflow is reported for the first
+    failing pair in pair order, named with its lambda and the largest entry
+    of its cost matrix, which is recomputed for the message. Each pair
+    distance <T, M> is u_L . ((K * M) v_L), without forming T or K * M:
+    (K * M) v_L is read through the pair's centred cost factors (see
+    :class:`PairPlans`) with one stacked product of p + 2 columns.
 
     ``out``, plans of the same class sizes that are no longer needed, has its
-    cost and kernel stacks overwritten and reused; plans of other class sizes
-    are refused with InvalidInputError.
+    kernel stacks overwritten and reused; plans of other class sizes are
+    refused with InvalidInputError.
     """
-    P = np.asarray(P, dtype=float)
     blocks = _check_classes(classes)
-    if P.ndim != 2 or P.shape[1] != blocks[0].shape[0]:
-        raise InvalidInputError(
-            f"projection shape {P.shape} does not match feature dimension "
-            f"{blocks[0].shape[0]}"
-        )
-    require_finite("projection", P)
+    P = _check_projection(P, blocks)
     lam_map = _resolve_lambdas(blocks, cfg, lambdas)
     keys_in_order = pair_keys(len(blocks))
 
@@ -294,52 +310,61 @@ def solve_pairs(
     for c, cp in keys_in_order:
         groups.setdefault((blocks[c].shape[1], blocks[cp].shape[1]), []).append((c, cp))
     stack_shapes = {tuple(keys): (len(keys),) + shape for shape, keys in groups.items()}
-    if out is not None and stack_shapes != {keys: M.shape for keys, M in out.kernel_costs.items()}:
+    if out is not None and stack_shapes != {
+        keys: batch.kernel.shape for keys, batch in out.batches.items()
+    }:
         raise InvalidInputError("out holds plans of other class sizes")
     projected = [P @ X for X in blocks]
-    stacks, top_costs = [], {}
+    stacks, failing = [], {}
     for keys in stack_shapes:
-        M = cost_matrix(
-            np.stack([projected[c] for c, _ in keys]),
-            np.stack([projected[cp] for _, cp in keys]),
-            out=None if out is None else out.kernel_costs[keys],
-        )
-        for b, (c, cp) in enumerate(keys):
-            if c == cp:
-                self_costs(M[b])
-        K, low = sinkhorn_kernels(
-            M, [lam_map[key] for key in keys],
-            out=None if out is None else out.batches[keys].kernel,
-        )
-        top_costs.update((key, float(M[b].max())) for b, key in enumerate(keys) if low[b])
-        stacks.append((keys, M, K))
+        Y = np.stack([projected[c] for c, _ in keys])
+        Yp = np.stack([projected[cp] for _, cp in keys])
+        M = _group_costs(keys, Y, Yp, out=None if out is None else out.batches[keys].kernel)
+        K, low = sinkhorn_kernels(M, [lam_map[key] for key in keys], out=M)
+        failing.update((key, (keys, Y, Yp, b)) for b, key in enumerate(keys) if low[b])
+        stacks.append((keys, Y, Yp, K))
     for key in keys_in_order:
-        if key in top_costs:
+        if key in failing:
+            keys, Y, Yp, b = failing[key]
             lam = lam_map[key]
+            top_cost = float(_group_costs(keys, Y, Yp)[b].max())
             raise NumericalRangeError(
                 f"class pair {key} at lambda {lam:.6g}: kernel row underflow: "
-                f"lam * max(M) = {lam * top_costs[key]:.6g} pushes "
+                f"lam * max(M) = {lam * top_cost:.6g} pushes "
                 f"exp(-lam*M) below {_TINY:g}; rescale the regularization"
             )
 
-    batches, distances = {}, {}
-    for keys, KM, K in stacks:
-        KM *= K
+    batches, factors, distances = {}, {}, {}
+    for keys, Y, Yp, K in stacks:
         batch = sinkhorn_batch(K, cfg.sinkhorn_iters)
-        km_v = _matvec(KM, batch.v_history[:, -1])
+        mu = (Y.sum(axis=-1, keepdims=True) + Yp.sum(axis=-1, keepdims=True)) / (
+            Y.shape[-1] + Yp.shape[-1]
+        )
+        A, B = _cost_factors(Y - mu, Yp - mu)
+        km_v = _factored_matvec(K, A, B, batch.v_history[:, -1])
         distances.update(zip(keys, (batch.u_history[:, -1] * km_v).sum(axis=1).tolist()))
-        batches[keys] = batch
+        batches[keys], factors[keys] = batch, (A, B)
     for key in keys_in_order:
         if not np.isfinite(distances[key]):
             raise NumericalRangeError(f"class pair {key}: the projected squared distances overflow")
     return PairPlans(
         projection=P,
         classes=blocks,
-        kernel_costs={keys: KM for keys, KM, _ in stacks},
+        cost_factors=factors,
         batches=batches,
         pair_lambdas=lam_map,
         pair_distances={key: distances[key] for key in keys_in_order},
     )
+
+
+def _group_costs(keys, Y, Yp, out=None) -> np.ndarray:
+    """The cost stack of one shape group from its stacked projected blocks,
+    self pairs symmetrized; the same bits on every call."""
+    M = cost_matrix(Y, Yp, out=out)
+    for b, (c, cp) in enumerate(keys):
+        if c == cp:
+            self_costs(M[b])
+    return M
 
 
 def evaluate(
@@ -388,19 +413,26 @@ def gradient(state: ObjectiveState) -> np.ndarray:
     ``gradient(evaluate(P, classes, cfg, lambdas))``. Raises
     NumericalRangeError, naming the pair and its lambda, when a pair's term
     is not finite. The reverse recursion runs once per batch of ``state``,
-    seeded from its K * M stack; each (n, m) G is then formed in pair order
-    from the pair's slice of its batch. The two pull-back products take a
-    row of ones under Y_c' and Y_c, so they give G 1 and G^T 1 as well.
+    seeded with (K * M) v_L and (K * M)^T u_L, each one stacked product
+    with the batch's cost factors; each (n, m) G is then formed in pair
+    order from the pair's slice of its batch and its factors, with no other
+    (n, m) array. The two pull-back products take a row of ones under Y_c'
+    and Y_c, so they give G 1 and G^T 1 as well.
     """
     sb2, sw2 = state.sigma_b2, state.sigma_w2
 
     runs = {}
     with np.errstate(over="ignore", invalid="ignore"):
         for keys, batch in state.batches.items():
-            KM = state.kernel_costs[keys]
-            r_bars, s_bars = sinkhorn_batch_reverse(batch, KM)
+            A, B = state.cost_factors[keys]
+            K, u, v = batch.kernel, batch.u_history[:, -1], batch.v_history[:, -1]
+            r_bars, s_bars = sinkhorn_batch_reverse(
+                batch, _factored_matvec(K, A, B, v),
+                _factored_matvec(K.transpose(0, 2, 1), B, A, u),
+            )
             runs.update(
-                (key, (batch, b, KM[b], r_bars[b], s_bars[b])) for b, key in enumerate(keys)
+                (key, (batch, b, (A[b], B[b]), r_bars[b], s_bars[b]))
+                for b, key in enumerate(keys)
             )
 
     # [Y_c; 1] per class: Y_c is the view of its first p rows
@@ -408,9 +440,9 @@ def gradient(state: ObjectiveState) -> np.ndarray:
     Z = [np.zeros_like(Ya[:-1]) for Ya in ones_below]
     for c, cp in state.pair_distances:
         lam = float(state.pair_lambdas[(c, cp)])
-        batch, b, KM, r_bars, s_bars = runs[(c, cp)]
+        batch, b, factors, r_bars, s_bars = runs[(c, cp)]
         with np.errstate(over="ignore", invalid="ignore"):
-            G = transport_cost_cotangent(batch, b, lam, KM, r_bars, s_bars)
+            G = transport_cost_cotangent(batch, b, lam, factors, r_bars, s_bars)
             pulled_c = ones_below[cp] @ G.T  # [Y_c' G^T; (G 1)^T]
             pulled_cp = ones_below[c] @ G    # [Y_c G; 1^T G]
         row, col = pulled_c[-1], pulled_cp[-1]

@@ -17,16 +17,18 @@ numpy call overhead of a step is paid once per stack. That overhead is most
 of a step only for small problems: with one BLAS thread and L = 10, tripling
 B from 6 to 18 made a forward pass 1.8 times as costly at n = m = 34 and
 3.7 times at n = m = 100, where the arithmetic dominates.
-A cost matrix, or a stack of them, is one product of two (d + 2)-row
-factors (:func:`cost_matrix`). Kernels come from :func:`sinkhorn_kernels`;
-:func:`wda.objective.solve_pairs` builds the stacks of every class pair,
-refuses an underflowing kernel by its pair, and then keeps K * M in place
-of M: the pair distances, the reverse seeds and the cost cotangent read
-only K * M. A reverse step takes two stacked matvecs: the derivative of a
-scaling update is written with the scaling itself (du/dr = -n u^2), so
-K v_k and K^T u_{k-1} are not needed. The (n, m)-sized end of each
-derivative is formed one problem at a time, so the reverse pass adds no
-(n, m) stacks.
+A cost matrix, or a stack of them, is one product A^T B of two (d + 2)-row
+factors (:func:`cost_matrix`). Kernels come from :func:`sinkhorn_kernels`,
+in place of the cost stack; :func:`wda.objective.solve_pairs` builds the
+kernel stacks of every class pair and refuses an underflowing kernel by its
+pair. The one (B, n, m) stack kept is the kernel's: the pair distances, the
+reverse seeds and the cost cotangent read K * M through the factors, as
+sums over their rows of K applied to scaled vectors
+(``_factored_matvec``), so no K * M stack is formed. A reverse step
+takes two stacked matvecs: the derivative of a scaling update is written
+with the scaling itself (du/dr = -n u^2), so K v_k and K^T u_{k-1} are not
+needed. The (n, m)-sized end of each derivative is formed one problem at a
+time, so the reverse pass adds no (n, m) stacks.
 """
 
 from __future__ import annotations
@@ -62,6 +64,19 @@ def cost_matrix(X: np.ndarray, Z: np.ndarray, out: np.ndarray | None = None) -> 
     shape = X.shape[:-2] + (X.shape[-1], Z.shape[-1])
     if out is not None and (out.shape != shape or out.dtype != float):
         raise InvalidInputError(f"out must be a float array of shape {shape}")
+    A, B = _cost_factors(X, Z)
+    M = np.matmul(A.swapaxes(-1, -2), B, out=out)
+    np.maximum(M, 0.0, out=M)
+    if same:
+        for square in M.reshape((-1,) + M.shape[-2:]):
+            self_costs(square)
+    return M
+
+
+def _cost_factors(X: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (d + 2)-row factors A = [X; |x|^2; 1] and B = [-2Z; 1; |z|^2] of
+    the squared distances A^T B between the columns of X and Z, (d, n) and
+    (d, m) arrays or (B, d, n) and (B, d, m) stacks; no input is checked."""
     d = X.shape[-2]
     A = np.empty(X.shape[:-2] + (d + 2, X.shape[-1]))
     B = np.empty(Z.shape[:-2] + (d + 2, Z.shape[-1]))
@@ -71,12 +86,19 @@ def cost_matrix(X: np.ndarray, Z: np.ndarray, out: np.ndarray | None = None) -> 
     np.multiply(Z, -2.0, out=B[..., :d, :])
     B[..., d, :] = 1.0
     np.einsum("...ij,...ij->...j", Z, Z, out=B[..., d + 1, :])
-    M = np.matmul(A.swapaxes(-1, -2), B, out=out)
-    np.maximum(M, 0.0, out=M)
-    if same:
-        for square in M.reshape((-1,) + M.shape[-2:]):
-            self_costs(square)
-    return M
+    return A, B
+
+
+def _factored_matvec(K: np.ndarray, A: np.ndarray, B: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(K * A^T B) v for a kernel stack K, (B, n, m), factor stacks A,
+    (B, r, n), and B, (B, r, m), and vectors v, (B, m), without forming A^T B:
+    the sum over the r rows t of A_t * (K (B_t * v)), from one stacked
+    (B, r, m) @ (B, m, n) product. (K * A^T B)^T u is
+    ``_factored_matvec(K.transpose(0, 2, 1), B, A, u)``.
+    """
+    W = (B * v[:, None, :]) @ K.swapaxes(-1, -2)
+    W *= A
+    return W.sum(axis=1)
 
 
 def self_costs(M: np.ndarray) -> np.ndarray:
@@ -140,14 +162,17 @@ def sinkhorn_kernels(
     M: np.ndarray, lams, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gibbs kernels exp(-lams[b] * M[b]) of a (B, n, m) cost stack, with one
-    in-place exp, written into ``out`` when given, and the mask of kernels
-    with a whole row or column below the scaling clamp: no scaling can match
-    their marginals.
+    in-place exp, written into ``out`` when given (``out=M`` overwrites the
+    costs), and the mask of kernels with a whole row or column below the
+    scaling clamp: no scaling can match their marginals. Row and column
+    maxima are taken only when some kernel's smallest entry is not at least
+    the clamp.
     """
     K = np.multiply(M, -np.asarray(lams, dtype=float)[:, None, None], out=out)
     np.exp(K, out=K)
-    underflow = (K.max(axis=2) < _TINY).any(axis=1) | (K.max(axis=1) < _TINY).any(axis=1)
-    return K, underflow
+    if (K.min(axis=(1, 2)) >= _TINY).all():
+        return K, np.zeros(len(K), dtype=bool)
+    return K, (K.max(axis=2) < _TINY).any(axis=1) | (K.max(axis=1) < _TINY).any(axis=1)
 
 
 def sinkhorn_batch(K: np.ndarray, iterations: int) -> SinkhornBatch:
@@ -187,19 +212,20 @@ def sinkhorn_batch(K: np.ndarray, iterations: int) -> SinkhornBatch:
 
 
 def sinkhorn_batch_reverse(
-    batch: SinkhornBatch, weighted: np.ndarray
+    batch: SinkhornBatch, u_bar: np.ndarray, v_bar: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reverse pass of :func:`sinkhorn_batch` for the B functions <W_b, T_b>.
 
-    ``weighted`` is the (B, n, m) stack of the weighted kernels W_b * K_b.
-    It seeds the cotangents of u_L and v_L with two stacked matvecs (only
-    v_L and u_L feed T directly), so the pass forms no (n, m) array. The
-    recursion then runs backwards from iteration L to 1 on the whole stack.
-    u_k = (1/n) / max(r_k, tiny) with r_k = K v_k gives du_k/dr_k = -n u_k^2
-    (the derivative passes straight through the clamp), and likewise
-    dv_k/ds_k = -m v_k^2 with s_k = K^T u_{k-1}, so a step takes only the two
-    stacked matvecs that carry the cotangents. Returns the cotangents of r_k,
-    (B, L, n), and of s_k, (B, L, m), for k = 1..L.
+    ``u_bar`` (B, n) and ``v_bar`` (B, m) are their cotangents of u_L and
+    v_L, the only scalings that feed T directly: (W_b * K_b) v_L and
+    (W_b * K_b)^T u_L. The caller forms these seeds (the objective, whose
+    W = M, reads them through the cost's factors), so the pass takes no
+    (n, m) weight. The recursion then runs backwards from iteration L to 1
+    on the whole stack. u_k = (1/n) / max(r_k, tiny) with r_k = K v_k gives
+    du_k/dr_k = -n u_k^2 (the derivative passes straight through the clamp),
+    and likewise dv_k/ds_k = -m v_k^2 with s_k = K^T u_{k-1}, so a step takes
+    only the two stacked matvecs that carry the cotangents. Returns the
+    cotangents of r_k, (B, L, n), and of s_k, (B, L, m), for k = 1..L.
     """
     K = batch.kernel
     KT = K.transpose(0, 2, 1)
@@ -207,8 +233,6 @@ def sinkhorn_batch_reverse(
     V = batch.v_history
     B, L, m = V.shape
     n = U.shape[2]
-    u_bar = _matvec(weighted, V[:, -1])
-    v_bar = _matvec(weighted.transpose(0, 2, 1), U[:, -1])
     r_bars = np.empty((B, L, n))
     s_bars = np.empty((B, L, m))
     for k in range(L, 0, -1):
@@ -224,26 +248,26 @@ def transport_cost_cotangent(
     batch: SinkhornBatch,
     b: int,
     lam: float,
-    kernel_cost: np.ndarray,
+    factors: tuple[np.ndarray, np.ndarray],
     r_bars: np.ndarray,
     s_bars: np.ndarray,
 ) -> np.ndarray:
     """d<T(M), M>/dM of run b of ``batch``, whose kernel is K = exp(-lam * M),
-    from K * M (``kernel_cost``) and the run's :func:`sinkhorn_batch_reverse`
-    slices r_bars, s_bars for the weighted kernels K * M:
+    from the (r, n) and (r, m) factors A, B of its cost, M = A^T B up to
+    rounding, and the run's :func:`sinkhorn_batch_reverse` slices r_bars,
+    s_bars for the weight M:
 
-        K * (u_L v_L^T - lam * sum_k (r_bar_k v_k^T + u_{k-1} s_bar_k^T))
-          - lam * diag(u_L) (K * M) diag(v_L),
+        K * (u_L v_L^T - lam * sum_k (r_bar_k v_k^T + u_{k-1} s_bar_k^T)
+               - lam * (A diag(u_L))^T (B diag(v_L))),
 
-    the first term as one product, so M itself is not needed. Forms the
-    (n, m) result and one (n, m) temporary.
+    where K times the last term is diag(u_L) (K * M) diag(v_L). The bracket
+    is one product of rank 2L + 1 + r, so neither M nor K * M is formed;
+    the result is the only (n, m) array.
     """
     U, V = batch.u_history[b], batch.v_history[b]
-    left = np.concatenate((r_bars, U))
-    left[:-1] *= -lam
-    G = left.T @ np.concatenate((V, s_bars, V[-1:]))
+    A, B = factors
+    left = np.concatenate((U[-1:], r_bars, U[:-1], A * U[-1]))
+    left[1:] *= -lam
+    G = left.T @ np.concatenate((V[-1:], V, s_bars, B * V[-1]))
     G *= batch.kernel[b]
-    plan_cost = kernel_cost * V[-1]
-    plan_cost *= (lam * U[-1])[:, None]
-    G -= plan_cost
     return G

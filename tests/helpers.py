@@ -157,7 +157,8 @@ def sinkhorn_vjp(trace, W):
         )
     U, V = trace.u_history, trace.v_history
     batch = SinkhornBatch(K[None], U[None], V[None], np.array([trace.residual]))
-    r_bars, s_bars = sinkhorn_batch_reverse(batch, (W * K)[None])
+    WK = W * K
+    r_bars, s_bars = sinkhorn_batch_reverse(batch, (WK @ V[-1])[None], (WK.T @ U[-1])[None])
     K_bar = np.concatenate((r_bars[0], U[:-1])).T @ np.concatenate((V, s_bars[0]))
     K_bar += W * np.outer(U[-1], V[-1])
     return -trace.lam * K * K_bar
@@ -263,17 +264,15 @@ def reference_sinkhorn(M, lam, iterations, tol):
     return weights, trace
 
 
-def reference_reverse(trace, W):
+def reference_reverse(trace, u_bar, v_bar):
     """Cotangents of r_k = K v_k and s_k = K^T u_{k-1}, k = 1..L, of
-    <W, T(M)>, as a plain 2-d reverse loop over ``trace``."""
+    <W, T(M)>, as a plain 2-d reverse loop over ``trace`` from the
+    cotangents u_bar = (W * K) v_L and v_bar = (W * K)^T u_L."""
     K = trace.kernel
     n, m = K.shape
     L = trace.iterations
     U = trace.u_history
     V = trace.v_history
-    WK = W * K
-    u_bar = WK @ V[-1]
-    v_bar = WK.T @ U[-1]
     r_bars = np.empty((L, n))
     s_bars = np.empty((L, m))
     for k in range(L, 0, -1):
@@ -290,20 +289,25 @@ def reference_vjp(trace, W):
     """d<W, T(M)>/dM of one run as a plain 2-d reverse loop over ``trace``."""
     U = trace.u_history
     V = trace.v_history
-    r_bars, s_bars = reference_reverse(trace, W)
+    WK = W * trace.kernel
+    r_bars, s_bars = reference_reverse(trace, WK @ V[-1], WK.T @ U[-1])
     K_bar = np.concatenate((r_bars, U[:-1])).T @ np.concatenate((V, s_bars))
     K_bar += W * np.outer(U[-1], V[-1])
     return -trace.lam * trace.kernel * K_bar
 
 
-def reference_objective(P, classes, cfg, lambdas):
+def reference_objective(P, classes, cfg, lambdas, factored=True):
     """The ratio objective and its gradient from a plain loop over the class
     pairs, one reference_sinkhorn and reference_reverse per pair.
 
-    sigma^2 sums the pair distances u_L . ((K * M) v_L). Each pair's cost
-    cotangent d<T(M), M>/dM is pulled back in the projected space, with a
-    row of ones under each block for G's row and column sums. Self costs
-    are 0.5 (M + M^T) with a zero diagonal.
+    The kernel of a pair is exp(-lam * M), with self costs 0.5 (M + M^T)
+    and a zero diagonal. sigma^2 sums the pair distances u_L . ((K * M) v_L).
+    Each pair's cost cotangent d<T(M), M>/dM is pulled back in the projected
+    space, with a row of ones under each block for G's row and column sums.
+    With ``factored``, K * M is read as ``wda.objective`` reads it, through
+    the factors A = [Y - mu; |y - mu|^2; 1] and B = [-2 (Y' - mu); 1;
+    |y' - mu|^2] about the mean mu of the pair's points, with 2-d products;
+    otherwise it is formed from M itself.
 
     Returns a dict with ``value``, ``pair_residuals`` (keyed like
     ``ObjectiveState.to_json``) and ``gradient``.
@@ -311,28 +315,47 @@ def reference_objective(P, classes, cfg, lambdas):
     projected = [P @ X for X in classes]
     solved = {}
     for c, cp in pair_keys(len(classes)):
-        M = cost_matrix(projected[c], projected[cp].copy())
+        Y, Yp = projected[c], projected[cp]
+        M = cost_matrix(Y, Yp.copy())
         if cp == c:
             M = 0.5 * (M + M.T)
             np.fill_diagonal(M, 0.0)
         _, trace = reference_sinkhorn(
             M, lambdas[(c, cp)], cfg.sinkhorn_iters, 1e-9
         )
-        KM = trace.kernel * M
-        distance = float((trace.u_history[-1] * (KM @ trace.v_history[-1])).sum())
-        solved[(c, cp)] = (M, trace, distance)
-    sb2 = sum(dist for (c, cp), (_, _, dist) in solved.items() if c != cp)
-    sw2 = sum(dist for (c, cp), (_, _, dist) in solved.items() if c == cp)
+        U, V, K = trace.u_history, trace.v_history, trace.kernel
+        if factored:
+            mu = (Y.sum(axis=-1, keepdims=True) + Yp.sum(axis=-1, keepdims=True)) / (
+                Y.shape[1] + Yp.shape[1]
+            )
+            Yc, Ypc = Y - mu, Yp - mu
+            A = np.vstack((Yc, (Yc * Yc).sum(axis=0), np.ones(Y.shape[1])))
+            B = np.vstack((-2.0 * Ypc, np.ones(Yp.shape[1]), (Ypc * Ypc).sum(axis=0)))
+            km_v = (A * ((B * V[-1]) @ K.T)).sum(axis=0)
+            km_t_u = (B * ((A * U[-1]) @ K)).sum(axis=0)
+            plan_left, plan_right = A * U[-1], B * V[-1]
+        else:
+            KM = K * M
+            km_v, km_t_u = KM @ V[-1], KM.T @ U[-1]
+            plan_left, plan_right = U[-1], KM * V[-1]
+        distance = float((U[-1] * km_v).sum())
+        solved[(c, cp)] = (trace, km_v, km_t_u, plan_left, plan_right, distance)
+    sb2 = sum(entry[-1] for (c, cp), entry in solved.items() if c != cp)
+    sw2 = sum(entry[-1] for (c, cp), entry in solved.items() if c == cp)
     ones_below = [np.vstack((Y, np.ones(Y.shape[1]))) for Y in projected]
     Z = [np.zeros_like(Y) for Y in projected]
-    for (c, cp), (M, trace, _) in solved.items():
-        # K * (u_L v_L^T - lam * iterations) - lam * u_L (K * M) v_L
+    for (c, cp), (trace, km_v, km_t_u, plan_left, plan_right, _) in solved.items():
+        # K * (u_L v_L^T - lam * iterations - lam * u_L M v_L)
         lam, U, V = trace.lam, trace.u_history, trace.v_history
-        KM = trace.kernel * M
-        r_bars, s_bars = reference_reverse(trace, M)
-        left = np.vstack([-lam * r_bars, -lam * U[:-1], U[-1:]])
-        right = np.vstack([V, s_bars, V[-1:]])
-        G = (left.T @ right) * trace.kernel - (lam * U[-1])[:, None] * (KM * V[-1])
+        r_bars, s_bars = reference_reverse(trace, km_v, km_t_u)
+        if factored:
+            left = np.vstack([U[-1:], -lam * r_bars, -lam * U[:-1], -lam * plan_left])
+            right = np.vstack([V[-1:], V, s_bars, plan_right])
+            G = (left.T @ right) * trace.kernel
+        else:
+            left = np.vstack([-lam * r_bars, -lam * U[:-1], U[-1:]])
+            right = np.vstack([V, s_bars, V[-1:]])
+            G = (left.T @ right) * trace.kernel - (lam * plan_left)[:, None] * plan_right
         pulled_c = ones_below[cp] @ G.T
         pulled_cp = ones_below[c] @ G
         coef = -sb2 / sw2**2 if cp == c else 1.0 / sw2
@@ -340,7 +363,7 @@ def reference_objective(P, classes, cfg, lambdas):
         Z[cp] += coef * (projected[cp] * pulled_cp[-1] - pulled_cp[:-1])
     return {
         "value": sb2 / sw2,
-        "pair_residuals": {f"{c},{cp}": t.residual for (c, cp), (_, t, _) in solved.items()},
+        "pair_residuals": {f"{c},{cp}": entry[0].residual for (c, cp), entry in solved.items()},
         "gradient": 2.0 * sum(Zc @ X.T for Zc, X in zip(Z, classes)),
     }
 

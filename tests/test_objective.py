@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -119,6 +120,20 @@ def test_adaptive_lambdas_refuse_identical_points_off_their_rounded_mean(value, 
     classes = [np.array([[0.0, 1.0, 2.0]]), np.full((1, n), value)]
     with pytest.raises(DegenerateInputError, match=re.escape("class pair (1, 1) coincide")):
         adaptive_lambdas(np.eye(1), classes, 1.0)
+
+
+@pytest.mark.parametrize(
+    "P0, message",
+    [(np.eye(2, 9), "projection shape (2, 9) does not match feature dimension 10"),
+     (np.ones(10), "projection shape (10,) does not match feature dimension 10"),
+     (np.eye(2, 10) + np.where(np.eye(2, 10, 3), np.nan, 0.0),
+      "projection has a non-finite value at row 0, column 3")],
+    ids=["shape", "1-d", "nan"],
+)
+def test_adaptive_lambdas_refuse_a_bad_projection_by_name(P0, message):
+    # a matmul ValueError escaped, or the projected blocks took the blame
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        adaptive_lambdas(P0, gen_toy(6, 0).class_blocks(), 1.0)
 
 
 def test_cross_covariance_single_pair():
@@ -247,11 +262,16 @@ def test_batched_objective_matches_per_pair_reference(sizes, lam, iters):
     state = evaluate(P, classes, cfg, lam_map)
     reference = reference_objective(P, classes, cfg, lam_map)
     assert list(state.pair_distances) == pair_keys(len(sizes))
-    assert list(state.kernel_costs) == list(state.batches)
+    assert list(state.cost_factors) == list(state.batches)
     assert sorted(key for keys in state.batches for key in keys) == pair_keys(len(sizes))
     assert state.value == reference["value"]
     assert state.to_json()["pair_residuals"] == reference["pair_residuals"]
-    assert np.array_equal(gradient(state), reference["gradient"])
+    G = gradient(state)
+    assert np.array_equal(G, reference["gradient"])
+    # K * M formed from M itself: the factors change only the rounding
+    explicit = reference_objective(P, classes, cfg, lam_map, factored=False)
+    assert state.value == pytest.approx(explicit["value"], rel=1e-12, abs=0)
+    assert np.abs(G - explicit["gradient"]).max() <= 1e-12 * np.abs(explicit["gradient"]).max()
 
 
 def _pair_traces(state):
@@ -359,6 +379,15 @@ def test_objective_invariant_under_common_shift(seed, a, b):
     assert np.abs(G_moved - G).max() <= 1e-7 * np.abs(G).max()
 
 
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("n_per_class, noise", [(34, 0), (100, 20)])
 def test_gradient_peak_memory_below_line_search_evaluate(n_per_class, noise):
     # a fit's line search evaluates while the previous state is alive; the
@@ -371,18 +400,78 @@ def test_gradient_peak_memory_below_line_search_evaluate(n_per_class, noise):
     P = pca_init(data.samples.T, 2)
     lam_map = adaptive_lambdas(P, classes, cfg.lam)
     state = evaluate(P, classes, cfg, lam_map)
-
-    def peak(fn):
-        tracemalloc.start()
-        try:
-            fn()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    gradient_peak = peak(lambda: gradient(state))
-    evaluate_peak = peak(lambda: evaluate(P, classes, cfg, lam_map))
+    gradient_peak = _traced_peak(lambda: gradient(state))
+    evaluate_peak = _traced_peak(lambda: evaluate(P, classes, cfg, lam_map))
     assert gradient_peak < evaluate_peak
+
+
+def _arrays(obj):
+    """Every array reachable from a state through its fields and containers."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _arrays(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from _arrays(value)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, f.name))
+
+
+@pytest.mark.parametrize("sizes", [(40, 40, 40), (40, 30, 40)], ids=["balanced", "unequal"])
+def test_a_state_holds_one_plan_sized_stack_per_shape_group(sizes):
+    # K * M is read through the cost factors: the kernel stacks are the only
+    # arrays of (n, m) matrices a state keeps
+    classes = _sized_classes(sizes, 20)
+    state = evaluate(np.eye(2, 5), classes, WdaConfig(lam=1.0, sinkhorn_iters=10))
+    smallest_plan = min(n * m for n in sizes for m in sizes)
+    plan_sized = [
+        a for a in _arrays(state) if a.ndim >= 2 and a.shape[-2] * a.shape[-1] >= smallest_plan
+    ]
+    kernels = [batch.kernel for batch in state.batches.values()]
+    assert len(plan_sized) == len(kernels) == len({n for n in sizes}) ** 2
+    assert all(any(a is K for K in kernels) for a in plan_sized)
+
+
+def test_a_fresh_evaluate_peaks_below_seven_quarters_of_a_kernel_stack():
+    # the cost stack becomes the kernel stack in place and K * M is never
+    # formed; a K * M stack kept beside K would take the peak to about 2.3
+    data = append_noise(gen_toy(100, 2), 20, 3)
+    classes = data.class_blocks()
+    cfg = WdaConfig(lam=1.0, sinkhorn_iters=10, dim=2)
+    P = pca_init(data.samples.T, 2)
+    lam_map = adaptive_lambdas(P, classes, cfg.lam)
+    evaluate(P, classes, cfg, lam_map)
+    stack_bytes = 6 * 100 * 100 * 8
+    assert _traced_peak(lambda: evaluate(P, classes, cfg, lam_map)) < 1.75 * stack_bytes
+
+
+@pytest.mark.parametrize("lam", [1.0, 100.0, 1000.0])
+@pytest.mark.parametrize("offset", [0.0, 30.0, 1000.0])
+def test_ratio_is_accurate_far_from_the_origin(offset, lam):
+    # J from the state's own plans with explicit differences (y_i - y'_j)^2;
+    # squared norms taken about the origin cancel to ~offset^2 * eps. At
+    # lambda 1000 most draws are refused for kernel underflow; the rest count
+    evaluated = 0
+    for seed in range(12):
+        classes = [X + offset for X in gen_toy(34, seed).class_blocks()]
+        P = pca_init(np.hstack(classes), 2)
+        cfg = WdaConfig(lam=lam, sinkhorn_iters=10, dim=2)
+        try:
+            state = evaluate(P, classes, cfg, adaptive_lambdas(P, classes, lam))
+        except NumericalRangeError as refusal:
+            assert "kernel row underflow" in str(refusal)
+            continue
+        evaluated += 1
+        sigma2 = {True: 0.0, False: 0.0}
+        for (c, cp), (batch, b) in state.runs().items():
+            D = (P @ classes[c])[:, :, None] - (P @ classes[cp])[:, None, :]
+            sigma2[c == cp] += float(np.sum(batch.plan(b) * (D * D).sum(axis=0)))
+        expected = sigma2[False] / sigma2[True]
+        assert abs(state.value - expected) <= 1e-11 * expected, (seed, state.value, expected)
+    assert evaluated >= (4 if lam == 1000.0 else 12)
 
 
 def test_evaluate_and_gradient_name_a_non_finite_class_block():
@@ -433,9 +522,8 @@ def test_evaluate_into_out_equals_a_fresh_evaluate(sizes):
     assert reused.value == fresh.value
     assert reused.pair_distances == fresh.pair_distances
     assert np.array_equal(gradient(reused), gradient(fresh))
-    for keys, KM in reused.kernel_costs.items():
-        assert np.shares_memory(KM, spare.kernel_costs[keys])
-        assert np.shares_memory(reused.batches[keys].kernel, spare.batches[keys].kernel)
+    for keys, batch in reused.batches.items():
+        assert np.shares_memory(batch.kernel, spare.batches[keys].kernel)
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from helpers import (
 )
 from wda import InvalidInputError, NumericalRangeError, cost_matrix
 from wda.ioutil import load_matrix_csv, save_matrix_csv
+from wda.otcore import _TINY, sinkhorn_kernels
 
 
 def test_cost_matrix_two_points_1d():
@@ -296,6 +297,28 @@ def test_sinkhorn_kernel_underflow_reports_scale():
     with pytest.raises(NumericalRangeError) as excinfo:
         sinkhorn_plan(M, 1.0, 10)
     assert "2e+06" in str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "entries, expected",
+    [([], [False, False, False, False]),
+     ([(1, 2, 3), (3, 0, 0)], [False, False, False, False]),
+     ([(2, 4, slice(None)), (0, 1, 1)], [False, False, True, False]),
+     ([(0, slice(None), 5)], [True, False, False, False]),
+     ([(1, 3, slice(None)), (1, 0, 0, np.nan)], [False, True, False, False])],
+    ids=["no-small-entry", "small-entries", "empty-row", "empty-column", "empty-row-and-nan"],
+)
+def test_kernel_underflow_mask_equals_the_full_row_and_column_scan(entries, expected):
+    # the scan runs only on kernels with an entry below the clamp (or a NaN);
+    # its mask must be that of row and column maxima over the whole stack
+    M = np.random.default_rng(21).uniform(0.0, 1.0, (4, 5, 6))
+    for b, i, j, *value in entries:
+        M[b, i, j] = value[0] if value else 1e3  # exp(-1e3) underflows to 0
+    K, underflow = sinkhorn_kernels(M.copy(), np.ones(4))
+    full = (K.max(axis=2) < _TINY).any(axis=1) | (K.max(axis=1) < _TINY).any(axis=1)
+    assert np.array_equal(underflow, full)
+    assert underflow.tolist() == expected
+    assert np.array_equal(K, np.exp(-M), equal_nan=True)
 
 
 def test_plan_csv_roundtrip(tmp_path):
