@@ -1,15 +1,15 @@
 """Closed-form comparators: Fisher discriminant analysis and PCA.
 
 The FDA here is the zero-regularization limit of the transport-based
-objective: every coupling collapses to the uniform one, so the between and
-within covariances become plain all-pairs difference covariances
+objective: every coupling is uniform, so a class pair's difference
+covariance is S_c + S_c' + g g^T, with S_c the covariance of class c and g
+the gap between the two class means. Summed over the pairs of C classes,
 
-    C^{c,c'} = 1/(n_c n_{c'}) sum_ij (x_i^c - x_j^{c'})(x_i^c - x_j^{c'})^T
+    C_w = 2 sum_c S_c,    C_b = (C - 1) sum_c S_c + Gamma Gamma^T,
 
-and the ratio is maximized by the top generalized eigenvectors of
-C_w^{-1} C_b. A class paired with itself gives C^{c,c} = 2 S_c, with S_c its
-mean-centered covariance, so C_w = 2 sum_c S_c is exactly twice the
-classical within-class scatter (each class normalized by its own size).
+with one gap column in Gamma per between pair (c < c'), and the ratio is
+maximized by the top generalized eigenvectors of C_w^{-1} C_b. C_w is twice
+the classical within-class scatter (each class normalized by its own size).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .datasets import LabeledDataset, require_finite, require_integer
 from .errors import DegenerateInputError, InvalidInputError
-from .objective import uniform_pair_covariances
+from .objective import _class_moments
 
 _RIDGE = 1e-10
 
@@ -34,14 +34,21 @@ class FdaModel:
 
 
 def uniform_coupling_covariances(classes) -> tuple[np.ndarray, np.ndarray]:
-    """Between/within covariances under uniform couplings, (C_b, C_w): the
-    sums of :func:`~wda.objective.uniform_pair_covariances` over the between
-    pairs (c < c') and the within pairs (c = c')."""
-    pairs = uniform_pair_covariances(classes)
-    zero = np.zeros_like(pairs[(0, 0)])
-    cb = sum((C for (c, cp), C in pairs.items() if c != cp), zero)
-    cw = sum((C for (c, cp), C in pairs.items() if c == cp), zero)
-    return cb, cw
+    """Between/within covariances under uniform couplings, (C_b, C_w), in the
+    closed forms above, with sum_c S_c accumulated over one pass of class
+    moments; refuses blocks as :func:`~wda.objective.evaluate` does."""
+    origins, means, total = [], [], 0.0
+    for origin, mean, S in _class_moments(classes):
+        origins.append(origin)
+        means.append(mean)
+        total += S  # the first class's S is copied, the rest summed in place
+    rows, cols = np.triu_indices(len(origins), 1)
+    O, m = np.hstack(origins), np.hstack(means)
+    gaps = (O[:, rows] - O[:, cols]) + (m[:, rows] - m[:, cols])
+    cw = 2.0 * total
+    total *= len(origins) - 1
+    total += gaps @ gaps.T
+    return total, cw
 
 
 def fda_fit(data: LabeledDataset, p: int) -> FdaModel:

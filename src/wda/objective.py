@@ -10,8 +10,8 @@ pairs (c = c'), and the objective is the ratio
     J(P) = sigma_b^2 / sigma_w^2.
 
 This equals <P^T P, C_b> / <P^T P, C_w> with d x d transport-weighted
-covariances of sample differences, which are never formed here; at
-lambda -> 0 they are those of :func:`uniform_pair_covariances`.
+covariances of sample differences, never formed here; at lambda -> 0 they
+are sums of S_c + S_c' + g g^T over class moments (:func:`adaptive_lambdas`).
 
 J depends on P only through the M of each pair, so the gradient is one
 formula for every pair. The cost cotangent of a pair distance is
@@ -148,34 +148,23 @@ def pair_json(values: dict[PairKey, float]) -> dict[str, float]:
     return {f"{c},{cp}": float(v) for (c, cp), v in values.items()}
 
 
-def uniform_pair_covariances(classes) -> dict[PairKey, np.ndarray]:
-    """Each class pair's (c <= c') difference covariance under the uniform
-    coupling, 1/(n_c n_c') sum_ij (x_i - x'_j)(x_i - x'_j)^T, in closed form
-    S_c + S_c' + (m_c - m_c')(m_c - m_c')^T from the class means m and
-    covariances S (2 S_c for a class with itself). Each block's moments are
-    taken about its first sample, so identical points give S = 0 exactly and
-    a common offset cancels. Refuses blocks as :func:`evaluate` does.
-    """
-    blocks = _check_classes(classes)
-    origins, means, covs = [], [], []
-    for X in blocks:
-        D = X - X[:, :1]
-        mean = D.mean(axis=1, keepdims=True)
-        E = D - mean
-        origins.append(X[:, :1])
-        means.append(mean)
-        covs.append(E @ E.T / X.shape[1])
-    pairs = {}
-    for c, cp in pair_keys(len(blocks)):
-        gap = (origins[c] - origins[cp]) + (means[c] - means[cp])  # 0 when c == cp
-        pairs[(c, cp)] = covs[c] + covs[cp] + gap @ gap.T
-    return pairs
+def _class_moments(classes):
+    """Each class's first sample o, (d, 1), mean m about o and covariance S,
+    blocks refused as by :func:`evaluate`. About o, identical points give
+    S = 0 exactly, and the gap g = (o_c - o_c') + (m_c - m_c') cancels a shift."""
+    for X in _check_classes(classes):
+        E = X - X[:, :1]
+        mean = E.mean(axis=1, keepdims=True)
+        E -= mean
+        S = E @ E.T
+        S /= X.shape[1]
+        yield X[:, :1], mean, S
 
 
 def adaptive_lambdas(P0: np.ndarray, classes, lam: float) -> dict[PairKey, float]:
     """Fix one regularization value per class pair from the initial projection:
     ``lam`` divided by the pair's lambda -> 0 transport cost at P0, the trace
-    of its :func:`uniform_pair_covariances` in the projected space.
+    of S_c + S_c' + g g^T from the (p, p) moments of the projected classes.
 
     A fit computes them once, at the PCA start whatever its ``init`` (see
     :func:`~wda.stiefel.pca_start`), and reuses them in every evaluation.
@@ -186,15 +175,18 @@ def adaptive_lambdas(P0: np.ndarray, classes, lam: float) -> dict[PairKey, float
         raise InvalidInputError(f"lambda must be positive and finite, got {lam}")
     blocks = _check_classes(classes)
     P0 = _check_projection(P0, blocks)
+    moments = list(_class_moments([P0 @ X for X in blocks]))
     lam_map = {}
-    for key, C in uniform_pair_covariances([P0 @ X for X in blocks]).items():
-        cost = float(np.trace(C))
+    for c, cp in pair_keys(len(blocks)):
+        (origin, mean, S), (origin_p, mean_p, S_p) = moments[c], moments[cp]
+        gap = (origin - origin_p) + (mean - mean_p)  # 0 when c == cp
+        cost = float(np.trace(S + S_p + gap @ gap.T))
         if cost <= 0.0:
             raise DegenerateInputError(
-                f"all projected points of class pair {key} coincide; "
+                f"all projected points of class pair {(c, cp)} coincide; "
                 "adaptive regularization is undefined"
             )
-        lam_map[key] = lam / cost
+        lam_map[(c, cp)] = lam / cost
     return lam_map
 
 

@@ -43,6 +43,9 @@ from .errors import InvalidInputError
 # kernel has extremely small entries
 _TINY = 1e-300
 
+# rows per strip of :func:`self_costs`
+_STRIP = 64
+
 
 def cost_matrix(X: np.ndarray, Z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Pairwise squared Euclidean distances between the columns of X and Z.
@@ -103,9 +106,17 @@ def _factored_matvec(K: np.ndarray, A: np.ndarray, B: np.ndarray, v: np.ndarray)
 
 def self_costs(M: np.ndarray) -> np.ndarray:
     """Make one square cost matrix of a cloud with itself exactly symmetric,
-    0.5 (M + M^T), with a zero diagonal, in place; returns M."""
-    np.add(M, M.T, out=M)
-    M *= 0.5
+    0.5 (M + M^T), with a zero diagonal, in place; returns M. Each strip of
+    ``_STRIP`` rows, from the diagonal on, is averaged with the matching
+    columns and copied back into them, so the one temporary is a strip."""
+    for i in range(0, M.shape[0], _STRIP):
+        j = i + _STRIP
+        upper = M[i:j, i:]
+        total = M[i:, i:j].T.copy()  # a contiguous copy: no buffered ufunc pass
+        total += upper
+        np.multiply(total, 0.5, out=upper)
+        if j < M.shape[0]:
+            M[j:, i:j] = M[i:j, j:].T
     np.fill_diagonal(M, 0.0)
     return M
 

@@ -2,7 +2,8 @@
 Sinkhorn adaptor over the stacked solver with its two record types, the
 validation-only transport helpers (the reverse pass of one Sinkhorn run, the
 symmetric scaling of self-transport, the transport cost <T, M>, the
-transport-weighted covariance of sample differences), the full
+transport-weighted covariance of sample differences and its per-pair
+closed form under the uniform coupling), the full
 unrolled plan Jacobian, a per-pair reference for the objective built on
 plain 2-d Sinkhorn loops of its own, a replay of ``wda_fit`` on fresh
 evaluations, and cell-by-cell references for the CSV readers and
@@ -214,6 +215,30 @@ def cross_covariance(
     cross = Xc @ T @ Xcp.T
     C = (Xc * row) @ Xc.T - cross - cross.T + (Xcp * col) @ Xcp.T
     return 0.5 * (C + C.T)
+
+
+def uniform_pair_covariances(classes):
+    """Each class pair's (c <= c') difference covariance under the uniform
+    coupling, 1/(n_c n_c') sum_ij (x_i - x'_j)(x_i - x'_j)^T, as the d x d
+    matrix S_c + S_c' + g g^T from the class covariances S and the gap
+    g = (o_c - o_c') + (m_c - m_c') of the means m about each class's first
+    sample o (2 S_c for a class with itself). The per-pair reference for
+    the summed closed forms of ``uniform_coupling_covariances`` and the
+    traces of ``adaptive_lambdas``."""
+    blocks = [np.asarray(X, dtype=float) for X in classes]
+    origins, means, covs = [], [], []
+    for X in blocks:
+        D = X - X[:, :1]
+        mean = D.mean(axis=1, keepdims=True)
+        E = D - mean
+        origins.append(X[:, :1])
+        means.append(mean)
+        covs.append(E @ E.T / X.shape[1])
+    pairs = {}
+    for c, cp in pair_keys(len(blocks)):
+        gap = (origins[c] - origins[cp]) + (means[c] - means[cp])  # 0 when c == cp
+        pairs[(c, cp)] = covs[c] + covs[cp] + gap @ gap.T
+    return pairs
 
 
 def plan_jacobian_full(trace, P, X, Z, max_entries=1024):

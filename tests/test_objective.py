@@ -15,6 +15,7 @@ from helpers import (
     random_stiefel,
     reference_objective,
     sinkhorn_vjp,
+    uniform_pair_covariances,
 )
 from wda import (
     DegenerateInputError,
@@ -30,7 +31,7 @@ from wda import (
     pca_init,
     uniform_coupling_covariances,
 )
-from wda.objective import pair_keys, solve_pairs, uniform_pair_covariances
+from wda.objective import pair_keys, solve_pairs
 from wda.stiefel import riemannian_gradient
 
 
@@ -87,6 +88,51 @@ def test_uniform_dispersions_invariant_under_common_shift():
     for C, C_moved in zip(uniform_coupling_covariances(classes),
                           uniform_coupling_covariances(shifted)):
         assert np.abs(C_moved - C).max() <= 1e-8 * np.abs(C).max()
+
+
+def _unequal_classes():
+    rng = np.random.default_rng(41)
+    return [rng.standard_normal((5, n)) + 3.0 * rng.standard_normal((5, 1)) for n in (7, 1, 12)]
+
+
+@pytest.mark.parametrize(
+    "classes",
+    [gen_toy(34, 5).class_blocks(), _unequal_classes(),
+     [X + 1e6 for X in gen_toy(34, 5).class_blocks()]],
+    ids=["toy", "unequal-with-one-sample", "shift-1e6"],
+)
+def test_class_moment_closed_forms_match_the_pair_covariances(classes):
+    # the per-pair reference's traces give the lambda map and its within
+    # sum C_w, both bit for bit; C_b is summed in another order, so it
+    # agrees to rounding
+    pairs = uniform_pair_covariances(classes)
+    P0 = random_stiefel(np.random.default_rng(3), 2, classes[0].shape[0])
+    costs = {key: float(np.trace(C))
+             for key, C in uniform_pair_covariances([P0 @ X for X in classes]).items()}
+    coincide = [key for key, cost in costs.items() if cost == 0.0]
+    if coincide:  # the one-sample class with itself
+        with pytest.raises(DegenerateInputError, match=re.escape(f"pair {coincide[0]} coincide")):
+            adaptive_lambdas(P0, classes, 0.7)
+    else:
+        assert adaptive_lambdas(P0, classes, 0.7) == {key: 0.7 / c for key, c in costs.items()}
+    zero = np.zeros_like(pairs[(0, 0)])
+    cb, cw = uniform_coupling_covariances(classes)
+    assert np.array_equal(cw, sum((C for (c, cp), C in pairs.items() if c == cp), zero))
+    expected_cb = sum((C for (c, cp), C in pairs.items() if c != cp), zero)
+    assert np.abs(cb - expected_cb).max() <= 1e-14 * np.abs(expected_cb).max()
+    # one class: no between pair
+    cb, cw = uniform_coupling_covariances(classes[:1])
+    assert not cb.any() and np.array_equal(cw, pairs[(0, 0)])
+
+
+def test_uniform_coupling_covariances_hold_no_matrix_per_pair():
+    # 10 classes have 55 pairs; the per-pair construction peaked at about
+    # 66 d x d matrices here, the class moment pass below 6
+    rng = np.random.default_rng(23)
+    d = 256
+    classes = [rng.standard_normal((d, n)) + rng.standard_normal((d, 1))
+               for n in rng.integers(25, 35, size=10)]
+    assert _traced_peak(lambda: uniform_coupling_covariances(classes)) < 6 * d * d * 8
 
 
 def test_adaptive_lambdas_match_double_loop():

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from helpers import (
 )
 from wda import InvalidInputError, NumericalRangeError, cost_matrix
 from wda.ioutil import load_matrix_csv, save_matrix_csv
-from wda.otcore import _TINY, sinkhorn_kernels
+from wda.otcore import _TINY, self_costs, sinkhorn_kernels
 
 
 def test_cost_matrix_two_points_1d():
@@ -66,6 +67,28 @@ def test_cost_matrix_self_is_exactly_symmetric():
     M = cost_matrix(X, X)
     assert np.array_equal(M, M.T)
     assert np.array_equal(np.diag(M), np.zeros(6))
+
+
+@pytest.mark.parametrize("n", [1, 34, 64, 65, 100, 200])
+def test_self_costs_match_the_plain_symmetrization_bit_for_bit(n):
+    # strips on either side of the strip size, and one that ends in a single row
+    M = np.random.default_rng(n).random((n, n))
+    expected = 0.5 * (M + M.T)
+    np.fill_diagonal(expected, 0.0)
+    assert self_costs(M) is M
+    assert M.tobytes() == expected.tobytes()
+
+
+def test_self_costs_hold_no_copy_of_the_matrix():
+    # np.add(M, M.T, out=M) copied its transposed operand: 1.8 matrices
+    M = np.random.default_rng(4).random((100, 100))
+    tracemalloc.start()
+    try:
+        self_costs(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * M.nbytes
 
 
 def test_cost_matrix_writes_into_out():
