@@ -58,7 +58,8 @@ def fda_fit(data: LabeledDataset, p: int) -> FdaModel:
     before the symmetric-definite eigendecomposition; data whose within
     matrix stays singular beyond that is rejected. With the Cholesky factor
     C_w = L L^T the problem becomes the ordinary symmetric eigenproblem of
-    L^{-1} C_b L^{-T}, whose eigenvectors y map back as x = L^{-T} y.
+    L^{-1} C_b L^{-T}, whose eigenvectors y map back as x = L^{-T} y: L is
+    inverted once, and only the p kept eigenvectors are mapped back.
     Raises InvalidInputError naming the first non-finite sample, or for a p
     that is not an integer in [1, d].
     """
@@ -80,11 +81,11 @@ def fda_fit(data: LabeledDataset, p: int) -> FdaModel:
         raise DegenerateInputError(
             f"within-class covariance is singular beyond the ridge: {exc}"
         ) from exc
-    whitened = np.linalg.solve(chol, np.linalg.solve(chol, cb).T)
+    chol_inv = np.linalg.inv(chol)
+    whitened = chol_inv @ cb @ chol_inv.T
     eigvals, eigvecs = np.linalg.eigh(0.5 * (whitened + whitened.T))
-    eigvecs = np.linalg.solve(chol.T, eigvecs)
     order = np.argsort(eigvals)[::-1][:p]
     values = np.maximum(eigvals[order], 0.0)
-    vectors = eigvecs[:, order].T
+    vectors = eigvecs[:, order].T @ chol_inv  # x^T = y^T L^{-1}, kept y only
     vectors = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
     return FdaModel(vectors, values)

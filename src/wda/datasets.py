@@ -20,7 +20,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError, ParseError
-from .ioutil import _csv_lines, _is_number, _read_table, _undecodable, atomic_write_text
+from .ioutil import (
+    _LABEL_END, _LABEL_MIN, _csv_lines, _is_number, _raise_first_fault, _read_table,
+    _undecodable, atomic_write_text,
+)
 
 RNG_ALGORITHM = "numpy-pcg64"
 
@@ -128,9 +131,6 @@ class LabeledDataset:
     @property
     def n_classes(self) -> int:
         return int(self.labels.max()) + 1
-
-    def class_counts(self) -> list[int]:
-        return [int(np.sum(self.labels == c)) for c in range(self.n_classes)]
 
     def class_blocks(self) -> list[np.ndarray]:
         """Per-class sample blocks as (d, n_c) arrays, ordered by class id."""
@@ -257,39 +257,6 @@ def save_csv(data: LabeledDataset, path: str, metadata: dict | None = None) -> N
         atomic_write_text(path + ".meta.json", json.dumps(metadata, indent=2) + "\n")
 
 
-# labels are stored as int64: a float label converts exactly within [-2**63, 2**63)
-_LABEL_MIN = -(2.0**63)
-_LABEL_END = 2.0**63
-
-
-def _raise_first_fault(path: str, linenos, rows, width: int, label_col: int) -> None:
-    """Raise the ParseError of the first faulty row, in file order: a row of
-    the wrong width, a feature cell that is not a number, or a label that is
-    not an integer within int64 (checked after the row's features). Returns
-    if there is none."""
-    feature_cols = [j for j in range(width) if j != label_col]
-    for lineno, row in zip(linenos, rows):
-        if len(row) != width:
-            raise ParseError(
-                f"{path}: line {lineno}: expected {width} columns, got {len(row)}"
-            )
-        for j in feature_cols:
-            cell = row[j].strip()
-            if not _is_number(cell):
-                raise ParseError(
-                    f"{path}: line {lineno}, column {j + 1}: not a number: {cell!r}"
-                )
-        cell = row[label_col].strip()
-        where = f"{path}: line {lineno}, column {label_col + 1}"
-        if not _is_number(cell):
-            raise ParseError(f"{where}: label is not a number: {cell!r}")
-        value = float(cell)
-        if not value.is_integer():
-            raise ParseError(f"{where}: label must be an integer, got {cell!r}")
-        if not _LABEL_MIN <= value < _LABEL_END:
-            raise ParseError(f"{where}: label must be an integer within int64, got {cell!r}")
-
-
 def load_csv(path: str) -> LabeledDataset:
     """Load a dataset CSV: numeric feature columns plus one integer label column.
 
@@ -298,7 +265,9 @@ def load_csv(path: str) -> LabeledDataset:
     line and column on malformed input, including a label outside int64 and
     a non-finite feature value ("nan", "inf", or one that overflows); with
     the line of a record ``csv.reader`` refuses (a cell over its field size
-    limit); and with the path alone for a file that is not text.
+    limit); with the path alone for a file that is not text; and with the
+    path and :class:`LabeledDataset`'s refusal of labels that are not
+    contiguous from 0.
 
     ``csv.reader`` takes the first non-blank record, a header unless
     ``float()`` takes every cell (a quoted name may span lines). The rest of
@@ -307,11 +276,13 @@ def load_csv(path: str) -> LabeledDataset:
     parser), and labels and finiteness are checked as array operations.
     Only when that call refuses the text, a label is not an integer within
     int64 or a feature is not finite is the file read again with
-    ``csv.reader`` and walked cell by cell: to name the first fault in file
-    order, or to read the rare valid file the C reader refuses (a line of
-    whitespace or of empty cells, ``1_000``). A 10,002-row file of 10
-    features reads in about 47 ms, against about 100 ms for a ``csv.reader``
-    pass and one ``np.array(rows, dtype=float)`` (2 vCPU).
+    ``csv.reader`` and walked cell by cell (``ioutil._raise_first_fault``,
+    which :func:`~wda.ioutil.load_matrix_csv` shares): to name the first
+    fault in file order, or to read the rare valid file the C reader
+    refuses (a line of whitespace or of empty cells, ``1_000``). A
+    10,002-row file of 10 features reads in about 47 ms, against about
+    100 ms for a ``csv.reader`` pass and one ``np.array(rows, dtype=float)``
+    (2 vCPU).
     """
     with open(path, newline="") as fh:
         first = next((row for row in _records(path, fh) if any(map(str.strip, row))), None)
@@ -368,18 +339,16 @@ def _label_column(path: str, header: list[str] | None, width: int) -> int:
 
 
 def _dataset(path, features, label_values, header, label_col) -> LabeledDataset:
-    """The dataset of checked features and integer-valued labels; raises
-    ParseError unless the labels are contiguous from 0."""
-    labels = label_values.astype(np.int64)
-    uniq = np.unique(labels)
-    if not np.array_equal(uniq, np.arange(len(uniq))):
-        raise ParseError(
-            f"{path}: labels must be contiguous integers starting at 0, got {uniq.tolist()}"
-        )
+    """The dataset of checked features and integer-valued labels; a refusal
+    of :class:`LabeledDataset` (labels not contiguous from 0) is raised as a
+    ParseError naming ``path``."""
     names = None
     if header is not None:
         names = tuple(header[:label_col] + header[label_col + 1:])
-    return LabeledDataset(features, labels, names)
+    try:
+        return LabeledDataset(features, label_values.astype(np.int64), names)
+    except InvalidInputError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _load_csv_by_cells(path: str) -> LabeledDataset:

@@ -191,18 +191,16 @@ def _fit_projection(
     lam: float,
     wda_config: WdaConfig,
 ) -> np.ndarray | None:
-    """Return the (p, d) projection for a method, or None for identity."""
+    """Return the (p, d) projection for a method, or None for identity;
+    :func:`run_protocol` has refused any method not in ``KNOWN_METHODS``."""
     if method == "identity":
         return None
     if method == "pca":
         return stiefel.pca_init(train.samples.T, p)
     if method == "fda":
         return baselines.fda_fit(train, p).projection
-    if method == "wda":
-        cfg = replace(wda_config, dim=p, lam=lam)
-        projection, _ = stiefel.wda_fit(train, cfg)
-        return projection
-    raise InvalidInputError(f"unknown method {method!r}; known: {KNOWN_METHODS}")
+    projection, _ = stiefel.wda_fit(train, replace(wda_config, dim=p, lam=lam))
+    return projection
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Small file helpers: atomic writes, JSON output, dense matrix CSV round
-trips and the table reader behind :func:`wda.datasets.load_csv`.
+trips, and the table reader and the fault walk behind
+:func:`wda.datasets.load_csv`, which the matrix reader shares.
 
 Matrix CSV files are plain dense row-major tables of numbers, one matrix row
 per line. All writes go through a temp file + rename so partial outputs are
@@ -104,44 +105,62 @@ def _undecodable(path: str, exc: UnicodeDecodeError) -> ParseError:
     return ParseError(f"{path}: not valid {exc.encoding} text: {exc.reason}")
 
 
+# labels are stored as int64: a float label converts exactly within [-2**63, 2**63)
+_LABEL_MIN = -(2.0**63)
+_LABEL_END = 2.0**63
+
+
+def _raise_first_fault(path: str, linenos, rows, width: int, label_col: int | None = None) -> None:
+    """Raise the ParseError of the first faulty row of string cells, in file
+    order: a row of the wrong width, a cell that is not a number, or, when
+    ``label_col`` is given, a label that is not an integer within int64
+    (checked after the row's other cells). Returns if there is none."""
+    feature_cols = [j for j in range(width) if j != label_col]
+    for lineno, row in zip(linenos, rows):
+        if len(row) != width:
+            raise ParseError(
+                f"{path}: line {lineno}: expected {width} columns, got {len(row)}"
+            )
+        for j in feature_cols:
+            cell = row[j].strip()
+            if not _is_number(cell):
+                raise ParseError(
+                    f"{path}: line {lineno}, column {j + 1}: not a number: {cell!r}"
+                )
+        if label_col is None:
+            continue
+        cell = row[label_col].strip()
+        where = f"{path}: line {lineno}, column {label_col + 1}"
+        if not _is_number(cell):
+            raise ParseError(f"{where}: label is not a number: {cell!r}")
+        value = float(cell)
+        if not value.is_integer():
+            raise ParseError(f"{where}: label must be an integer, got {cell!r}")
+        if not _LABEL_MIN <= value < _LABEL_END:
+            raise ParseError(f"{where}: label must be an integer within int64, got {cell!r}")
+
+
 def load_matrix_csv(path: str) -> np.ndarray:
     """Load a dense CSV table written by :func:`save_matrix_csv`.
 
     Raises :class:`ParseError` naming the path for a file that is not text,
     the path and line of a row of the wrong width, and the line and column of
     the first cell that is not a number or not finite ("nan", "inf", or one
-    that overflows). Cells are not quoted; surrounding whitespace is ignored.
-    The file is read one line and one ``float()`` per cell at a time.
+    that overflows). Cells are split at every comma (no quoting); blank lines
+    and surrounding whitespace are ignored. The first width or number fault
+    in file order is named by the cell walk of :func:`wda.datasets.load_csv`.
     """
-    rows = []
-    linenos = []
-    width = None
     with open(path) as fh:
         try:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                cells = [cell.strip() for cell in line.split(",")]
-                if width is None:
-                    width = len(cells)
-                elif len(cells) != width:
-                    raise ParseError(
-                        f"{path}: line {lineno}: expected {width} columns, got {len(cells)}"
-                    )
-                try:
-                    rows.append([float(c) for c in cells])
-                except ValueError:
-                    j = next(j for j, cell in enumerate(cells) if not _is_number(cell))
-                    raise ParseError(
-                        f"{path}: line {lineno}, column {j + 1}: not a number: {cells[j]!r}"
-                    ) from None
-                linenos.append(lineno)
+            numbered = [(i, line.split(",")) for i, line in enumerate(fh, start=1) if line.strip()]
         except UnicodeDecodeError as exc:
             raise _undecodable(path, exc) from None
-    if not rows:
+    if not numbered:
         raise ParseError(f"{path}: no data rows")
-    matrix = np.asarray(rows, dtype=float)
+    linenos, rows = zip(*numbered)
+    _raise_first_fault(path, linenos, rows, len(rows[0]))
+    # str.strip() removes the separators \x1c-\x1f at a cell's ends, float() keeps them
+    matrix = np.array([[cell.strip() for cell in row] for row in rows], dtype=float)
     bad = np.argwhere(~np.isfinite(matrix))
     if bad.size:
         r, j = bad[0]

@@ -282,11 +282,13 @@ def solve_pairs(
     turned into the kernel stack in place, and one
     :func:`~wda.otcore.sinkhorn_batch` call. All kernels are built before
     any iteration runs, so a kernel underflow is reported for the first
-    failing pair in pair order, named with its lambda and the largest entry
-    of its cost matrix, which is recomputed for the message. Each pair
+    failing pair in pair order (the least flagged key), named with its
+    lambda and the largest entry of its cost matrix, one 2-d
+    :func:`~wda.otcore.cost_matrix` of its projected blocks. Each pair
     distance <T, M> is u_L . ((K * M) v_L), without forming T or K * M:
     (K * M) v_L is read through the pair's centred cost factors (see
-    :class:`PairPlans`) with one stacked product of p + 2 columns.
+    :class:`PairPlans`) with one stacked product of p + 2 columns. The
+    least pair whose distance is not finite is refused as an overflow.
 
     ``out``, plans of the same class sizes that are no longer needed, has its
     kernel stacks overwritten and reused; plans of other class sizes are
@@ -307,24 +309,26 @@ def solve_pairs(
     }:
         raise InvalidInputError("out holds plans of other class sizes")
     projected = [P @ X for X in blocks]
-    stacks, failing = [], {}
+    stacks, flagged = [], []
     for keys in stack_shapes:
         Y = np.stack([projected[c] for c, _ in keys])
         Yp = np.stack([projected[cp] for _, cp in keys])
-        M = _group_costs(keys, Y, Yp, out=None if out is None else out.batches[keys].kernel)
+        M = cost_matrix(Y, Yp, out=None if out is None else out.batches[keys].kernel)
+        for b, (c, cp) in enumerate(keys):
+            if c == cp:
+                self_costs(M[b])
         K, low = sinkhorn_kernels(M, [lam_map[key] for key in keys], out=M)
-        failing.update((key, (keys, Y, Yp, b)) for b, key in enumerate(keys) if low[b])
+        flagged += [key for key, bad in zip(keys, low) if bad]
         stacks.append((keys, Y, Yp, K))
-    for key in keys_in_order:
-        if key in failing:
-            keys, Y, Yp, b = failing[key]
-            lam = lam_map[key]
-            top_cost = float(_group_costs(keys, Y, Yp)[b].max())
-            raise NumericalRangeError(
-                f"class pair {key} at lambda {lam:.6g}: kernel row underflow: "
-                f"lam * max(M) = {lam * top_cost:.6g} pushes "
-                f"exp(-lam*M) below {_TINY:g}; rescale the regularization"
-            )
+    if flagged:
+        c, cp = key = min(flagged)  # the first in pair order
+        lam = lam_map[key]
+        top_cost = float(cost_matrix(projected[c], projected[cp]).max())
+        raise NumericalRangeError(
+            f"class pair {key} at lambda {lam:.6g}: kernel row underflow: "
+            f"lam * max(M) = {lam * top_cost:.6g} pushes "
+            f"exp(-lam*M) below {_TINY:g}; rescale the regularization"
+        )
 
     batches, factors, distances = {}, {}, {}
     for keys, Y, Yp, K in stacks:
@@ -336,9 +340,11 @@ def solve_pairs(
         km_v = _factored_matvec(K, A, B, batch.v_history[:, -1])
         distances.update(zip(keys, (batch.u_history[:, -1] * km_v).sum(axis=1).tolist()))
         batches[keys], factors[keys] = batch, (A, B)
-    for key in keys_in_order:
-        if not np.isfinite(distances[key]):
-            raise NumericalRangeError(f"class pair {key}: the projected squared distances overflow")
+    overflowed = [key for key, dist in distances.items() if not np.isfinite(dist)]
+    if overflowed:
+        raise NumericalRangeError(
+            f"class pair {min(overflowed)}: the projected squared distances overflow"
+        )
     return PairPlans(
         projection=P,
         classes=blocks,
@@ -347,16 +353,6 @@ def solve_pairs(
         pair_lambdas=lam_map,
         pair_distances={key: distances[key] for key in keys_in_order},
     )
-
-
-def _group_costs(keys, Y, Yp, out=None) -> np.ndarray:
-    """The cost stack of one shape group from its stacked projected blocks,
-    self pairs symmetrized; the same bits on every call."""
-    M = cost_matrix(Y, Yp, out=out)
-    for b, (c, cp) in enumerate(keys):
-        if c == cp:
-            self_costs(M[b])
-    return M
 
 
 def evaluate(

@@ -123,6 +123,11 @@ def fd_gradient(f, P, h=1e-5):
     return G
 
 
+def class_counts(data):
+    """The number of samples of each class of a LabeledDataset, by class id."""
+    return [int(np.sum(data.labels == c)) for c in range(data.n_classes)]
+
+
 def random_stiefel(rng, p, d):
     return project_stiefel(rng.standard_normal((p, d)))
 

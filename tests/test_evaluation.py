@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import class_counts
 from wda import (
     ExperimentResult,
     FitReport,
@@ -432,7 +433,7 @@ def test_csv_data_spec_split(tmp_path):
     spec = CsvDataSpec(path=str(path), train_fraction=0.5)
     train, test = _make_data(spec, 0, load_csv(str(path)))
     assert train.n_samples + test.n_samples == data.n_samples
-    assert train.class_counts() == [5, 5, 5]
+    assert class_counts(train) == [5, 5, 5]
 
 
 def test_run_protocol_reads_a_csv_once(tmp_path, monkeypatch):

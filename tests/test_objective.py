@@ -547,6 +547,13 @@ def test_evaluate_refuses_overflowing_costs():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalRangeError, match=r"class pair \(0, 0\): the projected squared distances overflow"):
             evaluate(P, classes, cfg, {key: 0.5 for key in pair_keys(2)})
+    # class sizes 1, 2, 1: (0, 1), the first overflowing pair in pair order,
+    # is in the second shape group; (0, 2) of the first group overflows too
+    classes = [1e200 * (1.0 + rng.random((1, n))) for n in (1, 2, 1)]
+    cfg = WdaConfig(lam=0.5, sinkhorn_iters=5, dim=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalRangeError, match=r"class pair \(0, 1\): the projected squared distances overflow"):
+            evaluate(np.eye(1), classes, cfg, {key: 0.5 for key in pair_keys(3)})
 
 
 def _sized_classes(sizes, seed):
