@@ -60,6 +60,12 @@ def fda_fit(data: LabeledDataset, p: int) -> FdaModel:
     C_w = L L^T the problem becomes the ordinary symmetric eigenproblem of
     L^{-1} C_b L^{-T}, whose eigenvectors y map back as x = L^{-T} y: L is
     inverted once, and only the p kept eigenvectors are mapped back.
+
+    With C classes, C_b = (C - 1)/2 C_w + Gamma Gamma^T, so C_w^{-1} C_b is
+    (C - 1)/2 I plus a term of rank at most C - 1: every eigenvalue past the
+    first C - 1 is (C - 1)/2 (less a ridge-sized amount), and for p >= C the
+    directions past the first C - 1 are an arbitrary basis of that flat
+    eigenspace, which a rounding change can rotate.
     Raises InvalidInputError naming the first non-finite sample, or for a p
     that is not an integer in [1, d].
     """

@@ -40,8 +40,15 @@ A fit's line search reads only the value of the state its gradient came
 from, so :func:`~wda.stiefel.wda_fit` has each trial write its stacks into
 that state's, and a rejected trial's into the next, through the ``out=`` of
 :func:`evaluate`: after its first evaluation a fit allocates no new
-(B, n, m) stack. Every state returned by :func:`evaluate` or
-:func:`solve_pairs` owns its arrays unless ``out`` is given.
+(B, n, m) stack. It also holds one state's arrays and one pair's (n, m)
+cotangent at a time: ``wda_fit`` drops the state an accepted trial
+replaced before the next gradient, and :func:`gradient` drops each pair's
+cotangent before it forms the next. Traced over a two-iteration fit on
+3 x 100 points with 30 features, the peak is 1.97 kernel stacks (2.43
+with the replaced state and the previous cotangent kept) and a gradient
+call allocates at most 0.50 of one (0.67). Every state returned by
+:func:`evaluate` or :func:`solve_pairs` owns its arrays unless ``out`` is
+given.
 """
 
 from __future__ import annotations
@@ -404,8 +411,9 @@ def gradient(state: ObjectiveState) -> np.ndarray:
     seeded with (K * M) v_L and (K * M)^T u_L, each one stacked product
     with the batch's cost factors; each (n, m) G is then formed in pair
     order from the pair's slice of its batch and its factors, with no other
-    (n, m) array. The two pull-back products take a row of ones under Y_c'
-    and Y_c, so they give G 1 and G^T 1 as well.
+    (n, m) array, and released before the next pair's. The two pull-back
+    products take a row of ones under Y_c' and Y_c, so they give G 1 and
+    G^T 1 as well.
     """
     sb2, sw2 = state.sigma_b2, state.sigma_w2
 
@@ -433,6 +441,7 @@ def gradient(state: ObjectiveState) -> np.ndarray:
             G = transport_cost_cotangent(batch, b, lam, factors, r_bars, s_bars)
             pulled_c = ones_below[cp] @ G.T  # [Y_c' G^T; (G 1)^T]
             pulled_cp = ones_below[c] @ G    # [Y_c G; 1^T G]
+        del G  # the next pair's cotangent is allocated without this one
         row, col = pulled_c[-1], pulled_cp[-1]
         if not (np.isfinite(row).all() and np.isfinite(col).all()):
             raise NumericalRangeError(

@@ -205,6 +205,9 @@ def wda_fit(
                 break
             spare = s_try
             alpha *= _STEP_SHRINK
+        # the state an accepted trial replaced, or a rejected trial's, would
+        # otherwise hold its histories and factors through the next gradient
+        del spare
         report.evaluations.append(trial)
         report.iteration_seconds.append(time.perf_counter() - t0)
         if accepted is None:

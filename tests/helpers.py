@@ -1,16 +1,17 @@
-"""Shared test utilities: finite differences, subspace angles, a one-run
-Sinkhorn adaptor over the stacked solver with its two record types, the
-validation-only transport helpers (the reverse pass of one Sinkhorn run, the
-symmetric scaling of self-transport, the transport cost <T, M>, the
-transport-weighted covariance of sample differences and its per-pair
-closed form under the uniform coupling), the full
-unrolled plan Jacobian, a per-pair reference for the objective built on
-plain 2-d Sinkhorn loops of its own, a replay of ``wda_fit`` on fresh
-evaluations, and cell-by-cell references for the CSV readers and
-writers."""
+"""Shared test utilities: finite differences, subspace angles, the traced
+allocation peak of a call, a one-run Sinkhorn adaptor over the stacked
+solver with its two record types, the validation-only transport helpers
+(the reverse pass of one Sinkhorn run, the symmetric scaling of
+self-transport, the transport cost <T, M>, the transport-weighted
+covariance of sample differences and its per-pair closed form under the
+uniform coupling), the full unrolled plan Jacobian, a per-pair reference
+for the objective built on plain 2-d Sinkhorn loops of its own, a replay of
+``wda_fit`` on fresh evaluations, and cell-by-cell references for the CSV
+readers and writers."""
 
 import csv
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,6 +122,17 @@ def fd_gradient(f, P, h=1e-5):
         Pm[idx] -= h
         G[idx] = (f(Pp) - f(Pm)) / (2.0 * h)
     return G
+
+
+def traced_peak(fn):
+    """The tracemalloc peak, in bytes, of the memory allocated while fn()
+    runs; tracing stops even if fn raises."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def class_counts(data):

@@ -49,6 +49,15 @@ def test_fda_identical_classes_flat_quotient():
     assert _quotient(model.projection, cb, cw) == pytest.approx(0.5, abs=1e-10)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_fda_eigenvalues_past_the_first_c_minus_1_are_flat(seed):
+    # C_w^{-1} C_b = (C - 1)/2 I + a rank-(C - 1) term: at C = 3 every
+    # eigenvalue past the second is 1, up to the ridge
+    model = fda_fit(append_noise(gen_toy(20, seed), 5, 1), 5)
+    assert np.abs(model.eigenvalues[2:] - 1.0).max() <= 1e-9
+    assert (model.eigenvalues[:2] > 1.0 + 1e-3).all()
+
+
 def test_fda_matches_small_lambda_wda():
     rng = np.random.default_rng(2)
     d, n = 5, 25

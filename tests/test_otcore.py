@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from helpers import (
     sinkhorn_plan,
     sinkhorn_vjp,
     symmetric_scaling,
+    traced_peak,
 )
 from wda import InvalidInputError, NumericalRangeError, cost_matrix
 from wda.ioutil import load_matrix_csv, save_matrix_csv
@@ -82,13 +82,7 @@ def test_self_costs_match_the_plain_symmetrization_bit_for_bit(n):
 def test_self_costs_hold_no_copy_of_the_matrix():
     # np.add(M, M.T, out=M) copied its transposed operand: 1.8 matrices
     M = np.random.default_rng(4).random((100, 100))
-    tracemalloc.start()
-    try:
-        self_costs(M)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.25 * M.nbytes
+    assert traced_peak(lambda: self_costs(M)) < 1.25 * M.nbytes
 
 
 def test_cost_matrix_writes_into_out():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from dataclasses import asdict
 
-from helpers import principal_angle, random_stiefel, replay_wda_fit
+from helpers import principal_angle, random_stiefel, replay_wda_fit, traced_peak
 from wda import (
     DegenerateInputError,
     InvalidInputError,
@@ -245,6 +245,16 @@ def test_wda_fit_trajectory_invariants():
     payload = report.to_json()
     assert payload["n_iterations"] == report.n_iterations
     assert "0,1" in payload["pair_lambdas"]
+
+
+def test_wda_fit_holds_one_state_through_each_gradient():
+    # the second iteration's gradient sets the peak: one state, its reverse
+    # pass and one cotangent; keeping the replaced state alive as well took
+    # it to 2.43 kernel stacks
+    data = append_noise(gen_toy(100, 2), 20, 3)
+    cfg = WdaConfig(lam=1.0, sinkhorn_iters=10, dim=2, max_outer_iter=2, outer_tol=0.0)
+    stack_bytes = 6 * 100 * 100 * 8
+    assert traced_peak(lambda: wda_fit(data, cfg)) < 2.1 * stack_bytes
 
 
 def test_wda_fit_deterministic():
