@@ -319,13 +319,20 @@ def _cmd_dump_transport(args) -> int:
     cfg = args.wda_config
     out = _out_dir(args)
     data = load_csv(args.data)
+    # the lambda map is fixed at the PCA start; without a projection file
+    # that start is also the projection, from the same pca_start call
+    lam_map = None
     if args.projection is not None:
         projection = _load_projection(args.projection, ("data", data))
         source = "file"
+        if args.adaptive_lambda:
+            lam_map = pca_start(data, len(projection), cfg.lam)[1]
     else:
-        projection = pca_init(data.samples.T, cfg.dim)
         source = "pca-init"
-    lam_map = pca_start(data, len(projection), cfg.lam)[1] if args.adaptive_lambda else None
+        if args.adaptive_lambda:
+            projection, lam_map = pca_start(data, cfg.dim, cfg.lam)
+        else:
+            projection = pca_init(data.samples.T, cfg.dim)
     pairs = solve_pairs(projection, data.class_blocks(), cfg, lam_map)
     converged = {}
     for keys, batch in pairs.batches.items():

@@ -37,18 +37,23 @@ each pair's (n, m) cotangent in turn, in pair order. Each pair's numbers
 are those of a plain per-pair loop, bit for bit.
 
 A fit's line search reads only the value of the state its gradient came
-from, so :func:`~wda.stiefel.wda_fit` has each trial write its stacks into
-that state's, and a rejected trial's into the next, through the ``out=`` of
-:func:`evaluate`: after its first evaluation a fit allocates no new
-(B, n, m) stack. It also holds one state's arrays and one pair's (n, m)
-cotangent at a time: ``wda_fit`` drops the state an accepted trial
-replaced before the next gradient, and :func:`gradient` drops each pair's
-cotangent before it forms the next. Traced over a two-iteration fit on
-3 x 100 points with 30 features, the peak is 1.97 kernel stacks (2.43
-with the replaced state and the previous cotangent kept) and a gradient
-call allocates at most 0.50 of one (0.67). Every state returned by
-:func:`evaluate` or :func:`solve_pairs` owns its arrays unless ``out`` is
-given.
+from, so :func:`~wda.stiefel.wda_fit` has each trial write into that
+state, and a rejected trial into the next, through the ``out=`` of
+:func:`evaluate`. ``out`` covers every array of a state: its kernel
+stacks, its Sinkhorn scaling records and its cost factors. The blocks and
+lambda map of ``out`` were validated when it was solved, so a trial that
+passes them (``out.classes``, ``out.pair_lambdas``) is not scanned again.
+After its first evaluation a fit allocates no state array; traced alone, a
+trial allocates 0.50 of a kernel stack at 3 x 34 points with 10 features
+(1.32 with new records and factors) and 0.18 at 3 x 100 with 30 (0.43).
+A fit also holds one state's arrays and one pair's (n, m) cotangent at a
+time: ``wda_fit`` drops the state an accepted trial replaced before the
+next gradient, and :func:`gradient` drops each pair's cotangent before it
+forms the next. Traced over a two-iteration fit on 3 x 100 points with 30
+features, the peak is 1.97 kernel stacks (2.43 with the replaced state and
+the previous cotangent kept) and a gradient call allocates at most 0.50 of
+one (0.67). Every state returned by :func:`evaluate` or
+:func:`solve_pairs` owns its arrays unless ``out`` is given.
 """
 
 from __future__ import annotations
@@ -213,8 +218,9 @@ class PairPlans:
     transport cost <T, M>.
     ``projection`` and ``classes`` are the P and the validated class blocks
     the plans were solved at, held by reference: modifying them in place
-    afterwards invalidates the result. The stacks are its own unless it was
-    solved with ``out``: then they are ``out``'s, whose plans are void.
+    afterwards invalidates the result. The arrays are its own unless it was
+    solved with ``out``: then they are ``out``'s, whose plans are void, and
+    so are its blocks and lambda map when they were ``out``'s.
     """
 
     projection: np.ndarray = field(repr=False)
@@ -297,13 +303,24 @@ def solve_pairs(
     :class:`PairPlans`) with one stacked product of p + 2 columns. The
     least pair whose distance is not finite is refused as an overflow.
 
-    ``out``, plans of the same class sizes that are no longer needed, has its
-    kernel stacks overwritten and reused; plans of other class sizes are
-    refused with InvalidInputError.
+    ``out``, plans of the same class sizes and iteration count that are no
+    longer needed, has every array overwritten and reused: its kernel
+    stacks, its scaling records (through the ``out=`` of
+    :func:`~wda.otcore.sinkhorn_batch`, which refuses records of another
+    iteration count) and its cost factors. Plans of other class sizes are
+    refused with InvalidInputError. ``classes`` that are ``out.classes`` and
+    ``lambdas`` that are ``out.pair_lambdas`` were validated when ``out`` was
+    solved and are not scanned again; a line search passes its state's own.
     """
-    blocks = _check_classes(classes)
+    # out's own blocks and lambda map were validated when out was solved
+    blocks = (
+        classes if out is not None and classes is out.classes else _check_classes(classes)
+    )
     P = _check_projection(P, blocks)
-    lam_map = _resolve_lambdas(blocks, cfg, lambdas)
+    lam_map = (
+        lambdas if out is not None and lambdas is out.pair_lambdas
+        else _resolve_lambdas(blocks, cfg, lambdas)
+    )
     keys_in_order = pair_keys(len(blocks))
 
     # class pairs grouped by plan shape (n_c, n_c'), each group in pair order
@@ -339,11 +356,12 @@ def solve_pairs(
 
     batches, factors, distances = {}, {}, {}
     for keys, Y, Yp, K in stacks:
-        batch = sinkhorn_batch(K, cfg.sinkhorn_iters)
+        spare = None if out is None else out.batches[keys]
+        batch = sinkhorn_batch(K, cfg.sinkhorn_iters, out=spare)
         mu = (Y.sum(axis=-1, keepdims=True) + Yp.sum(axis=-1, keepdims=True)) / (
             Y.shape[-1] + Yp.shape[-1]
         )
-        A, B = _cost_factors(Y - mu, Yp - mu)
+        A, B = _cost_factors(Y - mu, Yp - mu, out=None if out is None else out.cost_factors[keys])
         km_v = _factored_matvec(K, A, B, batch.v_history[:, -1])
         distances.update(zip(keys, (batch.u_history[:, -1] * km_v).sum(axis=1).tolist()))
         batches[keys], factors[keys] = batch, (A, B)

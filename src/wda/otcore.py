@@ -16,7 +16,12 @@ problems of one shape (n, m) as one (B, n, m) iteration, and
 numpy call overhead of a step is paid once per stack. That overhead is most
 of a step only for small problems: with one BLAS thread and L = 10, tripling
 B from 6 to 18 made a forward pass 1.8 times as costly at n = m = 34 and
-3.7 times at n = m = 100, where the arithmetic dominates.
+3.7 times at n = m = 100, where the arithmetic dominates. Both loops keep
+their records step-major, so each step writes one contiguous (B, n) or
+(B, m) block with ``out=`` and allocates nothing. ``sinkhorn_batch(...,
+out=)`` overwrites the records of an earlier batch of the same shape:
+that is how :func:`wda.objective.solve_pairs` reuses every array of an
+``out`` state.
 A cost matrix, or a stack of them, is one product A^T B of two (d + 2)-row
 factors (:func:`cost_matrix`). Kernels come from :func:`sinkhorn_kernels`,
 in place of the cost stack; :func:`wda.objective.solve_pairs` builds the
@@ -76,13 +81,19 @@ def cost_matrix(X: np.ndarray, Z: np.ndarray, out: np.ndarray | None = None) -> 
     return M
 
 
-def _cost_factors(X: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cost_factors(
+    X: np.ndarray, Z: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """The (d + 2)-row factors A = [X; |x|^2; 1] and B = [-2Z; 1; |z|^2] of
     the squared distances A^T B between the columns of X and Z, (d, n) and
-    (d, m) arrays or (B, d, n) and (B, d, m) stacks; no input is checked."""
+    (d, m) arrays or (B, d, n) and (B, d, m) stacks, written into the pair
+    ``out`` when given; no input is checked."""
     d = X.shape[-2]
-    A = np.empty(X.shape[:-2] + (d + 2, X.shape[-1]))
-    B = np.empty(Z.shape[:-2] + (d + 2, Z.shape[-1]))
+    if out is None:
+        A = np.empty(X.shape[:-2] + (d + 2, X.shape[-1]))
+        B = np.empty(Z.shape[:-2] + (d + 2, Z.shape[-1]))
+    else:
+        A, B = out
     A[..., :d, :] = X
     np.einsum("...ij,...ij->...j", X, X, out=A[..., d, :])
     A[..., d + 1, :] = 1.0
@@ -130,6 +141,12 @@ class SinkhornBatch:
     (``u_history[b, 0]`` is the all-ones initialization), ``v_history[b, k-1]``
     the right scaling of iteration k. ``residual[b]`` is the infinity-norm
     marginal violation of its final plan.
+
+    The records are stored step-major, as (L+1, B, n) and (L, B, m) arrays,
+    and the two histories are their transposed views: the scalings of one
+    step, ``u_history[:, k]``, are one contiguous (B, n) block, which the
+    loops of :func:`sinkhorn_batch` and :func:`sinkhorn_batch_reverse`
+    write and read with ``out=``.
     """
 
     kernel: np.ndarray     # (B, n, m)
@@ -172,29 +189,45 @@ def _marginal_residual(u, r, v, s) -> np.ndarray:
 def sinkhorn_kernels(
     M: np.ndarray, lams, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gibbs kernels exp(-lams[b] * M[b]) of a (B, n, m) cost stack, with one
+    """Gibbs kernels exp(-lams[b] * M[b]) of a (B, n, m) cost stack, each
+    slice scaled by its own scalar -lams[b] and the stack taken through one
     in-place exp, written into ``out`` when given (``out=M`` overwrites the
     costs), and the mask of kernels with a whole row or column below the
     scaling clamp: no scaling can match their marginals. Row and column
     maxima are taken only when some kernel's smallest entry is not at least
-    the clamp.
+    the clamp. (A (B, 1, 1) broadcast factor would have numpy buffer a copy
+    of a small stack.)
     """
-    K = np.multiply(M, -np.asarray(lams, dtype=float)[:, None, None], out=out)
+    K = np.empty_like(M) if out is None else out
+    for b, lam in enumerate(lams):
+        np.multiply(M[b], -float(lam), out=K[b])
     np.exp(K, out=K)
     if (K.min(axis=(1, 2)) >= _TINY).all():
         return K, np.zeros(len(K), dtype=bool)
     return K, (K.max(axis=2) < _TINY).any(axis=1) | (K.max(axis=1) < _TINY).any(axis=1)
 
 
-def sinkhorn_batch(K: np.ndarray, iterations: int) -> SinkhornBatch:
+def _matvec_into(A: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The stacked matvecs A[b] @ x[b] written into ``out``, (B, rows);
+    returns ``out``."""
+    np.matmul(A, x[..., None], out=out[..., None])
+    return out
+
+
+def sinkhorn_batch(
+    K: np.ndarray, iterations: int, out: SinkhornBatch | None = None
+) -> SinkhornBatch:
     """Run exactly ``iterations`` Sinkhorn steps on every kernel of a stack.
 
     ``K`` is a (B, n, m) stack of kernels from :func:`sinkhorn_kernels`. The
-    B runs share one loop: each step is two stacked matvecs, the two scaling
-    updates and their history writes, so the Python and numpy call overhead
-    of a step is paid once for the whole stack. The marginal residual is
-    computed once, after the loop. Run b is bit-identical to running it
-    alone. The stack is kept, not copied.
+    B runs share one loop: each step is two stacked matvecs and the two
+    scaling updates, each written with ``out=`` into its step's contiguous
+    slice of the records, so the Python and numpy call overhead of a step
+    is paid once for the whole stack and a step allocates nothing. The
+    marginal residual is computed once, after the loop. Run b is
+    bit-identical to running it alone. The stack is kept, not copied.
+    ``out``, an earlier batch of the same shape and iteration count that is
+    no longer needed, has its scaling records overwritten and reused.
     """
     K = np.asarray(K, dtype=float)
     if K.ndim != 3:
@@ -202,24 +235,35 @@ def sinkhorn_batch(K: np.ndarray, iterations: int) -> SinkhornBatch:
     if iterations < 1:
         raise InvalidInputError(f"iterations must be >= 1, got {iterations}")
     B, n, m = K.shape
+    if out is None:
+        U = np.empty((iterations + 1, B, n))
+        V = np.empty((iterations, B, m))
+    elif out.u_history.shape != (B, iterations + 1, n) or out.v_history.shape != (B, iterations, m):
+        raise InvalidInputError(
+            f"out must be a batch of {iterations} iterations on ({B}, {n}, {m}) kernels"
+        )
+    else:
+        U = out.u_history.transpose(1, 0, 2)
+        V = out.v_history.transpose(1, 0, 2)
 
     KT = K.transpose(0, 2, 1)
     row_target = 1.0 / n
     col_target = 1.0 / m
-    u_history = np.empty((B, iterations + 1, n))
-    v_history = np.empty((B, iterations, m))
-    u_history[:, 0] = 1.0
+    U[0] = 1.0
     # two matvecs per iteration: r = K v serves the u update, s = K^T u the
-    # next v update; the last r and s also give the final residual
-    s = _matvec(KT, u_history[:, 0])
+    # next v update; the last r and s also give the final residual. Each
+    # update clamps into its record slot and divides there in place.
+    r, s = np.empty((B, n)), np.empty((B, m))
+    _matvec_into(KT, U[0], s)
     for k in range(1, iterations + 1):
-        v = col_target / np.maximum(s, _TINY)
-        r = _matvec(K, v)
-        u = row_target / np.maximum(r, _TINY)
-        s = _matvec(KT, u)
-        v_history[:, k - 1] = v
-        u_history[:, k] = u
-    return SinkhornBatch(K, u_history, v_history, _marginal_residual(u, r, v, s))
+        v, u = V[k - 1], U[k]
+        np.divide(col_target, np.maximum(s, _TINY, out=v), out=v)
+        _matvec_into(K, v, r)
+        np.divide(row_target, np.maximum(r, _TINY, out=u), out=u)
+        _matvec_into(KT, u, s)
+    return SinkhornBatch(
+        K, U.transpose(1, 0, 2), V.transpose(1, 0, 2), _marginal_residual(u, r, v, s)
+    )
 
 
 def sinkhorn_batch_reverse(
@@ -235,24 +279,33 @@ def sinkhorn_batch_reverse(
     on the whole stack. u_k = (1/n) / max(r_k, tiny) with r_k = K v_k gives
     du_k/dr_k = -n u_k^2 (the derivative passes straight through the clamp),
     and likewise dv_k/ds_k = -m v_k^2 with s_k = K^T u_{k-1}, so a step takes
-    only the two stacked matvecs that carry the cotangents. Returns the
-    cotangents of r_k, (B, L, n), and of s_k, (B, L, m), for k = 1..L.
+    only the two stacked matvecs that carry the cotangents. Each step writes
+    into its contiguous slice of step-major records, as the forward loop
+    does, and allocates nothing. Returns the cotangents of r_k, (B, L, n),
+    and of s_k, (B, L, m), for k = 1..L, as transposed views of those
+    records.
     """
     K = batch.kernel
     KT = K.transpose(0, 2, 1)
-    U = batch.u_history
-    V = batch.v_history
-    B, L, m = V.shape
+    U = batch.u_history.transpose(1, 0, 2)
+    V = batch.v_history.transpose(1, 0, 2)
+    L, B, m = V.shape
     n = U.shape[2]
-    r_bars = np.empty((B, L, n))
-    s_bars = np.empty((B, L, m))
+    r_bars = np.empty((L, B, n))
+    s_bars = np.empty((L, B, m))
+    carried_u, carried_v = np.empty((B, n)), np.empty((B, m))
     for k in range(L, 0, -1):
-        r_bars[:, k - 1] = -n * u_bar * U[:, k] * U[:, k]
-        v_bar = v_bar + _matvec(KT, r_bars[:, k - 1])
-        s_bars[:, k - 1] = -m * v_bar * V[:, k - 1] * V[:, k - 1]
-        u_bar = _matvec(K, s_bars[:, k - 1])
+        r_bar, s_bar = r_bars[k - 1], s_bars[k - 1]
+        np.multiply(u_bar, -n, out=r_bar)
+        r_bar *= U[k]
+        r_bar *= U[k]
+        v_bar = np.add(v_bar, _matvec_into(KT, r_bar, carried_v), out=carried_v)
+        np.multiply(v_bar, -m, out=s_bar)
+        s_bar *= V[k - 1]
+        s_bar *= V[k - 1]
+        u_bar = _matvec_into(K, s_bar, carried_u)
         v_bar = 0.0
-    return r_bars, s_bars
+    return r_bars.transpose(1, 0, 2), s_bars.transpose(1, 0, 2)
 
 
 def transport_cost_cotangent(

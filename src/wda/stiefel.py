@@ -193,13 +193,14 @@ def wda_fit(
             break
 
         # from here on only state.value is read: the first trial writes its
-        # stacks into the state's, and a rejected trial hands its on
+        # arrays into the state's, and a rejected trial hands its on; the
+        # state's validated blocks and lambda map are not scanned again
         alpha = alpha0
         accepted = None
         spare = state
         for trial in range(1, _MAX_BACKTRACKS + 2):
             P_try = project_stiefel(P + alpha * D)
-            s_try = evaluate(P_try, blocks, cfg, lambdas, out=spare)
+            s_try = evaluate(P_try, spare.classes, cfg, spare.pair_lambdas, out=spare)
             if s_try.value >= state.value + _STEP_C1 * alpha * slope:
                 accepted = (P_try, s_try)
                 break

@@ -337,6 +337,18 @@ def test_dump_transport_unbalanced_classes_match_the_per_pair_reference(tmp_path
         assert entry["converged_at"] == trace.converged_at
 
 
+@pytest.mark.parametrize("flags", [[], ["--adaptive-lambda"]], ids=["fixed", "adaptive"])
+def test_dump_transport_from_the_pca_start_runs_one_pca(tmp_path, toy_csv, monkeypatch, flags):
+    # without --projection the PCA start and its lambda map come from one
+    # pca_start call; the adaptive dump ran pca_init twice
+    calls = []
+    counted = lambda X, p: calls.append(p) or pca_init(X, p)  # noqa: E731
+    monkeypatch.setattr("wda.stiefel.pca_init", counted)
+    monkeypatch.setattr("wda.cli.pca_init", counted)
+    assert main(["dump-transport", "--data", toy_csv, *flags, "--out", str(tmp_path / "dump")]) == 0
+    assert calls == [2]
+
+
 def test_dump_transport_adaptive_lambda_writes_the_plans_of_the_fit(tmp_path, toy_csv):
     # the fit fixes its lambda map at the PCA start; a dump at the fitted
     # projection uses that same map, so its plans are those J used there

@@ -32,7 +32,7 @@ from wda import (
     uniform_coupling_covariances,
 )
 from wda.objective import pair_keys, solve_pairs
-from wda.stiefel import riemannian_gradient
+from wda.stiefel import project_stiefel, riemannian_gradient
 
 
 def _gaussian_classes(rng, d, n_c, n_classes, spread=2.0):
@@ -579,7 +579,37 @@ def test_evaluate_into_out_equals_a_fresh_evaluate(sizes):
     assert reused.pair_distances == fresh.pair_distances
     assert np.array_equal(gradient(reused), gradient(fresh))
     for keys, batch in reused.batches.items():
-        assert np.shares_memory(batch.kernel, spare.batches[keys].kernel)
+        old = spare.batches[keys]
+        for name in ("kernel", "u_history", "v_history"):
+            assert np.shares_memory(getattr(batch, name), getattr(old, name))
+        for factor, old_factor in zip(reused.cost_factors[keys], spare.cost_factors[keys]):
+            assert np.shares_memory(factor, old_factor)
+
+
+def test_evaluate_refuses_an_out_of_another_iteration_count():
+    classes = _sized_classes((8, 8, 8), 20)
+    spare = solve_pairs(np.eye(2, 5), classes, WdaConfig(lam=1.0, sinkhorn_iters=5))
+    for call in (evaluate, solve_pairs):
+        with pytest.raises(InvalidInputError, match=re.escape("out must be a batch of 10 iterations on (6, 8, 8) kernels")):
+            call(np.eye(2, 5), classes, WdaConfig(lam=1.0, sinkhorn_iters=10), out=spare)
+
+
+@pytest.mark.parametrize("n_per_class, noise, bound", [(34, 0, 0.75), (100, 20, 0.3)])
+def test_a_line_search_trial_allocates_no_record_factor_or_stack_buffer(n_per_class, noise, bound):
+    # a trial writes its scaling records and cost factors into the state's
+    # and trusts its blocks and lambda map; new records and factors and a
+    # stack-sized exp buffer took it to 1.32 and 0.43 kernel stacks
+    data = gen_toy(n_per_class, 2)
+    if noise:
+        data = append_noise(data, noise, 3)
+    classes = data.class_blocks()
+    cfg = WdaConfig(lam=1.0, sinkhorn_iters=10, dim=2)
+    P = pca_init(data.samples.T, 2)
+    state = evaluate(P, classes, cfg, adaptive_lambdas(P, classes, cfg.lam))
+    P2 = project_stiefel(P + 0.1 * np.random.default_rng(24).standard_normal(P.shape))
+    stack_bytes = 6 * n_per_class * n_per_class * 8
+    peak = traced_peak(lambda: evaluate(P2, state.classes, cfg, state.pair_lambdas, out=state))
+    assert peak < bound * stack_bytes
 
 
 @pytest.mark.parametrize(

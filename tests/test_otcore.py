@@ -17,7 +17,7 @@ from helpers import (
 )
 from wda import InvalidInputError, NumericalRangeError, cost_matrix
 from wda.ioutil import load_matrix_csv, save_matrix_csv
-from wda.otcore import _TINY, self_costs, sinkhorn_kernels
+from wda.otcore import _TINY, self_costs, sinkhorn_batch, sinkhorn_kernels
 
 
 def test_cost_matrix_two_points_1d():
@@ -173,6 +173,43 @@ def test_batch_of_one_matches_plain_loops():
         assert trace.residual == reference.residual
         assert trace.converged_at == reference.converged_at
         assert np.array_equal(sinkhorn_vjp(trace, W), reference_vjp(reference, W))
+
+
+def test_sinkhorn_batch_writes_into_out_and_stores_each_step_contiguously():
+    # an earlier batch of the same shape lends its records: the runs equal a
+    # fresh batch bit for bit, and one step's scalings are one (B, n) block
+    rng = np.random.default_rng(22)
+    K_old, K = (sinkhorn_kernels(rng.uniform(0, 1, (3, 4, 5)), [1.0, 2.0, 3.0])[0] for _ in range(2))
+    spare = sinkhorn_batch(K_old, 7)
+    fresh = sinkhorn_batch(K, 7)
+    reused = sinkhorn_batch(K, 7, out=spare)
+    assert reused.u_history.shape == (3, 8, 4) and reused.v_history.shape == (3, 7, 5)
+    for name in ("u_history", "v_history", "residual"):
+        assert np.array_equal(getattr(reused, name), getattr(fresh, name))
+    assert np.shares_memory(reused.u_history, spare.u_history)
+    assert np.shares_memory(reused.v_history, spare.v_history)
+    assert reused.kernel is K
+    assert fresh.u_history[:, 3].flags.c_contiguous and fresh.v_history[:, 3].flags.c_contiguous
+
+
+@pytest.mark.parametrize(
+    "shape, iterations", [((3, 4, 5), 6), ((2, 4, 5), 7), ((3, 5, 4), 7)],
+    ids=["iterations", "batch", "plan-shape"],
+)
+def test_sinkhorn_batch_refuses_an_out_of_another_shape(shape, iterations):
+    spare = sinkhorn_batch(np.ones(shape), iterations)
+    with pytest.raises(InvalidInputError, match=re.escape("out must be a batch of 7 iterations on (3, 4, 5) kernels")):
+        sinkhorn_batch(np.ones((3, 4, 5)), 7, out=spare)
+
+
+def test_kernels_scale_each_slice_by_its_own_lambda_without_a_stack_buffer():
+    # a (B, 1, 1) factor had numpy buffer a whole small stack: 1.03 stacks here
+    M = np.random.default_rng(23).uniform(0.0, 1.0, (6, 34, 34))
+    lams = np.linspace(1.0, 2.0, 6)
+    expected = np.exp(M * -lams[:, None, None])
+    assert np.array_equal(sinkhorn_kernels(M, lams)[0], expected)
+    assert traced_peak(lambda: sinkhorn_kernels(M, lams, out=M)) < 0.25 * M.nbytes
+    assert np.array_equal(M, expected)
 
 
 def test_sinkhorn_feasibility_after_convergence():

@@ -20,7 +20,7 @@ from wda import (
     project_stiefel,
     wda_fit,
 )
-from wda import stiefel
+from wda import objective, stiefel
 from wda.objective import adaptive_lambdas, evaluate, gradient
 from wda.stiefel import riemannian_gradient
 
@@ -255,6 +255,17 @@ def test_wda_fit_holds_one_state_through_each_gradient():
     cfg = WdaConfig(lam=1.0, sinkhorn_iters=10, dim=2, max_outer_iter=2, outer_tol=0.0)
     stack_bytes = 6 * 100 * 100 * 8
     assert traced_peak(lambda: wda_fit(data, cfg)) < 2.1 * stack_bytes
+
+
+@pytest.mark.parametrize("max_outer_iter", [5, 10])
+def test_a_fit_scans_its_class_blocks_a_fixed_number_of_times(monkeypatch, max_outer_iter):
+    # twice for the lambda map and once for the first evaluation; every
+    # line-search trial trusts the blocks of the state it overwrites
+    scans = []
+    check = objective._check_classes
+    monkeypatch.setattr(objective, "_check_classes", lambda classes: scans.append(1) or check(classes))
+    wda_fit(gen_toy(34, 0), WdaConfig(lam=1.0, max_outer_iter=max_outer_iter, outer_tol=0.0))
+    assert len(scans) == 3
 
 
 def test_wda_fit_deterministic():
