@@ -307,7 +307,8 @@ def solve_pairs(
     longer needed, has every array overwritten and reused: its kernel
     stacks, its scaling records (through the ``out=`` of
     :func:`~wda.otcore.sinkhorn_batch`, which refuses records of another
-    iteration count) and its cost factors. Plans of other class sizes are
+    iteration count) and its cost factors. Plans of other class sizes or
+    of another projection dimension (their factors have p + 2 rows) are
     refused with InvalidInputError. ``classes`` that are ``out.classes`` and
     ``lambdas`` that are ``out.pair_lambdas`` were validated when ``out`` was
     solved and are not scanned again; a line search passes its state's own.
@@ -332,6 +333,12 @@ def solve_pairs(
         keys: batch.kernel.shape for keys, batch in out.batches.items()
     }:
         raise InvalidInputError("out holds plans of other class sizes")
+    if out is not None:
+        out_dim = next(iter(out.cost_factors.values()))[0].shape[1] - 2
+        if out_dim != P.shape[0]:
+            raise InvalidInputError(
+                f"out holds plans of projection dimension {out_dim}, not {P.shape[0]}"
+            )
     projected = [P @ X for X in blocks]
     stacks, flagged = [], []
     for keys in stack_shapes:

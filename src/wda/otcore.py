@@ -172,9 +172,10 @@ class SinkhornBatch:
         return [int(k[0]) + 1 if k.size else None for k in met]
 
 
-def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Stacked matrix-vector products A[b] @ x[b], as one matmul call."""
-    return (A @ x[..., None])[..., 0]
+def _matvec(A: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Stacked matrix-vector products A[b] @ x[b], as one matmul call,
+    written into ``out`` when given."""
+    return np.matmul(A, x[..., None], out=None if out is None else out[..., None])[..., 0]
 
 
 def _marginal_residual(u, r, v, s) -> np.ndarray:
@@ -196,8 +197,10 @@ def sinkhorn_kernels(
     scaling clamp: no scaling can match their marginals. Row and column
     maxima are taken only when some kernel's smallest entry is not at least
     the clamp. (A (B, 1, 1) broadcast factor would have numpy buffer a copy
-    of a small stack.)
+    of a small stack.) A count of lambdas other than B is refused.
     """
+    if len(lams) != len(M):
+        raise InvalidInputError(f"{len(lams)} lambdas for a stack of {len(M)} cost matrices")
     K = np.empty_like(M) if out is None else out
     for b, lam in enumerate(lams):
         np.multiply(M[b], -float(lam), out=K[b])
@@ -205,13 +208,6 @@ def sinkhorn_kernels(
     if (K.min(axis=(1, 2)) >= _TINY).all():
         return K, np.zeros(len(K), dtype=bool)
     return K, (K.max(axis=2) < _TINY).any(axis=1) | (K.max(axis=1) < _TINY).any(axis=1)
-
-
-def _matvec_into(A: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The stacked matvecs A[b] @ x[b] written into ``out``, (B, rows);
-    returns ``out``."""
-    np.matmul(A, x[..., None], out=out[..., None])
-    return out
 
 
 def sinkhorn_batch(
@@ -254,13 +250,13 @@ def sinkhorn_batch(
     # next v update; the last r and s also give the final residual. Each
     # update clamps into its record slot and divides there in place.
     r, s = np.empty((B, n)), np.empty((B, m))
-    _matvec_into(KT, U[0], s)
+    _matvec(KT, U[0], s)
     for k in range(1, iterations + 1):
         v, u = V[k - 1], U[k]
         np.divide(col_target, np.maximum(s, _TINY, out=v), out=v)
-        _matvec_into(K, v, r)
+        _matvec(K, v, r)
         np.divide(row_target, np.maximum(r, _TINY, out=u), out=u)
-        _matvec_into(KT, u, s)
+        _matvec(KT, u, s)
     return SinkhornBatch(
         K, U.transpose(1, 0, 2), V.transpose(1, 0, 2), _marginal_residual(u, r, v, s)
     )
@@ -299,11 +295,11 @@ def sinkhorn_batch_reverse(
         np.multiply(u_bar, -n, out=r_bar)
         r_bar *= U[k]
         r_bar *= U[k]
-        v_bar = np.add(v_bar, _matvec_into(KT, r_bar, carried_v), out=carried_v)
+        v_bar = np.add(v_bar, _matvec(KT, r_bar, carried_v), out=carried_v)
         np.multiply(v_bar, -m, out=s_bar)
         s_bar *= V[k - 1]
         s_bar *= V[k - 1]
-        u_bar = _matvec_into(K, s_bar, carried_u)
+        u_bar = _matvec(K, s_bar, carried_u)
         v_bar = 0.0
     return r_bars.transpose(1, 0, 2), s_bars.transpose(1, 0, 2)
 

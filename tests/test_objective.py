@@ -628,6 +628,17 @@ def test_evaluate_refuses_an_out_of_other_class_sizes(sizes, other):
             call(P, classes, cfg, out=spare)
 
 
+@pytest.mark.parametrize("dim", [1, 3])
+def test_evaluate_refuses_an_out_of_another_projection_dimension(dim):
+    # the kernel stacks do not depend on p, but the cost factors have p + 2 rows
+    classes = _sized_classes((8, 8, 8), 21)
+    cfg = WdaConfig(lam=1.0, sinkhorn_iters=5)
+    spare = solve_pairs(np.eye(2, 5), classes, cfg)
+    for call in (evaluate, solve_pairs):
+        with pytest.raises(InvalidInputError, match=f"out holds plans of projection dimension 2, not {dim}"):
+            call(np.eye(dim, 5), classes, cfg, out=spare)
+
+
 @pytest.mark.parametrize(
     "classes, message",
     [

@@ -212,6 +212,12 @@ def test_kernels_scale_each_slice_by_its_own_lambda_without_a_stack_buffer():
     assert np.array_equal(M, expected)
 
 
+@pytest.mark.parametrize("count", [2, 4])
+def test_kernels_refuse_a_lambda_count_other_than_the_stack_size(count):
+    with pytest.raises(InvalidInputError, match=f"{count} lambdas for a stack of 3 cost matrices"):
+        sinkhorn_kernels(np.ones((3, 4, 5)), np.ones(count))
+
+
 def test_sinkhorn_feasibility_after_convergence():
     rng = np.random.default_rng(4)
     for n, m in [(5, 7), (10, 10), (20, 20)]:
