@@ -133,8 +133,27 @@ class LabeledDataset:
         return int(self.labels.max()) + 1
 
     def class_blocks(self) -> list[np.ndarray]:
-        """Per-class sample blocks as (d, n_c) arrays, ordered by class id."""
-        return [self.samples[self.labels == c].T.copy() for c in range(self.n_classes)]
+        """Per-class sample blocks as read-only (d, n_c) arrays, ordered by
+        class id.
+
+        A class whose rows form one contiguous run of ``samples`` gets the
+        view ``samples[start:stop].T``, so a fit reads the dataset's own rows
+        and holds no copy; later changes to ``samples`` show in that block.
+        Every dataset :func:`gen_toy`, :func:`append_noise` and
+        :func:`split_dataset` return is contiguous by class, as is a CSV
+        sorted by label. A class with interleaved rows gets a copy.
+        """
+        blocks = []
+        for c in range(self.n_classes):
+            rows = np.flatnonzero(self.labels == c)
+            start, stop = rows[0], rows[-1] + 1
+            if stop - start == rows.size:
+                block = self.samples[start:stop].T
+            else:
+                block = self.samples[rows].T
+            block.flags.writeable = False
+            blocks.append(block)
+        return blocks
 
 
 def gen_toy(n_per_class: int, seed: int) -> LabeledDataset:

@@ -59,10 +59,12 @@ def knn_predict(
     neighbor set is every entry below t plus the first entries equal to t in
     training-index order, which is exactly the first k entries of the
     (distance, index) order. Counts and summed distances per class are then
-    two matrix products with a one-hot label matrix. Working memory is a few
+    two matrix products of the neighbor mask, as 0/1 floats and then times
+    the distances, with a one-hot label matrix. Working memory is five
     arrays of at most ``max(_KNN_BLOCK_ENTRIES, n_train)`` entries (0.5 MB
     each for float arrays up to n_train = 65536), whatever the number of test
-    rows.
+    rows: the distances, the selection copy, the float mask and two bool
+    masks, allocated once per call and rewritten by every block.
 
     Raises InvalidInputError for an empty training set, mismatched shapes, a
     non-finite feature value, k outside [1, n_train], or features so large
@@ -110,29 +112,43 @@ def _knn_vote(train_X, train_y, test_X, ks) -> list[np.ndarray]:
     predictions = [np.empty(test_X.shape[0], dtype=train_y.dtype) for _ in ks]
     block = max(1, _KNN_BLOCK_ENTRIES // train_X.shape[0])
     k_max = max(ks)
+    # every block writes into these, the last one into their leading rows
+    shape = (min(block, test_X.shape[0]), train_X.shape[0])
+    dist_buf, part_buf, weight_buf = (np.empty(shape) for _ in range(3))
+    near_buf, tie_buf = (np.empty(shape, dtype=bool) for _ in range(2))
     for start in range(0, test_X.shape[0], block):
         x = test_X[start:start + block]
+        dist, part, weight = dist_buf[:len(x)], part_buf[:len(x)], weight_buf[:len(x)]
+        near, tie = near_buf[:len(x)], tie_buf[:len(x)]
+        # |t|^2 - 2 x.t + |x|^2, bit for bit, as in-place steps
         with np.errstate(over="ignore", invalid="ignore"):
-            dist = sq_train - 2.0 * (x @ train_X.T) + np.einsum("ij,ij->i", x, x)[:, None]
-        if not np.isfinite(dist).all():
+            np.matmul(x, train_X.T, out=dist)
+            dist *= -2.0
+            dist += sq_train
+            dist += np.einsum("ij,ij->i", x, x)[:, None]
+        if not np.isfinite(dist, out=near).all():
             raise InvalidInputError(
                 "squared distances between test and training rows overflow; "
                 "rescale the features"
             )
         np.maximum(dist, 0.0, out=dist)
         # column j holds each row's (j+1)-th smallest distance
-        kth = np.sort(np.partition(dist, k_max - 1, axis=1)[:, :k_max], axis=1)
+        part[...] = dist
+        part.partition(k_max - 1, axis=1)
+        kth = np.sort(part[:, :k_max], axis=1)
         for pred, k in zip(predictions, ks):
             t = kth[:, k - 1:k]
-            near = dist < t
-            tie = dist == t
+            np.less(dist, t, out=near)
+            np.equal(dist, t, out=tie)
             need = k - near.sum(axis=1)
             # rows with more ties at t than places left keep the lowest indices
             rows = np.flatnonzero(tie.sum(axis=1) > need)
             tie[rows] &= np.cumsum(tie[rows], axis=1) <= need[rows, None]
             near |= tie
-            counts = near @ one_hot
-            sums = np.where(near, dist, 0.0) @ one_hot
+            weight[...] = near
+            counts = weight @ one_hot
+            weight *= dist  # 0 off the neighbor set: every distance is finite
+            sums = weight @ one_hot
             best = counts == counts.max(axis=1, keepdims=True)
             sums[~best] = np.inf
             best &= sums == sums.min(axis=1, keepdims=True)

@@ -372,7 +372,7 @@ def solve_pairs(
         km_v = _factored_matvec(K, A, B, batch.v_history[:, -1])
         distances.update(zip(keys, (batch.u_history[:, -1] * km_v).sum(axis=1).tolist()))
         batches[keys], factors[keys] = batch, (A, B)
-    overflowed = [key for key, dist in distances.items() if not np.isfinite(dist)]
+    overflowed = [key for key, dist in distances.items() if not math.isfinite(dist)]
     if overflowed:
         raise NumericalRangeError(
             f"class pair {min(overflowed)}: the projected squared distances overflow"

@@ -55,6 +55,32 @@ def test_labeled_dataset_validation():
     assert blocks[1].shape == (2, 2)
 
 
+def test_class_blocks_are_read_only_views_of_contiguous_class_rows():
+    data = gen_toy(5, 0)
+    blocks = data.class_blocks()
+    for c, X in enumerate(blocks):
+        assert np.shares_memory(X, data.samples)
+        assert not X.flags.writeable
+        with pytest.raises(ValueError):
+            X[0, 0] = 1.0
+        assert np.array_equal(X, data.samples[data.labels == c].T)
+    data.samples[5, 0] = 7.0  # a view shows later changes to the rows
+    assert blocks[1][0, 0] == 7.0
+
+
+def test_class_blocks_of_interleaved_rows_are_read_only_copies():
+    labels = np.array([0, 1, 0, 2, 2, 0])
+    data = LabeledDataset(np.arange(12.0).reshape(6, 2), labels)
+    blocks = data.class_blocks()
+    assert not np.shares_memory(blocks[0], data.samples)
+    assert all(np.shares_memory(X, data.samples) for X in blocks[1:])
+    for c, X in enumerate(blocks):
+        assert not X.flags.writeable
+        with pytest.raises(ValueError):
+            X[0, 0] = 1.0
+        assert np.array_equal(X, data.samples[labels == c].T)
+
+
 def test_gen_toy_shape_and_labels():
     data = gen_toy(2, seed=0)
     assert data.samples.shape == (6, 10)

@@ -425,6 +425,27 @@ def test_objective_invariant_under_common_shift(seed, a, b):
     assert np.abs(G_moved - G).max() <= 1e-7 * np.abs(G).max()
 
 
+@pytest.mark.parametrize("lam", [1.0, 100.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("wide", [False, True], ids=["toy", "wide"])
+def test_view_blocks_agree_with_contiguous_copies(wide, seed, lam):
+    # class blocks are transposed views of the dataset's rows; BLAS and the
+    # reductions take another path for that layout than for a C-contiguous
+    # copy, so J and the gradient agree to rounding, not bit for bit
+    data = append_noise(gen_toy(100, seed), 20, seed + 1) if wide else gen_toy(34, seed)
+    views = data.class_blocks()
+    copies = [np.ascontiguousarray(X) for X in views]
+    assert all(np.shares_memory(X, data.samples) for X in views)
+    P = pca_init(data.samples.T, 2)
+    cfg = WdaConfig(lam=lam, sinkhorn_iters=10, dim=2)
+    view_state, copy_state = (
+        evaluate(P, blocks, cfg, adaptive_lambdas(P, blocks, lam)) for blocks in (views, copies)
+    )
+    assert abs(view_state.value - copy_state.value) <= 1e-12 * abs(copy_state.value)
+    G_copy = gradient(copy_state)
+    assert np.abs(gradient(view_state) - G_copy).max() <= 1e-10 * np.abs(G_copy).max()
+
+
 @pytest.mark.parametrize("n_per_class, noise", [(34, 0), (100, 20)])
 def test_gradient_peak_memory_below_line_search_evaluate(n_per_class, noise):
     # a fit's line search evaluates while the previous state is alive; the

@@ -250,11 +250,11 @@ def test_wda_fit_trajectory_invariants():
 def test_wda_fit_holds_one_state_through_each_gradient():
     # the second iteration's gradient sets the peak: one state, its reverse
     # pass and one cotangent; keeping the replaced state alive as well took
-    # it to 2.43 kernel stacks
+    # it to 2.43 kernel stacks, and copying the class blocks to 1.96
     data = append_noise(gen_toy(100, 2), 20, 3)
     cfg = WdaConfig(lam=1.0, sinkhorn_iters=10, dim=2, max_outer_iter=2, outer_tol=0.0)
     stack_bytes = 6 * 100 * 100 * 8
-    assert traced_peak(lambda: wda_fit(data, cfg)) < 2.1 * stack_bytes
+    assert traced_peak(lambda: wda_fit(data, cfg)) < 1.88 * stack_bytes
 
 
 @pytest.mark.parametrize("max_outer_iter", [5, 10])
