@@ -200,25 +200,6 @@ def _make_data(spec, seed: int, loaded) -> tuple[LabeledDataset, LabeledDataset]
     return train, test
 
 
-def _fit_projection(
-    method: str,
-    train: LabeledDataset,
-    p: int,
-    lam: float,
-    wda_config: WdaConfig,
-) -> np.ndarray | None:
-    """Return the (p, d) projection for a method, or None for identity;
-    :func:`run_protocol` has refused any method not in ``KNOWN_METHODS``."""
-    if method == "identity":
-        return None
-    if method == "pca":
-        return stiefel.pca_init(train.samples.T, p)
-    if method == "fda":
-        return baselines.fda_fit(train, p).projection
-    projection, _ = stiefel.wda_fit(train, replace(wda_config, dim=p, lam=lam))
-    return projection
-
-
 @dataclass
 class ExperimentResult:
     """Error tensor over (method, seed, p, lambda, k) plus failed-cell records."""
@@ -270,8 +251,33 @@ class ExperimentResult:
         }
 
 
-def _run_cell(method, train, test, p, lam, ks, wda_config):
-    """Fit one (method, p, lambda) cell and vote every k in its space.
+def _fit_wda(draws, p: int, lams, wda_config: WdaConfig, starts: dict) -> dict:
+    """The wda projection, or the error that refused it, of every (seed
+    index, lambda index) cell of ``draws`` at dimension p, from the PCA start
+    of each seed in ``starts`` (or its error). The fits run in lockstep, in
+    stacks of at most ``_MAX_STACK``, each bit-identical to its own
+    :func:`~wda.stiefel.wda_fit`."""
+    found, fits = {}, {}
+    for si, train, _ in draws:
+        start = None if isinstance(starts[si], WdaError) else starts[si]
+        for li, lam in enumerate(lams):
+            try:
+                fits[si, li] = stiefel._start_fit(
+                    train, replace(wda_config, dim=p, lam=lam), start=start
+                )
+            except WdaError as exc:
+                found[si, li] = exc
+    running = list(fits.values())
+    for first in range(0, len(running), stiefel._MAX_STACK):
+        stiefel._fit_lockstep(running[first:first + stiefel._MAX_STACK])
+    for cell, fit in fits.items():
+        found[cell] = fit.error if fit.error is not None else fit.best[1]
+    return found
+
+
+def _vote_cell(fitted, train, test, ks):
+    """Vote every k of one cell in the space of its fit: ``fitted`` is the
+    (p, d) projection, None for identity, or the WdaError that refused it.
 
     Returns the test error per k (NaN where it failed) and the failures as
     (k, exception) pairs in the order they occurred; k is None for a failed
@@ -279,15 +285,13 @@ def _run_cell(method, train, test, p, lam, ks, wda_config):
     """
     row = np.full(len(ks), np.nan)
     failed = []
-    try:
-        projection = _fit_projection(method, train, p, lam, wda_config)
-    except WdaError as exc:
-        return row, [(None, exc)]
-    if projection is None:
+    if isinstance(fitted, WdaError):
+        return row, [(None, fitted)]
+    if fitted is None:
         train_Z, test_Z = train.samples, test.samples
     else:
-        train_Z = train.samples @ projection.T
-        test_Z = test.samples @ projection.T
+        train_Z = train.samples @ fitted.T
+        test_Z = test.samples @ fitted.T
     try:
         train_Z, labels, test_Z = _knn_inputs(train_Z, train.labels, test_Z)
     except WdaError as exc:
@@ -326,12 +330,20 @@ def run_protocol(
     (p, lambda) cell, and every k reuses that fit and the cell's test-train
     distances. Only wda reads lambda: pca, fda and identity are fit and voted
     once per (seed, p), and their errors and failures are repeated for every
-    lambda, in the order a fit per lambda would record them. Cells whose fit
-    or prediction raises a package error are recorded in ``failures`` and
-    left NaN (an invalid k fails only its own column); unexpected exceptions
-    propagate. A ``ks`` or ``ps`` entry, ``n_seeds`` or ``base_seed`` that
-    is not an integer, and a ``lams`` entry that is not a positive finite
-    number, raise InvalidInputError before any cell runs.
+    lambda, in the order a fit per lambda would record them. The PCA start
+    is computed once per (seed, p): it is the pca cell's projection and the
+    start of every wda fit there. The wda fits of one p, every seed and
+    every lambda, run in lockstep as one stack (``wda.stiefel._fit_lockstep``,
+    at most ``_MAX_STACK`` fits, so the draws of at most ``_MAX_STACK //
+    len(lams)`` seeds are held at once); each fit equals its own
+    :func:`~wda.stiefel.wda_fit` bit for bit, and a refused fit fails only
+    its own cell while the others go on. Cells whose fit or prediction
+    raises a package error are recorded in ``failures``, in (seed, method,
+    p, lambda, k) order, and left NaN (an invalid k fails only its own
+    column); unexpected exceptions propagate. A ``ks`` or ``ps`` entry,
+    ``n_seeds`` or ``base_seed`` that is not an integer, and a ``lams``
+    entry that is not a positive finite number, raise InvalidInputError
+    before any cell runs.
     """
     methods = list(methods)
     ks = [require_integer("each k", k) for k in ks]
@@ -351,24 +363,50 @@ def run_protocol(
     loaded = load_csv(data_spec.path) if isinstance(data_spec, CsvDataSpec) else None
     wda_config = wda_config if wda_config is not None else WdaConfig()
     seeds = [base_seed + s for s in range(n_seeds)]
+
+    cells = {}  # (seed, method, p, lambda) index -> (errors, failures)
+    held = max(1, stiefel._MAX_STACK // len(lams)) if "wda" in methods else 1
+    for first in range(0, len(seeds), held):
+        draws = [
+            (si, *_make_data(data_spec, seeds[si], loaded))
+            for si in range(first, min(first + held, len(seeds)))
+        ]
+        for pi, p in enumerate(ps):
+            starts = {}  # each draw's PCA start, or the error that refused it
+            if "pca" in methods or "wda" in methods:
+                for si, train, _ in draws:
+                    try:
+                        starts[si] = stiefel.pca_init(train.samples.T, p)
+                    except WdaError as exc:
+                        starts[si] = exc
+            wda = _fit_wda(draws, p, lams, wda_config, starts) if "wda" in methods else {}
+            for si, train, test in draws:
+                for mi, method in enumerate(methods):
+                    if method == "wda":
+                        for li in range(len(lams)):
+                            cells[si, mi, pi, li] = _vote_cell(wda[si, li], train, test, ks)
+                        continue
+                    # only wda reads lambda: the other methods fit once per p
+                    fitted = starts[si] if method == "pca" else None
+                    if method == "fda":
+                        try:
+                            fitted = baselines.fda_fit(train, p).projection
+                        except WdaError as exc:
+                            fitted = exc
+                    cell = _vote_cell(fitted, train, test, ks)
+                    for li in range(len(lams)):
+                        cells[si, mi, pi, li] = cell
+
     errors = np.full((len(methods), len(seeds), len(ps), len(lams), len(ks)), np.nan)
     failures: list[dict] = []
-
-    for si, seed in enumerate(seeds):
-        train, test = _make_data(data_spec, seed, loaded)
-        for mi, method in enumerate(methods):
-            for pi, p in enumerate(ps):
-                cell = None
-                for li, lam in enumerate(lams):
-                    # only wda reads lambda: the other methods fit once per p
-                    if cell is None or method == "wda":
-                        cell = _run_cell(method, train, test, p, lam, ks, wda_config)
-                    errors[mi, si, pi, li] = cell[0]
-                    failures.extend(
-                        {"method": method, "seed": seed, "p": p, "lambda": lam,
-                         "k": k, "error": str(exc)}
-                        for k, exc in cell[1]
-                    )
+    for si, mi, pi, li in np.ndindex(len(seeds), len(methods), len(ps), len(lams)):
+        row, failed = cells[si, mi, pi, li]
+        errors[mi, si, pi, li] = row
+        failures.extend(
+            {"method": methods[mi], "seed": seeds[si], "p": ps[pi], "lambda": lams[li],
+             "k": k, "error": str(exc)}
+            for k, exc in failed
+        )
     return ExperimentResult(methods, seeds, ps, lams, ks, errors, failures)
 
 

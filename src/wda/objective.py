@@ -36,6 +36,22 @@ the plans J uses at the dumped projection.
 each pair's (n, m) cotangent in turn, in pair order. Each pair's numbers
 are those of a plain per-pair loop, bit for bit.
 
+The core is written for a stack of S problems of the same class sizes,
+each with its own projection, class blocks and lambda map, and a single
+problem is the stack of one. :func:`solve_pairs` and :func:`evaluate` take
+a stack as a list of projections with a list of block lists and of lambda
+maps, and return a :class:`PlanStack`: the pairs of every problem that
+share a plan shape are one kernel stack and one Sinkhorn run,
+problem-major, and each problem's plans are views of its runs.
+:func:`gradient` of a stack runs one reverse recursion per batch and forms
+the cotangents of one pair for all S problems at once, an (S, n, m) stack,
+so a stacked call holds S times the arrays of one. Each problem's
+numbers are those of its own call, bit for bit, and a numerical refusal
+(an underflowing kernel, an overflowing distance, a zero within-class
+dispersion, a non-finite gradient term) stands in its problem's place
+while the others are solved. :func:`wda.stiefel.wda_fit` is the lockstep
+driver of the sweep's fits (``wda.stiefel._fit_lockstep``) with S = 1.
+
 A fit's line search reads only the value of the state its gradient came
 from, so :func:`~wda.stiefel.wda_fit` has each trial write into that
 state, and a rejected trial into the next, through the ``out=`` of
@@ -47,24 +63,25 @@ After its first evaluation a fit allocates no state array; traced alone, a
 trial allocates 0.50 of a kernel stack at 3 x 34 points with 10 features
 (1.32 with new records and factors) and 0.18 at 3 x 100 with 30 (0.43).
 A fit also holds one state's arrays and one pair's (n, m) cotangent at a
-time: ``wda_fit`` drops the state an accepted trial replaced before the
-next gradient, and :func:`gradient` drops each pair's cotangent before it
-forms the next. Traced over a two-iteration fit on 3 x 100 points with 30
-features, the peak is 1.97 kernel stacks (2.43 with the replaced state and
-the previous cotangent kept) and a gradient call allocates at most 0.50 of
-one (0.67). Every state returned by :func:`evaluate` or
-:func:`solve_pairs` owns its arrays unless ``out`` is given.
+time: every trial of ``wda_fit`` writes into the one state it holds, and
+:func:`gradient` drops each pair's cotangent before it forms the next.
+Traced over a two-iteration fit on 3 x 100 points with 30 features
+(``append_noise(gen_toy(100, 2), 20, 3)``, its blocks read in place), the
+peak is 1.81 kernel stacks, and a gradient call allocates at most 0.50 of
+one (0.67 with the previous cotangent kept). Every state returned by
+:func:`evaluate` or :func:`solve_pairs` owns its arrays (in a stack, views
+of the stack's) unless ``out`` is given.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .datasets import require_finite, require_integer, require_number
-from .errors import DegenerateInputError, InvalidInputError, NumericalRangeError
+from .errors import DegenerateInputError, InvalidInputError, NumericalRangeError, WdaError
 from .otcore import (
     _TINY,
     SinkhornBatch,
@@ -261,6 +278,62 @@ class ObjectiveState(PairPlans):
         }
 
 
+def _problem_runs(batches, cost_factors, start: int, stop: int):
+    """The batches and cost factors of problems start .. stop - 1 of a stack
+    (see :class:`PlanStack`), as views."""
+    runs_b, runs_f = {}, {}
+    for keys, batch in batches.items():
+        runs = slice(start * len(keys), stop * len(keys))
+        runs_b[keys] = SinkhornBatch(
+            batch.kernel[runs], batch.u_history[runs], batch.v_history[runs], batch.residual[runs]
+        )
+        A, B = cost_factors[keys]
+        runs_f[keys] = (A[runs], B[runs])
+    return runs_b, runs_f
+
+
+@dataclass
+class PlanStack:
+    """The pair plans of S problems of the same class sizes, solved as one.
+
+    ``batches`` and ``cost_factors`` are keyed as those of
+    :class:`PairPlans`, by the pairs of each plan shape, and hold the runs
+    of every problem, problem-major: run s G + j of a key of G pairs is
+    pair j of problem s. So the runs of one problem, and of consecutive
+    problems, are one slice of each stack, and the runs of one pair over
+    the problems a strided one. ``problems`` holds each problem's
+    :class:`PairPlans` (:class:`ObjectiveState` from :func:`evaluate`),
+    whose arrays are views of its runs, or the WdaError that refused it.
+    The stack of one problem holds that problem's own batches.
+    """
+
+    batches: dict[tuple[PairKey, ...], SinkhornBatch] = field(repr=False)
+    cost_factors: dict[tuple[PairKey, ...], tuple[np.ndarray, np.ndarray]] = field(repr=False)
+    problems: list
+
+    def window(self, start: int, stop: int) -> PlanStack:
+        """Problems start .. stop - 1, their runs as views: the ``out`` of a
+        stacked evaluate of those problems, or the states a stacked
+        gradient reads."""
+        if start == 0 and stop == len(self.problems):
+            return self
+        return PlanStack(
+            *_problem_runs(self.batches, self.cost_factors, start, stop),
+            self.problems[start:stop],
+        )
+
+    def move(self, src: int, dst: int) -> None:
+        """Copy the runs of problem ``src`` over those of problem ``dst``, and
+        its plans into dst's place, as views of dst's runs."""
+        for keys, batch in self.batches.items():
+            G = len(keys)
+            for array in (batch.kernel, batch.u_history, batch.v_history, batch.residual,
+                          *self.cost_factors[keys]):
+                array[dst * G:(dst + 1) * G] = array[src * G:(src + 1) * G]
+        new_b, new_f = _problem_runs(self.batches, self.cost_factors, dst, dst + 1)
+        self.problems[dst] = replace(self.problems[src], batches=new_b, cost_factors=new_f)
+
+
 def _resolve_lambdas(blocks, cfg: WdaConfig, lambdas) -> dict[PairKey, float]:
     if lambdas is None:
         return {key: cfg.lam for key in pair_keys(len(blocks))}
@@ -276,14 +349,168 @@ def _resolve_lambdas(blocks, cfg: WdaConfig, lambdas) -> dict[PairKey, float]:
     return dict(lambdas)
 
 
+def _is_stack(P) -> bool:
+    """Whether P is a stack of projections: a list or tuple of 2-d arrays."""
+    return isinstance(P, (list, tuple)) and len(P) > 0 and getattr(P[0], "ndim", 0) == 2
+
+
+def _stack_arguments(P, classes, lambdas, out):
+    """The arguments of a call as a stack: whether they were one, and the
+    lists of projections, class blocks and lambda maps, and ``out`` as a
+    :class:`PlanStack`."""
+    if not _is_stack(P):
+        if out is not None and not isinstance(out, PairPlans):
+            raise InvalidInputError("out of a single problem must be its PairPlans")
+        out = None if out is None else PlanStack(out.batches, out.cost_factors, [out])
+        return False, [P], [classes], [lambdas], out
+    lambdas = [None] * len(P) if lambdas is None else lambdas
+    if not len(P) == len(classes) == len(lambdas):
+        raise InvalidInputError(
+            f"a stack of {len(P)} projections needs as many class block lists and "
+            f"lambda maps, got {len(classes)} and {len(lambdas)}"
+        )
+    if out is not None and not (isinstance(out, PlanStack) and len(out.problems) == len(P)):
+        raise InvalidInputError(
+            f"out of a stack of {len(P)} problems must be a PlanStack of as many"
+        )
+    return True, P, classes, lambdas, out
+
+
+def _one(result):
+    """The result of a single problem: raise its refusal, or return it."""
+    if isinstance(result, WdaError):
+        raise result
+    return result
+
+
+def _solve(P, classes, cfg: WdaConfig, lambdas, out) -> PlanStack:
+    """:func:`solve_pairs` of a stack of problems, a single one as a stack
+    of one. Bad input refuses the call; a numerical refusal only its own
+    problem, which stands in its place in ``problems``."""
+    S = len(P)
+    blocks, projections, lam_maps = [], [], []
+    for s in range(S):
+        # out's own blocks and lambda maps were validated when out was solved
+        own = None if out is None else out.problems[s]
+        trusted = isinstance(own, PairPlans)
+        Xs = classes[s] if trusted and classes[s] is own.classes else _check_classes(classes[s])
+        projections.append(_check_projection(P[s], Xs))
+        lam_maps.append(
+            lambdas[s] if trusted and lambdas[s] is own.pair_lambdas
+            else _resolve_lambdas(Xs, cfg, lambdas[s])
+        )
+        blocks.append(Xs)
+    sizes = [X.shape[1] for X in blocks[0]]
+    for s in range(1, S):
+        if [X.shape[1] for X in blocks[s]] != sizes:
+            raise InvalidInputError(
+                f"problem {s} of the stack has class sizes "
+                f"{[X.shape[1] for X in blocks[s]]}, not {sizes}"
+            )
+        if projections[s].shape[0] != projections[0].shape[0]:
+            raise InvalidInputError(
+                f"problem {s} of the stack projects to {projections[s].shape[0]} "
+                f"dimensions, not {projections[0].shape[0]}"
+            )
+    keys_in_order = pair_keys(len(sizes))
+
+    # class pairs grouped by plan shape (n_c, n_c'), each group in pair order;
+    # a group's runs hold every problem's pairs, problem-major
+    groups: dict[tuple[int, int], list[PairKey]] = {}
+    for c, cp in keys_in_order:
+        groups.setdefault((sizes[c], sizes[cp]), []).append((c, cp))
+    stack_shapes = {tuple(keys): (S * len(keys),) + shape for shape, keys in groups.items()}
+    if out is not None and stack_shapes != {
+        keys: batch.kernel.shape for keys, batch in out.batches.items()
+    }:
+        raise InvalidInputError("out holds plans of other class sizes")
+    if out is not None:
+        out_dim = next(iter(out.cost_factors.values()))[0].shape[1] - 2
+        if out_dim != projections[0].shape[0]:
+            raise InvalidInputError(
+                f"out holds plans of projection dimension {out_dim}, not {projections[0].shape[0]}"
+            )
+    projected = [[Q @ X for X in Xs] for Q, Xs in zip(projections, blocks)]
+    stacks, flagged = [], [[] for _ in range(S)]
+    for keys in stack_shapes:
+        G = len(keys)
+        Y = np.stack([projected[s][c] for s in range(S) for c, _ in keys])
+        Yp = np.stack([projected[s][cp] for s in range(S) for _, cp in keys])
+        M = cost_matrix(Y, Yp, out=None if out is None else out.batches[keys].kernel)
+        for b, (c, cp) in enumerate(keys * S):
+            if c == cp:
+                self_costs(M[b])
+        K, low = sinkhorn_kernels(M, [lam_maps[s][key] for s in range(S) for key in keys], out=M)
+        for b, bad in enumerate(low.tolist()):
+            if bad:
+                flagged[b // G].append(keys[b % G])
+        stacks.append((keys, Y, Yp, K))
+    refused: list[WdaError | None] = [None] * S
+    for s, keys in enumerate(flagged):
+        if keys:
+            c, cp = key = min(keys)  # the first in pair order
+            lam = lam_maps[s][key]
+            top_cost = float(cost_matrix(projected[s][c], projected[s][cp]).max())
+            refused[s] = NumericalRangeError(
+                f"class pair {key} at lambda {lam:.6g}: kernel row underflow: "
+                f"lam * max(M) = {lam * top_cost:.6g} pushes "
+                f"exp(-lam*M) below {_TINY:g}; rescale the regularization"
+            )
+    if all(refused):
+        return PlanStack({}, {}, refused)
+
+    batches, factors = ({}, {}) if out is None else (out.batches, out.cost_factors)
+    distances: list[dict[PairKey, float]] = [{} for _ in range(S)]
+    for keys, Y, Yp, K in stacks:
+        G = len(keys)
+        for s in range(S):
+            if refused[s]:
+                # unit kernels keep a refused problem's runs finite; they are dropped
+                K[s * G:(s + 1) * G] = 1.0
+        spare = None if out is None else out.batches[keys]
+        batch = sinkhorn_batch(K, cfg.sinkhorn_iters, out=spare)
+        mu = (Y.sum(axis=-1, keepdims=True) + Yp.sum(axis=-1, keepdims=True)) / (
+            Y.shape[-1] + Yp.shape[-1]
+        )
+        A, B = _cost_factors(Y - mu, Yp - mu, out=None if out is None else out.cost_factors[keys])
+        km_v = _factored_matvec(K, A, B, batch.v_history[:, -1])
+        values = (batch.u_history[:, -1] * km_v).sum(axis=1).tolist()
+        for s in range(S):
+            distances[s].update(zip(keys, values[s * G:(s + 1) * G]))
+        batches[keys], factors[keys] = batch, (A, B)
+    problems: list = []
+    for s, dist in enumerate(distances):
+        overflowed = [key for key, value in dist.items() if not math.isfinite(value)]
+        if overflowed and not refused[s]:
+            refused[s] = NumericalRangeError(
+                f"class pair {min(overflowed)}: the projected squared distances overflow"
+            )
+        if refused[s]:
+            problems.append(refused[s])
+            continue
+        # the stack of one problem is that problem's own
+        runs_b, runs_f = (
+            (batches, factors) if S == 1 else _problem_runs(batches, factors, s, s + 1)
+        )
+        problems.append(PairPlans(
+            projection=projections[s],
+            classes=blocks[s],
+            cost_factors=runs_f,
+            batches=runs_b,
+            pair_lambdas=lam_maps[s],
+            pair_distances={key: dist[key] for key in keys_in_order},
+        ))
+    return PlanStack(batches, factors, problems)
+
+
 def solve_pairs(
-    P: np.ndarray,
+    P: np.ndarray | list[np.ndarray],
     classes,
     cfg: WdaConfig,
     lambdas: dict[PairKey, float] | None = None,
     *,
-    out: PairPlans | None = None,
-) -> PairPlans:
+    out: PairPlans | PlanStack | None = None,
+) -> PairPlans | PlanStack:
     """Solve the inner transport problem of every class pair at projection P.
 
     ``lambdas`` maps each pair (c, c') with c <= c' to its fixed
@@ -305,96 +532,53 @@ def solve_pairs(
 
     ``out``, plans of the same class sizes and iteration count that are no
     longer needed, has every array overwritten and reused: its kernel
-    stacks, its scaling records (through the ``out=`` of
+    stacks, its scaling records and residuals (through the ``out=`` of
     :func:`~wda.otcore.sinkhorn_batch`, which refuses records of another
     iteration count) and its cost factors. Plans of other class sizes or
     of another projection dimension (their factors have p + 2 rows) are
     refused with InvalidInputError. ``classes`` that are ``out.classes`` and
     ``lambdas`` that are ``out.pair_lambdas`` were validated when ``out`` was
     solved and are not scanned again; a line search passes its state's own.
+
+    A stack of S problems is solved as one: P is a list of S (p, d)
+    arrays, ``classes`` a list of S class block lists of the
+    same class sizes, ``lambdas`` None or a list of S maps, and ``out`` a
+    :class:`PlanStack` of S problems. The pairs of every problem that share
+    a plan shape are one kernel stack and one Sinkhorn run, and each
+    problem's numbers are those of its own call, bit for bit. Bad input
+    refuses the call; a problem whose call would raise a numerical refusal
+    (an underflowing kernel, an overflowing distance) has that error in its
+    place in the returned :class:`PlanStack`, and the others are solved.
     """
-    # out's own blocks and lambda map were validated when out was solved
-    blocks = (
-        classes if out is not None and classes is out.classes else _check_classes(classes)
-    )
-    P = _check_projection(P, blocks)
-    lam_map = (
-        lambdas if out is not None and lambdas is out.pair_lambdas
-        else _resolve_lambdas(blocks, cfg, lambdas)
-    )
-    keys_in_order = pair_keys(len(blocks))
+    stacked, P, classes, lambdas, out = _stack_arguments(P, classes, lambdas, out)
+    solved = _solve(P, classes, cfg, lambdas, out)
+    return solved if stacked else _one(solved.problems[0])
 
-    # class pairs grouped by plan shape (n_c, n_c'), each group in pair order
-    groups: dict[tuple[int, int], list[PairKey]] = {}
-    for c, cp in keys_in_order:
-        groups.setdefault((blocks[c].shape[1], blocks[cp].shape[1]), []).append((c, cp))
-    stack_shapes = {tuple(keys): (len(keys),) + shape for shape, keys in groups.items()}
-    if out is not None and stack_shapes != {
-        keys: batch.kernel.shape for keys, batch in out.batches.items()
-    }:
-        raise InvalidInputError("out holds plans of other class sizes")
-    if out is not None:
-        out_dim = next(iter(out.cost_factors.values()))[0].shape[1] - 2
-        if out_dim != P.shape[0]:
-            raise InvalidInputError(
-                f"out holds plans of projection dimension {out_dim}, not {P.shape[0]}"
-            )
-    projected = [P @ X for X in blocks]
-    stacks, flagged = [], []
-    for keys in stack_shapes:
-        Y = np.stack([projected[c] for c, _ in keys])
-        Yp = np.stack([projected[cp] for _, cp in keys])
-        M = cost_matrix(Y, Yp, out=None if out is None else out.batches[keys].kernel)
-        for b, (c, cp) in enumerate(keys):
-            if c == cp:
-                self_costs(M[b])
-        K, low = sinkhorn_kernels(M, [lam_map[key] for key in keys], out=M)
-        flagged += [key for key, bad in zip(keys, low) if bad]
-        stacks.append((keys, Y, Yp, K))
-    if flagged:
-        c, cp = key = min(flagged)  # the first in pair order
-        lam = lam_map[key]
-        top_cost = float(cost_matrix(projected[c], projected[cp]).max())
-        raise NumericalRangeError(
-            f"class pair {key} at lambda {lam:.6g}: kernel row underflow: "
-            f"lam * max(M) = {lam * top_cost:.6g} pushes "
-            f"exp(-lam*M) below {_TINY:g}; rescale the regularization"
-        )
 
-    batches, factors, distances = {}, {}, {}
-    for keys, Y, Yp, K in stacks:
-        spare = None if out is None else out.batches[keys]
-        batch = sinkhorn_batch(K, cfg.sinkhorn_iters, out=spare)
-        mu = (Y.sum(axis=-1, keepdims=True) + Yp.sum(axis=-1, keepdims=True)) / (
-            Y.shape[-1] + Yp.shape[-1]
+def _assemble(plans) -> ObjectiveState | WdaError:
+    """The ratio objective of one problem's plans, or its refusal."""
+    if isinstance(plans, WdaError):
+        return plans
+    distances = plans.pair_distances
+    sigma_b2 = sum(dist for (c, cp), dist in distances.items() if c != cp)
+    sigma_w2 = sum(dist for (c, cp), dist in distances.items() if c == cp)
+    if sigma_w2 <= 0.0:
+        return DegenerateInputError(
+            "within-class dispersion is zero; the ratio objective is undefined"
         )
-        A, B = _cost_factors(Y - mu, Yp - mu, out=None if out is None else out.cost_factors[keys])
-        km_v = _factored_matvec(K, A, B, batch.v_history[:, -1])
-        distances.update(zip(keys, (batch.u_history[:, -1] * km_v).sum(axis=1).tolist()))
-        batches[keys], factors[keys] = batch, (A, B)
-    overflowed = [key for key, dist in distances.items() if not math.isfinite(dist)]
-    if overflowed:
-        raise NumericalRangeError(
-            f"class pair {min(overflowed)}: the projected squared distances overflow"
-        )
-    return PairPlans(
-        projection=P,
-        classes=blocks,
-        cost_factors=factors,
-        batches=batches,
-        pair_lambdas=lam_map,
-        pair_distances={key: distances[key] for key in keys_in_order},
+    return ObjectiveState(
+        **vars(plans), value=sigma_b2 / sigma_w2, sigma_b2=sigma_b2, sigma_w2=sigma_w2
     )
 
 
 def evaluate(
-    P: np.ndarray,
+    P: np.ndarray | list[np.ndarray],
     classes,
     cfg: WdaConfig,
     lambdas: dict[PairKey, float] | None = None,
     *,
-    out: PairPlans | None = None,
-) -> ObjectiveState:
+    out: PairPlans | PlanStack | None = None,
+) -> ObjectiveState | PlanStack:
     """Solve every inner transport problem and assemble the ratio objective.
 
     The pair plans are those of :func:`solve_pairs` (same arguments, same
@@ -402,21 +586,16 @@ def evaluate(
     defined for any P of the right shape, which lets callers probe J in the
     ambient space, e.g. for finite-difference checks. Raises
     DegenerateInputError when the within-class dispersion sigma_w^2 is zero.
+    A stack of problems (see :func:`solve_pairs`) returns a
+    :class:`PlanStack` of their states, each refusal in its problem's place.
     """
-    pairs = solve_pairs(P, classes, cfg, lambdas, out=out)
-    distances = pairs.pair_distances
-    sigma_b2 = sum(dist for (c, cp), dist in distances.items() if c != cp)
-    sigma_w2 = sum(dist for (c, cp), dist in distances.items() if c == cp)
-    if sigma_w2 <= 0.0:
-        raise DegenerateInputError(
-            "within-class dispersion is zero; the ratio objective is undefined"
-        )
-    return ObjectiveState(
-        **vars(pairs), value=sigma_b2 / sigma_w2, sigma_b2=sigma_b2, sigma_w2=sigma_w2
-    )
+    stacked, P, classes, lambdas, out = _stack_arguments(P, classes, lambdas, out)
+    solved = _solve(P, classes, cfg, lambdas, out)
+    solved.problems = [_assemble(plans) for plans in solved.problems]
+    return solved if stacked else _one(solved.problems[0])
 
 
-def gradient(state: ObjectiveState) -> np.ndarray:
+def gradient(state: ObjectiveState | PlanStack) -> np.ndarray | list:
     """Full ambient gradient dJ/dP at the projection of one :func:`evaluate`.
 
     J weighs each pair's cost cotangent G = d<T(M), M>/dM (one reverse pass,
@@ -439,42 +618,79 @@ def gradient(state: ObjectiveState) -> np.ndarray:
     (n, m) array, and released before the next pair's. The two pull-back
     products take a row of ones under Y_c' and Y_c, so they give G 1 and
     G^T 1 as well.
-    """
-    sb2, sw2 = state.sigma_b2, state.sigma_w2
 
-    runs = {}
+    A :class:`PlanStack` of S states from one stacked :func:`evaluate` runs
+    one reverse recursion per batch for all of them, and forms the
+    cotangents of one pair for all S problems at once, as one (S, n, m)
+    stack; it returns the list of their gradients, each bit-identical to
+    its own call, with the refusal of a problem whose term is not finite
+    in its place.
+    """
+    stacked = isinstance(state, PlanStack)
+    stack = state if stacked else PlanStack(state.batches, state.cost_factors, [state])
+    problems = stack.problems
+    for s, st in enumerate(problems):
+        if not isinstance(st, ObjectiveState):
+            raise InvalidInputError(f"problem {s} of the stack has no state: {st}")
+
+    # [Y_c; 1] per class, stacked over the problems: Y_c is the view of its
+    # first p rows
+    first = problems[0]
+    ones_below = []
+    for c, X in enumerate(first.classes):
+        Ya = np.empty((len(problems), first.projection.shape[0] + 1, X.shape[1]))
+        for s, st in enumerate(problems):
+            Ya[s, :-1] = st.projection @ st.classes[c]
+        Ya[:, -1] = 1.0
+        ones_below.append(Ya)
+    Z = [np.zeros_like(Ya[:, :-1]) for Ya in ones_below]
+    # each problem's weights and lambdas, as columns
+    between = np.array([1.0 / st.sigma_w2 for st in problems])[:, None, None]
+    within = np.array([-st.sigma_b2 / st.sigma_w2**2 for st in problems])[:, None, None]
+    lams = np.array(
+        [[st.pair_lambdas[key] for key in first.pair_distances] for st in problems], dtype=float
+    )
+    refused: list[WdaError | None] = [None] * len(problems)
+    # a term that leaves the floating-point range is refused by the check
+    # below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        for keys, batch in state.batches.items():
-            A, B = state.cost_factors[keys]
+        runs = {}
+        for keys, batch in stack.batches.items():
+            A, B = stack.cost_factors[keys]
             K, u, v = batch.kernel, batch.u_history[:, -1], batch.v_history[:, -1]
             r_bars, s_bars = sinkhorn_batch_reverse(
                 batch, _factored_matvec(K, A, B, v),
                 _factored_matvec(K.transpose(0, 2, 1), B, A, u),
             )
-            runs.update(
-                (key, (batch, b, (A[b], B[b]), r_bars[b], s_bars[b]))
-                for b, key in enumerate(keys)
-            )
+            runs.update((key, (keys, j, r_bars, s_bars)) for j, key in enumerate(keys))
 
-    # [Y_c; 1] per class: Y_c is the view of its first p rows
-    ones_below = [np.vstack((state.projection @ X, np.ones(X.shape[1]))) for X in state.classes]
-    Z = [np.zeros_like(Ya[:-1]) for Ya in ones_below]
-    for c, cp in state.pair_distances:
-        lam = float(state.pair_lambdas[(c, cp)])
-        batch, b, factors, r_bars, s_bars = runs[(c, cp)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            G = transport_cost_cotangent(batch, b, lam, factors, r_bars, s_bars)
-            pulled_c = ones_below[cp] @ G.T  # [Y_c' G^T; (G 1)^T]
-            pulled_cp = ones_below[c] @ G    # [Y_c G; 1^T G]
-        del G  # the next pair's cotangent is allocated without this one
-        row, col = pulled_c[-1], pulled_cp[-1]
-        if not (np.isfinite(row).all() and np.isfinite(col).all()):
-            raise NumericalRangeError(
-                f"gradient term of class pair ({c}, {cp}) is not finite at "
-                f"lambda {lam:.6g}; the fixed-L Sinkhorn "
-                "iterations left the floating-point range, lower the regularization"
+        for k, (c, cp) in enumerate(first.pair_distances):
+            keys, j, r_bars, s_bars = runs[(c, cp)]
+            b = slice(j, None, len(keys))  # the pair's runs: one per problem
+            A, B = stack.cost_factors[keys]
+            G = transport_cost_cotangent(
+                stack.batches[keys], b, lams[:, k], (A[b], B[b]), r_bars[b], s_bars[b]
             )
-        coef = -sb2 / sw2**2 if cp == c else 1.0 / sw2
-        Z[c] += coef * (ones_below[c][:-1] * row - pulled_c[:-1])
-        Z[cp] += coef * (ones_below[cp][:-1] * col - pulled_cp[:-1])
-    return 2.0 * sum(Zc @ X.T for Zc, X in zip(Z, state.classes))
+            pulled_c = ones_below[cp] @ G.transpose(0, 2, 1)  # [Y_c' G^T; (G 1)^T]
+            pulled_cp = ones_below[c] @ G                     # [Y_c G; 1^T G]
+            del G  # the next pair's cotangents are allocated without these
+            row, col = pulled_c[:, -1:], pulled_cp[:, -1:]
+            if not (np.isfinite(row).all() and np.isfinite(col).all()):
+                finite = np.isfinite(row).all(axis=(1, 2)) & np.isfinite(col).all(axis=(1, 2))
+                for s in np.flatnonzero(~finite):
+                    refused[s] = refused[s] or NumericalRangeError(
+                        f"gradient term of class pair ({c}, {cp}) is not finite at "
+                        f"lambda {lams[s, k]:.6g}; the fixed-L Sinkhorn "
+                        "iterations left the floating-point range, lower the regularization"
+                    )
+                # a refused problem's terms are dropped, so the others' stay finite
+                pulled_c[~finite] = 0.0
+                pulled_cp[~finite] = 0.0
+            coef = within if cp == c else between
+            Z[c] += coef * (ones_below[c][:, :-1] * row - pulled_c[:, :-1])
+            Z[cp] += coef * (ones_below[cp][:, :-1] * col - pulled_cp[:, :-1])
+    grads = [
+        refused[s] or 2.0 * sum(Zc[s] @ X.T for Zc, X in zip(Z, st.classes))
+        for s, st in enumerate(problems)
+    ]
+    return grads if stacked else _one(grads[0])

@@ -172,18 +172,18 @@ class SinkhornBatch:
         return [int(k[0]) + 1 if k.size else None for k in met]
 
 
-def _matvec(A: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Stacked matrix-vector products A[b] @ x[b], as one matmul call,
-    written into ``out`` when given."""
-    return np.matmul(A, x[..., None], out=None if out is None else out[..., None])[..., 0]
+def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Stacked matrix-vector products A[b] @ x[b], as one matmul call."""
+    return np.matmul(A, x[..., None])[..., 0]
 
 
-def _marginal_residual(u, r, v, s) -> np.ndarray:
+def _marginal_residual(u, r, v, s, out: np.ndarray | None = None) -> np.ndarray:
     """Infinity-norm marginal violation of diag(u) K diag(v) along the last
-    axis, from r = K v and s = K^T u."""
+    axis, from r = K v and s = K^T u, written into ``out`` when given."""
     return np.maximum(
         np.abs(u * r - 1.0 / u.shape[-1]).max(axis=-1),
         np.abs(v * s - 1.0 / v.shape[-1]).max(axis=-1),
+        out=out,
     )
 
 
@@ -223,7 +223,8 @@ def sinkhorn_batch(
     marginal residual is computed once, after the loop. Run b is
     bit-identical to running it alone. The stack is kept, not copied.
     ``out``, an earlier batch of the same shape and iteration count that is
-    no longer needed, has its scaling records overwritten and reused.
+    no longer needed, has its scaling records and residuals overwritten and
+    reused; with its own kernel stack as ``K``, it is returned.
     """
     K = np.asarray(K, dtype=float)
     if K.ndim != 3:
@@ -248,18 +249,23 @@ def sinkhorn_batch(
     U[0] = 1.0
     # two matvecs per iteration: r = K v serves the u update, s = K^T u the
     # next v update; the last r and s also give the final residual. Each
-    # update clamps into its record slot and divides there in place.
-    r, s = np.empty((B, n)), np.empty((B, m))
-    _matvec(KT, U[0], s)
+    # update clamps into its record slot and divides there in place. Every
+    # vector is a (B, n, 1) column stack, so each matvec is one matmul
+    # call with no reshaping view.
+    U3, V3 = U[..., None], V[..., None]
+    r, s = np.empty((B, n, 1)), np.empty((B, m, 1))
+    np.matmul(KT, U3[0], out=s)
     for k in range(1, iterations + 1):
-        v, u = V[k - 1], U[k]
+        v, u = V3[k - 1], U3[k]
         np.divide(col_target, np.maximum(s, _TINY, out=v), out=v)
-        _matvec(K, v, r)
+        np.matmul(K, v, out=r)
         np.divide(row_target, np.maximum(r, _TINY, out=u), out=u)
-        _matvec(KT, u, s)
-    return SinkhornBatch(
-        K, U.transpose(1, 0, 2), V.transpose(1, 0, 2), _marginal_residual(u, r, v, s)
-    )
+        np.matmul(KT, u, out=s)
+    residual = None if out is None else out.residual
+    residual = _marginal_residual(U[-1], r[..., 0], V[-1], s[..., 0], out=residual)
+    if out is not None and K is out.kernel:
+        return out
+    return SinkhornBatch(K, U.transpose(1, 0, 2), V.transpose(1, 0, 2), residual)
 
 
 def sinkhorn_batch_reverse(
@@ -289,45 +295,52 @@ def sinkhorn_batch_reverse(
     n = U.shape[2]
     r_bars = np.empty((L, B, n))
     s_bars = np.empty((L, B, m))
-    carried_u, carried_v = np.empty((B, n)), np.empty((B, m))
+    # (B, n, 1) column stacks, as in the forward loop
+    U3, V3, R3, S3 = U[..., None], V[..., None], r_bars[..., None], s_bars[..., None]
+    carried_u, carried_v = np.empty((B, n, 1)), np.empty((B, m, 1))
+    u_bar, v_bar = u_bar[..., None], v_bar[..., None]
     for k in range(L, 0, -1):
-        r_bar, s_bar = r_bars[k - 1], s_bars[k - 1]
+        r_bar, s_bar, u, v = R3[k - 1], S3[k - 1], U3[k], V3[k - 1]
         np.multiply(u_bar, -n, out=r_bar)
-        r_bar *= U[k]
-        r_bar *= U[k]
-        v_bar = np.add(v_bar, _matvec(KT, r_bar, carried_v), out=carried_v)
+        r_bar *= u
+        r_bar *= u
+        v_bar = np.add(v_bar, np.matmul(KT, r_bar, out=carried_v), out=carried_v)
         np.multiply(v_bar, -m, out=s_bar)
-        s_bar *= V[k - 1]
-        s_bar *= V[k - 1]
-        u_bar = _matvec(K, s_bar, carried_u)
+        s_bar *= v
+        s_bar *= v
+        u_bar = np.matmul(K, s_bar, out=carried_u)
         v_bar = 0.0
     return r_bars.transpose(1, 0, 2), s_bars.transpose(1, 0, 2)
 
 
 def transport_cost_cotangent(
     batch: SinkhornBatch,
-    b: int,
-    lam: float,
+    runs: slice,
+    lams: np.ndarray,
     factors: tuple[np.ndarray, np.ndarray],
     r_bars: np.ndarray,
     s_bars: np.ndarray,
 ) -> np.ndarray:
-    """d<T(M), M>/dM of run b of ``batch``, whose kernel is K = exp(-lam * M),
-    from the (r, n) and (r, m) factors A, B of its cost, M = A^T B up to
-    rounding, and the run's :func:`sinkhorn_batch_reverse` slices r_bars,
-    s_bars for the weight M:
+    """d<T(M), M>/dM of each run b of the slice ``runs`` of ``batch``, whose
+    kernel is K = exp(-lam * M) with lam its entry of ``lams``, from the
+    (r, n) and (r, m) factors A, B of its cost, M = A^T B up to rounding,
+    and the run's :func:`sinkhorn_batch_reverse` slices r_bars, s_bars for
+    the weight M:
 
         K * (u_L v_L^T - lam * sum_k (r_bar_k v_k^T + u_{k-1} s_bar_k^T)
                - lam * (A diag(u_L))^T (B diag(v_L))),
 
     where K times the last term is diag(u_L) (K * M) diag(v_L). The bracket
-    is one product of rank 2L + 1 + r, so neither M nor K * M is formed;
-    the result is the only (n, m) array.
+    is one product of rank 2L + 1 + r, so neither M nor K * M is formed.
+    ``factors``, ``r_bars`` and ``s_bars`` are the runs' stacks, and the S
+    results are one (S, n, m) stack, the only (n, m) arrays, from one
+    stacked product; each is bit-identical to its run's alone.
     """
-    U, V = batch.u_history[b], batch.v_history[b]
+    U, V = batch.u_history[runs], batch.v_history[runs]
+    u, v = U[:, -1:], V[:, -1:]
     A, B = factors
-    left = np.concatenate((U[-1:], r_bars, U[:-1], A * U[-1]))
-    left[1:] *= -lam
-    G = left.T @ np.concatenate((V[-1:], V, s_bars, B * V[-1]))
-    G *= batch.kernel[b]
+    left = np.concatenate((u, r_bars, U[:, :-1], A * u), axis=1)
+    left[:, 1:] *= -lams[:, None, None]
+    G = left.transpose(0, 2, 1) @ np.concatenate((v, V, s_bars, B * v), axis=1)
+    G *= batch.kernel[runs]
     return G

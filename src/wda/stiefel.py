@@ -16,6 +16,14 @@ accepted step, grown once: a0 = min(_STEP_INIT, previous / _STEP_SHRINK)
 settle far below _STEP_INIT, an iteration no longer evaluates and discards
 every larger step first; while they stay at 1/2 or above, the trials are
 those of a fixed start at _STEP_INIT.
+
+Fits run in lockstep (``_fit_lockstep``): S fits of the same class sizes,
+dimension and Sinkhorn budget share one stack of states
+(:class:`~wda.objective.PlanStack`), one stacked :func:`gradient` per
+outer iteration and one stacked :func:`evaluate` per line-search trial of
+the fits still searching, and each equals its own fit bit for bit.
+:func:`wda_fit` is the case S = 1; ``wda sweep`` runs the wda fits of one
+p, every seed and lambda, as one stack of at most ``_MAX_STACK``.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .datasets import LabeledDataset, require_finite, require_integer
-from .errors import DegenerateInputError, InvalidInputError
+from .errors import DegenerateInputError, InvalidInputError, WdaError
 from .objective import PairKey, WdaConfig, adaptive_lambdas, evaluate, gradient, pair_json
 
 _STEP_INIT = 1.0
@@ -115,7 +123,10 @@ class FitReport:
     ``gradient_norms`` the Frobenius norm of the Riemannian gradient at the
     iterate, ``evaluations`` the objective evaluations of the linesearch (0
     for a "stationary" iteration, which tries no step). ``step_sizes`` and
-    ``objective_values[1:]`` hold one entry per accepted step.
+    ``objective_values[1:]`` hold one entry per accepted step. A fit run in
+    lockstep with others (``wda sweep``) records as ``iteration_seconds``
+    the wall time of each shared round, the same for every fit in it; every
+    other field is that of its own :func:`wda_fit`, bit for bit.
 
     The fields are the record: :meth:`to_json` (``fit_report.json``) writes
     each under its name, in this order, with ``pair_lambdas`` keyed "c,cp".
@@ -150,7 +161,49 @@ def wda_fit(
     direction vanishes, the linesearch stalls, or ``cfg.max_outer_iter`` is
     reached. Returns the best-objective iterate and the fit trajectory.
     Raises InvalidInputError naming the first non-finite sample or init value.
+
+    It runs as the lockstep driver of ``wda sweep`` (``_fit_lockstep``)
+    with this one fit: a stack of one problem.
     """
+    fit = _start_fit(data, cfg, init)
+    _fit_lockstep([fit])
+    if fit.error is not None:
+        raise fit.error
+    return fit.best[1], fit.report
+
+
+# fits solved as one stack, at most: a stack holds this many fits' arrays
+_MAX_STACK = 16
+
+
+@dataclass(eq=False, slots=True)
+class _Fit:
+    """One fit of a lockstep run: its settings, blocks and lambda map, its
+    iterate P and the value there, its record, and the line search of the
+    current round. ``error`` is the refusal that ended it."""
+
+    cfg: WdaConfig
+    blocks: list
+    lambdas: dict
+    P: np.ndarray
+    report: FitReport
+    value: float = float("nan")
+    best: tuple = ()
+    alpha0: float = _STEP_INIT
+    direction: np.ndarray | None = None
+    slope: float = 0.0
+    alpha: float = 0.0
+    trials: int = 0
+    step: tuple | None = None
+    error: WdaError | None = None
+
+
+def _start_fit(
+    data: LabeledDataset, cfg: WdaConfig, init=None, start: np.ndarray | None = None
+) -> _Fit:
+    """A fit of ``data`` at ``cfg`` from ``init``, after the checks of
+    :func:`wda_fit`. ``start``, when given, is the PCA start
+    ``pca_init(data.samples.T, cfg.dim)``, computed once for several fits."""
     require_finite("samples", data.samples)
     blocks = data.class_blocks()
     if len(blocks) < 2:
@@ -162,7 +215,10 @@ def wda_fit(
         )
     d = data.n_features
 
-    P, lambdas = pca_start(data, cfg.dim, cfg.lam)
+    if start is None:
+        P, lambdas = pca_start(data, cfg.dim, cfg.lam)
+    else:
+        P, lambdas = start, adaptive_lambdas(start, data.class_blocks(), cfg.lam)
     if init is not None:
         P = np.asarray(init, dtype=float)
         if P.shape != (cfg.dim, d):
@@ -172,61 +228,183 @@ def wda_fit(
         require_finite("init", P)
         if np.abs(P @ P.T - np.eye(cfg.dim)).max() > 1e-8:
             raise InvalidInputError("init must have orthonormal rows")
+    return _Fit(cfg, blocks, lambdas, P, FitReport(pair_lambdas=dict(lambdas)))
 
-    report = FitReport(pair_lambdas=dict(lambdas))
 
-    state = evaluate(P, blocks, cfg, lambdas)
-    report.objective_values.append(state.value)
-    best_value, best_P, best_iter = state.value, P, 0
-    alpha0 = _STEP_INIT
+def _fit_lockstep(fits: list[_Fit]) -> None:
+    """Run fits of the same class sizes, dimension and Sinkhorn budget in
+    rounds, each fit's evaluations and gradients stacked with the others'.
 
-    for it in range(1, cfg.max_outer_iter + 1):
+    Round t is outer iteration t of every fit still running: one stacked
+    gradient, then stacked line-search trials, each of the fits still
+    searching, until each has accepted a step or stalled. A fit runs
+    exactly the trials of its own fit and is bit-identical to it; its
+    ``iteration_seconds`` are the wall times of its rounds. A fit that is
+    refused keeps the error in ``error`` and leaves the stack, as does a
+    fit that ends; the others go on.
+
+    The fits share one stack of states, solved at the start. Each fit's
+    runs are one problem of it (see :class:`~wda.objective.PlanStack`),
+    and each call reads or writes consecutive problems: before a gradient
+    the fits still running move their runs down, and before a trial the
+    fits still searching take the window with the fewest fits that have
+    accepted their step this round, whose runs move out of the way. A
+    trial writes into the state of the fit it replaces, which only its
+    value is read from; so a round allocates no state array, and a run
+    holds one state per fit.
+    """
+    cfg = fits[0].cfg
+    stack = evaluate([f.P for f in fits], [f.blocks for f in fits], cfg, [f.lambdas for f in fits])
+    slots: list[_Fit | None] = list(fits)  # the fit whose runs each problem holds
+    live = []
+    for fit, state in zip(fits, stack.problems):
+        if isinstance(state, WdaError):
+            fit.error = state
+            continue
+        fit.value, fit.best = state.value, (state.value, fit.P, 0)
+        fit.report.objective_values.append(state.value)
+        live.append(fit)
+    del state  # the first trial replaces it
+
+    it = 0
+    while live:
+        it += 1
         t0 = time.perf_counter()
-        G = gradient(state)
-        report.gradient_norms.append(float(np.linalg.norm(riemannian_gradient(P, G))))
-        D = project_stiefel(P + G) - P
-        slope = float(np.sum(G * D))
-        if np.linalg.norm(D) <= 1e-14 * max(1.0, np.linalg.norm(P)) or slope <= 0.0:
-            report.termination = "stationary"
-            report.evaluations.append(0)
-            report.iteration_seconds.append(time.perf_counter() - t0)
-            break
+        live = _compact(stack, slots, live)
+        searching = []
+        for fit, G in zip(live, gradient(stack.window(0, len(live)))):
+            fit.trials, fit.step = 0, None
+            if isinstance(G, WdaError):
+                fit.error = G
+                continue
+            fit.report.gradient_norms.append(float(np.linalg.norm(riemannian_gradient(fit.P, G))))
+            try:
+                D = project_stiefel(fit.P + G) - fit.P
+            except WdaError as exc:
+                fit.error = exc
+                continue
+            slope = float(np.sum(G * D))
+            if np.linalg.norm(D) <= 1e-14 * max(1.0, np.linalg.norm(fit.P)) or slope <= 0.0:
+                fit.report.termination = "stationary"
+                continue
+            fit.direction, fit.slope, fit.alpha = D, slope, fit.alpha0
+            searching.append(fit)
 
-        # from here on only state.value is read: the first trial writes its
-        # arrays into the state's, and a rejected trial hands its on; the
-        # state's validated blocks and lambda map are not scanned again
-        alpha = alpha0
-        accepted = None
-        spare = state
-        for trial in range(1, _MAX_BACKTRACKS + 2):
-            P_try = project_stiefel(P + alpha * D)
-            s_try = evaluate(P_try, spare.classes, cfg, spare.pair_lambdas, out=spare)
-            if s_try.value >= state.value + _STEP_C1 * alpha * slope:
-                accepted = (P_try, s_try)
-                break
-            spare = s_try
-            alpha *= _STEP_SHRINK
-        # the state an accepted trial replaced, or a rejected trial's, would
-        # otherwise hold its histories and factors through the next gradient
-        del spare
-        report.evaluations.append(trial)
-        report.iteration_seconds.append(time.perf_counter() - t0)
-        if accepted is None:
-            report.termination = "stalled"
-            break
+        _line_search(stack, slots, searching, cfg)
 
-        previous = state.value
-        P, state = accepted
-        report.n_iterations = it
-        report.step_sizes.append(alpha)
-        alpha0 = min(_STEP_INIT, alpha / _STEP_SHRINK)
-        report.objective_values.append(state.value)
-        if state.value > best_value:
-            best_value, best_P, best_iter = state.value, P, it
-        if (state.value - previous) / max(abs(previous), 1e-300) < cfg.outer_tol:
-            report.termination = "converged"
-            break
+        seconds = time.perf_counter() - t0
+        for fit in live:
+            if fit.error is not None:
+                continue
+            report = fit.report
+            report.evaluations.append(fit.trials)
+            report.iteration_seconds.append(seconds)
+            if fit.trials == 0:
+                continue  # stationary
+            if fit.step is None:
+                report.termination = "stalled"
+                continue
+            previous = fit.value
+            fit.P, fit.value = fit.step
+            report.n_iterations = it
+            report.step_sizes.append(fit.alpha)
+            fit.alpha0 = min(_STEP_INIT, fit.alpha / _STEP_SHRINK)
+            report.objective_values.append(fit.value)
+            if fit.value > fit.best[0]:
+                fit.best = (fit.value, fit.P, it)
+            if (fit.value - previous) / max(abs(previous), 1e-300) < fit.cfg.outer_tol:
+                report.termination = "converged"
+        live = [
+            fit for fit in live
+            if fit.error is None and fit.step is not None
+            and fit.report.termination == "max_iterations" and it < fit.cfg.max_outer_iter
+        ]
 
-    report.best_objective = best_value
-    report.best_iteration = best_iter
-    return best_P, report
+    for fit in fits:
+        if fit.error is None:
+            fit.report.best_objective, fit.report.best_iteration = fit.best[0], fit.best[2]
+
+
+def _line_search(stack, slots: list, searching: list[_Fit], cfg: WdaConfig) -> None:
+    """One round's backtracking of the fits ``searching``, each from its
+    ``alpha``: stacked trials, each of the fits still searching, until each
+    has accepted a step (``step``, with ``trials`` its evaluations) or
+    stalled (``step`` None). From here on only each fit's value is read:
+    its first trial writes its arrays into the fit's state, and a rejected
+    trial hands them on; the states' validated blocks and lambda maps are
+    not scanned again."""
+    accepted: set[_Fit] = set()
+    for trial in range(1, _MAX_BACKTRACKS + 2):
+        tries = []
+        for fit in searching:
+            try:
+                tries.append(project_stiefel(fit.P + fit.alpha * fit.direction))
+            except WdaError as exc:
+                fit.error = exc
+        if len(tries) < len(searching):
+            searching = [fit for fit in searching if fit.error is None]
+        if not searching:
+            return
+        first = _clear(stack, slots, searching, accepted)
+        out = stack.window(first, first + len(searching))
+        states = out.problems
+        result = evaluate(
+            tries, [st.classes for st in states], cfg, [st.pair_lambdas for st in states], out=out
+        )
+        stack.problems[first:first + len(searching)] = result.problems
+        rejected = []
+        for fit, P_try, s_try in zip(searching, tries, result.problems):
+            if isinstance(s_try, WdaError):
+                fit.error = s_try
+                continue
+            fit.trials = trial
+            if s_try.value >= fit.value + _STEP_C1 * fit.alpha * fit.slope:
+                fit.step = (P_try, s_try.value)
+                accepted.add(fit)
+            else:
+                fit.alpha *= _STEP_SHRINK
+                rejected.append(fit)
+        searching = rejected
+
+
+def _compact(stack, slots: list, fits: list[_Fit]) -> list[_Fit]:
+    """Move the runs and states of ``fits`` to the first problems of
+    ``stack``, in the order they hold in it, which is returned."""
+    if slots[:len(fits)] == fits:
+        return fits
+    fits = [slot for slot in slots if slot in fits]
+    for i, fit in enumerate(fits):
+        if slots[i] is not fit:
+            j = slots.index(fit)
+            stack.move(j, i)
+            slots[i], slots[j] = fit, None
+    return fits
+
+
+def _clear(stack, slots: list, fits: list[_Fit], keep: set[_Fit]) -> int:
+    """Give ``fits``, whose runs are no longer read, consecutive problems of
+    ``stack`` with their states, in order, and return the first. Of such
+    windows, the one that holds the fewest fits of ``keep`` is taken; their
+    runs move past it, over runs no longer read."""
+    n = len(fits)
+    if slots[:n] == fits:
+        return 0
+    first = min(range(len(slots) - n + 1),
+                key=lambda a: sum(slot in keep for slot in slots[a:a + n]))
+    if slots[first:first + n] == fits:
+        return first
+    window = range(first, first + n)
+    states = [stack.problems[slots.index(fit)] for fit in fits]
+    for j, slot in enumerate(slots):
+        if slot in fits and j not in window:
+            slots[j] = None
+    if keep:
+        free = [j for j, slot in enumerate(slots) if j not in window and slot not in keep]
+        for i in window:
+            if slots[i] in keep:
+                j = free.pop()
+                slots[j] = slots[i]
+                stack.move(i, j)
+    slots[first:first + n] = fits
+    stack.problems[first:first + n] = states
+    return first

@@ -6,8 +6,9 @@ self-transport, the transport cost <T, M>, the transport-weighted
 covariance of sample differences and its per-pair closed form under the
 uniform coupling), the full unrolled plan Jacobian, a per-pair reference
 for the objective built on plain 2-d Sinkhorn loops of its own, a replay of
-``wda_fit`` on fresh evaluations, and cell-by-cell references for the CSV
-readers and writers."""
+``wda_fit`` on fresh evaluations, the ten-class fixture of 55 plan shapes,
+a per-cell loop for ``run_protocol``, and cell-by-cell references for the
+CSV readers and writers."""
 
 import csv
 import math
@@ -16,18 +17,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from dataclasses import replace
+
 from wda import (
+    CsvDataSpec,
     InvalidInputError,
     LabeledDataset,
     NumericalRangeError,
     ParseError,
+    WdaConfig,
     WdaError,
     cost_matrix,
+    error_rate,
     evaluate,
+    fda_fit,
     gradient,
+    knn_predict,
+    load_csv,
+    pca_init,
     project_stiefel,
     stiefel,
+    wda_fit,
 )
+from wda.evaluation import _make_data
 from wda.objective import pair_keys
 from wda.stiefel import pca_start, riemannian_gradient
 from wda.otcore import SinkhornBatch, sinkhorn_batch, sinkhorn_batch_reverse, sinkhorn_kernels
@@ -459,6 +471,63 @@ def replay_wda_fit(data, cfg):
     report["best_objective"] = best_value
     report["best_iteration"] = best_iter
     return best_P, report
+
+
+def ten_class_data(seed, d=6):
+    """Ten Gaussian classes of 3, 4, ..., 12 points in d dimensions, rows
+    sorted by class: means 0.5 N(0, I) and points mean + N(0, I), drawn from
+    ``seed``. Every class size differs, so each of the 55 class pairs has a
+    plan shape of its own."""
+    rng = np.random.default_rng(seed)
+    means = 0.5 * rng.standard_normal((10, d))
+    samples = np.vstack([means[c] + rng.standard_normal((3 + c, d)) for c in range(10)])
+    return LabeledDataset(samples, np.repeat(np.arange(10), np.arange(3, 13)))
+
+
+def reference_run_protocol(data_spec, methods, ks, ps, lams, n_seeds, base_seed=0,
+                           wda_config=None):
+    """``wda.run_protocol`` as a plain loop over its cells, in (seed, method,
+    p, lambda) order: every cell fits on its own (wda by ``wda_fit`` from its
+    own PCA start, the other methods once per lambda) and votes each k with
+    ``knn_predict``. Returns the error tensor and the failure list."""
+    loaded = load_csv(data_spec.path) if isinstance(data_spec, CsvDataSpec) else None
+    wda_config = wda_config if wda_config is not None else WdaConfig()
+    seeds = [base_seed + s for s in range(n_seeds)]
+    errors = np.full((len(methods), len(seeds), len(ps), len(lams), len(ks)), np.nan)
+    failures = []
+    for si, seed in enumerate(seeds):
+        train, test = _make_data(data_spec, seed, loaded)
+        for mi, method in enumerate(methods):
+            for pi, p in enumerate(ps):
+                for li, lam in enumerate(lams):
+                    failed = []
+                    try:
+                        if method == "identity":
+                            P = None
+                        elif method == "pca":
+                            P = pca_init(train.samples.T, p)
+                        elif method == "fda":
+                            P = fda_fit(train, p).projection
+                        else:
+                            P = wda_fit(train, replace(wda_config, dim=p, lam=lam))[0]
+                    except WdaError as exc:
+                        failed.append((None, exc))
+                    else:
+                        train_Z = train.samples if P is None else train.samples @ P.T
+                        test_Z = test.samples if P is None else test.samples @ P.T
+                        for ki, k in enumerate(ks):
+                            try:
+                                pred = knn_predict(train_Z, train.labels, test_Z, k)
+                            except WdaError as exc:
+                                failed.append((k, exc))
+                            else:
+                                errors[mi, si, pi, li, ki] = error_rate(pred, test.labels)
+                    failures += [
+                        {"method": method, "seed": seed, "p": p, "lambda": lam, "k": k,
+                         "error": str(exc)}
+                        for k, exc in failed
+                    ]
+    return errors, failures
 
 
 def _is_number(cell):
