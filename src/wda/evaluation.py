@@ -255,8 +255,8 @@ def _fit_wda(draws, p: int, lams, wda_config: WdaConfig, starts: dict) -> dict:
     """The wda projection, or the error that refused it, of every (seed
     index, lambda index) cell of ``draws`` at dimension p, from the PCA start
     of each seed in ``starts`` (or its error). The fits run in lockstep, in
-    stacks of at most ``_MAX_STACK``, each bit-identical to its own
-    :func:`~wda.stiefel.wda_fit`."""
+    stacks of at most ``_STACK_BYTES`` of state arrays, each bit-identical to
+    its own :func:`~wda.stiefel.wda_fit`."""
     found, fits = {}, {}
     for si, train, _ in draws:
         start = None if isinstance(starts[si], WdaError) else starts[si]
@@ -268,11 +268,21 @@ def _fit_wda(draws, p: int, lams, wda_config: WdaConfig, starts: dict) -> dict:
             except WdaError as exc:
                 found[si, li] = exc
     running = list(fits.values())
-    for first in range(0, len(running), stiefel._MAX_STACK):
-        stiefel._fit_lockstep(running[first:first + stiefel._MAX_STACK])
+    size = stiefel._stack_size(running[0]) if running else 1
+    for first in range(0, len(running), size):
+        stiefel._fit_lockstep(running[first:first + size])
     for cell, fit in fits.items():
         found[cell] = fit.error if fit.error is not None else fit.best[1]
     return found
+
+
+def _seeds_held(train, test, n_lams: int, L: int, p: int) -> int:
+    """How many seeds' draws like (train, test) a sweep holds at once: as
+    many as fit, with their wda states at every lambda (L Sinkhorn
+    iterations, dimension at most p), in a lockstep stack's
+    ``_STACK_BYTES``, and at least one."""
+    states = n_lams * stiefel._state_bytes(np.bincount(train.labels).tolist(), L, p)
+    return max(1, stiefel._STACK_BYTES // (states + train.samples.nbytes + test.samples.nbytes))
 
 
 def _vote_cell(fitted, train, test, ks):
@@ -333,9 +343,10 @@ def run_protocol(
     lambda, in the order a fit per lambda would record them. The PCA start
     is computed once per (seed, p): it is the pca cell's projection and the
     start of every wda fit there. The wda fits of one p, every seed and
-    every lambda, run in lockstep as one stack (``wda.stiefel._fit_lockstep``,
-    at most ``_MAX_STACK`` fits, so the draws of at most ``_MAX_STACK //
-    len(lams)`` seeds are held at once); each fit equals its own
+    every lambda, run in lockstep (``wda.stiefel._fit_lockstep``), in
+    stacks whose state arrays total at most ``stiefel._STACK_BYTES``, and
+    the draws of as many seeds are held at once as fit in that budget with
+    their fits' states (at least one); each fit equals its own
     :func:`~wda.stiefel.wda_fit` bit for bit, and a refused fit fails only
     its own cell while the others go on. Cells whose fit or prediction
     raises a package error are recorded in ``failures``, in (seed, method,
@@ -365,10 +376,13 @@ def run_protocol(
     seeds = [base_seed + s for s in range(n_seeds)]
 
     cells = {}  # (seed, method, p, lambda) index -> (errors, failures)
-    held = max(1, stiefel._MAX_STACK // len(lams)) if "wda" in methods else 1
+    drawn = {0: _make_data(data_spec, seeds[0], loaded)}
+    held = 1
+    if "wda" in methods:
+        held = _seeds_held(*drawn[0], len(lams), wda_config.sinkhorn_iters, max(ps))
     for first in range(0, len(seeds), held):
         draws = [
-            (si, *_make_data(data_spec, seeds[si], loaded))
+            (si, *(drawn.pop(si) if si in drawn else _make_data(data_spec, seeds[si], loaded)))
             for si in range(first, min(first + held, len(seeds)))
         ]
         for pi, p in enumerate(ps):
@@ -396,6 +410,7 @@ def run_protocol(
                     cell = _vote_cell(fitted, train, test, ks)
                     for li in range(len(lams)):
                         cells[si, mi, pi, li] = cell
+        del draws, train, test  # the next seeds' draws are made without these
 
     errors = np.full((len(methods), len(seeds), len(ps), len(lams), len(ks)), np.nan)
     failures: list[dict] = []

@@ -38,11 +38,11 @@ are those of a plain per-pair loop, bit for bit.
 
 The core is written for a stack of S problems of the same class sizes,
 each with its own projection, class blocks and lambda map, and a single
-problem is the stack of one. :func:`solve_pairs` and :func:`evaluate` take
-a stack as a list of projections with a list of block lists and of lambda
-maps, and return a :class:`PlanStack`: the pairs of every problem that
-share a plan shape are one kernel stack and one Sinkhorn run,
-problem-major, and each problem's plans are views of its runs.
+problem is the stack of one. :func:`evaluate` takes a stack as a list of
+projections with a list of block lists and of lambda maps, and returns a
+:class:`PlanStack`: the pairs of every problem that share a plan shape are
+one kernel stack and one Sinkhorn run, problem-major, and each problem's
+plans are views of its runs.
 :func:`gradient` of a stack runs one reverse recursion per batch and forms
 the cotangents of one pair for all S problems at once, an (S, n, m) stack,
 so a stacked call holds S times the arrays of one. Each problem's
@@ -354,15 +354,22 @@ def _is_stack(P) -> bool:
     return isinstance(P, (list, tuple)) and len(P) > 0 and getattr(P[0], "ndim", 0) == 2
 
 
-def _stack_arguments(P, classes, lambdas, out):
-    """The arguments of a call as a stack: whether they were one, and the
-    lists of projections, class blocks and lambda maps, and ``out`` as a
+def _single_arguments(P, classes, lambdas, out):
+    """The arguments of a single problem as a stack of one: the lists of
+    projections, class blocks and lambda maps, and ``out`` as a
     :class:`PlanStack`."""
+    if out is not None and not isinstance(out, PairPlans):
+        raise InvalidInputError("out of a single problem must be its PairPlans")
+    out = None if out is None else PlanStack(out.batches, out.cost_factors, [out])
+    return [P], [classes], [lambdas], out
+
+
+def _stack_arguments(P, classes, lambdas, out):
+    """The arguments of an :func:`evaluate` call as a stack: whether they
+    were one, and the lists of projections, class blocks and lambda maps,
+    and ``out`` as a :class:`PlanStack`."""
     if not _is_stack(P):
-        if out is not None and not isinstance(out, PairPlans):
-            raise InvalidInputError("out of a single problem must be its PairPlans")
-        out = None if out is None else PlanStack(out.batches, out.cost_factors, [out])
-        return False, [P], [classes], [lambdas], out
+        return False, *_single_arguments(P, classes, lambdas, out)
     lambdas = [None] * len(P) if lambdas is None else lambdas
     if not len(P) == len(classes) == len(lambdas):
         raise InvalidInputError(
@@ -384,9 +391,10 @@ def _one(result):
 
 
 def _solve(P, classes, cfg: WdaConfig, lambdas, out) -> PlanStack:
-    """:func:`solve_pairs` of a stack of problems, a single one as a stack
-    of one. Bad input refuses the call; a numerical refusal only its own
-    problem, which stands in its place in ``problems``."""
+    """The pair plans of a stack of problems (:func:`solve_pairs` of each),
+    a single one as a stack of one. Bad input refuses the call; a numerical
+    refusal only its own problem, which stands in its place in
+    ``problems``."""
     S = len(P)
     blocks, projections, lam_maps = [], [], []
     for s in range(S):
@@ -504,13 +512,13 @@ def _solve(P, classes, cfg: WdaConfig, lambdas, out) -> PlanStack:
 
 
 def solve_pairs(
-    P: np.ndarray | list[np.ndarray],
+    P: np.ndarray,
     classes,
     cfg: WdaConfig,
     lambdas: dict[PairKey, float] | None = None,
     *,
-    out: PairPlans | PlanStack | None = None,
-) -> PairPlans | PlanStack:
+    out: PairPlans | None = None,
+) -> PairPlans:
     """Solve the inner transport problem of every class pair at projection P.
 
     ``lambdas`` maps each pair (c, c') with c <= c' to its fixed
@@ -539,20 +547,10 @@ def solve_pairs(
     refused with InvalidInputError. ``classes`` that are ``out.classes`` and
     ``lambdas`` that are ``out.pair_lambdas`` were validated when ``out`` was
     solved and are not scanned again; a line search passes its state's own.
-
-    A stack of S problems is solved as one: P is a list of S (p, d)
-    arrays, ``classes`` a list of S class block lists of the
-    same class sizes, ``lambdas`` None or a list of S maps, and ``out`` a
-    :class:`PlanStack` of S problems. The pairs of every problem that share
-    a plan shape are one kernel stack and one Sinkhorn run, and each
-    problem's numbers are those of its own call, bit for bit. Bad input
-    refuses the call; a problem whose call would raise a numerical refusal
-    (an underflowing kernel, an overflowing distance) has that error in its
-    place in the returned :class:`PlanStack`, and the others are solved.
+    It is the single problem of the stacked core (see :func:`evaluate`).
     """
-    stacked, P, classes, lambdas, out = _stack_arguments(P, classes, lambdas, out)
-    solved = _solve(P, classes, cfg, lambdas, out)
-    return solved if stacked else _one(solved.problems[0])
+    P, classes, lambdas, out = _single_arguments(P, classes, lambdas, out)
+    return _one(_solve(P, classes, cfg, lambdas, out).problems[0])
 
 
 def _assemble(plans) -> ObjectiveState | WdaError:
@@ -586,8 +584,17 @@ def evaluate(
     defined for any P of the right shape, which lets callers probe J in the
     ambient space, e.g. for finite-difference checks. Raises
     DegenerateInputError when the within-class dispersion sigma_w^2 is zero.
-    A stack of problems (see :func:`solve_pairs`) returns a
-    :class:`PlanStack` of their states, each refusal in its problem's place.
+
+    A stack of S problems is solved as one: P is a list of S (p, d) arrays,
+    ``classes`` a list of S class block lists of the same class sizes,
+    ``lambdas`` None or a list of S maps, and ``out`` a :class:`PlanStack`
+    of S problems. The pairs of every problem that share a plan shape are
+    one kernel stack and one Sinkhorn run, and each problem's numbers are
+    those of its own call, bit for bit. It returns a :class:`PlanStack` of
+    their states. Bad input refuses the call; a problem whose own call would
+    raise a numerical refusal (an underflowing kernel, an overflowing
+    distance, a zero sigma_w^2) has that error in its place, and the others
+    are solved.
     """
     stacked, P, classes, lambdas, out = _stack_arguments(P, classes, lambdas, out)
     solved = _solve(P, classes, cfg, lambdas, out)

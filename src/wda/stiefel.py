@@ -23,7 +23,8 @@ dimension and Sinkhorn budget share one stack of states
 outer iteration and one stacked :func:`evaluate` per line-search trial of
 the fits still searching, and each equals its own fit bit for bit.
 :func:`wda_fit` is the case S = 1; ``wda sweep`` runs the wda fits of one
-p, every seed and lambda, as one stack of at most ``_MAX_STACK``.
+p, every seed and lambda, in stacks of at most ``_STACK_BYTES`` of state
+arrays.
 """
 
 from __future__ import annotations
@@ -35,7 +36,16 @@ import numpy as np
 
 from .datasets import LabeledDataset, require_finite, require_integer
 from .errors import DegenerateInputError, InvalidInputError, WdaError
-from .objective import PairKey, WdaConfig, adaptive_lambdas, evaluate, gradient, pair_json
+from .objective import (
+    PairKey,
+    WdaConfig,
+    _resolve_lambdas,
+    adaptive_lambdas,
+    evaluate,
+    gradient,
+    pair_json,
+    pair_keys,
+)
 
 _STEP_INIT = 1.0
 _STEP_SHRINK = 0.5
@@ -172,10 +182,6 @@ def wda_fit(
     return fit.best[1], fit.report
 
 
-# fits solved as one stack, at most: a stack holds this many fits' arrays
-_MAX_STACK = 16
-
-
 @dataclass(eq=False, slots=True)
 class _Fit:
     """One fit of a lockstep run: its settings, blocks and lambda map, its
@@ -196,6 +202,31 @@ class _Fit:
     trials: int = 0
     step: tuple | None = None
     error: WdaError | None = None
+
+
+# the bytes of state arrays a lockstep stack holds, at most, unless it is one
+# fit. A stack saves numpy's per-call overhead, which dominates while each
+# fit's arrays are small; once the kernel stacks and scaling records the
+# Sinkhorn loop sweeps outgrow a core's L2 cache (2 MiB per core on the
+# 2-vCPU Xeon measured), a stack can run slower than its fits one by one: 4
+# fits of 3 classes of 136 points (1.1 MB each) took 1.16 times as long.
+_STACK_BYTES = 2 * 2**20
+
+
+def _state_bytes(sizes: list[int], L: int, p: int) -> int:
+    """Bytes of the state arrays of one fit with classes of these sizes, L
+    Sinkhorn iterations and dimension p: per class pair its kernel, scaling
+    records, residual and cost factors (see :class:`~wda.objective.PairPlans`)."""
+    return 8 * sum(
+        n * m + (L + 1) * n + L * m + 1 + (p + 2) * (n + m)
+        for n, m in ((sizes[c], sizes[cp]) for c, cp in pair_keys(len(sizes)))
+    )
+
+
+def _stack_size(fit: _Fit) -> int:
+    """How many fits like ``fit`` one lockstep stack takes."""
+    sizes = [X.shape[1] for X in fit.blocks]
+    return max(1, _STACK_BYTES // _state_bytes(sizes, fit.cfg.sinkhorn_iters, fit.cfg.dim))
 
 
 def _start_fit(
@@ -228,6 +259,9 @@ def _start_fit(
         require_finite("init", P)
         if np.abs(P @ P.T - np.eye(cfg.dim)).max() > 1e-8:
             raise InvalidInputError("init must have orthonormal rows")
+    # a map that the first evaluation would refuse (a lambda / cost that
+    # overflows) refuses this fit alone, not the stack it would join
+    _resolve_lambdas(blocks, cfg, lambdas)
     return _Fit(cfg, blocks, lambdas, P, FitReport(pair_lambdas=dict(lambdas)))
 
 
@@ -245,10 +279,10 @@ def _fit_lockstep(fits: list[_Fit]) -> None:
 
     The fits share one stack of states, solved at the start. Each fit's
     runs are one problem of it (see :class:`~wda.objective.PlanStack`),
-    and each call reads or writes consecutive problems: before a gradient
+    and each call reads or writes the first problems: before a gradient
     the fits still running move their runs down, and before a trial the
-    fits still searching take the window with the fewest fits that have
-    accepted their step this round, whose runs move out of the way. A
+    fits still searching take the first problems, from which the fits
+    that have accepted their step this round move their runs out. A
     trial writes into the state of the fit it replaces, which only its
     value is read from; so a round allocates no state array, and a run
     holds one state per fit.
@@ -345,13 +379,13 @@ def _line_search(stack, slots: list, searching: list[_Fit], cfg: WdaConfig) -> N
             searching = [fit for fit in searching if fit.error is None]
         if not searching:
             return
-        first = _clear(stack, slots, searching, accepted)
-        out = stack.window(first, first + len(searching))
+        _clear(stack, slots, searching, accepted)
+        out = stack.window(0, len(searching))
         states = out.problems
         result = evaluate(
             tries, [st.classes for st in states], cfg, [st.pair_lambdas for st in states], out=out
         )
-        stack.problems[first:first + len(searching)] = result.problems
+        stack.problems[:len(searching)] = result.problems
         rejected = []
         for fit, P_try, s_try in zip(searching, tries, result.problems):
             if isinstance(s_try, WdaError):
@@ -381,30 +415,22 @@ def _compact(stack, slots: list, fits: list[_Fit]) -> list[_Fit]:
     return fits
 
 
-def _clear(stack, slots: list, fits: list[_Fit], keep: set[_Fit]) -> int:
-    """Give ``fits``, whose runs are no longer read, consecutive problems of
-    ``stack`` with their states, in order, and return the first. Of such
-    windows, the one that holds the fewest fits of ``keep`` is taken; their
-    runs move past it, over runs no longer read."""
+def _clear(stack, slots: list, fits: list[_Fit], keep: set[_Fit]) -> None:
+    """Give ``fits``, whose runs are no longer read, the first problems of
+    ``stack`` with their states, in order. The fits of ``keep`` there move
+    their runs past them, over runs no longer read."""
     n = len(fits)
     if slots[:n] == fits:
-        return 0
-    first = min(range(len(slots) - n + 1),
-                key=lambda a: sum(slot in keep for slot in slots[a:a + n]))
-    if slots[first:first + n] == fits:
-        return first
-    window = range(first, first + n)
+        return
     states = [stack.problems[slots.index(fit)] for fit in fits]
-    for j, slot in enumerate(slots):
-        if slot in fits and j not in window:
+    for j in range(n, len(slots)):
+        if slots[j] in fits:
             slots[j] = None
-    if keep:
-        free = [j for j, slot in enumerate(slots) if j not in window and slot not in keep]
-        for i in window:
-            if slots[i] in keep:
-                j = free.pop()
-                slots[j] = slots[i]
-                stack.move(i, j)
-    slots[first:first + n] = fits
-    stack.problems[first:first + n] = states
-    return first
+    free = [j for j in range(n, len(slots)) if slots[j] not in keep]
+    for i in range(n):
+        if slots[i] in keep:
+            j = free.pop()
+            slots[j] = slots[i]
+            stack.move(i, j)
+    slots[:n] = fits
+    stack.problems[:n] = states

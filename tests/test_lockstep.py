@@ -198,10 +198,27 @@ def test_a_stack_written_into_its_head_equals_fresh_stacks():
         assert np.shares_memory(batch.kernel, base.batches[keys].kernel)
 
 
-@pytest.mark.parametrize("max_stack", [16, 2])
-def test_run_protocol_equals_a_per_cell_loop(max_stack, monkeypatch):
-    # a stack of at most two fits holds one seed's draw at a time
-    monkeypatch.setattr(stiefel, "_MAX_STACK", max_stack)
+def test_state_bytes_are_the_bytes_of_a_fits_state():
+    toy = gen_toy(9, 1)
+    data = LabeledDataset(toy.samples[2:-1], toy.labels[2:-1])  # classes of 7, 9 and 8
+    cfg = _config(1.0, sinkhorn_iters=7, dim=3)
+    fit = stiefel._start_fit(data, cfg)
+    state = evaluate(fit.P, fit.blocks, cfg, fit.lambdas)
+    arrays = [array for keys, batch in state.batches.items()
+              for array in (batch.kernel, batch.u_history, batch.v_history, batch.residual,
+                            *state.cost_factors[keys])]
+    assert stiefel._state_bytes([7, 9, 8], 7, 3) == sum(array.nbytes for array in arrays)
+    assert stiefel._stack_size(fit) == stiefel._STACK_BYTES // sum(array.nbytes for array in arrays)
+
+
+@pytest.mark.parametrize("fits_per_stack", [None, 1, 2])
+def test_run_protocol_equals_a_per_cell_loop(fits_per_stack, monkeypatch):
+    # the default budget holds all three seeds' draws and stacks their nine
+    # fits at each p; a budget of one or two fits at p = 2 holds one seed's
+    # draw at a time and splits its three fits into stacks
+    if fits_per_stack:
+        budget = fits_per_stack * stiefel._state_bytes([10] * 3, 10, 2)
+        monkeypatch.setattr(stiefel, "_STACK_BYTES", budget)
     spec = ToyDataSpec(n_train_per_class=10, n_test_per_class=20)
     cfg = _config(1.0, max_outer_iter=10)
     args = (spec, ["wda", "pca", "fda", "identity"], [1, 3, 31], [2, 11], [1.0, 100.0, 1e4], 3)
@@ -222,3 +239,23 @@ def test_run_protocol_on_a_csv_of_unequal_classes_equals_a_per_cell_loop(tmp_pat
     errors, failures = reference_run_protocol(*args, base_seed=2, wda_config=cfg)
     np.testing.assert_array_equal(result.errors, errors)
     assert result.failures == failures
+
+
+def test_a_lambda_map_that_overflows_fails_only_its_own_cells(tmp_path):
+    # at 1e-3 of the toy's scale, lambda / cost overflows to inf at 1e305:
+    # wda_fit refuses that map before it solves anything, and the sweep
+    # records it as the failure of those cells alone
+    toy = gen_toy(20, 4)
+    path = tmp_path / "small.csv"
+    save_csv(LabeledDataset(toy.samples * 1e-3, toy.labels), str(path))
+    spec = CsvDataSpec(str(path), train_fraction=0.5)
+    cfg = _config(1.0, max_outer_iter=5)
+    with pytest.raises(InvalidInputError, match="must be positive and finite, got inf"):
+        wda_fit(_make_data(spec, 7, load_csv(spec.path))[0], _config(1e305))
+    args = (spec, ["wda", "pca"], [1, 3], [2], [1.0, 1e305, 30.0], 2)
+    result = run_protocol(*args, base_seed=7, wda_config=cfg)
+    errors, failures = reference_run_protocol(*args, base_seed=7, wda_config=cfg)
+    np.testing.assert_array_equal(result.errors, errors)
+    assert result.failures == failures
+    assert {(f["lambda"], f["k"]) for f in failures} == {(1e305, None)}
+    assert not np.isnan(result.errors[0][:, :, [0, 2]]).any()
