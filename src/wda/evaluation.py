@@ -34,8 +34,8 @@ from .objective import WdaConfig
 KNOWN_METHODS = ("wda", "pca", "fda", "identity")
 
 
-# distance entries per block of test rows: knn_predict holds a few
-# (block, n_train) arrays at a time, so this caps its working memory
+# distance entries per block of test rows: knn_predict holds one
+# (block, n_train) array, so this caps its working memory
 _KNN_BLOCK_ENTRIES = 1 << 16
 
 
@@ -54,17 +54,17 @@ def knn_predict(
     Test rows are processed in blocks of about ``_KNN_BLOCK_ENTRIES //
     n_train`` rows (at least one). Per block, one (block, n_train) matrix of
     squared distances ``|a|^2 - 2 a.b + |b|^2`` between training rows a and
-    test rows b (clamped at 0) is formed. The k-th smallest distance t of
-    each row is found by selection (``np.partition``), not by sorting; the
-    neighbor set is every entry below t plus the first entries equal to t in
-    training-index order, which is exactly the first k entries of the
-    (distance, index) order. Counts and summed distances per class are then
-    two matrix products of the neighbor mask, as 0/1 floats and then times
-    the distances, with a one-hot label matrix. Working memory is five
-    arrays of at most ``max(_KNN_BLOCK_ENTRIES, n_train)`` entries (0.5 MB
-    each for float arrays up to n_train = 65536), whatever the number of test
-    rows: the distances, the selection copy, the float mask and two bool
-    masks, allocated once per call and rewritten by every block.
+    test rows b (clamped at 0) is formed, and each row's neighbours are
+    walked in (distance, training index) order: k times, the row's least
+    remaining entry (the lowest index among equal ones, ``argmin``) adds one
+    vote and its distance to its class's tallies and is set to inf. Working
+    memory is that one array of at most ``max(_KNN_BLOCK_ENTRIES, n_train)``
+    entries (0.5 MB up to n_train = 65536), allocated once per call and
+    rewritten by every block, plus per-class tallies of the block's rows,
+    whatever the number of test rows. The walk makes one pass over the block
+    per neighbour, so its time grows in proportion to k (to the largest k
+    when several are voted at once): at small k it costs a few passes, and
+    at k in the tens or more it takes most of the call.
 
     Raises InvalidInputError for an empty training set, mismatched shapes, a
     non-finite feature value, k outside [1, n_train], or features so large
@@ -101,59 +101,60 @@ def _check_k(k: int, n_train: int) -> None:
 
 
 def _knn_vote(train_X, train_y, test_X, ks) -> list[np.ndarray]:
-    """knn_predict for every k in ``ks`` from one distance matrix per block.
-
-    The inputs must have passed :func:`_knn_inputs` and every k
-    :func:`_check_k`.
-    """
+    """knn_predict for every k in ``ks``, from one walk over each block of
+    test rows. The inputs must have passed :func:`_knn_inputs` and every k
+    :func:`_check_k`."""
     classes, codes = np.unique(train_y, return_inverse=True)
-    one_hot = (codes[:, None] == np.arange(classes.size)).astype(float)
     sq_train = np.einsum("ij,ij->i", train_X, train_X)
     predictions = [np.empty(test_X.shape[0], dtype=train_y.dtype) for _ in ks]
     block = max(1, _KNN_BLOCK_ENTRIES // train_X.shape[0])
-    k_max = max(ks)
-    # every block writes into these, the last one into their leading rows
-    shape = (min(block, test_X.shape[0]), train_X.shape[0])
-    dist_buf, part_buf, weight_buf = (np.empty(shape) for _ in range(3))
-    near_buf, tie_buf = (np.empty(shape, dtype=bool) for _ in range(2))
+    # every block writes into this, the last one into its leading rows
+    dist_buf = np.empty((min(block, test_X.shape[0]), train_X.shape[0]))
     for start in range(0, test_X.shape[0], block):
         x = test_X[start:start + block]
-        dist, part, weight = dist_buf[:len(x)], part_buf[:len(x)], weight_buf[:len(x)]
-        near, tie = near_buf[:len(x)], tie_buf[:len(x)]
+        dist = dist_buf[:len(x)]
         # |t|^2 - 2 x.t + |x|^2, bit for bit, as in-place steps
         with np.errstate(over="ignore", invalid="ignore"):
             np.matmul(x, train_X.T, out=dist)
             dist *= -2.0
             dist += sq_train
             dist += np.einsum("ij,ij->i", x, x)[:, None]
-        if not np.isfinite(dist, out=near).all():
+        if not (np.isfinite(dist.min()) and np.isfinite(dist.max())):
             raise InvalidInputError(
                 "squared distances between test and training rows overflow; "
                 "rescale the features"
             )
         np.maximum(dist, 0.0, out=dist)
-        # column j holds each row's (j+1)-th smallest distance
-        part[...] = dist
-        part.partition(k_max - 1, axis=1)
-        kth = np.sort(part[:, :k_max], axis=1)
+        voted = _walk(dist, codes, classes.size, ks)
         for pred, k in zip(predictions, ks):
-            t = kth[:, k - 1:k]
-            np.less(dist, t, out=near)
-            np.equal(dist, t, out=tie)
-            need = k - near.sum(axis=1)
-            # rows with more ties at t than places left keep the lowest indices
-            rows = np.flatnonzero(tie.sum(axis=1) > need)
-            tie[rows] &= np.cumsum(tie[rows], axis=1) <= need[rows, None]
-            near |= tie
-            weight[...] = near
-            counts = weight @ one_hot
-            weight *= dist  # 0 off the neighbor set: every distance is finite
-            sums = weight @ one_hot
-            best = counts == counts.max(axis=1, keepdims=True)
-            sums[~best] = np.inf
-            best &= sums == sums.min(axis=1, keepdims=True)
-            pred[start:start + block] = classes[best.argmax(axis=1)]
+            pred[start:start + len(x)] = classes[voted[k]]
     return predictions
+
+
+def _walk(dist, codes, n_classes: int, ks) -> dict[int, np.ndarray]:
+    """The class code each row of ``dist``, squared distances to training
+    rows of class ``codes``, votes for at each k in ``ks``: most votes, then
+    least summed distance, then least code. Overwrites each row's first
+    max(ks) neighbours with inf. Its own function so that a block's walk
+    arrays are freed before the next block's distances are formed."""
+    rows = np.arange(dist.shape[0])
+    # votes and summed distances of the neighbours so far, flat (class, row)
+    counts, sums = np.zeros((2, n_classes * len(rows)))
+    flat, row_at = dist.reshape(-1), rows * dist.shape[1]
+    voted = {}
+    for step in range(1, max(ks) + 1):
+        # the lowest index among the least distances: the row's next
+        # neighbour in (distance, index) order
+        j = dist.argmin(axis=1)
+        at, cell = row_at + j, codes[j] * len(rows) + rows
+        counts[cell] += 1.0
+        sums[cell] += flat[at]
+        flat[at] = np.inf
+        if step in ks:
+            votes = counts.reshape(n_classes, -1)
+            tied = np.where(votes == votes.max(axis=0), sums.reshape(votes.shape), np.inf)
+            voted[step] = tied.argmin(axis=0)
+    return voted
 
 
 def error_rate(predicted, truth) -> float:

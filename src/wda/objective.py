@@ -198,7 +198,9 @@ def adaptive_lambdas(P0: np.ndarray, classes, lam: float) -> dict[PairKey, float
     A fit computes them once, at the PCA start whatever its ``init`` (see
     :func:`~wda.stiefel.pca_start`), and reuses them in every evaluation.
     Raises InvalidInputError for a ``lam`` that is not a positive, finite
-    number, and refuses blocks and ``P0`` as :func:`solve_pairs` does.
+    number, NumericalRangeError, naming the pair, ``lam`` and the cost, when
+    ``lam / cost`` is not positive and finite (it overflows on data of tiny
+    spread), and refuses blocks and ``P0`` as :func:`solve_pairs` does.
     """
     if not 0 < require_number("lam", lam) < math.inf:
         raise InvalidInputError(f"lambda must be positive and finite, got {lam}")
@@ -216,6 +218,11 @@ def adaptive_lambdas(P0: np.ndarray, classes, lam: float) -> dict[PairKey, float
                 "adaptive regularization is undefined"
             )
         lam_map[(c, cp)] = lam / cost
+        if not 0 < lam_map[(c, cp)] < math.inf:
+            raise NumericalRangeError(
+                f"class pair {(c, cp)}: lambda {lam:.6g} over the pair's lambda -> 0 "
+                f"transport cost {cost:.6g} is out of range; rescale the features"
+            )
     return lam_map
 
 

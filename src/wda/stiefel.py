@@ -39,7 +39,6 @@ from .errors import DegenerateInputError, InvalidInputError, WdaError
 from .objective import (
     PairKey,
     WdaConfig,
-    _resolve_lambdas,
     adaptive_lambdas,
     evaluate,
     gradient,
@@ -259,9 +258,6 @@ def _start_fit(
         require_finite("init", P)
         if np.abs(P @ P.T - np.eye(cfg.dim)).max() > 1e-8:
             raise InvalidInputError("init must have orthonormal rows")
-    # a map that the first evaluation would refuse (a lambda / cost that
-    # overflows) refuses this fit alone, not the stack it would join
-    _resolve_lambdas(blocks, cfg, lambdas)
     return _Fit(cfg, blocks, lambdas, P, FitReport(pair_lambdas=dict(lambdas)))
 
 

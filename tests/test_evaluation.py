@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import class_counts
+from helpers import class_counts, traced_peak
 from wda import (
     ExperimentResult,
     FitReport,
@@ -89,6 +89,48 @@ def test_knn_matches_oracle_on_integer_grids(case):
     for k in range(1, len(train) + 1):
         mine = knn_predict(train_X, train_y, test_X, k)
         assert np.array_equal(mine, _knn_oracle(train_X, train_y, test_X, k))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 2).flatmap(_grid_case), st.data())
+def test_knn_vote_matches_oracle_for_unsorted_repeated_ks(case, data):
+    # one walk votes every k of a cell as it passes it: ks in any order,
+    # repeated, on grids where distance and vote ties are common
+    train, test = case
+    train_X = np.array([x for x, _ in train], dtype=float)
+    train_y = np.array([y for _, y in train])
+    test_X = np.array(test, dtype=float)
+    ks = data.draw(st.lists(st.integers(1, len(train)), min_size=1, max_size=5))
+    for k, pred in zip(ks, evaluation._knn_vote(train_X, train_y, test_X, ks)):
+        assert np.array_equal(pred, _knn_oracle(train_X, train_y, test_X, k))
+
+
+def test_knn_vote_matches_oracle_at_the_sweep_size():
+    # a sweep cell's size: 102 training and 1,002 test rows in 2 dimensions,
+    # ks unsorted and repeated, over blocks of 642 and 360 rows; the oracle
+    # checks every third row of both blocks
+    rng = np.random.default_rng(11)
+    train_X = rng.standard_normal((102, 2))
+    train_y = rng.integers(0, 3, size=102)
+    test_X = 2.0 * rng.standard_normal((1002, 2))
+    ks = [7, 1, 5, 1]
+    oracle = {k: _knn_oracle(train_X, train_y, test_X[::3], k) for k in set(ks)}
+    for k, pred in zip(ks, evaluation._knn_vote(train_X, train_y, test_X, ks)):
+        assert np.array_equal(pred[::3], oracle[k])
+
+
+def test_knn_predict_holds_one_distance_block():
+    # the CLI's size: 102 training and 10,002 test rows. Per block of rows
+    # the vote holds one (block, n_train) float array beside the predictions
+    rng = np.random.default_rng(5)
+    train_X = rng.standard_normal((102, 2))
+    train_y = rng.integers(0, 3, size=102)
+    test_X = rng.standard_normal((10_002, 2))
+    block = evaluation._KNN_BLOCK_ENTRIES // 102 * 102 * 8
+    predictions = test_X.shape[0] * train_y.itemsize
+    for k in (1, 5, 25):
+        peak = traced_peak(lambda: knn_predict(train_X, train_y, test_X, k))
+        assert peak <= 1.25 * block + predictions, (k, peak / block)
 
 
 def test_knn_blocks_do_not_change_predictions(monkeypatch):

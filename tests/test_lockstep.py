@@ -243,14 +243,17 @@ def test_run_protocol_on_a_csv_of_unequal_classes_equals_a_per_cell_loop(tmp_pat
 
 def test_a_lambda_map_that_overflows_fails_only_its_own_cells(tmp_path):
     # at 1e-3 of the toy's scale, lambda / cost overflows to inf at 1e305:
-    # wda_fit refuses that map before it solves anything, and the sweep
-    # records it as the failure of those cells alone
+    # adaptive_lambdas refuses that map, naming the lambda and cost the user
+    # can act on, before wda_fit solves anything, and the sweep records it
+    # as the failure of those cells alone
     toy = gen_toy(20, 4)
     path = tmp_path / "small.csv"
     save_csv(LabeledDataset(toy.samples * 1e-3, toy.labels), str(path))
     spec = CsvDataSpec(str(path), train_fraction=0.5)
     cfg = _config(1.0, max_outer_iter=5)
-    with pytest.raises(InvalidInputError, match="must be positive and finite, got inf"):
+    message = (r"class pair \(0, 0\): lambda 1e\+305 over the pair's lambda -> 0 "
+               r"transport cost 7\.38215e-06 is out of range; rescale the features")
+    with pytest.raises(NumericalRangeError, match=message):
         wda_fit(_make_data(spec, 7, load_csv(spec.path))[0], _config(1e305))
     args = (spec, ["wda", "pca"], [1, 3], [2], [1.0, 1e305, 30.0], 2)
     result = run_protocol(*args, base_seed=7, wda_config=cfg)

@@ -168,6 +168,18 @@ def test_adaptive_lambdas_refuse_identical_points_off_their_rounded_mean(value, 
         adaptive_lambdas(np.eye(1), classes, 1.0)
 
 
+@pytest.mark.parametrize("scale, lam", [(1e-3, 1e305), (1e3, 5e-324)],
+                         ids=["overflow", "underflow"])
+def test_adaptive_lambdas_refuse_a_pair_lambda_out_of_range(scale, lam):
+    # lam / cost is inf on data of tiny spread and 0 on data of wide spread;
+    # the pair, lam and cost are named, not a per-pair lambda the user never
+    # gave
+    classes = [scale * np.array([[0.0, 1.0, 2.0]]), scale * np.array([[5.0, 6.0]])]
+    message = f"class pair (0, 0): lambda {lam:.6g} over the pair's lambda -> 0 transport cost"
+    with pytest.raises(NumericalRangeError, match=re.escape(message)):
+        adaptive_lambdas(np.eye(1), classes, lam)
+
+
 @pytest.mark.parametrize(
     "P0, message",
     [(np.eye(2, 9), "projection shape (2, 9) does not match feature dimension 10"),
