@@ -6,6 +6,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import reference_run_protocol, traced_peak
 from wda import (
@@ -44,17 +46,18 @@ def _unequal_csv(tmp_path):
 
 
 def _lockstep(cases):
-    """Run (data, cfg) cases as one stack; their fits, in order."""
-    fits = [stiefel._start_fit(data, cfg) for data, cfg in cases]
+    """Run (data, cfg) or (data, cfg, init) cases as one stack; their fits,
+    in order."""
+    fits = [stiefel._start_fit(*case) for case in cases]
     stiefel._fit_lockstep(fits)
     return fits
 
 
 def _assert_each_fit_is_its_own(cases, fits):
     """Every fit equals its own wda_fit bit for bit, or fails as it does."""
-    for (data, cfg), fit in zip(cases, fits):
+    for case, fit in zip(cases, fits):
         try:
-            P, report = wda_fit(data, cfg)
+            P, report = wda_fit(*case)
         except WdaError as exc:
             assert type(fit.error) is type(exc) and str(fit.error) == str(exc)
             continue
@@ -146,6 +149,65 @@ def test_a_fit_refused_at_a_trial_fails_alone():
         "class pair (1, 2) at lambda 80.6938: kernel row underflow"
     )
     assert fits[0].error is None and fits[2].error is None
+    _assert_each_fit_is_its_own(cases, fits)
+
+
+def _assert_no_fit_twice(stack):
+    """No fit's state stands twice among the stack's problems: a fit's lambda
+    map is one object from its first evaluation on."""
+    states = [state for state in stack.problems if not isinstance(state, WdaError)]
+    assert len({id(state.pair_lambdas) for state in states}) == len(states)
+
+
+def _assert_states_are_their_own_runs(stack):
+    """Each state's arrays are the runs of the stack at its own index."""
+    _assert_no_fit_twice(stack)
+    for s, state in enumerate(stack.problems):
+        if isinstance(state, WdaError):
+            continue
+        for keys, runs in stack.batches.items():
+            own = slice(s * len(keys), (s + 1) * len(keys))
+            mine = state.batches[keys]
+            for a, b in zip((mine.kernel, mine.u_history, mine.v_history, mine.residual,
+                             *state.cost_factors[keys]),
+                            (runs.kernel, runs.u_history, runs.v_history, runs.residual,
+                             *stack.cost_factors[keys])):
+                assert a.__array_interface__ == b[own].__array_interface__
+
+
+# gen_toy(8, 16) at 10 Sinkhorn iterations: lambda <= 200 runs 8 iterations,
+# 300 and 500 are refused at a trial, 1000 in the first gradient, and 3000
+# and 1e4 at the start (from the PCA start; a drawn init moves the stages)
+_FUZZ_LAMBDAS = [1.0, 30.0, 100.0, 200.0, 300.0, 500.0, 1000.0, 3000.0, 1e4]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from(_FUZZ_LAMBDAS),
+                          st.sampled_from([0.0, 1e-6, 1e-3]),
+                          st.integers(1, 8),
+                          st.none() | st.integers(0, 2**16)),
+                min_size=1, max_size=6))
+def test_any_stack_of_fits_equals_their_own(drawn):
+    data = gen_toy(8, 16)
+    cases = []
+    for lam, tol, iters, seed in drawn:
+        init = None if seed is None else np.linalg.qr(
+            np.random.default_rng(seed).standard_normal((data.n_features, 2)))[0].T
+        cases.append((data, _config(lam, outer_tol=tol, max_outer_iter=iters), init))
+
+    def checked(function):
+        def call(*args, **kwargs):
+            if kwargs.get("out") is not None:
+                _assert_no_fit_twice(kwargs["out"])  # a trial's, whose runs it overwrites
+            result = function(*args, **kwargs)
+            _assert_states_are_their_own_runs(args[0] if function is gradient else result)
+            return result
+        return call
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stiefel, "gradient", checked(gradient))
+        patch.setattr(stiefel, "evaluate", checked(evaluate))
+        fits = _lockstep(cases)
     _assert_each_fit_is_its_own(cases, fits)
 
 
