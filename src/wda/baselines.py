@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import LabeledDataset, require_finite, require_integer
-from .errors import DegenerateInputError, InvalidInputError
+from .errors import DegenerateInputError, InvalidInputError, NumericalRangeError
 from .objective import _class_moments
 
 _RIDGE = 1e-10
@@ -36,18 +36,21 @@ class FdaModel:
 def uniform_coupling_covariances(classes) -> tuple[np.ndarray, np.ndarray]:
     """Between/within covariances under uniform couplings, (C_b, C_w), in the
     closed forms above, with sum_c S_c accumulated over one pass of class
-    moments; refuses blocks as :func:`~wda.objective.evaluate` does."""
+    moments; refuses blocks as :func:`~wda.objective.evaluate` does. On
+    features so large that the sums overflow, they hold inf or nan, without
+    a numpy warning (:func:`fda_fit` refuses them)."""
     origins, means, total = [], [], 0.0
-    for origin, mean, S in _class_moments(classes):
-        origins.append(origin)
-        means.append(mean)
-        total += S  # the first class's S is copied, the rest summed in place
-    rows, cols = np.triu_indices(len(origins), 1)
-    O, m = np.hstack(origins), np.hstack(means)
-    gaps = (O[:, rows] - O[:, cols]) + (m[:, rows] - m[:, cols])
-    cw = 2.0 * total
-    total *= len(origins) - 1
-    total += gaps @ gaps.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        for origin, mean, S in _class_moments(classes):
+            origins.append(origin)
+            means.append(mean)
+            total += S  # the first class's S is copied, the rest summed in place
+        rows, cols = np.triu_indices(len(origins), 1)
+        O, m = np.hstack(origins), np.hstack(means)
+        gaps = (O[:, rows] - O[:, cols]) + (m[:, rows] - m[:, cols])
+        cw = 2.0 * total
+        total *= len(origins) - 1
+        total += gaps @ gaps.T
     return total, cw
 
 
@@ -67,7 +70,9 @@ def fda_fit(data: LabeledDataset, p: int) -> FdaModel:
     directions past the first C - 1 are an arbitrary basis of that flat
     eigenspace, which a rounding change can rotate.
     Raises InvalidInputError naming the first non-finite sample, or for a p
-    that is not an integer in [1, d].
+    that is not an integer in [1, d], and NumericalRangeError when C_b or
+    C_w (or the trace of C_w) overflows, on finite features too large for
+    their squares (about 1e154 and above): rescale the features.
     """
     require_finite("samples", data.samples)
     blocks = data.class_blocks()
@@ -78,6 +83,10 @@ def fda_fit(data: LabeledDataset, p: int) -> FdaModel:
         raise InvalidInputError(f"p must lie in [1, {d}], got {p}")
     cb, cw = uniform_coupling_covariances(blocks)
     trace_w = float(np.trace(cw))
+    if not (np.isfinite(cb).all() and np.isfinite(cw).all() and np.isfinite(trace_w)):
+        raise NumericalRangeError(
+            "the between or within class covariance overflows; rescale the features"
+        )
     if trace_w <= 0.0:
         raise DegenerateInputError("within-class covariance is zero")
     cw_ridged = cw + (_RIDGE * trace_w / d) * np.eye(d)

@@ -180,13 +180,16 @@ def pair_json(values: dict[PairKey, float]) -> dict[str, float]:
 def _class_moments(classes):
     """Each class's first sample o, (d, 1), mean m about o and covariance S,
     blocks refused as by :func:`evaluate`. About o, identical points give
-    S = 0 exactly, and the gap g = (o_c - o_c') + (m_c - m_c') cancels a shift."""
+    S = 0 exactly, and the gap g = (o_c - o_c') + (m_c - m_c') cancels a shift.
+    On features so large that they overflow, the moments hold inf or nan
+    without a numpy warning; the callers refuse them by name."""
     for X in _check_classes(classes):
-        E = X - X[:, :1]
-        mean = E.mean(axis=1, keepdims=True)
-        E -= mean
-        S = E @ E.T
-        S /= X.shape[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            E = X - X[:, :1]
+            mean = E.mean(axis=1, keepdims=True)
+            E -= mean
+            S = E @ E.T
+            S /= X.shape[1]
         yield X[:, :1], mean, S
 
 
@@ -211,7 +214,8 @@ def adaptive_lambdas(P0: np.ndarray, classes, lam: float) -> dict[PairKey, float
     for c, cp in pair_keys(len(blocks)):
         (origin, mean, S), (origin_p, mean_p, S_p) = moments[c], moments[cp]
         gap = (origin - origin_p) + (mean - mean_p)  # 0 when c == cp
-        cost = float(np.trace(S + S_p + gap @ gap.T))
+        with np.errstate(over="ignore"):  # an overflowing cost is refused below
+            cost = float(np.trace(S + S_p + gap @ gap.T))
         if cost <= 0.0:
             raise DegenerateInputError(
                 f"all projected points of class pair {(c, cp)} coincide; "
@@ -331,14 +335,17 @@ class PlanStack:
 
     def move(self, src: int, dst: int) -> None:
         """Copy the runs of problem ``src`` over those of problem ``dst``, and
-        its plans into dst's place, as views of dst's runs."""
+        trade the two problems' places: src's plans go to dst as views of
+        dst's runs, and dst's entry to src."""
         for keys, batch in self.batches.items():
             G = len(keys)
             for array in (batch.kernel, batch.u_history, batch.v_history, batch.residual,
                           *self.cost_factors[keys]):
                 array[dst * G:(dst + 1) * G] = array[src * G:(src + 1) * G]
         new_b, new_f = _problem_runs(self.batches, self.cost_factors, dst, dst + 1)
-        self.problems[dst] = replace(self.problems[src], batches=new_b, cost_factors=new_f)
+        self.problems[src], self.problems[dst] = (
+            self.problems[dst], replace(self.problems[src], batches=new_b, cost_factors=new_f)
+        )
 
 
 def _resolve_lambdas(blocks, cfg: WdaConfig, lambdas) -> dict[PairKey, float]:

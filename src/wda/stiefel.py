@@ -21,7 +21,11 @@ Fits run in lockstep (``_fit_lockstep``): S fits of the same class sizes,
 dimension and Sinkhorn budget share one stack of states
 (:class:`~wda.objective.PlanStack`), one stacked :func:`gradient` per
 outer iteration and one stacked :func:`evaluate` per line-search trial of
-the fits still searching, and each equals its own fit bit for bit.
+the fits still searching, and each equals its own fit bit for bit. Each
+call reads or writes the first problems of the stack, and one placement
+step (``_partition``) gives them to the fits it is for: each other fit
+there trades places with one of those from further back, and of the two
+only a fit whose state is read again has its runs copied.
 :func:`wda_fit` is the case S = 1; ``wda sweep`` runs the wda fits of one
 p, every seed and lambda, in stacks of at most ``_STACK_BYTES`` of state
 arrays.
@@ -275,17 +279,18 @@ def _fit_lockstep(fits: list[_Fit]) -> None:
 
     The fits share one stack of states, solved at the start. Each fit's
     runs are one problem of it (see :class:`~wda.objective.PlanStack`),
-    and each call reads or writes the first problems: before a gradient
-    the fits still running move their runs down, and before a trial the
-    fits still searching take the first problems, from which the fits
-    that have accepted their step this round move their runs out. A
-    trial writes into the state of the fit it replaces, which only its
-    value is read from; so a round allocates no state array, and a run
-    holds one state per fit.
+    and each call reads or writes the first problems, which
+    :func:`_partition` gives to the fits of the call: before a gradient the
+    fits still running, which keep their runs, and before a trial the fits
+    still searching, whose runs are no longer read, while the fits that
+    have accepted their step this round keep theirs. A trial writes into
+    the state of the fit it replaces, which only its value is read from;
+    so a round allocates no state array, and a run holds one state per
+    fit.
     """
     cfg = fits[0].cfg
     stack = evaluate([f.P for f in fits], [f.blocks for f in fits], cfg, [f.lambdas for f in fits])
-    slots: list[_Fit | None] = list(fits)  # the fit whose runs each problem holds
+    slots = list(fits)  # the fit whose runs each problem holds
     live = []
     for fit, state in zip(fits, stack.problems):
         if isinstance(state, WdaError):
@@ -300,7 +305,7 @@ def _fit_lockstep(fits: list[_Fit]) -> None:
     while live:
         it += 1
         t0 = time.perf_counter()
-        live = _compact(stack, slots, live)
+        live = _partition(stack, slots, live, live)
         searching = []
         for fit, G in zip(live, gradient(stack.window(0, len(live)))):
             fit.trials, fit.step = 0, None
@@ -362,34 +367,35 @@ def _line_search(stack, slots: list, searching: list[_Fit], cfg: WdaConfig) -> N
     stalled (``step`` None). From here on only each fit's value is read:
     its first trial writes its arrays into the fit's state, and a rejected
     trial hands them on; the states' validated blocks and lambda maps are
-    not scanned again."""
+    not scanned again. Before each trial the fits still searching take the
+    first problems (:func:`_partition`, the fits that have accepted keeping
+    their runs), and their trial points are evaluated in that order."""
     accepted: set[_Fit] = set()
     for trial in range(1, _MAX_BACKTRACKS + 2):
-        tries = []
+        tries = {}
         for fit in searching:
             try:
-                tries.append(project_stiefel(fit.P + fit.alpha * fit.direction))
+                tries[fit] = project_stiefel(fit.P + fit.alpha * fit.direction)
             except WdaError as exc:
                 fit.error = exc
-        if len(tries) < len(searching):
-            searching = [fit for fit in searching if fit.error is None]
-        if not searching:
+        if not tries:
             return
-        _clear(stack, slots, searching, accepted)
+        searching = _partition(stack, slots, list(tries), accepted)
         out = stack.window(0, len(searching))
         states = out.problems
         result = evaluate(
-            tries, [st.classes for st in states], cfg, [st.pair_lambdas for st in states], out=out
+            [tries[fit] for fit in searching], [st.classes for st in states], cfg,
+            [st.pair_lambdas for st in states], out=out,
         )
         stack.problems[:len(searching)] = result.problems
         rejected = []
-        for fit, P_try, s_try in zip(searching, tries, result.problems):
+        for fit, s_try in zip(searching, result.problems):
             if isinstance(s_try, WdaError):
                 fit.error = s_try
                 continue
             fit.trials = trial
             if s_try.value >= fit.value + _STEP_C1 * fit.alpha * fit.slope:
-                fit.step = (P_try, s_try.value)
+                fit.step = (tries[fit], s_try.value)
                 accepted.add(fit)
             else:
                 fit.alpha *= _STEP_SHRINK
@@ -397,36 +403,21 @@ def _line_search(stack, slots: list, searching: list[_Fit], cfg: WdaConfig) -> N
         searching = rejected
 
 
-def _compact(stack, slots: list, fits: list[_Fit]) -> list[_Fit]:
-    """Move the runs and states of ``fits`` to the first problems of
-    ``stack``, in the order they hold in it, which is returned."""
-    if slots[:len(fits)] == fits:
-        return fits
-    fits = [slot for slot in slots if slot in fits]
-    for i, fit in enumerate(fits):
-        if slots[i] is not fit:
-            j = slots.index(fit)
-            stack.move(j, i)
-            slots[i], slots[j] = fit, None
-    return fits
-
-
-def _clear(stack, slots: list, fits: list[_Fit], keep: set[_Fit]) -> None:
-    """Give ``fits``, whose runs are no longer read, the first problems of
-    ``stack`` with their states, in order. The fits of ``keep`` there move
-    their runs past them, over runs no longer read."""
-    n = len(fits)
-    if slots[:n] == fits:
-        return
-    states = [stack.problems[slots.index(fit)] for fit in fits]
-    for j in range(n, len(slots)):
-        if slots[j] in fits:
-            slots[j] = None
-    free = [j for j in range(n, len(slots)) if slots[j] not in keep]
+def _partition(stack, slots: list[_Fit], first: list[_Fit], keep) -> list[_Fit]:
+    """Give the fits ``first`` the first problems of ``stack``, and return
+    them in the order they hold there. Each other fit in that range trades
+    places with a fit of ``first`` from further back, its state going with
+    it; of the two, only a fit of ``keep`` has its runs copied."""
+    n, chosen = len(first), set(first)
+    back = [j for j in range(n, len(slots)) if slots[j] in chosen]
     for i in range(n):
-        if slots[i] in keep:
-            j = free.pop()
-            slots[j] = slots[i]
-            stack.move(i, j)
-    slots[:n] = fits
-    stack.problems[:n] = states
+        if slots[i] not in chosen:
+            j = back.pop()
+            if slots[i] in keep:
+                stack.move(i, j)
+            elif slots[j] in keep:
+                stack.move(j, i)
+            else:
+                stack.problems[i], stack.problems[j] = stack.problems[j], stack.problems[i]
+            slots[i], slots[j] = slots[j], slots[i]
+    return slots[:n]

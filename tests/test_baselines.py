@@ -12,6 +12,7 @@ from wda import (
     DegenerateInputError,
     InvalidInputError,
     LabeledDataset,
+    NumericalRangeError,
     WdaConfig,
     append_noise,
     fda_fit,
@@ -109,6 +110,16 @@ def test_fda_degenerate_within_covariance():
     )
     with pytest.raises(DegenerateInputError):
         fda_fit(data, 1)
+
+
+def test_fda_refuses_covariances_that_overflow():
+    # finite features near 1e200: C_b and C_w overflow, and eigh on them
+    # raised numpy's LinAlgError "Eigenvalues did not converge"
+    toy = gen_toy(10, 0)
+    scaled = LabeledDataset(toy.samples * 1e200, toy.labels)
+    message = "the between or within class covariance overflows; rescale the features"
+    with pytest.raises(NumericalRangeError, match=message):
+        fda_fit(scaled, 2)
 
 
 def test_fda_input_validation():

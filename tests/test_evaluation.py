@@ -216,6 +216,23 @@ def test_run_protocol_records_overflowing_distances(tmp_path):
     assert all("overflow" in f["error"] for f in result.failures)
 
 
+def test_run_protocol_records_an_fda_refusal_of_overflowing_covariances(tmp_path):
+    # fda_fit's refusal is a package error, so each fda cell fails alone
+    # where numpy's LinAlgError ended the sweep
+    from wda import save_csv
+    from wda.evaluation import CsvDataSpec
+
+    data = gen_toy(10, seed=0)
+    path = tmp_path / "huge.csv"
+    save_csv(LabeledDataset(1e200 * data.samples, data.labels), str(path))
+    result = run_protocol(CsvDataSpec(path=str(path)), ["fda"], ks=[1],
+                          ps=[1, 2], lams=[0.5], n_seeds=2)
+    assert np.isnan(result.errors).all()
+    assert [(f["seed"], f["p"]) for f in result.failures] == [(0, 1), (0, 2), (1, 1), (1, 2)]
+    assert all("covariance overflows; rescale the features" in f["error"]
+               for f in result.failures)
+
+
 def test_error_rate_trivials():
     assert error_rate([0, 1, 2], [0, 1, 2]) == 0.0
     assert error_rate([0, 1], [1, 0]) == 1.0

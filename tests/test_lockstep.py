@@ -79,7 +79,9 @@ def _count_moves(monkeypatch):
 def test_the_sweep_grid_fits_in_lockstep_equal_their_own(monkeypatch):
     # the benchmark's sweep: 2 seeds x lambda in {1, 100, 1e4} at 34 per
     # class. lambda = 1e4 is refused at the start and leaves the stack: the
-    # second seed's fits move their runs down; lambda = 100 backtracks
+    # last running fit takes the first refused fit's place; lambda = 100
+    # backtracks. A fit's runs are copied 18 times in all here (94 when each
+    # gradient kept the stack's order and undid the trials' moves)
     moves = _count_moves(monkeypatch)
     spec = ToyDataSpec(n_train_per_class=34, n_test_per_class=334)
     cases = [(_make_data(spec, seed, None)[0], _config(lam))
@@ -87,7 +89,7 @@ def test_the_sweep_grid_fits_in_lockstep_equal_their_own(monkeypatch):
     fits = _lockstep(cases)
     assert [fit.error is not None for fit in fits] == [False, False, True] * 2
     assert "kernel row underflow" in str(fits[2].error)
-    assert moves[:2] == [(3, 2), (4, 3)]
+    assert moves[0] == (4, 2) and len(moves) <= 20
     assert any(e > 1 for fit in fits[:2] for e in fit.report.evaluations)
     _assert_each_fit_is_its_own(cases, fits)
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from helpers import (
 from wda import (
     DegenerateInputError,
     InvalidInputError,
+    LabeledDataset,
     NumericalRangeError,
     WdaConfig,
     adaptive_lambdas,
@@ -30,6 +32,7 @@ from wda import (
     gradient,
     pca_init,
     uniform_coupling_covariances,
+    wda_fit,
 )
 from wda.objective import pair_keys, solve_pairs
 from wda.stiefel import project_stiefel, riemannian_gradient
@@ -178,6 +181,28 @@ def test_adaptive_lambdas_refuse_a_pair_lambda_out_of_range(scale, lam):
     message = f"class pair (0, 0): lambda {lam:.6g} over the pair's lambda -> 0 transport cost"
     with pytest.raises(NumericalRangeError, match=re.escape(message)):
         adaptive_lambdas(np.eye(1), classes, lam)
+
+
+def test_overflowing_class_moments_are_refused_by_name_without_a_warning():
+    # finite features whose class covariance (about 1e200) or pair gap
+    # (about 1e160) squares past the float range: every numpy warning is an
+    # error here, so only the named refusal may be raised
+    big = [1e200 * np.array([[0.0, 1.0, 2.0]]), 1e200 * np.array([[5.0, 6.0]])]
+    far = [np.array([[1e160, 1e160 + 1e150, 1e160 - 1e150]]),
+           np.array([[-1e160, -1e160 + 1e150]])]
+    toy = gen_toy(10, 0)
+    scaled = LabeledDataset(toy.samples * 1e200, toy.labels)
+    cases = [(lambda: adaptive_lambdas(np.eye(1), big, 1.0), "class pair (0, 0)"),
+             (lambda: adaptive_lambdas(np.eye(1), far, 1.0), "class pair (0, 1)"),
+             (lambda: wda_fit(scaled, WdaConfig(lam=1.0)), "class pair (0, 0)")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, pair in cases:
+            message = f"{pair}: lambda 1 over the pair's lambda -> 0 transport cost inf"
+            with pytest.raises(NumericalRangeError, match=re.escape(message)):
+                call()
+        cb, cw = uniform_coupling_covariances(scaled.class_blocks())
+    assert not np.isfinite(cb).all() and not np.isfinite(cw).all()
 
 
 @pytest.mark.parametrize(
