@@ -34,7 +34,7 @@ from wda import (
     uniform_coupling_covariances,
     wda_fit,
 )
-from wda.objective import pair_keys, solve_pairs
+from wda.objective import ObjectiveState, pair_keys, solve_pairs
 from wda.stiefel import project_stiefel, riemannian_gradient
 
 
@@ -620,6 +620,72 @@ def test_evaluate_refuses_overflowing_costs():
 def _sized_classes(sizes, seed):
     rng = np.random.default_rng(seed)
     return [rng.standard_normal((5, n)) + 2.0 * rng.standard_normal((5, 1)) for n in sizes]
+
+
+def _own_evaluate(P, classes, lam_map, cfg):
+    """A problem's own evaluate: its state, or its numerical refusal."""
+    try:
+        return evaluate(P, classes, cfg, lam_map)
+    except NumericalRangeError as refusal:
+        return refusal
+
+
+# class sizes 6, 4, 6, 4 form four plan-shape groups, solved in this order:
+# (6, 6) holds (0, 0) (0, 2) (2, 2); (6, 4) holds (0, 1) (0, 3) (2, 3);
+# (4, 4) holds (1, 1) (1, 3) (3, 3); (4, 6) holds (1, 2) alone. A self
+# cost has a zero diagonal, so only a between pair's kernel underflows (at
+# lambda 1e6). The refusal names the least flagged pair in pair order:
+# (1, 2) of the last group, (0, 2) of the first, and (0, 1) of the second
+# though (0, 2) of the first is flagged too
+_UNDERFLOWING = [[(1, 2)], [(0, 2), (2, 3)], [(0, 2), (0, 1)]]
+_NAMED = ["(1, 2)", "(0, 2)", "(0, 1)"]
+
+
+def _grouped_problems(underflowing):
+    """The projections, class block lists and lambda maps of a stack whose
+    problem s underflows at the pairs ``underflowing[s]``."""
+    classes = _sized_classes((6, 4, 6, 4), 22)
+    rng = np.random.default_rng(23)
+    return (
+        [random_stiefel(rng, 2, 5) for _ in underflowing],
+        [classes] * len(underflowing),
+        [{key: 1e6 if key in pairs else 1.0 for key in pair_keys(4)} for pairs in underflowing],
+    )
+
+
+def test_a_stack_refuses_each_problem_by_its_own_least_underflowing_pair():
+    cfg = WdaConfig(lam=1.0, sinkhorn_iters=10)
+    P, classes, lam_maps = _grouped_problems(_UNDERFLOWING + [[]])
+    own = [_own_evaluate(*problem, cfg) for problem in zip(P, classes, lam_maps)]
+    stack = evaluate(P, classes, cfg, lam_maps)
+    for named, mine, result in zip(_NAMED, own, stack.problems):
+        assert isinstance(result, NumericalRangeError)
+        assert str(result) == str(mine)
+        assert str(result).startswith(f"class pair {named} at lambda 1e+06: kernel row underflow")
+    state, mine = stack.problems[3], own[3]
+    assert isinstance(state, ObjectiveState)
+    assert (state.value, state.sigma_b2, state.sigma_w2) == (mine.value, mine.sigma_b2, mine.sigma_w2)
+    assert state.pair_distances == mine.pair_distances
+    for keys, batch in mine.batches.items():
+        for name in ("kernel", "u_history", "v_history", "residual"):
+            assert np.array_equal(getattr(state.batches[keys], name), getattr(batch, name))
+        for factor, own_factor in zip(state.cost_factors[keys], mine.cost_factors[keys]):
+            assert np.array_equal(factor, own_factor)
+    assert np.array_equal(gradient(stack.window(3, 4))[0], gradient(mine))
+
+
+@pytest.mark.parametrize("into", [False, True], ids=["fresh", "into-out"])
+def test_a_stack_of_refused_problems_holds_each_refusal_in_its_place(into):
+    cfg = WdaConfig(lam=1.0, sinkhorn_iters=10)
+    P, classes, lam_maps = _grouped_problems(_UNDERFLOWING)
+    # a stack of the same class sizes, solved where every problem passes
+    out = evaluate(P, classes, cfg) if into else None
+    stack = evaluate(P, classes, cfg, lam_maps, out=out)
+    assert len(stack.problems) == 3
+    for named, *problem, result in zip(_NAMED, P, classes, lam_maps, stack.problems):
+        assert isinstance(result, NumericalRangeError)
+        assert str(result) == str(_own_evaluate(*problem, cfg))
+        assert str(result).startswith(f"class pair {named} at lambda 1e+06: kernel row underflow")
 
 
 @pytest.mark.parametrize("sizes", [(8, 8, 8), (6, 4, 6, 4)], ids=["balanced", "unequal"])
