@@ -408,7 +408,11 @@ def _solve(P, classes, cfg: WdaConfig, lambdas, out) -> PlanStack:
     """The pair plans of a stack of problems (:func:`solve_pairs` of each),
     a single one as a stack of one. Bad input refuses the call; a numerical
     refusal only its own problem, which stands in its place in
-    ``problems``."""
+    ``problems``. One loop takes the plan-shape groups in turn: each builds
+    its kernels, flags the underflowing ones and runs Sinkhorn. From the
+    group that first flags a problem on, its runs iterate on unit kernels,
+    which keep them finite and are dropped; its refusal names its least
+    flagged pair over all groups."""
     S = len(P)
     blocks, projections, lam_maps = [], [], []
     for s in range(S):
@@ -442,54 +446,33 @@ def _solve(P, classes, cfg: WdaConfig, lambdas, out) -> PlanStack:
     for c, cp in keys_in_order:
         groups.setdefault((sizes[c], sizes[cp]), []).append((c, cp))
     stack_shapes = {tuple(keys): (S * len(keys),) + shape for shape, keys in groups.items()}
-    if out is not None and stack_shapes != {
-        keys: batch.kernel.shape for keys, batch in out.batches.items()
-    }:
-        raise InvalidInputError("out holds plans of other class sizes")
     if out is not None:
+        if stack_shapes != {keys: batch.kernel.shape for keys, batch in out.batches.items()}:
+            raise InvalidInputError("out holds plans of other class sizes")
         out_dim = next(iter(out.cost_factors.values()))[0].shape[1] - 2
         if out_dim != projections[0].shape[0]:
             raise InvalidInputError(
                 f"out holds plans of projection dimension {out_dim}, not {projections[0].shape[0]}"
             )
     projected = [[Q @ X for X in Xs] for Q, Xs in zip(projections, blocks)]
-    stacks, flagged = [], [[] for _ in range(S)]
+    flagged: list[list[PairKey]] = [[] for _ in range(S)]
+    batches, factors = ({}, {}) if out is None else (out.batches, out.cost_factors)
+    distances: list[dict[PairKey, float]] = [{} for _ in range(S)]
     for keys in stack_shapes:
         G = len(keys)
+        spare = None if out is None else out.batches[keys]
         Y = np.stack([projected[s][c] for s in range(S) for c, _ in keys])
         Yp = np.stack([projected[s][cp] for s in range(S) for _, cp in keys])
-        M = cost_matrix(Y, Yp, out=None if out is None else out.batches[keys].kernel)
+        M = cost_matrix(Y, Yp, out=None if spare is None else spare.kernel)
         for b, (c, cp) in enumerate(keys * S):
             if c == cp:
                 self_costs(M[b])
         K, low = sinkhorn_kernels(M, [lam_maps[s][key] for s in range(S) for key in keys], out=M)
-        for b, bad in enumerate(low.tolist()):
-            if bad:
-                flagged[b // G].append(keys[b % G])
-        stacks.append((keys, Y, Yp, K))
-    refused: list[WdaError | None] = [None] * S
-    for s, keys in enumerate(flagged):
-        if keys:
-            c, cp = key = min(keys)  # the first in pair order
-            lam = lam_maps[s][key]
-            top_cost = float(cost_matrix(projected[s][c], projected[s][cp]).max())
-            refused[s] = NumericalRangeError(
-                f"class pair {key} at lambda {lam:.6g}: kernel row underflow: "
-                f"lam * max(M) = {lam * top_cost:.6g} pushes "
-                f"exp(-lam*M) below {_TINY:g}; rescale the regularization"
-            )
-    if all(refused):
-        return PlanStack({}, {}, refused)
-
-    batches, factors = ({}, {}) if out is None else (out.batches, out.cost_factors)
-    distances: list[dict[PairKey, float]] = [{} for _ in range(S)]
-    for keys, Y, Yp, K in stacks:
-        G = len(keys)
+        for b in np.flatnonzero(low).tolist():
+            flagged[b // G].append(keys[b % G])
         for s in range(S):
-            if refused[s]:
-                # unit kernels keep a refused problem's runs finite; they are dropped
+            if flagged[s]:
                 K[s * G:(s + 1) * G] = 1.0
-        spare = None if out is None else out.batches[keys]
         batch = sinkhorn_batch(K, cfg.sinkhorn_iters, out=spare)
         mu = (Y.sum(axis=-1, keepdims=True) + Yp.sum(axis=-1, keepdims=True)) / (
             Y.shape[-1] + Yp.shape[-1]
@@ -500,28 +483,36 @@ def _solve(P, classes, cfg: WdaConfig, lambdas, out) -> PlanStack:
         for s in range(S):
             distances[s].update(zip(keys, values[s * G:(s + 1) * G]))
         batches[keys], factors[keys] = batch, (A, B)
+
     problems: list = []
     for s, dist in enumerate(distances):
         overflowed = [key for key, value in dist.items() if not math.isfinite(value)]
-        if overflowed and not refused[s]:
-            refused[s] = NumericalRangeError(
+        if flagged[s]:
+            c, cp = key = min(flagged[s])  # the first in pair order
+            lam = lam_maps[s][key]
+            top_cost = float(cost_matrix(projected[s][c], projected[s][cp]).max())
+            problems.append(NumericalRangeError(
+                f"class pair {key} at lambda {lam:.6g}: kernel row underflow: "
+                f"lam * max(M) = {lam * top_cost:.6g} pushes "
+                f"exp(-lam*M) below {_TINY:g}; rescale the regularization"
+            ))
+        elif overflowed:
+            problems.append(NumericalRangeError(
                 f"class pair {min(overflowed)}: the projected squared distances overflow"
+            ))
+        else:
+            # the stack of one problem is that problem's own
+            runs_b, runs_f = (
+                (batches, factors) if S == 1 else _problem_runs(batches, factors, s, s + 1)
             )
-        if refused[s]:
-            problems.append(refused[s])
-            continue
-        # the stack of one problem is that problem's own
-        runs_b, runs_f = (
-            (batches, factors) if S == 1 else _problem_runs(batches, factors, s, s + 1)
-        )
-        problems.append(PairPlans(
-            projection=projections[s],
-            classes=blocks[s],
-            cost_factors=runs_f,
-            batches=runs_b,
-            pair_lambdas=lam_maps[s],
-            pair_distances={key: dist[key] for key in keys_in_order},
-        ))
+            problems.append(PairPlans(
+                projection=projections[s],
+                classes=blocks[s],
+                cost_factors=runs_f,
+                batches=runs_b,
+                pair_lambdas=lam_maps[s],
+                pair_distances={key: dist[key] for key in keys_in_order},
+            ))
     return PlanStack(batches, factors, problems)
 
 
@@ -542,11 +533,12 @@ def solve_pairs(
     The pairs of each plan shape are solved together: one
     :func:`~wda.otcore.cost_matrix` stack of the projected blocks P X_c,
     turned into the kernel stack in place, and one
-    :func:`~wda.otcore.sinkhorn_batch` call. All kernels are built before
-    any iteration runs, so a kernel underflow is reported for the first
-    failing pair in pair order (the least flagged key), named with its
-    lambda and the largest entry of its cost matrix, one 2-d
-    :func:`~wda.otcore.cost_matrix` of its projected blocks. Each pair
+    :func:`~wda.otcore.sinkhorn_batch` call. Each shape group is built,
+    checked for underflowing kernels and iterated in turn, and a kernel
+    underflow is reported for the first failing pair in pair order over all
+    groups (the least flagged key), named with its lambda and the largest
+    entry of its cost matrix, one 2-d :func:`~wda.otcore.cost_matrix` of
+    its projected blocks. Each pair
     distance <T, M> is u_L . ((K * M) v_L), without forming T or K * M:
     (K * M) v_L is read through the pair's centred cost factors (see
     :class:`PairPlans`) with one stacked product of p + 2 columns. The

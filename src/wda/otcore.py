@@ -224,7 +224,7 @@ def sinkhorn_batch(
     bit-identical to running it alone. The stack is kept, not copied.
     ``out``, an earlier batch of the same shape and iteration count that is
     no longer needed, has its scaling records and residuals overwritten and
-    reused; with its own kernel stack as ``K``, it is returned.
+    reused: the batch returned holds ``K`` and ``out``'s records.
     """
     K = np.asarray(K, dtype=float)
     if K.ndim != 3:
@@ -263,8 +263,6 @@ def sinkhorn_batch(
         np.matmul(KT, u, out=s)
     residual = None if out is None else out.residual
     residual = _marginal_residual(U[-1], r[..., 0], V[-1], s[..., 0], out=residual)
-    if out is not None and K is out.kernel:
-        return out
     return SinkhornBatch(K, U.transpose(1, 0, 2), V.transpose(1, 0, 2), residual)
 
 
