@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import numbers
 from dataclasses import dataclass, replace
 
@@ -22,7 +21,7 @@ import numpy as np
 from .errors import DegenerateInputError, InvalidInputError, ParseError
 from .ioutil import (
     _LABEL_END, _LABEL_MIN, _csv_lines, _is_number, _raise_first_fault, _read_table,
-    _undecodable, atomic_write_text,
+    _undecodable, atomic_write_text, require_finite, write_json,
 )
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -37,13 +36,6 @@ TOY_MODE_SIGMA = 0.3
 TOY_NOISE_SIGMA = 1.0
 TOY_NOISE_DIMS = 8
 TOY_CLASSES = 3
-
-
-def require_finite(name: str, X: np.ndarray) -> None:
-    """Raise InvalidInputError naming the first non-finite entry of a 2-d array."""
-    if not np.isfinite(X).all():
-        row, col = np.argwhere(~np.isfinite(X))[0]
-        raise InvalidInputError(f"{name} has a non-finite value at row {row}, column {col}")
 
 
 def require_integer(name: str, value) -> int:
@@ -264,8 +256,10 @@ def save_csv(data: LabeledDataset, path: str, metadata: dict | None = None) -> N
     The header is written by ``csv.writer`` with minimal quoting, so a
     feature name holding a comma, a quote or a line break is quoted and
     reads back intact. If ``metadata`` is given it is written alongside as
-    ``<path>.meta.json``.
+    ``<path>.meta.json``. A non-finite feature value, which :func:`load_csv`
+    refuses, is refused with InvalidInputError before anything is written.
     """
+    require_finite("samples", data.samples)
     names = data.feature_names or tuple(f"f{j}" for j in range(data.n_features))
     header = io.StringIO()
     # the default line terminator "\r\n" makes the writer quote both \r and \n
@@ -273,7 +267,7 @@ def save_csv(data: LabeledDataset, path: str, metadata: dict | None = None) -> N
     lines = [header.getvalue().removesuffix("\r\n")] + _csv_lines(data.samples, data.labels)
     atomic_write_text(path, "\n".join(lines) + "\n")
     if metadata is not None:
-        atomic_write_text(path + ".meta.json", json.dumps(metadata, indent=2) + "\n")
+        write_json(path + ".meta.json", metadata)
 
 
 def load_csv(path: str) -> LabeledDataset:

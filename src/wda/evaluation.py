@@ -158,13 +158,15 @@ def _walk(dist, codes, n_classes: int, ks) -> dict[int, np.ndarray]:
 
 
 def error_rate(predicted, truth) -> float:
-    """Fraction of mismatches between two equally long label sequences."""
+    """Fraction of mismatches between two equally long, non-empty label sequences."""
     predicted = np.asarray(predicted)
     truth = np.asarray(truth)
     if predicted.shape != truth.shape:
         raise InvalidInputError(
             f"length mismatch: {predicted.shape} vs {truth.shape}"
         )
+    if predicted.size == 0:
+        raise InvalidInputError("no labels to compare")
     return float(np.mean(predicted != truth))
 
 
@@ -233,12 +235,12 @@ class ExperimentResult:
         return result
 
     def summary_json(self) -> dict:
-        mean = self.mean_errors()
-        std = self.std_errors()
+        """The sweep as JSON; a cell whose every seed failed has null errors."""
+        mean, std = (np.where(np.isnan(a), None, a) for a in (self.mean_errors(), self.std_errors()))
         cells = [
             {"method": self.methods[mi], "p": self.ps[pi], "lambda": self.lams[li],
-             "k": self.ks[ki], "mean_error": float(mean[mi, pi, li, ki]),
-             "std_error": float(std[mi, pi, li, ki])}
+             "k": self.ks[ki], "mean_error": mean[mi, pi, li, ki],
+             "std_error": std[mi, pi, li, ki]}
             for mi, pi, li, ki in np.ndindex(mean.shape)
         ]
         return {

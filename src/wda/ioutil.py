@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import InvalidInputError, ParseError
 
 # 17 significant digits round-trips any finite double exactly
 FLOAT_FMT = "%.17g"
@@ -29,6 +29,13 @@ def _is_number(cell: str) -> bool:
         return True
     except ValueError:
         return False
+
+
+def require_finite(name: str, X: np.ndarray) -> None:
+    """Raise InvalidInputError naming the first non-finite entry of a 2-d array."""
+    if not np.isfinite(X).all():
+        row, col = np.argwhere(~np.isfinite(X))[0]
+        raise InvalidInputError(f"{name} has a non-finite value at row {row}, column {col}")
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -46,7 +53,8 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def write_json(path: str, payload: dict) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    """Write ``payload`` as indented JSON, atomically; NaN or infinity raises ValueError."""
+    atomic_write_text(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def _csv_lines(matrix: np.ndarray, labels: np.ndarray | None = None) -> list[str]:
@@ -63,10 +71,12 @@ def _csv_lines(matrix: np.ndarray, labels: np.ndarray | None = None) -> list[str
 
 
 def save_matrix_csv(matrix: np.ndarray, path: str) -> None:
-    """Save a 2-d array as a dense CSV table (row-major, full double precision)."""
+    """Save a 2-d array as a dense CSV table (row-major, full double precision);
+    a non-finite entry, which :func:`load_matrix_csv` refuses, is refused."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
         raise ParseError(f"expected a 2-d matrix, got array of dimension {matrix.ndim}")
+    require_finite("matrix", matrix)
     atomic_write_text(path, "\n".join(_csv_lines(matrix)) + "\n")
 
 

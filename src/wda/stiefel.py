@@ -64,9 +64,9 @@ def project_stiefel(A: np.ndarray) -> np.ndarray:
     naming the first non-finite entry of A.
     """
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] > A.shape[1]:
+    if A.ndim != 2 or not 1 <= A.shape[0] <= A.shape[1]:
         raise InvalidInputError(
-            f"expected a p x d matrix with p <= d, got shape {A.shape}"
+            f"expected a p x d matrix with 1 <= p <= d, got shape {A.shape}"
         )
     # the matrix is scanned for a non-finite entry only once the SVD fails
     # (a NaN) or gives NaN singular values (an inf), so a fit adds no pass

@@ -464,7 +464,33 @@ def test_sweep_records_non_finite_gradient_as_failure(tmp_path):
     assert [(f["method"], f["lambda"]) for f in summary["failures"]] == [("wda", 300.0)]
     assert "not finite" in summary["failures"][0]["error"]
     cells = {cell["method"]: cell["mean_error"] for cell in summary["cells"]}
-    assert np.isnan(cells["wda"]) and np.isfinite(cells["pca"])
+    assert cells["wda"] is None and np.isfinite(cells["pca"])
+
+
+def _strict_json(path):
+    """A JSON file parsed as RFC 8259 has it: NaN and Infinity are refused."""
+    def refuse(token):
+        raise ValueError(f"{path}: {token} is not JSON")
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
+def test_sweep_summary_is_strict_json(tmp_path):
+    # every seed refuses lambda = 1e4; those cells' mean and spread were
+    # written as bare NaN, which jq and JSON.parse refuse
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({
+        "data": {"type": "toy", "n_train_per_class": 6, "n_test_per_class": 10},
+        "methods": ["pca", "wda"], "n_seeds": 2, "ks": [7, 1, 3],
+        "lambdas": [0.01, 1.0, 10000.0], "max_iter": 2,
+    }))
+    out = tmp_path / "sweep_out"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    summary = _strict_json(out / "summary.json")
+    failed = [(cell["method"], cell["lambda"], cell["k"])
+              for cell in summary["cells"] if cell["mean_error"] is None]
+    assert failed == [("wda", 10000.0, k) for k in (7, 1, 3)]
+    assert all((cell["std_error"] is None) == (cell["mean_error"] is None)
+               for cell in summary["cells"])
 
 
 def test_sweep_seed_flag_overrides_config_seed(tmp_path, toy_csv):

@@ -34,7 +34,7 @@ from wda import (
 )
 import wda.datasets
 from wda.datasets import TOY_MODE_SIGMA, TOY_RADIUS
-from wda.ioutil import load_matrix_csv, save_matrix_csv
+from wda.ioutil import load_matrix_csv, save_matrix_csv, write_json
 from wda.objective import pair_keys
 
 
@@ -608,6 +608,21 @@ def test_csv_writers_round_trip_bit_for_bit(tmp_path_factory, values):
     save_matrix_csv(matrix, str(directory / "matrix.csv"))
     assert (directory / "matrix.csv").read_text() == reference_matrix_csv_text(matrix)
     assert load_matrix_csv(str(directory / "matrix.csv")).tobytes() == matrix.tobytes()
+
+
+def test_writers_refuse_what_their_readers_refuse_and_leave_no_file(tmp_path):
+    # load_matrix_csv and load_csv refuse a "nan" or "inf" cell, and strict
+    # JSON parsers a bare NaN or Infinity, so nothing is written
+    with pytest.raises(InvalidInputError, match="matrix has a non-finite value at row 0, column 1"):
+        save_matrix_csv(np.array([[1.0, np.nan]]), str(tmp_path / "matrix.csv"))
+    samples = np.zeros((3, 2))
+    samples[2, 0] = -np.inf
+    with pytest.raises(InvalidInputError, match="samples has a non-finite value at row 2, column 0"):
+        save_csv(LabeledDataset(samples, [0, 1, 0]), str(tmp_path / "data.csv"), {"seed": 1})
+    for value in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_json(str(tmp_path / "report.json"), {"value": value})
+    assert list(tmp_path.iterdir()) == []
 
 
 # files at the boundary between numpy's C table reader and the cell walk of

@@ -241,6 +241,12 @@ def test_error_rate_trivials():
         error_rate([0, 1], [0, 1, 2])
 
 
+def test_error_rate_refuses_no_labels():
+    # the mean of no mismatches warned "Mean of empty slice" and gave nan
+    with pytest.raises(InvalidInputError, match="no labels to compare"):
+        error_rate([], [])
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1))
 def test_error_rate_matches_count(pairs):
@@ -414,7 +420,8 @@ def test_experiment_csv_and_summary(tmp_path):
 
 def test_record_formats_are_pinned(tmp_path):
     # results.csv, summary.json and fit_report.json as they are written
-    # today, byte for byte: key order, number formats and NaN cells included
+    # today, byte for byte: key order, number formats and failed cells
+    # included (empty in results.csv, null in summary.json)
     nan = np.nan
     errors = np.array([
         # wda, seeds 3 and 4; lambda 1.0 then 1e-4 (a failed fit); k = 1 then 5
@@ -460,8 +467,8 @@ def test_record_formats_are_pinned(tmp_path):
         "cells": [
             cell("wda", 1.0, 1, 0.23333333333333334, 0.09999999999999999),
             cell("wda", 1.0, 5, 0.225, 0.024999999999999994),
-            cell("wda", 1e-4, 1, nan, nan),
-            cell("wda", 1e-4, 5, nan, nan),
+            cell("wda", 1e-4, 1, None, None),
+            cell("wda", 1e-4, 5, None, None),
             cell("pca", 1.0, 1, 0.32499999999999996, 0.024999999999999994),
             cell("pca", 1.0, 5, 0.4, 0.0),
             cell("pca", 1e-4, 1, 0.32499999999999996, 0.024999999999999994),
@@ -469,7 +476,7 @@ def test_record_formats_are_pinned(tmp_path):
         ],
         "failures": failures,
     }
-    # json.dumps compares key order, int against float, and NaN
+    # json.dumps compares key order, int against float, and null
     assert json.dumps(result.summary_json()) == json.dumps(expected)
 
     report = FitReport([2.0, 2.5], [1.0], [0.5, 0.25], [1, 3], [0.1, 0.2], "stalled", 1,

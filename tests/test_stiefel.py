@@ -56,6 +56,12 @@ def test_project_stiefel_rank_deficient():
         project_stiefel(np.ones((4, 2)))
 
 
+def test_project_stiefel_refuses_a_matrix_of_no_rows():
+    # p = 0 left numpy's IndexError from the empty singular values
+    with pytest.raises(InvalidInputError, match=r"1 <= p <= d, got shape \(0, 3\)"):
+        project_stiefel(np.zeros((0, 3)))
+
+
 def test_pca_init_axis_aligned_data():
     rng = np.random.default_rng(2)
     X = np.zeros((3, 50))
