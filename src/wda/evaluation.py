@@ -236,7 +236,8 @@ class ExperimentResult:
 
     def summary_json(self) -> dict:
         """The sweep as JSON; a cell whose every seed failed has null errors."""
-        mean, std = (np.where(np.isnan(a), None, a) for a in (self.mean_errors(), self.std_errors()))
+        mean, std = (np.where(np.isnan(errors), None, errors)
+                     for errors in (self.mean_errors(), self.std_errors()))
         cells = [
             {"method": self.methods[mi], "p": self.ps[pi], "lambda": self.lams[li],
              "k": self.ks[ki], "mean_error": mean[mi, pi, li, ki],

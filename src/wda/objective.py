@@ -408,11 +408,9 @@ def _solve(P, classes, cfg: WdaConfig, lambdas, out) -> PlanStack:
     """The pair plans of a stack of problems (:func:`solve_pairs` of each),
     a single one as a stack of one. Bad input refuses the call; a numerical
     refusal only its own problem, which stands in its place in
-    ``problems``. One loop takes the plan-shape groups in turn: each builds
-    its kernels, flags the underflowing ones and runs Sinkhorn. From the
-    group that first flags a problem on, its runs iterate on unit kernels,
-    which keep them finite and are dropped; its refusal names its least
-    flagged pair over all groups."""
+    ``problems``. Each plan-shape group is built, checked for underflow and
+    iterated in turn; from the group that first flags a problem on, its runs
+    iterate on unit kernels, which keep them finite, and are dropped."""
     S = len(P)
     blocks, projections, lam_maps = [], [], []
     for s in range(S):
@@ -446,9 +444,11 @@ def _solve(P, classes, cfg: WdaConfig, lambdas, out) -> PlanStack:
     for c, cp in keys_in_order:
         groups.setdefault((sizes[c], sizes[cp]), []).append((c, cp))
     stack_shapes = {tuple(keys): (S * len(keys),) + shape for shape, keys in groups.items()}
+    if out is not None and stack_shapes != {
+        keys: batch.kernel.shape for keys, batch in out.batches.items()
+    }:
+        raise InvalidInputError("out holds plans of other class sizes")
     if out is not None:
-        if stack_shapes != {keys: batch.kernel.shape for keys, batch in out.batches.items()}:
-            raise InvalidInputError("out holds plans of other class sizes")
         out_dim = next(iter(out.cost_factors.values()))[0].shape[1] - 2
         if out_dim != projections[0].shape[0]:
             raise InvalidInputError(
@@ -468,8 +468,9 @@ def _solve(P, classes, cfg: WdaConfig, lambdas, out) -> PlanStack:
             if c == cp:
                 self_costs(M[b])
         K, low = sinkhorn_kernels(M, [lam_maps[s][key] for s in range(S) for key in keys], out=M)
-        for b in np.flatnonzero(low).tolist():
-            flagged[b // G].append(keys[b % G])
+        for b, bad in enumerate(low.tolist()):
+            if bad:
+                flagged[b // G].append(keys[b % G])
         for s in range(S):
             if flagged[s]:
                 K[s * G:(s + 1) * G] = 1.0
