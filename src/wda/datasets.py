@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import numbers
+import os
+import zipfile
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -270,6 +273,18 @@ def save_csv(data: LabeledDataset, path: str, metadata: dict | None = None) -> N
         write_json(path + ".meta.json", metadata)
 
 
+# the smallest dataset CSV, in bytes, whose parse load_csv keeps in a sidecar
+_SIDECAR_MIN_BYTES = 1 << 16
+# stored with the SHA-256 of the CSV; a sidecar of another format is a miss
+_SIDECAR_FORMAT = "wda-csv-1"
+# what reading a damaged or foreign sidecar raises, as a fuzz of truncated
+# and bit-flipped sidecars found (tests/test_datasets.py)
+_SIDECAR_FAULTS = (
+    OSError, EOFError, KeyError, ValueError, TypeError, NotImplementedError,
+    RuntimeError, zipfile.BadZipFile,
+)
+
+
 def load_csv(path: str) -> LabeledDataset:
     """Load a dataset CSV: numeric feature columns plus one integer label column.
 
@@ -282,22 +297,97 @@ def load_csv(path: str) -> LabeledDataset:
     path and :class:`LabeledDataset`'s refusal of labels that are not
     contiguous from 0.
 
+    The file's bytes are read once. A file of at least
+    ``_SIDECAR_MIN_BYTES`` = 64 KiB keeps its parse in a sidecar,
+    ``<path>.wda.npz``: one uncompressed ``np.savez`` file holding the
+    samples (float64), the labels (int64), the feature names and the
+    SHA-256 of the CSV bytes it was parsed from. A later load of bytes with
+    that hash returns the sidecar's arrays once they pass the checks a parse
+    applies (finite features; :class:`LabeledDataset`'s label and name
+    rules). Any other sidecar -- missing, of other bytes, one that does not
+    load or fails a check -- is a miss: the bytes are parsed and the sidecar
+    replaced atomically, best effort (a write that fails leaves no file and
+    fails nothing). A file that raises ParseError leaves no sidecar.
+
+    A hit costs about 0.45 ms plus 1.5 ms per MB (reading, hashing and
+    loading), a parse about 15 ms per MB, so they cross near 20 KB: a
+    102-row, 20 KB toy file took 0.49 ms to hit and 0.50 ms to parse. At the
+    64 KiB constant a hit takes half a parse (0.54 against 1.05 ms at 61 KB)
+    and one hit repays the 0.36 ms a miss adds for its hash and write;
+    smaller files are parsed every time and write nothing. The 10,002-row,
+    2.0 MB file of the benchmark's CLI session hits in 3.5 ms and parses in
+    30 ms (medians, one BLAS thread, shared 2-vCPU machine).
+
     ``csv.reader`` takes the first non-blank record, a header unless
     ``float()`` takes every cell (a quoted name may span lines). The rest of
-    the open file, or all of it without a header, goes to one
-    ``np.loadtxt`` call (``ioutil._read_table``: numpy's C tokenizer and
-    parser), and labels and finiteness are checked as array operations.
-    Only when that call refuses the text, a label is not an integer within
-    int64 or a feature is not finite is the file read again with
-    ``csv.reader`` and walked cell by cell (``ioutil._raise_first_fault``,
-    which :func:`~wda.ioutil.load_matrix_csv` shares): to name the first
-    fault in file order, or to read the rare valid file the C reader
-    refuses (a line of whitespace or of empty cells, ``1_000``). A
-    10,002-row file of 10 features reads in about 47 ms, against about
-    100 ms for a ``csv.reader`` pass and one ``np.array(rows, dtype=float)``
-    (2 vCPU).
+    the text, or all of it without a header, goes to one ``np.loadtxt``
+    call (``ioutil._read_table``: numpy's C tokenizer and parser), and
+    labels and finiteness are checked as array operations. Only when that
+    call refuses the text, a label is not an integer within int64 or a
+    feature is not finite are the bytes read again with ``csv.reader`` and
+    walked cell by cell (``ioutil._raise_first_fault``, which
+    :func:`~wda.ioutil.load_matrix_csv` shares): to name the first fault in
+    file order, or to read the rare valid file the C reader refuses (a line
+    of whitespace or of empty cells, ``1_000``).
     """
-    with open(path, newline="") as fh:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if len(raw) < _SIDECAR_MIN_BYTES:
+        return _parse_csv(path, raw)
+    import hashlib  # imported here, so that importing wda does not load it
+
+    key = f"{_SIDECAR_FORMAT}:{hashlib.sha256(raw).hexdigest()}"
+    sidecar = os.fsdecode(path) + ".wda.npz"
+    data = _sidecar_dataset(sidecar, key)
+    if data is None:
+        data = _parse_csv(path, raw)
+        del raw  # the write holds the parsed arrays, not the bytes as well
+        _write_sidecar(sidecar, key, data)
+    return data
+
+
+def _sidecar_dataset(sidecar: str, key: str) -> LabeledDataset | None:
+    """The dataset the sidecar holds for CSV bytes of ``key``, checked as a
+    parse is; None for a sidecar that is missing, holds another key, does
+    not load or fails a check."""
+    try:
+        with np.lib.npyio.NpzFile(sidecar) as stored:
+            if stored["key"].tolist() != key:
+                return None
+            samples, labels = stored["samples"], stored["labels"]
+            names = json.loads(stored["names"].tolist())
+    except _SIDECAR_FAULTS:
+        return None
+    if not (
+        samples.dtype == np.float64 and samples.ndim == 2 and samples.shape[1] >= 1
+        and labels.dtype == np.int64 and np.isfinite(samples).all()
+        and (names is None or isinstance(names, list) and all(isinstance(n, str) for n in names))
+    ):
+        return None
+    try:
+        return LabeledDataset(samples, labels, names)
+    except InvalidInputError:
+        return None
+
+
+def _write_sidecar(sidecar: str, key: str, data: LabeledDataset) -> None:
+    """Replace the sidecar with ``data`` under ``key``, atomically and best
+    effort: an OSError leaves no file behind and is dropped."""
+    def write(fh):
+        np.savez(
+            fh, key=np.array(key), names=np.array(json.dumps(data.feature_names)),
+            samples=data.samples, labels=data.labels,
+        )
+
+    try:
+        atomic_write_text(sidecar, write)
+    except OSError:
+        pass
+
+
+def _parse_csv(path: str, raw: bytes) -> LabeledDataset:
+    """:func:`load_csv` of the file's bytes ``raw``, parsed."""
+    with _text(raw) as fh:
         first = next((row for row in _records(path, fh) if any(map(str.strip, row))), None)
         header = _header(first)
         if header is None:
@@ -313,7 +403,13 @@ def load_csv(path: str) -> LabeledDataset:
         )
         if labels_fit.all() and np.isfinite(features).all():
             return _dataset(path, features, label_values, header, label_col)
-    return _load_csv_by_cells(path)
+    return _load_csv_by_cells(path, raw)
+
+
+def _text(raw: bytes) -> io.TextIOWrapper:
+    """The file bytes ``raw`` as ``open(path, newline="")`` reads the file:
+    decoded in the same encoding, chunk by chunk."""
+    return io.TextIOWrapper(io.BytesIO(raw), newline="")
 
 
 def _records(path: str, fh):
@@ -364,9 +460,10 @@ def _dataset(path, features, label_values, header, label_col) -> LabeledDataset:
         raise ParseError(f"{path}: {exc}") from None
 
 
-def _load_csv_by_cells(path: str) -> LabeledDataset:
-    """:func:`load_csv` read with ``csv.reader`` and walked cell by cell."""
-    with open(path, newline="") as fh:
+def _load_csv_by_cells(path: str, raw: bytes) -> LabeledDataset:
+    """:func:`load_csv` of the file's bytes ``raw``, read with ``csv.reader``
+    and walked cell by cell."""
+    with _text(raw) as fh:
         numbered = [
             (i, row) for i, row in enumerate(_records(path, fh), start=1)
             if any(map(str.strip, row))

@@ -13,6 +13,7 @@ import json
 import os
 import tempfile
 import warnings
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -38,13 +39,21 @@ def require_finite(name: str, X: np.ndarray) -> None:
         raise InvalidInputError(f"{name} has a non-finite value at row {row}, column {col}")
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` atomically (temp file in the same directory + rename)."""
+def atomic_write_text(path: str, text: str | Callable[[BinaryIO], object]) -> None:
+    """Write ``text`` to ``path`` atomically (temp file in the same directory +
+    rename). A callable in place of ``text`` is given the temp file, opened
+    in binary mode, to write into. On any error the temp file is removed and
+    the error raised, so ``path`` is either replaced whole or left as it was.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        if isinstance(text, str):
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+        else:
+            with os.fdopen(fd, "wb") as fh:
+                text(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

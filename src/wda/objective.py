@@ -163,6 +163,8 @@ def _check_projection(P, blocks: list[np.ndarray]) -> np.ndarray:
             f"projection shape {P.shape} does not match feature dimension "
             f"{blocks[0].shape[0]}"
         )
+    if P.shape[0] < 1:
+        raise InvalidInputError(f"projection of shape {P.shape} has no rows")
     require_finite("projection", P)
     return P
 

@@ -1,3 +1,5 @@
+import hashlib
+import os
 import re
 
 import numpy as np
@@ -685,6 +687,173 @@ def test_written_csvs_are_read_without_the_cell_walk(tmp_path, monkeypatch):
         save_csv(LabeledDataset(data.samples, data.labels, names), str(tmp_path / "d.csv"))
         loaded = load_csv(str(tmp_path / "d.csv"))
         assert loaded.samples.tobytes() == data.samples.tobytes()
+
+
+def _exact(data):
+    """Every bit of a loaded dataset: arrays, their dtypes and shapes, and names."""
+    return (data.samples.tobytes(), data.samples.dtype, data.samples.shape,
+            data.labels.tobytes(), data.labels.dtype, data.feature_names)
+
+
+def _parse(path):
+    with open(path, "rb") as fh:
+        return wda.datasets._parse_csv(str(path), fh.read())
+
+
+def _refuse_to_parse(path, raw):
+    raise AssertionError(f"{path} was parsed, not read from its sidecar")
+
+
+@pytest.mark.parametrize("kind", ["written", "cell-walk"])
+def test_a_sidecar_load_equals_the_parse_bit_for_bit_cold_and_warm(tmp_path, monkeypatch, kind):
+    path = tmp_path / "d.csv"
+    if kind == "written":
+        # 360 rows: above the constant as it stands
+        data = gen_toy(120, seed=5)
+        names = ("a,b", 'say "hi"', "two\nlines", *data.feature_names[3:])
+        save_csv(LabeledDataset(data.samples, data.labels, names), str(path))
+        assert path.stat().st_size >= wda.datasets._SIDECAR_MIN_BYTES
+    else:
+        # text numpy's C reader refuses, read by the cell walk
+        monkeypatch.setattr(wda.datasets, "_SIDECAR_MIN_BYTES", 0)
+        path.write_text("x,label\n1_000,0\n  \n-2.5,1\n")
+    parsed = _exact(_parse(path))
+    sidecar = tmp_path / "d.csv.wda.npz"
+    assert not sidecar.exists()
+    assert _exact(load_csv(str(path))) == parsed
+    assert sidecar.exists()
+    monkeypatch.setattr(wda.datasets, "_parse_csv", _refuse_to_parse)
+    assert _exact(load_csv(str(path))) == parsed
+
+
+def test_a_csv_rewritten_in_place_with_its_size_and_mtime_kept_is_parsed_again(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(wda.datasets, "_SIDECAR_MIN_BYTES", 0)
+    data = gen_toy(5, seed=2)
+    samples = data.samples.copy()
+    samples[0, 0] = 1.25
+    path = tmp_path / "d.csv"
+    save_csv(LabeledDataset(samples, data.labels, data.feature_names), str(path))
+    assert load_csv(str(path)).samples[0, 0] == 1.25
+    sidecar = tmp_path / "d.csv.wda.npz"
+    with np.load(sidecar) as stored:
+        old_key = stored["key"].tolist()
+
+    before = os.stat(path)
+    text = path.read_bytes()
+    assert text.count(b"\n1.25,") == 1
+    path.write_bytes(text.replace(b"\n1.25,", b"\n1.75,"))
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = os.stat(path)
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+
+    parsed = _exact(_parse(path))
+    loaded = load_csv(str(path))
+    assert loaded.samples[0, 0] == 1.75
+    assert _exact(loaded) == parsed
+    with np.load(sidecar) as stored:
+        assert stored["key"].tolist() != old_key
+    monkeypatch.setattr(wda.datasets, "_parse_csv", _refuse_to_parse)
+    assert _exact(load_csv(str(path))) == parsed
+
+
+@pytest.mark.parametrize("fault", ["truncated", "another-key", "nan-samples", "skipped-class"])
+def test_a_sidecar_that_fails_a_check_gives_the_parse(tmp_path, monkeypatch, fault):
+    monkeypatch.setattr(wda.datasets, "_SIDECAR_MIN_BYTES", 0)
+    path = tmp_path / "d.csv"
+    save_csv(gen_toy(5, seed=4), str(path))
+    parsed = _exact(load_csv(str(path)))
+    sidecar = tmp_path / "d.csv.wda.npz"
+    good = sidecar.read_bytes()
+    with np.load(sidecar) as stored:
+        arrays = dict(stored)
+    key = f"{wda.datasets._SIDECAR_FORMAT}:{hashlib.sha256(path.read_bytes()).hexdigest()}"
+    assert arrays["key"].tolist() == key
+    if fault == "truncated":
+        sidecar.write_bytes(good[: len(good) // 2])
+    else:
+        if fault == "another-key":
+            arrays["key"] = np.array(f"{wda.datasets._SIDECAR_FORMAT}:{'0' * 64}")
+            arrays["samples"] += 1.0
+        elif fault == "nan-samples":
+            arrays["samples"][2, 1] = np.nan
+        else:
+            arrays["labels"][arrays["labels"] == 2] = 3
+        np.savez(sidecar, **arrays)
+    assert _exact(load_csv(str(path))) == parsed
+    # the miss replaced the sidecar, so the next load reads it
+    monkeypatch.setattr(wda.datasets, "_parse_csv", _refuse_to_parse)
+    assert _exact(load_csv(str(path))) == parsed
+
+
+def test_a_damaged_sidecar_is_never_more_than_a_miss(tmp_path, monkeypatch):
+    # a truncation every 16 bytes and one flipped bit in every byte: each
+    # load returns the parse, whatever reading the damaged zip raised
+    monkeypatch.setattr(wda.datasets, "_SIDECAR_MIN_BYTES", 0)
+    path = tmp_path / "d.csv"
+    save_csv(gen_toy(2, seed=6), str(path))
+    parsed = _exact(load_csv(str(path)))
+    sidecar = tmp_path / "d.csv.wda.npz"
+    good = sidecar.read_bytes()
+    damaged = [good[:i] for i in range(0, len(good), 16)]
+    damaged += [good[:i] + bytes([good[i] ^ 0x10]) + good[i + 1:] for i in range(len(good))]
+    for blob in damaged:
+        sidecar.write_bytes(blob)
+        assert _exact(load_csv(str(path))) == parsed
+
+
+def test_a_sidecar_write_that_fails_leaves_no_file_and_fails_nothing(tmp_path, monkeypatch):
+    monkeypatch.setattr(wda.datasets, "_SIDECAR_MIN_BYTES", 0)
+    path = tmp_path / "d.csv"
+    save_csv(gen_toy(5, seed=1), str(path))
+    parsed = _exact(_parse(path))
+
+    def refuse(src, dst):
+        raise OSError(f"cannot replace {dst}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert _exact(load_csv(str(path))) == parsed
+    assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (b"f0,f1,label\n1.0,oops,0\n", "line 2, column 2: not a number: 'oops'"),
+        (b"f0,label\n1.0,0\n\xff2.0,1\n", "not valid utf-8 text: invalid start byte"),
+        (b"f0,label\n1.0,0\n2.0,1e20\n",
+         "line 3, column 2: label must be an integer within int64, got '1e20'"),
+    ],
+    ids=["bad-cell", "undecodable", "label-out-of-int64"],
+)
+def test_a_csv_that_fails_to_parse_leaves_no_sidecar_and_keeps_its_message(
+    tmp_path, monkeypatch, text, message
+):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text)
+    # below the constant, then at it
+    for smallest in (len(text) + 1, len(text)):
+        monkeypatch.setattr(wda.datasets, "_SIDECAR_MIN_BYTES", smallest)
+        with pytest.raises(ParseError) as excinfo:
+            load_csv(str(path))
+        assert str(excinfo.value) == f"{path}: {message}"
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.csv"]
+
+
+def test_only_a_csv_of_at_least_the_constant_gets_a_sidecar(tmp_path, monkeypatch):
+    # a 102-row file parses faster than a sidecar loads: none is written
+    path = tmp_path / "d.csv"
+    save_csv(gen_toy(34, seed=0), str(path))
+    load_csv(str(path))
+    assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+    size = path.stat().st_size
+    monkeypatch.setattr(wda.datasets, "_SIDECAR_MIN_BYTES", size + 1)
+    load_csv(str(path))
+    assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+    monkeypatch.setattr(wda.datasets, "_SIDECAR_MIN_BYTES", size)
+    load_csv(str(path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "d.csv.wda.npz"]
 
 
 def _matrix_outcome(load, path):

@@ -219,6 +219,20 @@ def test_adaptive_lambdas_refuse_a_bad_projection_by_name(P0, message):
         adaptive_lambdas(P0, gen_toy(6, 0).class_blocks(), 1.0)
 
 
+def test_a_projection_of_no_rows_is_refused_by_name():
+    # evaluate blamed a zero within-class dispersion, adaptive_lambdas a
+    # coinciding class pair, and solve_pairs returned all-zero distances
+    P = np.zeros((0, 10))
+    blocks = gen_toy(5, 0).class_blocks()
+    message = re.escape("projection of shape (0, 10) has no rows")
+    with pytest.raises(InvalidInputError, match=message):
+        evaluate(P, blocks, WdaConfig())
+    with pytest.raises(InvalidInputError, match=message):
+        adaptive_lambdas(P, blocks, 1.0)
+    with pytest.raises(InvalidInputError, match=message):
+        solve_pairs(P, blocks, WdaConfig())
+
+
 def test_cross_covariance_single_pair():
     Xc = np.array([[1.0], [0.0]])
     Xcp = np.array([[0.0], [0.0]])
