@@ -4,14 +4,14 @@ trips, and the table reader and the fault walk behind
 
 Matrix CSV files are plain dense row-major tables of numbers, one matrix row
 per line. All writes go through a temp file + rename so partial outputs are
-never left behind.
+never left behind, and CSV rows are streamed in bounded chunks.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
-import tempfile
 import warnings
 from typing import BinaryIO, Callable
 
@@ -39,14 +39,34 @@ def require_finite(name: str, X: np.ndarray) -> None:
         raise InvalidInputError(f"{name} has a non-finite value at row {row}, column {col}")
 
 
+# O_EXCL: the name is new, so no other file is written through; O_BINARY
+# (Windows only): bytes go to the file untranslated, as tempfile's do
+_TEMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+# names to try before giving up, as tempfile.mkstemp does
+_TEMP_ATTEMPTS = 10000
+
+
 def atomic_write_text(path: str, text: str | Callable[[BinaryIO], object]) -> None:
     """Write ``text`` to ``path`` atomically (temp file in the same directory +
     rename). A callable in place of ``text`` is given the temp file, opened
     in binary mode, to write into. On any error the temp file is removed and
     the error raised, so ``path`` is either replaced whole or left as it was.
+
+    The temp file is created with mode 0o666, which the kernel reduces by the
+    umask as it does for ``open(path, "w")``, and the rename keeps that mode:
+    under umask 022 a written file is ``-rw-r--r--``, under 077
+    ``-rw-------``.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    for _ in range(_TEMP_ATTEMPTS):
+        tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+        try:
+            fd = os.open(tmp, _TEMP_FLAGS, 0o666)
+            break
+        except FileExistsError:
+            continue
+    else:
+        raise FileExistsError(f"no unused temp file name in {directory}")
     try:
         if isinstance(text, str):
             with os.fdopen(fd, "w") as fh:
@@ -66,27 +86,69 @@ def write_json(path: str, payload: dict) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
-def _csv_lines(matrix: np.ndarray, labels: np.ndarray | None = None) -> list[str]:
-    """One CSV line per row of a 2-d float array, each cell as ``FLOAT_FMT``,
-    with ``labels`` (if given) appended to each row as a ``%d`` column.
+# the cells formatted by one ``%``: about 0.35 MB of text and 1.1 MB held
+# per chunk. save_csv of 10,002 x 2, 10,002 x 10 and 1,000 x 785 samples
+# took 23, 91 and 706 ms at this size, against 27, 96 and 926 ms at 1,024
+# cells and 25, 94 and 698 ms at 65,536, which holds 4.4 MB (medians of 9,
+# one shared 2-vCPU machine)
+_CHUNK_CELLS = 16384
 
-    Each line is formatted by a single ``%`` operation over the whole row.
+
+def _write_csv(path: str, matrix: np.ndarray, labels: np.ndarray | None = None,
+               header: str | None = None) -> None:
+    """Write ``header`` (if given) and one CSV line per row of the 2-d float
+    array ``matrix`` to ``path``, atomically, each cell as ``FLOAT_FMT``,
+    with ``labels`` (if given) appended to each row as a ``%d`` column. A
+    row must have a cell: without labels, ``matrix`` a column.
+
+    The rows are streamed in chunks of ``_CHUNK_CELLS`` cells (one row at
+    least), each formatted by a single ``%`` over the row format repeated
+    and the chunk's values in file order, so the writer holds one chunk of
+    values and text, not the whole file's. The text goes through the layer
+    ``open(path, "w")`` builds, as a string given to
+    :func:`atomic_write_text` does: the locale's encoding, and "\\n"
+    written as ``os.linesep``.
     """
-    fmt = ",".join([FLOAT_FMT] * matrix.shape[1])
-    if labels is None:
-        return [fmt % tuple(row) for row in matrix.tolist()]
-    fmt += ",%d"
-    return [fmt % (*row, label) for row, label in zip(matrix.tolist(), labels.tolist())]
+    n, d = matrix.shape
+    width = d if labels is None else d + 1
+    line = ",".join([FLOAT_FMT] * d) + ("\n" if labels is None else ",%d\n")
+    step = max(1, _CHUNK_CELLS // width)
+
+    def write(fh):
+        with io.TextIOWrapper(fh) as text:
+            if header is not None:
+                text.write(header + "\n")
+            for start in range(0, n, step):
+                block = matrix[start:start + step]
+                values = block.ravel().tolist()
+                if labels is not None:
+                    cells = [None] * (len(block) * width)
+                    for j in range(d):
+                        cells[j::width] = values[j::d]
+                    cells[d::width] = labels[start:start + step].tolist()
+                    values = cells
+                text.write(line * len(block) % tuple(values))
+
+    atomic_write_text(path, write)
 
 
 def save_matrix_csv(matrix: np.ndarray, path: str) -> None:
-    """Save a 2-d array as a dense CSV table (row-major, full double precision);
-    a non-finite entry, which :func:`load_matrix_csv` refuses, is refused."""
+    """Save a 2-d array as a dense CSV table (row-major, full double
+    precision), streamed in bounded chunks: the writer holds about 1 MB
+    beyond the array, whatever its size.
+
+    What :func:`load_matrix_csv` refuses is refused with InvalidInputError
+    before anything is written: a matrix of no rows or no columns, naming
+    its shape, and a non-finite entry, naming its row and column.
+    """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
         raise ParseError(f"expected a 2-d matrix, got array of dimension {matrix.ndim}")
+    if not matrix.size:
+        empty = "columns" if matrix.shape[0] else "rows"
+        raise InvalidInputError(f"matrix of shape {matrix.shape} has no {empty}")
     require_finite("matrix", matrix)
-    atomic_write_text(path, "\n".join(_csv_lines(matrix)) + "\n")
+    _write_csv(path, matrix)
 
 
 def _read_table(fh) -> np.ndarray | None:

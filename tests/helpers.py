@@ -7,8 +7,8 @@ covariance of sample differences and its per-pair closed form under the
 uniform coupling), the full unrolled plan Jacobian, a per-pair reference
 for the objective built on plain 2-d Sinkhorn loops of its own, a replay of
 ``wda_fit`` on fresh evaluations, the ten-class fixture of 55 plan shapes,
-a per-cell loop for ``run_protocol``, and cell-by-cell references for the
-CSV readers and writers."""
+a per-cell loop for ``run_protocol``, cell-by-cell references for the
+CSV readers and writers, and a row-by-row one for the writers' chunks."""
 
 import csv
 import math
@@ -668,3 +668,15 @@ def reference_dataset_csv_text(data):
     for x, y in zip(data.samples, data.labels):
         lines.append(",".join("%.17g" % v for v in x) + f",{int(y)}")
     return "\n".join(lines) + "\n"
+
+
+def reference_csv_lines(matrix, labels=None):
+    """One CSV line per row of a 2-d float array, each cell as ``%.17g``, with
+    ``labels`` (if given) appended to each row as a ``%d`` column: the
+    writers' lines formatted by one ``%`` per row, the reference for their
+    one ``%`` per chunk of rows."""
+    fmt = ",".join(["%.17g"] * matrix.shape[1])
+    if labels is None:
+        return [fmt % tuple(row) for row in matrix.tolist()]
+    fmt += ",%d"
+    return [fmt % (*row, label) for row, label in zip(matrix.tolist(), labels.tolist())]

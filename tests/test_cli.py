@@ -763,3 +763,39 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])
     assert excinfo.value.code == 0
+
+
+def test_the_parser_is_built_once_and_no_call_leaks_into_the_next(tmp_path, toy_csv, capsys):
+    parser = _build_parser()
+    assert _build_parser() is parser
+    out = tmp_path / "out"
+    fit = ["fit", "--train", toy_csv, "--lambda", "1.0", "--max-iter", "5", "--out", str(out)]
+    assert main(fit) == 0
+    projection = (out / "projection.csv").read_bytes()
+    P = load_matrix_csv(str(out / "projection.csv"))
+    assert P.shape == (2, 10) and np.abs(P @ P.T - np.eye(2)).max() <= 1e-10
+    assert main(["transform", "--projection", str(out / "projection.csv"), "--data", toy_csv,
+                 "--out", str(out)]) == 0
+    original, transformed = load_csv(toy_csv), load_csv(str(out / "transformed.csv"))
+    assert np.array_equal(transformed.samples, original.samples @ P.T)
+    assert np.array_equal(transformed.labels, original.labels)
+    capsys.readouterr()
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fit", "--train", toy_csv, "--no-such-flag"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    config = tmp_path / "cfg.json"
+    config.write_text("{not json")
+    assert main(["fit", "--train", toy_csv, "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    for _ in range(2):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--version"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out.startswith("wda ")
+
+    # the same parser, and a fit after the refusals writes what the first did
+    assert _build_parser() is parser
+    assert main(fit) == 0
+    assert (out / "projection.csv").read_bytes() == projection

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from helpers import (
     class_counts,
+    reference_csv_lines,
     reference_dataset_csv_text,
     reference_load_csv,
     reference_load_matrix_csv,
     reference_matrix_csv_text,
+    traced_peak,
 )
 from wda import (
     DegenerateInputError,
@@ -35,6 +37,7 @@ from wda import (
     split_dataset,
 )
 import wda.datasets
+import wda.ioutil
 from wda.datasets import TOY_MODE_SIGMA, TOY_RADIUS
 from wda.ioutil import load_matrix_csv, save_matrix_csv, write_json
 from wda.objective import pair_keys
@@ -625,6 +628,118 @@ def test_writers_refuse_what_their_readers_refuse_and_leave_no_file(tmp_path):
         with pytest.raises(ValueError, match="not JSON compliant"):
             write_json(str(tmp_path / "report.json"), {"value": value})
     assert list(tmp_path.iterdir()) == []
+
+
+def test_save_matrix_csv_refuses_a_matrix_of_no_rows_or_no_columns(tmp_path):
+    # load_matrix_csv refuses the "\n" and "\n\n\n" such a matrix would be
+    for shape, message in [((0, 3), "(0, 3) has no rows"), ((3, 0), "(3, 0) has no columns"),
+                           ((0, 0), "(0, 0) has no rows")]:
+        with pytest.raises(InvalidInputError, match=re.escape(f"matrix of shape {message}")):
+            save_matrix_csv(np.zeros(shape), str(tmp_path / "matrix.csv"))
+    assert list(tmp_path.iterdir()) == []
+
+
+def _text_bytes(path, text):
+    """The bytes ``open(path, "w")`` writes for ``text``: the text layer the
+    writers stream their chunks through."""
+    with open(path, "w") as fh:
+        fh.write(text)
+    return path.read_bytes()
+
+
+def _assert_streamed_bytes_equal_the_per_row_bytes(directory, matrix, labels):
+    """save_matrix_csv (labels None) or save_csv writes the bytes of the
+    per-row reference lines."""
+    if labels is None:
+        save_matrix_csv(matrix, str(directory / "written.csv"))
+        lines = reference_csv_lines(matrix)
+    else:
+        save_csv(LabeledDataset(matrix, labels), str(directory / "written.csv"))
+        header = ",".join([*(f"f{j}" for j in range(matrix.shape[1])), "label"])
+        lines = [header, *reference_csv_lines(matrix, labels)]
+    expected = _text_bytes(directory / "reference.csv", "\n".join(lines) + "\n")
+    assert (directory / "written.csv").read_bytes() == expected
+
+
+@st.composite
+def _chunked_tables(draw):
+    """A matrix, labels or None, and a chunk size in cells that puts the row
+    count below, at or one past a chunk boundary, or makes one row wider
+    than a chunk."""
+    d = draw(st.integers(1, 4))
+    labelled = draw(st.booleans())
+    width = d + labelled
+    rows_per_chunk = draw(st.integers(1, 4))
+    if width > 1 and draw(st.booleans()):
+        chunk_cells, rows_per_chunk = draw(st.integers(1, width - 1)), 1
+    else:
+        chunk_cells = rows_per_chunk * width
+    n = draw(st.sampled_from([
+        k * rows_per_chunk + extra for k in (1, 2) for extra in (-1, 0, 1)
+        if k * rows_per_chunk + extra >= 1
+    ]))
+    values = draw(st.lists(st.lists(_doubles, min_size=d, max_size=d), min_size=n, max_size=n))
+    labels = np.arange(n) % draw(st.integers(1, n)) if labelled else None
+    return np.array(values), labels, chunk_cells
+
+
+@settings(max_examples=200, deadline=None)
+@given(_chunked_tables())
+def test_streamed_csv_bytes_equal_the_per_row_bytes(tmp_path_factory, table):
+    matrix, labels, chunk_cells = table
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wda.ioutil, "_CHUNK_CELLS", chunk_cells)
+        _assert_streamed_bytes_equal_the_per_row_bytes(
+            tmp_path_factory.mktemp("csv"), matrix, labels
+        )
+
+
+@pytest.mark.parametrize("chunk_cells", [1, 2, 3, 4, 16384])
+def test_streamed_csv_bytes_at_the_edges_of_the_double_and_the_label(
+    tmp_path, monkeypatch, chunk_cells
+):
+    monkeypatch.setattr(wda.ioutil, "_CHUNK_CELLS", chunk_cells)
+    column = np.array([[-0.0], [5e-324], [1.7976931348623157e308], [-1.7976931348623157e308]])
+    for labels in (None, np.array([0, 1, 0, 1])):
+        _assert_streamed_bytes_equal_the_per_row_bytes(tmp_path, column, labels)
+    # LabeledDataset takes labels 0 .. C - 1 only; the writer takes any int64
+    labels = np.array([2**63 - 1, -(2**63), 2**63 - 2, -(2**63) + 1], dtype=np.int64)
+    matrix = np.hstack([column, -column])
+    wda.ioutil._write_csv(str(tmp_path / "written.csv"), matrix, labels, "a,b,label")
+    lines = ["a,b,label", *reference_csv_lines(matrix, labels)]
+    expected = _text_bytes(tmp_path / "reference.csv", "\n".join(lines) + "\n")
+    assert (tmp_path / "written.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize("writer", ["save_csv", "save_matrix_csv"])
+def test_a_writer_holds_less_than_the_array_it_writes(tmp_path, writer):
+    # the rows formatted as one string would take 7.7 times the array: 61.7 MB
+    samples = np.random.default_rng(0).standard_normal((20_000, 50))
+    if writer == "save_csv":
+        data = LabeledDataset(samples, np.arange(20_000) % 3)
+        peak = traced_peak(lambda: save_csv(data, str(tmp_path / "data.csv")))
+    else:
+        peak = traced_peak(lambda: save_matrix_csv(samples, str(tmp_path / "matrix.csv")))
+    assert peak < samples.nbytes == 8_000_000
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_written_files_follow_the_umask(tmp_path, monkeypatch, umask, mode):
+    # the string path (JSON, the dataset and matrix CSVs' text layer) and the
+    # binary one (the sidecar) alike
+    monkeypatch.setattr(wda.datasets, "_SIDECAR_MIN_BYTES", 0)
+    previous = os.umask(umask)
+    try:
+        save_csv(gen_toy(3, seed=0), str(tmp_path / "data.csv"), metadata={"seed": 0})
+        load_csv(str(tmp_path / "data.csv"))
+        save_matrix_csv(np.eye(2), str(tmp_path / "matrix.csv"))
+        write_json(str(tmp_path / "report.json"), {"a": 1})
+    finally:
+        os.umask(previous)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(
+        ["data.csv", "data.csv.meta.json", "data.csv.wda.npz", "matrix.csv", "report.json"], mode
+    )
 
 
 # files at the boundary between numpy's C table reader and the cell walk of
