@@ -105,12 +105,15 @@ class LabeledDataset:
                 raise InvalidInputError(
                     f"{len(names)} feature names for {samples.shape[1]} columns"
                 )
-            # load_csv strips header cells, so such a name would not read back
+            # load_csv strips header cells and reads the first "label" column
+            # as the labels, so such a name would not read back
             for name in names:
                 if isinstance(name, str) and name != name.strip():
                     raise InvalidInputError(
                         f"feature name {name!r} has leading or trailing whitespace"
                     )
+                if name == "label":
+                    raise InvalidInputError("feature name 'label' is the name of the label column")
             object.__setattr__(self, "feature_names", names)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "labels", labels)
@@ -259,8 +262,9 @@ def save_csv(data: LabeledDataset, path: str, metadata: dict | None = None) -> N
     The header is written by ``csv.writer`` with minimal quoting, so a
     feature name holding a comma, a quote or a line break is quoted and
     reads back intact. If ``metadata`` is given it is written alongside as
-    ``<path>.meta.json``. A non-finite feature value, which :func:`load_csv`
-    refuses, is refused with InvalidInputError before anything is written.
+    ``<path>.meta.json``. What :func:`load_csv` refuses is refused with
+    InvalidInputError before anything is written: samples with no feature
+    columns, naming their shape, and a non-finite feature value.
 
     The rows are streamed in chunks of ``ioutil._CHUNK_CELLS`` cells, so the
     writer holds about 1 MB beyond the dataset whatever its size: a
@@ -268,6 +272,8 @@ def save_csv(data: LabeledDataset, path: str, metadata: dict | None = None) -> N
     whole-file string would take 7.7 times the samples, about 3.4 GB for a
     70,000 x 785 MNIST CSV.
     """
+    if not data.n_features:
+        raise InvalidInputError(f"samples of shape {data.samples.shape} have no feature columns")
     require_finite("samples", data.samples)
     names = data.feature_names or tuple(f"f{j}" for j in range(data.n_features))
     header = io.StringIO()

@@ -54,11 +54,13 @@ driver of the sweep's fits (``wda.stiefel._fit_lockstep``) with S = 1.
 
 A fit's line search reads only the value of the state its gradient came
 from, so :func:`~wda.stiefel.wda_fit` has each trial write into that
-state, and a rejected trial into the next, through the ``out=`` of
-:func:`evaluate`. ``out`` covers every array of a state: its kernel
-stacks, its Sinkhorn scaling records and its cost factors. The blocks and
-lambda map of ``out`` were validated when it was solved, so a trial that
-passes them (``out.classes``, ``out.pair_lambdas``) is not scanned again.
+state, and a rejected trial into the next, through the ``out=`` of the
+stacked :func:`evaluate`, the only call that takes one (a single problem is
+the stack of one: ``evaluate([P], [classes], cfg, [lambdas], out=stack)``).
+``out`` covers every array of a state: its kernel stacks, its Sinkhorn
+scaling records and its cost factors. The blocks and lambda map of a
+problem of ``out`` were validated when it was solved, so a trial that
+passes them (its ``classes`` and ``pair_lambdas``) is not scanned again.
 After its first evaluation a fit allocates no state array; traced alone, a
 trial allocates 0.50 of a kernel stack at 3 x 34 points with 10 features
 (1.32 with new records and factors) and 0.18 at 3 x 100 with 30 (0.43).
@@ -120,18 +122,12 @@ class WdaConfig:
             raise InvalidInputError(
                 f"lambda must be positive and finite, got {self.lam}"
             )
-        for name in ("sinkhorn_iters", "dim", "max_outer_iter"):
+        counts = ("sinkhorn_iters", "dim", "max_outer_iter")
+        for name in counts:
             require_integer(name, getattr(self, name))
-        if self.sinkhorn_iters < 1:
-            raise InvalidInputError(
-                f"sinkhorn_iters must be >= 1, got {self.sinkhorn_iters}"
-            )
-        if self.dim < 1:
-            raise InvalidInputError(f"dim must be >= 1, got {self.dim}")
-        if self.max_outer_iter < 1:
-            raise InvalidInputError(
-                f"max_outer_iter must be >= 1, got {self.max_outer_iter}"
-            )
+        for name in counts:
+            if getattr(self, name) < 1:
+                raise InvalidInputError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0 <= require_number("outer_tol", self.outer_tol) < math.inf:
             raise InvalidInputError(
                 f"outer_tol must be >= 0 and finite, got {self.outer_tol}"
@@ -249,8 +245,9 @@ class PairPlans:
     ``projection`` and ``classes`` are the P and the validated class blocks
     the plans were solved at, held by reference: modifying them in place
     afterwards invalidates the result. The arrays are its own unless it was
-    solved with ``out``: then they are ``out``'s, whose plans are void, and
-    so are its blocks and lambda map when they were ``out``'s.
+    solved into the ``out`` of a stacked :func:`evaluate`: then they are
+    views of ``out``'s runs, whose earlier plans are void, and so are its
+    blocks and lambda map when they were ``out``'s.
     """
 
     projection: np.ndarray = field(repr=False)
@@ -370,22 +367,18 @@ def _is_stack(P) -> bool:
     return isinstance(P, (list, tuple)) and len(P) > 0 and getattr(P[0], "ndim", 0) == 2
 
 
-def _single_arguments(P, classes, lambdas, out):
-    """The arguments of a single problem as a stack of one: the lists of
-    projections, class blocks and lambda maps, and ``out`` as a
-    :class:`PlanStack`."""
-    if out is not None and not isinstance(out, PairPlans):
-        raise InvalidInputError("out of a single problem must be its PairPlans")
-    out = None if out is None else PlanStack(out.batches, out.cost_factors, [out])
-    return [P], [classes], [lambdas], out
-
-
 def _stack_arguments(P, classes, lambdas, out):
     """The arguments of an :func:`evaluate` call as a stack: whether they
     were one, and the lists of projections, class blocks and lambda maps,
-    and ``out`` as a :class:`PlanStack`."""
+    and ``out``: a :class:`PlanStack` of as many problems, taken by a stack
+    only."""
     if not _is_stack(P):
-        return False, *_single_arguments(P, classes, lambdas, out)
+        if out is not None:
+            raise InvalidInputError(
+                "out is taken by a stack of problems only: pass P, the class blocks "
+                "and the lambda map as lists of one"
+            )
+        return False, [P], [classes], [lambdas], None
     lambdas = [None] * len(P) if lambdas is None else lambdas
     if not len(P) == len(classes) == len(lambdas):
         raise InvalidInputError(
@@ -524,8 +517,6 @@ def solve_pairs(
     classes,
     cfg: WdaConfig,
     lambdas: dict[PairKey, float] | None = None,
-    *,
-    out: PairPlans | None = None,
 ) -> PairPlans:
     """Solve the inner transport problem of every class pair at projection P.
 
@@ -547,19 +538,10 @@ def solve_pairs(
     :class:`PairPlans`) with one stacked product of p + 2 columns. The
     least pair whose distance is not finite is refused as an overflow.
 
-    ``out``, plans of the same class sizes and iteration count that are no
-    longer needed, has every array overwritten and reused: its kernel
-    stacks, its scaling records and residuals (through the ``out=`` of
-    :func:`~wda.otcore.sinkhorn_batch`, which refuses records of another
-    iteration count) and its cost factors. Plans of other class sizes or
-    of another projection dimension (their factors have p + 2 rows) are
-    refused with InvalidInputError. ``classes`` that are ``out.classes`` and
-    ``lambdas`` that are ``out.pair_lambdas`` were validated when ``out`` was
-    solved and are not scanned again; a line search passes its state's own.
-    It is the single problem of the stacked core (see :func:`evaluate`).
+    It is the single problem of the stacked core (see :func:`evaluate`),
+    and owns its arrays.
     """
-    P, classes, lambdas, out = _single_arguments(P, classes, lambdas, out)
-    return _one(_solve(P, classes, cfg, lambdas, out).problems[0])
+    return _one(_solve([P], [classes], cfg, [lambdas], None).problems[0])
 
 
 def _assemble(plans) -> ObjectiveState | WdaError:
@@ -584,15 +566,15 @@ def evaluate(
     cfg: WdaConfig,
     lambdas: dict[PairKey, float] | None = None,
     *,
-    out: PairPlans | PlanStack | None = None,
+    out: PlanStack | None = None,
 ) -> ObjectiveState | PlanStack:
     """Solve every inner transport problem and assemble the ratio objective.
 
     The pair plans are those of :func:`solve_pairs` (same arguments, same
-    refusals, and the same reuse of ``out``'s stacks). The evaluation is
-    defined for any P of the right shape, which lets callers probe J in the
-    ambient space, e.g. for finite-difference checks. Raises
-    DegenerateInputError when the within-class dispersion sigma_w^2 is zero.
+    refusals). The evaluation is defined for any P of the right shape, which
+    lets callers probe J in the ambient space, e.g. for finite-difference
+    checks. Raises DegenerateInputError when the within-class dispersion
+    sigma_w^2 is zero.
 
     A stack of S problems is solved as one: P is a list of S (p, d) arrays,
     ``classes`` a list of S class block lists of the same class sizes,
@@ -604,6 +586,16 @@ def evaluate(
     raise a numerical refusal (an underflowing kernel, an overflowing
     distance, a zero sigma_w^2) has that error in its place, and the others
     are solved.
+
+    Only a stack takes ``out`` (a single problem is passed as lists of one),
+    and every array of it is overwritten and reused: its kernel stacks, its
+    scaling records and residuals (through the ``out=`` of
+    :func:`~wda.otcore.sinkhorn_batch`, which refuses records of another
+    iteration count) and its cost factors. Plans of other class sizes or of
+    another projection dimension (their factors have p + 2 rows) are refused
+    with InvalidInputError. Blocks and lambda maps that are those of
+    ``out``'s problems were validated when ``out`` was solved and are not
+    scanned again; a line search passes its states' own.
     """
     stacked, P, classes, lambdas, out = _stack_arguments(P, classes, lambdas, out)
     solved = _solve(P, classes, cfg, lambdas, out)

@@ -20,8 +20,8 @@ B from 6 to 18 made a forward pass 1.8 times as costly at n = m = 34 and
 their records step-major, so each step writes one contiguous (B, n) or
 (B, m) block with ``out=`` and allocates nothing. ``sinkhorn_batch(...,
 out=)`` overwrites the records of an earlier batch of the same shape:
-that is how :func:`wda.objective.solve_pairs` reuses every array of an
-``out`` state.
+that is how a stacked :func:`wda.objective.evaluate` reuses every array
+of its ``out`` stack.
 A cost matrix, or a stack of them, is one product A^T B of two (d + 2)-row
 factors (:func:`cost_matrix`). Kernels come from :func:`sinkhorn_kernels`,
 in place of the cost stack; :func:`wda.objective.solve_pairs` builds the

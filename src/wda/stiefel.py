@@ -249,10 +249,8 @@ def _start_fit(
         )
     d = data.n_features
 
-    if start is None:
-        P, lambdas = pca_start(data, cfg.dim, cfg.lam)
-    else:
-        P, lambdas = start, adaptive_lambdas(start, data.class_blocks(), cfg.lam)
+    P = pca_init(data.samples.T, cfg.dim) if start is None else start
+    lambdas = adaptive_lambdas(P, blocks, cfg.lam)
     if init is not None:
         P = np.asarray(init, dtype=float)
         if P.shape != (cfg.dim, d):

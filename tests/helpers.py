@@ -616,6 +616,8 @@ def reference_load_csv(path):
     names = None
     if header is not None:
         names = tuple(header[j] for j in feature_cols)
+        if "label" in names:
+            raise ParseError(f"{path}: feature name 'label' is the name of the label column")
     return LabeledDataset(features, labels, names)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import re
 
@@ -339,15 +340,19 @@ def test_csv_roundtrip_bitwise(tmp_path):
         (('say "hi"', "x"), '"say ""hi""",x,label'),
         (("two\nlines", "cr\rlf"), '"two\nlines","cr\rlf",label'),
         (("f 0", "é"), "f 0,é,label"),
-        ((" sp ", "b"), None),
+        ((" sp ", "b"), "feature name ' sp ' has leading"),
+        (("label", "x"), "feature name 'label' is the name of the label column"),
     ],
-    ids=["comma", "quote", "line-breaks", "plain", "surrounding-space"],
+    ids=["comma", "quote", "line-breaks", "plain", "surrounding-space", "label"],
 )
 def test_csv_feature_names_round_trip(tmp_path, names, header):
     # the header is quoted only where a name needs it; load_csv strips header
-    # cells, so a name with surrounding whitespace (header None) is refused
-    if header is None:
-        with pytest.raises(InvalidInputError, match="feature name ' sp ' has leading"):
+    # cells and reads the first "label" column as the labels, so a name with
+    # surrounding whitespace, or one named "label" (written as the header
+    # "label,x,label", whose columns swapped on reading), is refused; header
+    # is then the refusal
+    if not header.endswith(",label"):
+        with pytest.raises(InvalidInputError, match=re.escape(header)):
             LabeledDataset(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0, 1]), names)
         return
     data = LabeledDataset(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0, 1]), names)
@@ -624,6 +629,9 @@ def test_writers_refuse_what_their_readers_refuse_and_leave_no_file(tmp_path):
     samples[2, 0] = -np.inf
     with pytest.raises(InvalidInputError, match="samples has a non-finite value at row 2, column 0"):
         save_csv(LabeledDataset(samples, [0, 1, 0]), str(tmp_path / "data.csv"), {"seed": 1})
+    # and load_csv refuses the "label\n,0\n,1\n,0\n" of no feature columns
+    with pytest.raises(InvalidInputError, match=re.escape("samples of shape (3, 0) have no feature columns")):
+        save_csv(LabeledDataset(np.zeros((3, 0)), [0, 1, 0]), str(tmp_path / "data.csv"), {"seed": 1})
     for value in (np.nan, np.inf):
         with pytest.raises(ValueError, match="not JSON compliant"):
             write_json(str(tmp_path / "report.json"), {"value": value})
@@ -774,6 +782,16 @@ _BOUNDARY_FILES = {
     "blank-only": ("\n \n,,\n", "no data rows"),
     "non-finite": ("f0,label\n1,0\ninf,1\n", "line 3, column 1: not a finite number: 'inf'"),
     "wide-header": ("f0,f1,label\n1,0\n", "header has 3 columns, data has 2"),
+    # read as labels [1, 0, 1, 0] with the names ("x", "label"); the blank
+    # line sends the second through the cell walk
+    "label-twice": (
+        "label,x,label\n1,7,0\n0,8,0\n1,9,1\n0,6,1\n",
+        "feature name 'label' is the name of the label column",
+    ),
+    "label-twice-cells": (
+        "label,x,label\n1,7,0\n \n0,8,0\n1,9,1\n0,6,1\n",
+        "feature name 'label' is the name of the label column",
+    ),
 }
 
 
@@ -873,7 +891,9 @@ def test_a_csv_rewritten_in_place_with_its_size_and_mtime_kept_is_parsed_again(
     assert _exact(load_csv(str(path))) == parsed
 
 
-@pytest.mark.parametrize("fault", ["truncated", "another-key", "nan-samples", "skipped-class"])
+@pytest.mark.parametrize(
+    "fault", ["truncated", "another-key", "nan-samples", "skipped-class", "label-name"]
+)
 def test_a_sidecar_that_fails_a_check_gives_the_parse(tmp_path, monkeypatch, fault):
     monkeypatch.setattr(wda.datasets, "_SIDECAR_MIN_BYTES", 0)
     path = tmp_path / "d.csv"
@@ -893,6 +913,9 @@ def test_a_sidecar_that_fails_a_check_gives_the_parse(tmp_path, monkeypatch, fau
             arrays["samples"] += 1.0
         elif fault == "nan-samples":
             arrays["samples"][2, 1] = np.nan
+        elif fault == "label-name":
+            names = ["label"] + [f"f{j}" for j in range(1, arrays["samples"].shape[1])]
+            arrays["names"] = np.array(json.dumps(names))
         else:
             arrays["labels"][arrays["labels"] == 2] = 3
         np.savez(sidecar, **arrays)

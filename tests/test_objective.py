@@ -704,32 +704,33 @@ def test_a_stack_of_refused_problems_holds_each_refusal_in_its_place(into):
 
 @pytest.mark.parametrize("sizes", [(8, 8, 8), (6, 4, 6, 4)], ids=["balanced", "unequal"])
 def test_evaluate_into_out_equals_a_fresh_evaluate(sizes):
-    # out's stacks, solved at another projection, are overwritten in place
+    # the stack of one's arrays, solved at another projection, are
+    # overwritten in place
     classes = _sized_classes(sizes, 16)
     rng = np.random.default_rng(17)
     cfg = WdaConfig(lam=1.0, sinkhorn_iters=10)
     P_old, P = random_stiefel(rng, 2, 5), random_stiefel(rng, 2, 5)
     lam_map = adaptive_lambdas(P_old, classes, cfg.lam)
-    spare = evaluate(P_old, classes, cfg, lam_map)
+    spare = evaluate([P_old], [classes], cfg, [lam_map])
+    old = {keys: (batch, spare.cost_factors[keys]) for keys, batch in spare.batches.items()}
     fresh = evaluate(P, classes, cfg, lam_map)
-    reused = evaluate(P, classes, cfg, lam_map, out=spare)
+    reused = evaluate([P], [classes], cfg, [lam_map], out=spare).problems[0]
     assert reused.value == fresh.value
     assert reused.pair_distances == fresh.pair_distances
     assert np.array_equal(gradient(reused), gradient(fresh))
     for keys, batch in reused.batches.items():
-        old = spare.batches[keys]
+        old_batch, old_factors = old[keys]
         for name in ("kernel", "u_history", "v_history"):
-            assert np.shares_memory(getattr(batch, name), getattr(old, name))
-        for factor, old_factor in zip(reused.cost_factors[keys], spare.cost_factors[keys]):
+            assert np.shares_memory(getattr(batch, name), getattr(old_batch, name))
+        for factor, old_factor in zip(reused.cost_factors[keys], old_factors):
             assert np.shares_memory(factor, old_factor)
 
 
 def test_evaluate_refuses_an_out_of_another_iteration_count():
     classes = _sized_classes((8, 8, 8), 20)
-    spare = solve_pairs(np.eye(2, 5), classes, WdaConfig(lam=1.0, sinkhorn_iters=5))
-    for call in (evaluate, solve_pairs):
-        with pytest.raises(InvalidInputError, match=re.escape("out must be a batch of 10 iterations on (6, 8, 8) kernels")):
-            call(np.eye(2, 5), classes, WdaConfig(lam=1.0, sinkhorn_iters=10), out=spare)
+    spare = evaluate([np.eye(2, 5)], [classes], WdaConfig(lam=1.0, sinkhorn_iters=5))
+    with pytest.raises(InvalidInputError, match=re.escape("out must be a batch of 10 iterations on (6, 8, 8) kernels")):
+        evaluate([np.eye(2, 5)], [classes], WdaConfig(lam=1.0, sinkhorn_iters=10), out=spare)
 
 
 @pytest.mark.parametrize("n_per_class, noise, bound", [(34, 0, 0.75), (100, 20, 0.3)])
@@ -743,10 +744,13 @@ def test_a_line_search_trial_allocates_no_record_factor_or_stack_buffer(n_per_cl
     classes = data.class_blocks()
     cfg = WdaConfig(lam=1.0, sinkhorn_iters=10, dim=2)
     P = pca_init(data.samples.T, 2)
-    state = evaluate(P, classes, cfg, adaptive_lambdas(P, classes, cfg.lam))
+    stack = evaluate([P], [classes], cfg, [adaptive_lambdas(P, classes, cfg.lam)])
+    state = stack.problems[0]
     P2 = project_stiefel(P + 0.1 * np.random.default_rng(24).standard_normal(P.shape))
     stack_bytes = 6 * n_per_class * n_per_class * 8
-    peak = traced_peak(lambda: evaluate(P2, state.classes, cfg, state.pair_lambdas, out=state))
+    peak = traced_peak(
+        lambda: evaluate([P2], [state.classes], cfg, [state.pair_lambdas], out=stack)
+    )
     assert peak < bound * stack_bytes
 
 
@@ -759,11 +763,10 @@ def test_a_line_search_trial_allocates_no_record_factor_or_stack_buffer(n_per_cl
 def test_evaluate_refuses_an_out_of_other_class_sizes(sizes, other):
     cfg = WdaConfig(lam=1.0, sinkhorn_iters=5)
     P = np.eye(2, 5)
-    spare = solve_pairs(P, _sized_classes(other, 18), cfg)
+    spare = evaluate([P], [_sized_classes(other, 18)], cfg)
     classes = _sized_classes(sizes, 19)
-    for call in (evaluate, solve_pairs):
-        with pytest.raises(InvalidInputError, match="out holds plans of other class sizes"):
-            call(P, classes, cfg, out=spare)
+    with pytest.raises(InvalidInputError, match="out holds plans of other class sizes"):
+        evaluate([P], [classes], cfg, out=spare)
 
 
 @pytest.mark.parametrize("dim", [1, 3])
@@ -771,10 +774,25 @@ def test_evaluate_refuses_an_out_of_another_projection_dimension(dim):
     # the kernel stacks do not depend on p, but the cost factors have p + 2 rows
     classes = _sized_classes((8, 8, 8), 21)
     cfg = WdaConfig(lam=1.0, sinkhorn_iters=5)
-    spare = solve_pairs(np.eye(2, 5), classes, cfg)
-    for call in (evaluate, solve_pairs):
-        with pytest.raises(InvalidInputError, match=f"out holds plans of projection dimension 2, not {dim}"):
-            call(np.eye(dim, 5), classes, cfg, out=spare)
+    spare = evaluate([np.eye(2, 5)], [classes], cfg)
+    with pytest.raises(InvalidInputError, match=f"out holds plans of projection dimension 2, not {dim}"):
+        evaluate([np.eye(dim, 5)], [classes], cfg, out=spare)
+
+
+def test_a_single_problem_takes_no_out():
+    # a single problem reuses arrays as the stack of one, the only call
+    # that takes out
+    classes = _sized_classes((8, 8, 8), 21)
+    cfg = WdaConfig(lam=1.0, sinkhorn_iters=5)
+    P = np.eye(2, 5)
+    stack = evaluate([P], [classes], cfg)
+    message = ("out is taken by a stack of problems only: pass P, the class blocks "
+               "and the lambda map as lists of one")
+    for out in (stack, stack.problems[0]):
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            evaluate(P, classes, cfg, out=out)
+    with pytest.raises(TypeError, match="out"):
+        solve_pairs(P, classes, cfg, out=stack.problems[0])
 
 
 @pytest.mark.parametrize(
