@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError, ParseError
 from .ioutil import (
-    _LABEL_END, _LABEL_MIN, _is_number, _raise_first_fault, _read_table, _undecodable,
+    _LABEL_END, _LABEL_MIN, _is_number, _parse_cells, _read_table, _undecodable,
     _write_csv, atomic_write_text, require_finite, write_json,
 )
 
@@ -105,10 +105,13 @@ class LabeledDataset:
                 raise InvalidInputError(
                     f"{len(names)} feature names for {samples.shape[1]} columns"
                 )
-            # load_csv strips header cells and reads the first "label" column
-            # as the labels, so such a name would not read back
+            # save_csv writes a name as its text, and load_csv strips header
+            # cells and reads the first "label" column as the labels, so such
+            # a name would not read back
             for name in names:
-                if isinstance(name, str) and name != name.strip():
+                if not isinstance(name, str):
+                    raise InvalidInputError(f"feature name {name!r} is not a string")
+                if name != name.strip():
                     raise InvalidInputError(
                         f"feature name {name!r} has leading or trailing whitespace"
                     )
@@ -336,10 +339,11 @@ def load_csv(path: str) -> LabeledDataset:
     labels and finiteness are checked as array operations. Only when that
     call refuses the text, a label is not an integer within int64 or a
     feature is not finite are the bytes read again with ``csv.reader`` and
-    walked cell by cell (``ioutil._raise_first_fault``, which
-    :func:`~wda.ioutil.load_matrix_csv` shares): to name the first fault in
-    file order, or to read the rare valid file the C reader refuses (a line
-    of whitespace or of empty cells, ``1_000``).
+    walked cell by cell, then parsed (``ioutil._parse_cells``, the step
+    :func:`~wda.ioutil.load_matrix_csv` ends with too): to name the first
+    fault in file order, a non-finite feature last, or to read the rare
+    valid file the C reader refuses (a line of whitespace or of empty
+    cells, ``1_000``).
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -372,7 +376,7 @@ def _sidecar_dataset(sidecar: str, key: str) -> LabeledDataset | None:
     if not (
         samples.dtype == np.float64 and samples.ndim == 2 and samples.shape[1] >= 1
         and labels.dtype == np.int64 and np.isfinite(samples).all()
-        and (names is None or isinstance(names, list) and all(isinstance(n, str) for n in names))
+        and (names is None or isinstance(names, list))
     ):
         return None
     try:
@@ -490,17 +494,6 @@ def _load_csv_by_cells(path: str, raw: bytes) -> LabeledDataset:
 
     width = len(rows[0])
     label_col = _label_column(path, header, width)
-    _raise_first_fault(path, linenos, rows, width, label_col)
-    # every cell is a number once stripped: float() keeps the separators
-    # \x1c-\x1f at the ends of a cell, str.strip() removes them
-    table = np.array([[cell.strip() for cell in row] for row in rows], dtype=float)
+    table = _parse_cells(path, linenos, rows, width, label_col)
     features = np.delete(table, label_col, axis=1)
-    bad = np.argwhere(~np.isfinite(features))
-    if bad.size:
-        r, out_j = bad[0]
-        j = out_j + (out_j >= label_col)
-        raise ParseError(
-            f"{path}: line {linenos[r]}, column {j + 1}: "
-            f"not a finite number: {rows[r][j].strip()!r}"
-        )
     return _dataset(path, features, table[:, label_col], header, label_col)

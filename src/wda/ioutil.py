@@ -1,5 +1,5 @@
 """Small file helpers: atomic writes, JSON output, dense matrix CSV round
-trips, and the table reader and the fault walk behind
+trips, and the table reader and the cell parse behind
 :func:`wda.datasets.load_csv`, which the matrix reader shares.
 
 Matrix CSV files are plain dense row-major tables of numbers, one matrix row
@@ -137,13 +137,14 @@ def save_matrix_csv(matrix: np.ndarray, path: str) -> None:
     precision), streamed in bounded chunks: the writer holds about 1 MB
     beyond the array, whatever its size.
 
-    What :func:`load_matrix_csv` refuses is refused with InvalidInputError
-    before anything is written: a matrix of no rows or no columns, naming
-    its shape, and a non-finite entry, naming its row and column.
+    Refused with InvalidInputError before anything is written: an array that
+    is not 2-d, and what :func:`load_matrix_csv` refuses, a matrix of no
+    rows or no columns, naming its shape, and a non-finite entry, naming its
+    row and column.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
-        raise ParseError(f"expected a 2-d matrix, got array of dimension {matrix.ndim}")
+        raise InvalidInputError(f"expected a 2-d matrix, got array of dimension {matrix.ndim}")
     if not matrix.size:
         empty = "columns" if matrix.shape[0] else "rows"
         raise InvalidInputError(f"matrix of shape {matrix.shape} has no {empty}")
@@ -191,11 +192,12 @@ _LABEL_MIN = -(2.0**63)
 _LABEL_END = 2.0**63
 
 
-def _raise_first_fault(path: str, linenos, rows, width: int, label_col: int | None = None) -> None:
-    """Raise the ParseError of the first faulty row of string cells, in file
-    order: a row of the wrong width, a cell that is not a number, or, when
-    ``label_col`` is given, a label that is not an integer within int64
-    (checked after the row's other cells). Returns if there is none."""
+def _parse_cells(path: str, linenos, rows, width: int, label_col: int | None = None) -> np.ndarray:
+    """The rows of string cells as a 2-d float table. Raises the ParseError
+    of the first fault in file order: a row of the wrong width, a cell that
+    is not a number or, when ``label_col`` is given, a label that is not an
+    integer within int64 (checked after the row's other cells); when there
+    is none, of the first non-finite cell, quoted as its text."""
     feature_cols = [j for j in range(width) if j != label_col]
     for lineno, row in zip(linenos, rows):
         if len(row) != width:
@@ -219,6 +221,18 @@ def _raise_first_fault(path: str, linenos, rows, width: int, label_col: int | No
             raise ParseError(f"{where}: label must be an integer, got {cell!r}")
         if not _LABEL_MIN <= value < _LABEL_END:
             raise ParseError(f"{where}: label must be an integer within int64, got {cell!r}")
+    # every cell is a number once stripped: float() keeps the separators
+    # \x1c-\x1f at the ends of a cell, str.strip() removes them
+    table = np.array([[cell.strip() for cell in row] for row in rows], dtype=float)
+    # a label that passed the walk is finite, so this finds a feature cell
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        r, j = bad[0]
+        raise ParseError(
+            f"{path}: line {linenos[r]}, column {j + 1}: "
+            f"not a finite number: {rows[r][j].strip()!r}"
+        )
+    return table
 
 
 def load_matrix_csv(path: str) -> np.ndarray:
@@ -226,10 +240,11 @@ def load_matrix_csv(path: str) -> np.ndarray:
 
     Raises :class:`ParseError` naming the path for a file that is not text,
     the path and line of a row of the wrong width, and the line and column of
-    the first cell that is not a number or not finite ("nan", "inf", or one
-    that overflows). Cells are split at every comma (no quoting); blank lines
-    and surrounding whitespace are ignored. The first width or number fault
-    in file order is named by the cell walk of :func:`wda.datasets.load_csv`.
+    the first cell that is not a number, or, when there is none, the first
+    that is not finite ("nan", "inf", or one that overflows, quoted as its
+    text). Cells are split at every comma (no quoting); blank lines and
+    surrounding whitespace are ignored. The cells are parsed by the step that
+    ends the cell walk of :func:`wda.datasets.load_csv`.
     """
     with open(path) as fh:
         try:
@@ -239,14 +254,4 @@ def load_matrix_csv(path: str) -> np.ndarray:
     if not numbered:
         raise ParseError(f"{path}: no data rows")
     linenos, rows = zip(*numbered)
-    _raise_first_fault(path, linenos, rows, len(rows[0]))
-    # str.strip() removes the separators \x1c-\x1f at a cell's ends, float() keeps them
-    matrix = np.array([[cell.strip() for cell in row] for row in rows], dtype=float)
-    bad = np.argwhere(~np.isfinite(matrix))
-    if bad.size:
-        r, j = bad[0]
-        raise ParseError(
-            f"{path}: line {linenos[r]}, column {j + 1}: "
-            f"not a finite number: {float(matrix[r, j])}"
-        )
-    return matrix
+    return _parse_cells(path, linenos, rows, len(rows[0]))

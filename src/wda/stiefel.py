@@ -68,15 +68,9 @@ def project_stiefel(A: np.ndarray) -> np.ndarray:
         raise InvalidInputError(
             f"expected a p x d matrix with 1 <= p <= d, got shape {A.shape}"
         )
-    # the matrix is scanned for a non-finite entry only once the SVD fails
-    # (a NaN) or gives NaN singular values (an inf), so a fit adds no pass
-    try:
-        U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    except np.linalg.LinAlgError:
-        require_finite("matrix", A)
-        raise
+    require_finite("matrix", A)
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
     if not (s[0] > 0.0 and s[-1] > 1e-13 * s[0]):
-        require_finite("matrix", A)
         raise DegenerateInputError("matrix is rank deficient; polar factor undefined")
     return U @ Vt
 

@@ -628,6 +628,7 @@ def reference_load_matrix_csv(path):
     follows the loop."""
     rows = []
     linenos = []
+    texts = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -647,13 +648,14 @@ def reference_load_matrix_csv(path):
                     ) from None
             rows.append(row)
             linenos.append(lineno)
+            texts.append(cells)
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    for lineno, row in zip(linenos, rows):
+    for lineno, row, cells in zip(linenos, rows, texts):
         for j, value in enumerate(row):
             if not math.isfinite(value):
                 raise ParseError(
-                    f"{path}: line {lineno}, column {j + 1}: not a finite number: {value}"
+                    f"{path}: line {lineno}, column {j + 1}: not a finite number: {cells[j]!r}"
                 )
     return np.array(rows)
 

@@ -10,6 +10,7 @@ from wda import (
     LabeledDataset,
     WdaConfig,
     adaptive_lambdas,
+    append_noise,
     cost_matrix,
     evaluate,
     gen_toy,
@@ -42,6 +43,19 @@ def test_generate_writes_csv_and_sidecar(tmp_path, capsys):
     out2 = tmp_path / "gen2"
     assert main(["generate", "--n-per-class", "4", "--seed", "3", "--out", str(out2)]) == 0
     assert (out2 / "toy.csv").read_bytes() == data_path.read_bytes()
+
+
+def test_generate_appends_noise_columns(tmp_path, capsys):
+    out = tmp_path / "gen"
+    argv = ["generate", "--n-per-class", "4", "--seed", "3", "--extra-noise-dims", "2"]
+    assert main(argv + ["--out", str(out)]) == 0
+    expected = append_noise(gen_toy(4, 3), 2, 4)
+    written = load_csv(str(out / "toy.csv"))
+    assert written.samples.tobytes() == expected.samples.tobytes()
+    assert np.array_equal(written.labels, expected.labels)
+    assert written.feature_names == expected.feature_names
+    meta = json.loads((out / "toy.csv.meta.json").read_text())
+    assert meta["seed"] == 3 and meta["n_per_class"] == 4 and meta["extra_noise_dims"] == 2
 
 
 def test_fit_writes_projection_and_report(tmp_path, toy_csv):
@@ -99,6 +113,23 @@ def test_fit_bad_config_json_exits_2(tmp_path, toy_csv, capsys, content):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and str(config) in err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [(None, "cannot read config file: "), ("[1, 2]", "config file must contain a JSON object")],
+    ids=["unreadable", "not-an-object"],
+)
+def test_fit_config_file_unreadable_or_not_an_object_exits_2(tmp_path, toy_csv, capsys,
+                                                               content, message):
+    config = tmp_path / "cfg.json"
+    if content is not None:
+        config.write_text(content)
+    out = tmp_path / "out"
+    assert main(["fit", "--train", toy_csv, "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}")
+    assert not out.exists()
 
 
 def test_fit_missing_train_exits_1(tmp_path, capsys):
@@ -177,7 +208,7 @@ def test_non_finite_projection_file_is_refused_by_name(tmp_path, toy_csv, capsys
         out = tmp_path / argv[0]
         assert main(argv + ["--out", str(out)]) == 1, argv[0]
         err = capsys.readouterr().err
-        assert f"{ppath}: line 2, column 4: not a finite number: nan" in err, argv[0]
+        assert f"{ppath}: line 2, column 4: not a finite number: 'nan'" in err, argv[0]
         assert not out.exists() or not any(out.iterdir()), argv[0]
 
 

@@ -342,15 +342,17 @@ def test_csv_roundtrip_bitwise(tmp_path):
         (("f 0", "é"), "f 0,é,label"),
         ((" sp ", "b"), "feature name ' sp ' has leading"),
         (("label", "x"), "feature name 'label' is the name of the label column"),
+        ((1, None), "feature name 1 is not a string"),
     ],
-    ids=["comma", "quote", "line-breaks", "plain", "surrounding-space", "label"],
+    ids=["comma", "quote", "line-breaks", "plain", "surrounding-space", "label", "not-a-string"],
 )
 def test_csv_feature_names_round_trip(tmp_path, names, header):
     # the header is quoted only where a name needs it; load_csv strips header
     # cells and reads the first "label" column as the labels, so a name with
-    # surrounding whitespace, or one named "label" (written as the header
-    # "label,x,label", whose columns swapped on reading), is refused; header
-    # is then the refusal
+    # surrounding whitespace, one named "label" (written as the header
+    # "label,x,label", whose columns swapped on reading) or one that is not a
+    # string (1 and None would be written as "1,,label" and read back as '1'
+    # and '') is refused; header is then the refusal
     if not header.endswith(",label"):
         with pytest.raises(InvalidInputError, match=re.escape(header)):
             LabeledDataset(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0, 1]), names)
@@ -638,6 +640,15 @@ def test_writers_refuse_what_their_readers_refuse_and_leave_no_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_save_matrix_csv_refuses_an_array_that_is_not_2d(tmp_path):
+    # an argument is refused as InvalidInputError; ParseError is for files
+    for shape in [(3,), (), (2, 2, 2)]:
+        message = f"expected a 2-d matrix, got array of dimension {len(shape)}"
+        with pytest.raises(InvalidInputError, match=message):
+            save_matrix_csv(np.zeros(shape), str(tmp_path / "matrix.csv"))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_save_matrix_csv_refuses_a_matrix_of_no_rows_or_no_columns(tmp_path):
     # load_matrix_csv refuses the "\n" and "\n\n\n" such a matrix would be
     for shape, message in [((0, 3), "(0, 3) has no rows"), ((3, 0), "(3, 0) has no columns"),
@@ -892,7 +903,8 @@ def test_a_csv_rewritten_in_place_with_its_size_and_mtime_kept_is_parsed_again(
 
 
 @pytest.mark.parametrize(
-    "fault", ["truncated", "another-key", "nan-samples", "skipped-class", "label-name"]
+    "fault",
+    ["truncated", "another-key", "nan-samples", "skipped-class", "label-name", "number-name"],
 )
 def test_a_sidecar_that_fails_a_check_gives_the_parse(tmp_path, monkeypatch, fault):
     monkeypatch.setattr(wda.datasets, "_SIDECAR_MIN_BYTES", 0)
@@ -915,6 +927,9 @@ def test_a_sidecar_that_fails_a_check_gives_the_parse(tmp_path, monkeypatch, fau
             arrays["samples"][2, 1] = np.nan
         elif fault == "label-name":
             names = ["label"] + [f"f{j}" for j in range(1, arrays["samples"].shape[1])]
+            arrays["names"] = np.array(json.dumps(names))
+        elif fault == "number-name":
+            names = [1] + [f"f{j}" for j in range(1, arrays["samples"].shape[1])]
             arrays["names"] = np.array(json.dumps(names))
         else:
             arrays["labels"][arrays["labels"] == 2] = 3
@@ -1080,7 +1095,7 @@ def test_load_matrix_csv_reports_the_reference_fault(tmp_path_factory, table, da
         ("1,2\n  \n3,1_000\n", [[1.0, 2.0], [3.0, 1000.0]]),
         ("1,2\n,\n", "line 2, column 1: not a number: ''"),
         ("# p\n1,2\n", "line 1, column 1: not a number: '# p'"),
-        ("1,2\n3,-inf\n", "line 2, column 2: not a finite number: -inf"),
+        ("1,2\n3,-inf\n", "line 2, column 2: not a finite number: '-inf'"),
         (" \n\n", "no data rows"),
     ],
     ids=["quoted", "line-ends", "separator-padding", "blank-and-underscore", "empty-cells",

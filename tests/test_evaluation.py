@@ -502,6 +502,32 @@ def test_csv_data_spec_split(tmp_path):
     assert class_counts(train) == [5, 5, 5]
 
 
+@pytest.mark.parametrize("kind", ["toy", "csv"])
+def test_a_data_spec_appends_its_noise_columns_to_both_sets(tmp_path, kind):
+    from dataclasses import replace
+    from wda import append_noise, load_csv, save_csv
+    from wda.evaluation import CsvDataSpec, ToyDataSpec
+
+    if kind == "toy":
+        spec = ToyDataSpec(n_train_per_class=5, n_test_per_class=7, extra_noise_dims=3)
+        loaded = None
+    else:
+        path = str(tmp_path / "toy.csv")
+        save_csv(gen_toy(10, seed=3), path)
+        spec, loaded = CsvDataSpec(path=path, extra_noise_dims=3), load_csv(path)
+    seed = 4
+    plain = _make_data(replace(spec, extra_noise_dims=0), seed, loaded)
+    noisy = _make_data(spec, seed, loaded)
+    # train and test draw their noise from the seed's third and fourth child seeds
+    noise_seeds = np.random.default_rng(seed).integers(2**63, size=4)[2:]
+    for base, data, noise_seed in zip(plain, noisy, noise_seeds):
+        expected = append_noise(base, 3, int(noise_seed))
+        assert data.n_features == base.n_features + 3
+        assert data.samples.tobytes() == expected.samples.tobytes()
+        assert np.array_equal(data.labels, base.labels)
+        assert data.feature_names == expected.feature_names
+
+
 def test_run_protocol_reads_a_csv_once(tmp_path, monkeypatch):
     from wda import save_csv
     from wda.evaluation import CsvDataSpec

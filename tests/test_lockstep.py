@@ -20,6 +20,7 @@ from wda import (
     WdaError,
     gen_toy,
     load_csv,
+    pca_init,
     run_protocol,
     save_csv,
     wda_fit,
@@ -326,3 +327,18 @@ def test_a_lambda_map_that_overflows_fails_only_its_own_cells(tmp_path):
     assert result.failures == failures
     assert {(f["lambda"], f["k"]) for f in failures} == {(1e305, None)}
     assert not np.isnan(result.errors[0][:, :, [0, 2]]).any()
+
+
+def test_a_fit_whose_every_trial_fails_the_armijo_test_stalls(monkeypatch):
+    # no gain passes a sufficient-decrease constant of 1e300: each search
+    # shrinks its step until it gives up, and the fit keeps its PCA start
+    monkeypatch.setattr(stiefel, "_STEP_C1", 1e300)
+    data, cfg = gen_toy(8, 0), WdaConfig()
+    P, report = wda_fit(data, cfg)
+    assert report.termination == "stalled"
+    assert report.evaluations == [31] and report.n_iterations == 0
+    assert P.tobytes() == pca_init(data.samples.T, cfg.dim).tobytes()
+    cases = [(data, cfg), (gen_toy(8, 1), WdaConfig(lam=1.0))]
+    fits = _lockstep(cases)
+    assert [fit.report.termination for fit in fits] == ["stalled", "stalled"]
+    _assert_each_fit_is_its_own(cases, fits)

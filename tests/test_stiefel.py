@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -335,6 +337,10 @@ def test_wda_fit_accepts_explicit_init():
     assert P.shape == (2, 3)
     with pytest.raises(InvalidInputError):
         wda_fit(data, cfg, init=np.ones((2, 3)))
+    for wrong in (np.eye(3)[:2, :2], np.eye(3)):
+        message = f"init shape {wrong.shape} does not match (2, 3)"
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            wda_fit(data, cfg, init=wrong)
 
 
 def test_wda_fit_fixes_the_lambda_map_at_the_pca_start_whatever_the_init():
