@@ -338,8 +338,9 @@ def _cmd_dump_transport(args) -> int:
         else:
             projection = pca_init(data.samples.T, cfg.dim)
     pairs = solve_pairs(projection, data.class_blocks(), cfg, lam_map)
-    converged = {}
+    final, converged = {}, {}
     for keys, batch in pairs.batches.items():
+        final.update(zip(keys, batch.residuals()[:, -1].tolist()))
         converged.update(zip(keys, batch.converged_at()))
 
     index = {
@@ -360,7 +361,7 @@ def _cmd_dump_transport(args) -> int:
                 "file": filename,
                 "shape": list(plan.shape),
                 "lambda": pairs.pair_lambdas[(c, cp)],
-                "marginal_residual": float(batch.residual[b]),
+                "marginal_residual": final[(c, cp)],
                 "converged_at": converged[(c, cp)],
                 "transport_cost": pairs.pair_distances[(c, cp)],
             }

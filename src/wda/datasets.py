@@ -100,6 +100,8 @@ class LabeledDataset:
                 f"labels must be contiguous integers starting at 0, got {uniq.tolist()}"
             )
         if self.feature_names is not None:
+            if isinstance(self.feature_names, str):
+                raise InvalidInputError(f"feature names are one string: {self.feature_names!r}")
             names = tuple(self.feature_names)
             if len(names) != samples.shape[1]:
                 raise InvalidInputError(

@@ -276,15 +276,16 @@ class ObjectiveState(PairPlans):
     sigma_w2: float
 
     def to_json(self) -> dict:
+        final = {}
+        for keys, batch in self.batches.items():
+            final.update(zip(keys, batch.residuals()[:, -1]))
         return {
             "value": self.value,
             "sigma_b2": self.sigma_b2,
             "sigma_w2": self.sigma_w2,
             "pair_distances": pair_json(self.pair_distances),
             "pair_lambdas": pair_json(self.pair_lambdas),
-            "pair_residuals": pair_json(
-                {key: batch.residual[b] for key, (batch, b) in self.runs().items()}
-            ),
+            "pair_residuals": pair_json({key: final[key] for key in self.pair_distances}),
         }
 
 
@@ -295,7 +296,7 @@ def _problem_runs(batches, cost_factors, start: int, stop: int):
     for keys, batch in batches.items():
         runs = slice(start * len(keys), stop * len(keys))
         runs_b[keys] = SinkhornBatch(
-            batch.kernel[runs], batch.u_history[runs], batch.v_history[runs], batch.residual[runs]
+            batch.kernel[runs], batch.u_history[runs], batch.v_history[runs]
         )
         A, B = cost_factors[keys]
         runs_f[keys] = (A[runs], B[runs])
@@ -338,8 +339,7 @@ class PlanStack:
         dst's runs, and dst's entry to src."""
         for keys, batch in self.batches.items():
             G = len(keys)
-            for array in (batch.kernel, batch.u_history, batch.v_history, batch.residual,
-                          *self.cost_factors[keys]):
+            for array in (batch.kernel, batch.u_history, batch.v_history, *self.cost_factors[keys]):
                 array[dst * G:(dst + 1) * G] = array[src * G:(src + 1) * G]
         new_b, new_f = _problem_runs(self.batches, self.cost_factors, dst, dst + 1)
         self.problems[src], self.problems[dst] = (
@@ -589,7 +589,7 @@ def evaluate(
 
     Only a stack takes ``out`` (a single problem is passed as lists of one),
     and every array of it is overwritten and reused: its kernel stacks, its
-    scaling records and residuals (through the ``out=`` of
+    scaling records (through the ``out=`` of
     :func:`~wda.otcore.sinkhorn_batch`, which refuses records of another
     iteration count) and its cost factors. Plans of other class sizes or of
     another projection dimension (their factors have p + 2 rows) are refused

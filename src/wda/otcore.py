@@ -5,10 +5,10 @@ Samples are stored column-wise: a cloud of n points in dimension d is a
 (d, n) array. The solver always runs the requested number of iterations and
 keeps the full scaling history, because the gradient differentiates the
 iteration map itself rather than the converged plan. The loop records the
-scalings and nothing else: the marginal residual of the final plan is
-computed once, after it, and the first iteration that met a tolerance
-(:meth:`SinkhornBatch.converged_at`) is recomputed on request from the
-recorded history.
+scalings and nothing else: the marginal residuals of its plans, the final
+one's included, and the first iteration that met a tolerance are
+recomputed on request from the recorded history
+(:meth:`SinkhornBatch.residuals`, :meth:`SinkhornBatch.converged_at`).
 
 The iterations exist once, in stacked form. :func:`sinkhorn_batch` runs B
 problems of one shape (n, m) as one (B, n, m) iteration, and
@@ -19,9 +19,9 @@ B from 6 to 18 made a forward pass 1.8 times as costly at n = m = 34 and
 3.7 times at n = m = 100, where the arithmetic dominates. Both loops keep
 their records step-major, so each step writes one contiguous (B, n) or
 (B, m) block with ``out=`` and allocates nothing. ``sinkhorn_batch(...,
-out=)`` overwrites the records of an earlier batch of the same shape:
-that is how a stacked :func:`wda.objective.evaluate` reuses every array
-of its ``out`` stack.
+out=)`` overwrites the scaling records of an earlier batch of the same
+shape: that is how a stacked :func:`wda.objective.evaluate` reuses every
+array of its ``out`` stack.
 A cost matrix, or a stack of them, is one product A^T B of two (d + 2)-row
 factors (:func:`cost_matrix`). Kernels come from :func:`sinkhorn_kernels`,
 in place of the cost stack; :func:`wda.objective.solve_pairs` builds the
@@ -139,8 +139,9 @@ class SinkhornBatch:
     Run b is ``kernel[b]``, ``u_history[b]`` and ``v_history[b]``:
     ``u_history[b, k]`` is its left scaling after k iterations
     (``u_history[b, 0]`` is the all-ones initialization), ``v_history[b, k-1]``
-    the right scaling of iteration k. ``residual[b]`` is the infinity-norm
-    marginal violation of its final plan.
+    the right scaling of iteration k. These three are all a gradient reads;
+    the plans' marginal residuals are recomputed from them by
+    :meth:`residuals`.
 
     The records are stored step-major, as (L+1, B, n) and (L, B, m) arrays,
     and the two histories are their transposed views: the scalings of one
@@ -152,23 +153,24 @@ class SinkhornBatch:
     kernel: np.ndarray     # (B, n, m)
     u_history: np.ndarray  # (B, L+1, n)
     v_history: np.ndarray  # (B, L, m)
-    residual: np.ndarray   # (B,)
 
     def plan(self, b: int) -> np.ndarray:
         """Run b's plan diag(u_L) K diag(v_L), an (n, m) array."""
         return self.u_history[b, -1][:, None] * self.kernel[b] * self.v_history[b, -1][None, :]
 
-    def converged_at(self, tol: float = 1e-9) -> list[int | None]:
-        """Each run's first iteration whose plan diag(u_k) K diag(v_k) met
-        ``tol`` in marginal residual, or None if none did.
-
-        Recomputed from the recorded scalings with the loop's own matvecs,
-        for every iteration of every run at once (two (B, L)-wide stacked
-        matvecs); the iterations never stop early.
-        """
+    def residuals(self) -> np.ndarray:
+        """The (B, L) infinity-norm marginal violations of each run's plans
+        diag(u_k) K diag(v_k), k = 1..L, the last column the final plan's:
+        recomputed from the recorded scalings with the loop's own matvecs, for
+        every iteration of every run at once (two (B, L)-wide stacked matvecs)."""
         K, U, V = self.kernel[:, None], self.u_history[:, 1:], self.v_history
-        residuals = _marginal_residual(U, _matvec(K, V), V, _matvec(K.swapaxes(-1, -2), U))
-        met = [np.flatnonzero(row) for row in residuals <= tol]
+        return _marginal_residual(U, _matvec(K, V), V, _matvec(K.swapaxes(-1, -2), U))
+
+    def converged_at(self, tol: float = 1e-9) -> list[int | None]:
+        """Each run's first iteration whose plan met ``tol`` in marginal
+        residual (see :meth:`residuals`), or None if none did; the
+        iterations never stop early."""
+        met = [np.flatnonzero(row) for row in self.residuals() <= tol]
         return [int(k[0]) + 1 if k.size else None for k in met]
 
 
@@ -177,13 +179,12 @@ def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(A, x[..., None])[..., 0]
 
 
-def _marginal_residual(u, r, v, s, out: np.ndarray | None = None) -> np.ndarray:
+def _marginal_residual(u, r, v, s) -> np.ndarray:
     """Infinity-norm marginal violation of diag(u) K diag(v) along the last
-    axis, from r = K v and s = K^T u, written into ``out`` when given."""
+    axis, from r = K v and s = K^T u."""
     return np.maximum(
         np.abs(u * r - 1.0 / u.shape[-1]).max(axis=-1),
         np.abs(v * s - 1.0 / v.shape[-1]).max(axis=-1),
-        out=out,
     )
 
 
@@ -216,15 +217,15 @@ def sinkhorn_batch(
     """Run exactly ``iterations`` Sinkhorn steps on every kernel of a stack.
 
     ``K`` is a (B, n, m) stack of kernels from :func:`sinkhorn_kernels`. The
-    B runs share one loop: each step is two stacked matvecs and the two
-    scaling updates, each written with ``out=`` into its step's contiguous
-    slice of the records, so the Python and numpy call overhead of a step
-    is paid once for the whole stack and a step allocates nothing. The
-    marginal residual is computed once, after the loop. Run b is
-    bit-identical to running it alone. The stack is kept, not copied.
-    ``out``, an earlier batch of the same shape and iteration count that is
-    no longer needed, has its scaling records and residuals overwritten and
-    reused: the batch returned holds ``K`` and ``out``'s records.
+    B runs share one loop: step k is two stacked matvecs, K^T u_{k-1} and
+    K v_k, and the two scaling updates, each written with ``out=`` into its
+    step's contiguous slice of the records, so the Python and numpy call
+    overhead of a step is paid once for the whole stack and a step
+    allocates nothing; a pass is 2L matvecs. Run b is bit-identical to
+    running it alone. The stack is kept, not copied. ``out``, an earlier
+    batch of the same shape and iteration count that is no longer needed,
+    has its scaling records overwritten and reused: the batch returned
+    holds ``K`` and ``out``'s records.
     """
     K = np.asarray(K, dtype=float)
     if K.ndim != 3:
@@ -247,23 +248,18 @@ def sinkhorn_batch(
     row_target = 1.0 / n
     col_target = 1.0 / m
     U[0] = 1.0
-    # two matvecs per iteration: r = K v serves the u update, s = K^T u the
-    # next v update; the last r and s also give the final residual. Each
-    # update clamps into its record slot and divides there in place. Every
-    # vector is a (B, n, 1) column stack, so each matvec is one matmul
-    # call with no reshaping view.
+    # each matvec writes into the record slot of the scaling it updates,
+    # which is then clamped and divided there in place. Every vector is a
+    # (B, n, 1) column stack, so each matvec is one matmul call with no
+    # reshaping view.
     U3, V3 = U[..., None], V[..., None]
-    r, s = np.empty((B, n, 1)), np.empty((B, m, 1))
-    np.matmul(KT, U3[0], out=s)
     for k in range(1, iterations + 1):
         v, u = V3[k - 1], U3[k]
-        np.divide(col_target, np.maximum(s, _TINY, out=v), out=v)
-        np.matmul(K, v, out=r)
-        np.divide(row_target, np.maximum(r, _TINY, out=u), out=u)
-        np.matmul(KT, u, out=s)
-    residual = None if out is None else out.residual
-    residual = _marginal_residual(U[-1], r[..., 0], V[-1], s[..., 0], out=residual)
-    return SinkhornBatch(K, U.transpose(1, 0, 2), V.transpose(1, 0, 2), residual)
+        np.matmul(KT, U3[k - 1], out=v)
+        np.divide(col_target, np.maximum(v, _TINY, out=v), out=v)
+        np.matmul(K, v, out=u)
+        np.divide(row_target, np.maximum(u, _TINY, out=u), out=u)
+    return SinkhornBatch(K, U.transpose(1, 0, 2), V.transpose(1, 0, 2))
 
 
 def sinkhorn_batch_reverse(

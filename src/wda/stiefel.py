@@ -213,9 +213,9 @@ _STACK_BYTES = 2 * 2**20
 def _state_bytes(sizes: list[int], L: int, p: int) -> int:
     """Bytes of the state arrays of one fit with classes of these sizes, L
     Sinkhorn iterations and dimension p: per class pair its kernel, scaling
-    records, residual and cost factors (see :class:`~wda.objective.PairPlans`)."""
+    records and cost factors (see :class:`~wda.objective.PairPlans`)."""
     return 8 * sum(
-        n * m + (L + 1) * n + L * m + 1 + (p + 2) * (n + m)
+        n * m + (L + 1) * n + L * m + (p + 2) * (n + m)
         for n, m in ((sizes[c], sizes[cp]) for c, cp in pair_keys(len(sizes)))
     )
 

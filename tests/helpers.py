@@ -116,7 +116,7 @@ def sinkhorn_plan(M, lam, iterations, tol=1e-9):
     batch = sinkhorn_batch(K, iterations)
     trace = SinkhornTrace(
         batch.kernel[0], batch.u_history[0], batch.v_history[0], float(lam), iterations,
-        float(batch.residual[0]), batch.converged_at(tol)[0],
+        float(batch.residuals()[0, -1]), batch.converged_at(tol)[0],
     )
     n, m = M.shape
     plan = TransportPlan(batch.plan(0), np.full(n, 1.0 / n), np.full(m, 1.0 / m))
@@ -186,7 +186,7 @@ def sinkhorn_vjp(trace, W):
             f"cotangent shape {W.shape} does not match kernel shape {K.shape}"
         )
     U, V = trace.u_history, trace.v_history
-    batch = SinkhornBatch(K[None], U[None], V[None], np.array([trace.residual]))
+    batch = SinkhornBatch(K[None], U[None], V[None])
     WK = W * K
     r_bars, s_bars = sinkhorn_batch_reverse(batch, (WK @ V[-1])[None], (WK.T @ U[-1])[None])
     K_bar = np.concatenate((r_bars[0], U[:-1])).T @ np.concatenate((V, s_bars[0]))

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -112,6 +113,16 @@ def test_fda_degenerate_within_covariance():
         fda_fit(data, 1)
 
 
+def test_fda_names_a_within_covariance_the_ridge_leaves_singular(monkeypatch):
+    def refuse(matrix):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    message = "within-class covariance is singular beyond the ridge: Matrix is not positive definite"
+    with pytest.raises(DegenerateInputError, match=re.escape(message)):
+        fda_fit(gen_toy(10, 0), 2)
+
+
 def test_fda_refuses_covariances_that_overflow():
     # finite features near 1e200: C_b and C_w overflow, and eigh on them
     # raised numpy's LinAlgError "Eigenvalues did not converge"
@@ -151,7 +162,11 @@ def test_fda_matches_scipy_generalized_eigh():
 
 
 def test_import_does_not_load_scipy():
-    # a fresh interpreter importing the same package this suite tests
+    # a fresh interpreter importing the same package this suite tests, and its
+    # command: neither loads scipy, a test extra that takes tens of ms to
+    # import, nor hashlib, which load_csv imports only to key a sidecar
     src = os.path.dirname(os.path.dirname(wda.__file__))
-    code = f"import sys; sys.path.insert(0, {src!r}); import wda; sys.exit('scipy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+    code = (f"import sys; sys.path.insert(0, {src!r}); import wda, wda.cli; "
+            "sys.exit(sorted({'scipy', 'hashlib'} & set(sys.modules)) or None)")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

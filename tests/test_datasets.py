@@ -53,6 +53,14 @@ def test_labeled_dataset_validation():
         LabeledDataset(np.zeros((2, 2)), np.array([1, 2]))
     with pytest.raises(InvalidInputError):
         LabeledDataset(np.zeros((2, 2)), np.array([0.0, 1.5]))
+    with pytest.raises(InvalidInputError, match=re.escape("samples must be a 2-d array (n, d)")):
+        LabeledDataset(np.zeros(2), np.array([0, 1]))
+    with pytest.raises(InvalidInputError, match="dataset is empty"):
+        LabeledDataset(np.zeros((0, 2)), np.array([]))
+    with pytest.raises(InvalidInputError, match="1 feature names for 2 columns"):
+        LabeledDataset(np.zeros((2, 2)), np.array([0, 1]), ("a",))
+    whole = LabeledDataset(np.zeros((2, 2)), np.array([0.0, 1.0]))
+    assert whole.labels.dtype == np.int64 and whole.labels.tolist() == [0, 1]
     data = LabeledDataset(np.arange(6.0).reshape(3, 2), np.array([0, 1, 1]))
     assert data.n_classes == 2
     assert class_counts(data) == [1, 2]
@@ -236,6 +244,11 @@ def test_append_noise_refuses_a_negative_seed():
             append_noise(gen_toy(4, seed=1), n_noise, seed=-2)
 
 
+def test_append_noise_refuses_a_negative_count():
+    with pytest.raises(InvalidInputError, match="n_noise must be >= 0, got -1"):
+        append_noise(gen_toy(4, seed=1), -1, 0)
+
+
 def test_append_noise_zero_is_identity():
     data = gen_toy(4, seed=1)
     same = append_noise(data, 0, seed=9)
@@ -343,8 +356,10 @@ def test_csv_roundtrip_bitwise(tmp_path):
         ((" sp ", "b"), "feature name ' sp ' has leading"),
         (("label", "x"), "feature name 'label' is the name of the label column"),
         ((1, None), "feature name 1 is not a string"),
+        ("ab", "feature names are one string: 'ab'"),
     ],
-    ids=["comma", "quote", "line-breaks", "plain", "surrounding-space", "label", "not-a-string"],
+    ids=["comma", "quote", "line-breaks", "plain", "surrounding-space", "label", "not-a-string",
+         "one-string"],
 )
 def test_csv_feature_names_round_trip(tmp_path, names, header):
     # the header is quoted only where a name needs it; load_csv strips header
@@ -352,7 +367,8 @@ def test_csv_feature_names_round_trip(tmp_path, names, header):
     # surrounding whitespace, one named "label" (written as the header
     # "label,x,label", whose columns swapped on reading) or one that is not a
     # string (1 and None would be written as "1,,label" and read back as '1'
-    # and '') is refused; header is then the refusal
+    # and '') is refused, and so is one string, which would be split into
+    # one name per character; header is then the refusal
     if not header.endswith(",label"):
         with pytest.raises(InvalidInputError, match=re.escape(header)):
             LabeledDataset(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0, 1]), names)
@@ -396,6 +412,11 @@ def test_csv_parse_errors(tmp_path):
     ragged.write_text("f0,f1,label\n1.0,2.0,0\n1.0,0\n")
     with pytest.raises(ParseError, match="line 3"):
         load_csv(str(ragged))
+
+    word = tmp_path / "word.csv"
+    word.write_text("f0,label\n1.0,0\n2.0,x\n3.0,1\n")
+    with pytest.raises(ParseError, match="line 3, column 2: label is not a number: 'x'"):
+        load_csv(str(word))
 
     fractional = tmp_path / "fractional.csv"
     fractional.write_text("f0,label\n1.0,0.25\n")
@@ -638,6 +659,22 @@ def test_writers_refuse_what_their_readers_refuse_and_leave_no_file(tmp_path):
         with pytest.raises(ValueError, match="not JSON compliant"):
             write_json(str(tmp_path / "report.json"), {"value": value})
     assert list(tmp_path.iterdir()) == []
+
+
+def test_atomic_write_draws_another_temp_name_while_one_is_taken(tmp_path, monkeypatch):
+    # the temp name is drawn from os.urandom: a name taken once is drawn
+    # again, and one taken at every attempt refuses the write by its directory
+    taken = tmp_path / f".tmp-{bytes(8).hex()}~"
+    taken.write_text("kept")
+    draws = iter([bytes(8), b"\x01" * 8])
+    monkeypatch.setattr(wda.ioutil.os, "urandom", lambda n: next(draws))
+    wda.ioutil.atomic_write_text(str(tmp_path / "once.txt"), "written")
+    assert (tmp_path / "once.txt").read_text() == "written"
+    monkeypatch.setattr(wda.ioutil.os, "urandom", bytes)
+    with pytest.raises(FileExistsError, match=re.escape(f"no unused temp file name in {tmp_path}")):
+        wda.ioutil.atomic_write_text(str(tmp_path / "never.txt"), "lost")
+    assert sorted(path.name for path in tmp_path.iterdir()) == [taken.name, "once.txt"]
+    assert taken.read_text() == "kept"
 
 
 def test_save_matrix_csv_refuses_an_array_that_is_not_2d(tmp_path):

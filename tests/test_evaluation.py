@@ -345,6 +345,14 @@ def test_run_protocol_records_failed_cells():
     assert not np.isnan(result.errors[:, :, :, :, 0]).any()
     assert len(result.failures) == 2
     assert all(f["k"] == 10_000 for f in result.failures)
+    # a grid of no valid k: every cell fails, and the fits are not voted
+    spec = ToyDataSpec(n_train_per_class=3, n_test_per_class=5)
+    result = run_protocol(spec, ["identity", "pca"], ks=[50], ps=[2], lams=[0.5], n_seeds=2)
+    assert np.isnan(result.errors).all()
+    assert [(f["method"], f["seed"]) for f in result.failures] == [
+        ("identity", 0), ("pca", 0), ("identity", 1), ("pca", 1)
+    ]
+    assert {f["error"] for f in result.failures} == {"k must lie in [1, 9], got 50"}
 
 
 def test_run_protocol_fit_failure_recorded():
@@ -400,6 +408,8 @@ def test_run_protocol_validation():
         run_protocol(spec, ["nope"], ks=[1], ps=[2], lams=[0.1], n_seeds=1)
     with pytest.raises(InvalidInputError):
         run_protocol(spec, [], ks=[1], ps=[2], lams=[0.1], n_seeds=1)
+    with pytest.raises(InvalidInputError, match="unknown data spec dict"):
+        run_protocol({"type": "toy"}, ["pca"], ks=[1], ps=[2], lams=[0.1], n_seeds=1)
 
 
 def test_experiment_csv_and_summary(tmp_path):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from helpers import reference_run_protocol, traced_peak
 from wda import (
     CsvDataSpec,
+    DegenerateInputError,
     InvalidInputError,
     LabeledDataset,
     NumericalRangeError,
@@ -155,6 +156,35 @@ def test_a_fit_refused_at_a_trial_fails_alone():
     _assert_each_fit_is_its_own(cases, fits)
 
 
+@pytest.mark.parametrize("stage", ["direction", "first-trial"])
+def test_a_fit_whose_projection_is_refused_fails_alone(monkeypatch, stage):
+    # project_stiefel refuses the middle fit's first direction, P + G, or its
+    # first trial point, P + alpha0 D: that fit ends with the refusal, and
+    # the fits beside it run on
+    data = gen_toy(34, 0)
+    cases = [(data, _config(lam)) for lam in (1.0, 100.0, 10.0)]
+    fits = [stiefel._start_fit(*case) for case in cases]
+    P, cfg = fits[1].P, cases[1][1]
+    ascent = P + gradient(evaluate(P, fits[1].blocks, cfg, fits[1].lambdas))
+    refused = ascent if stage == "direction" else (
+        P + stiefel._STEP_INIT * (stiefel.project_stiefel(ascent) - P)
+    )
+    refusal = DegenerateInputError("refused projection")
+    project = stiefel.project_stiefel
+
+    def refuse_one(A):
+        if np.array_equal(A, refused):
+            raise refusal
+        return project(A)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(stiefel, "project_stiefel", refuse_one)
+        stiefel._fit_lockstep(fits)
+    assert fits[1].error is refusal
+    assert fits[0].error is None and fits[2].error is None
+    _assert_each_fit_is_its_own(cases[::2], fits[::2])
+
+
 def _assert_no_fit_twice(stack):
     """No fit's state stands twice among the stack's problems: a fit's lambda
     map is one object from its first evaluation on."""
@@ -171,9 +201,9 @@ def _assert_states_are_their_own_runs(stack):
         for keys, runs in stack.batches.items():
             own = slice(s * len(keys), (s + 1) * len(keys))
             mine = state.batches[keys]
-            for a, b in zip((mine.kernel, mine.u_history, mine.v_history, mine.residual,
+            for a, b in zip((mine.kernel, mine.u_history, mine.v_history,
                              *state.cost_factors[keys]),
-                            (runs.kernel, runs.u_history, runs.v_history, runs.residual,
+                            (runs.kernel, runs.u_history, runs.v_history,
                              *stack.cost_factors[keys])):
                 assert a.__array_interface__ == b[own].__array_interface__
 
@@ -270,7 +300,7 @@ def test_state_bytes_are_the_bytes_of_a_fits_state():
     fit = stiefel._start_fit(data, cfg)
     state = evaluate(fit.P, fit.blocks, cfg, fit.lambdas)
     arrays = [array for keys, batch in state.batches.items()
-              for array in (batch.kernel, batch.u_history, batch.v_history, batch.residual,
+              for array in (batch.kernel, batch.u_history, batch.v_history,
                             *state.cost_factors[keys])]
     assert stiefel._state_bytes([7, 9, 8], 7, 3) == sum(array.nbytes for array in arrays)
     assert stiefel._stack_size(fit) == stiefel._STACK_BYTES // sum(array.nbytes for array in arrays)

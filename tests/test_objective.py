@@ -379,7 +379,7 @@ def _pair_traces(state):
             traces[key] = SinkhornTrace(
                 batch.kernel[b], batch.u_history[b], batch.v_history[b],
                 state.pair_lambdas[key], batch.v_history.shape[1],
-                float(batch.residual[b]), None,
+                float(batch.residuals()[b, -1]), None,
             )
     return {key: traces[key] for key in state.pair_distances}
 
@@ -681,7 +681,7 @@ def test_a_stack_refuses_each_problem_by_its_own_least_underflowing_pair():
     assert (state.value, state.sigma_b2, state.sigma_w2) == (mine.value, mine.sigma_b2, mine.sigma_w2)
     assert state.pair_distances == mine.pair_distances
     for keys, batch in mine.batches.items():
-        for name in ("kernel", "u_history", "v_history", "residual"):
+        for name in ("kernel", "u_history", "v_history"):
             assert np.array_equal(getattr(state.batches[keys], name), getattr(batch, name))
         for factor, own_factor in zip(state.cost_factors[keys], mine.cost_factors[keys]):
             assert np.array_equal(factor, own_factor)
@@ -700,6 +700,11 @@ def test_a_stack_of_refused_problems_holds_each_refusal_in_its_place(into):
         assert isinstance(result, NumericalRangeError)
         assert str(result) == str(_own_evaluate(*problem, cfg))
         assert str(result).startswith(f"class pair {named} at lambda 1e+06: kernel row underflow")
+    # a refused problem has no state to differentiate
+    with pytest.raises(InvalidInputError, match=re.escape(
+        f"problem 0 of the stack has no state: {stack.problems[0]}"
+    )):
+        gradient(stack)
 
 
 @pytest.mark.parametrize("sizes", [(8, 8, 8), (6, 4, 6, 4)], ids=["balanced", "unequal"])
@@ -777,6 +782,21 @@ def test_evaluate_refuses_an_out_of_another_projection_dimension(dim):
     spare = evaluate([np.eye(2, 5)], [classes], cfg)
     with pytest.raises(InvalidInputError, match=f"out holds plans of projection dimension 2, not {dim}"):
         evaluate([np.eye(dim, 5)], [classes], cfg, out=spare)
+
+
+@pytest.mark.parametrize(
+    "classes, message",
+    [
+        ([], "need at least one class block"),
+        ([np.ones((2, 3)), np.ones(3)], "class 1: sample block must be 2-d"),
+        ([np.ones((2, 3)), np.ones((3, 3))], "class 1: feature dimension 3 differs from 2"),
+        ([np.ones((2, 3)), np.ones((2, 0))], "class 1: empty sample block"),
+    ],
+    ids=["none", "1-d", "dimensions", "empty"],
+)
+def test_evaluate_refuses_bad_class_blocks_by_name(classes, message):
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        evaluate(np.eye(1, 2), classes, WdaConfig())
 
 
 def test_a_single_problem_takes_no_out():
